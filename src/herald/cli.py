@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=Path, required=True, help="index.json from ingest")
     p.add_argument("--emit-dot", type=Path, help="also write a DOT graph dump")
 
-    p = sub.add_parser("informalize", help="level-ordered statement and proof translation")
+    p = sub.add_parser("informalize", help="dependency-ordered statement and proof translation")
     p.add_argument("--index", type=Path, required=True)
     p.add_argument("--dry-run", action="store_true", help="write prompts, no model calls")
     p.add_argument("--budget", type=int, help="abort after this many provider calls")

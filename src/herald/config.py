@@ -14,6 +14,9 @@ Key set (all optional unless noted):
   retry_limit, backoff_base_ms, request_budget, candidate_parallelism,
   backend
   (``{"kind": "mock"|"repl", "default_ok": ..., "command": [...]}``).
+
+``batch_size`` only shapes the ``batches`` field of ``levels.json``;
+informalize concurrency is ``max_in_flight`` alone.
 """
 
 from __future__ import annotations

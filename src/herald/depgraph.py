@@ -2,8 +2,11 @@
 
 Levels follow the longest prerequisite chain: a declaration sits one level
 above the highest of its prerequisites, so every level depends only on
-strictly lower levels.  Translation consumes levels in order; batches within
-one level are independent.
+strictly lower levels.  Levels fix the order in which translations are
+written.  Translation itself does not wait for a whole level: a declaration
+is dispatched as soon as its own prerequisites are translated, with
+``max_in_flight`` requests in flight.  The batches of :func:`schedule` only
+shape ``levels.json``, for inspection.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -110,6 +110,16 @@ class Role:
     max_output_tokens: int = 2048
 
 
+def _role_request(role: Role, prompt_text: str, sample_count: int) -> CompletionRequest:
+    return CompletionRequest(
+        prompt_text=prompt_text,
+        sample_count=sample_count,
+        temperature=role.temperature,
+        max_output_tokens=role.max_output_tokens,
+        model_id=role.model_id,
+    )
+
+
 class Gateway:
     """Fans completion requests out to a provider with bounded concurrency."""
 
@@ -145,14 +155,18 @@ class Gateway:
         return [f.result() for f in futures]
 
     def complete_role(self, role: Role, prompt_text: str, sample_count: int = 1) -> list[Completion]:
-        request = CompletionRequest(
-            prompt_text=prompt_text,
-            sample_count=sample_count,
-            temperature=role.temperature,
-            max_output_tokens=role.max_output_tokens,
-            model_id=role.model_id,
-        )
-        return self.complete(request, role.provider)
+        return self.complete(_role_request(role, prompt_text, sample_count), role.provider)
+
+    def submit_role(self, role: Role, prompt_text: str) -> Future:
+        """One sample on the pool, without waiting: a ``Future[Completion]``.
+
+        The pool thread runs :meth:`complete`, so caching, retries and the
+        budget check are the same as for a blocking call.  Pool threads never
+        wait on other pool futures, so any number of submissions is safe at
+        any ``max_in_flight``.
+        """
+        request = _role_request(role, prompt_text, 1)
+        return self._pool().submit(lambda: self.complete(request, role.provider)[0])
 
     def _pool(self) -> ThreadPoolExecutor:
         with self._lock:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import queue
+from concurrent import futures
 from pathlib import Path
 
 from . import augment as aug
@@ -109,7 +112,6 @@ def run_stratify(
 ) -> depgraph.LevelAssignment:
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = depgraph.build_graph(index)
-    depgraph.check_acyclic(graph)
     assignment = depgraph.stratify(graph)
     batches = depgraph.schedule(assignment, config.batch_size)
     doc = {
@@ -135,19 +137,42 @@ def run_stratify(
 # --- informalize -------------------------------------------------------------
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Cut a final line that a kill mid-append left without its newline.
+
+    Every record is written as one newline-terminated line, so only the last
+    line of a file can be torn.  A malformed line before it stays an error
+    for the reader.
+    """
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        logger.warning("%s: dropping a torn final line (%d bytes)", path, len(data) - keep)
+        os.truncate(path, keep)
+
+
 class CompletionLedger:
-    """Append-only record of finished ids; survives kills mid-run."""
+    """Append-only record of finished ids, in the order their records were written."""
 
     def __init__(self, path: Path):
         self.path = path
         self.done: set[str] = set()
         if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
+            _drop_torn_tail(path)
+            with open(path, "rb") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
                         self.done.add(json.loads(line)["id"])
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise SchemaError(
+                            f"bad ledger record: {exc}", f"{path.name} line {lineno}"
+                        ) from exc
 
     def mark(self, item_id: str) -> None:
+        if item_id in self.done:
+            return
         self.done.add(item_id)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"id": item_id}) + "\n")
@@ -159,6 +184,7 @@ def _existing_pair_ids(out_dir: Path) -> dict[str, ds.NLFLPair]:
     found: dict[str, ds.NLFLPair] = {}
     for path in level_files(out_dir) + [out_dir / "proofs.jsonl"]:
         if path.exists():
+            _drop_torn_tail(path)
             for pair in ds.read_pairs(path):
                 found[pair.id] = pair
     return found
@@ -186,11 +212,29 @@ def run_informalize(
     out_dir: Path,
     dry_run: bool = False,
 ) -> dict[str, int]:
-    """Level-ordered statement pass, then stepwise proof pass.
+    """Statement and stepwise proof translation in dependency order.
 
-    Resumable: completed ids are tracked in a ledger and already-written
-    records are never re-emitted.  The proof pass for a declaration only
-    runs once its statement translation exists.
+    Dispatch: a statement is sent as soon as each of its prerequisites has a
+    translation (Kahn's ready set over the dependency graph).  Its prompt
+    reads only those translations, so every prompt is the one a
+    level-by-level pass would build.  A proof's step prompts are sent once
+    its statement translation lands, and its summary once every step is
+    back.  All provider calls go through the gateway pool, so
+    ``max_in_flight`` is the one concurrency knob.
+
+    Reorder buffer: records are written in canonical order (statements level
+    by level, then proofs by name).  A record is appended to its JSONL file
+    and marked in the ledger only once every earlier record is on disk, so
+    the output tree does not depend on ``max_in_flight`` and an interrupted
+    run leaves a canonical prefix.  On the first error, dispatch stops,
+    queued requests are cancelled, running ones are drained, the prefix is
+    flushed and the error is re-raised.
+
+    Resume: the records on disk are the source of truth (a torn final line
+    is dropped); missing ones are redone.  A completion that finished behind
+    a gap is lost from the outputs but kept in the cache, so a rerun does
+    not pay for it again.  ``dry_run`` writes the prompts it can build
+    without model calls, serially.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     digest_file = out_dir / "config_digest.txt"
@@ -210,12 +254,10 @@ def run_informalize(
     store, embed_provider = _retrieval_context(config)
 
     graph = depgraph.build_graph(index)
-    depgraph.check_acyclic(graph)
     assignment = depgraph.stratify(graph)
+    statement_order = [name for level in assignment.levels for name in level]
+    proof_names = index.tactic_proof_names()
 
-    gateway = config.gateway(cache_dir=out_dir / "cache")
-    informalizer = config.role("informalizer")
-    ledger = CompletionLedger(out_dir / LEDGER_NAME)
     existing = _existing_pair_ids(out_dir)
     translations: dict[str, str] = {
         pid: pair.informal_text
@@ -226,125 +268,186 @@ def run_informalize(
     def resolve_signature(name: str) -> str:
         return f"{name} : {index.declarations[name].signature}"
 
-    prompts_dir = out_dir / "prompts"
-    statements_written = 0
-    proofs_written = 0
+    def statement_prompt(name: str) -> str:
+        subject = index.declarations[name]
+        retrieved: tuple[retrieval.ScoredExample, ...] = ()
+        if store is not None and embed_provider is not None:
+            query = retrieval.embed(subject.signature, embed_provider)
+            retrieved = tuple(retrieval.query_knn(store, query, config.retrieval_k))
+        ctx = prompts.build_statement_context(
+            subject,
+            index,
+            assignment,
+            translations,
+            retrieved=retrieved,
+            neighbor_limit=config.neighbor_limit,
+        )
+        return prompts.assemble_statement_prompt(
+            ctx,
+            registry,
+            resolve_signature=resolve_signature,
+            max_chars=config.max_prompt_chars,
+        ).text
 
-    try:
-        for level_index, level in enumerate(assignment.levels):
-            level_path = out_dir / f"statements_level_{level_index}.jsonl"
-            for start in range(0, len(level), config.batch_size):
-                for name in level[start : start + config.batch_size]:
-                    if name in ledger.done or name in existing:
-                        if name in existing and existing[name].informal_text:
-                            translations.setdefault(name, existing[name].informal_text)
-                        continue
-                    subject = index.declarations[name]
-                    retrieved: tuple[retrieval.ScoredExample, ...] = ()
-                    if store is not None and embed_provider is not None:
-                        query = retrieval.embed(subject.signature, embed_provider)
-                        retrieved = tuple(
-                            retrieval.query_knn(store, query, config.retrieval_k)
-                        )
-                    ctx = prompts.build_statement_context(
-                        subject,
-                        index,
-                        assignment,
-                        translations,
-                        retrieved=retrieved,
-                        neighbor_limit=config.neighbor_limit,
-                    )
-                    prompt = prompts.assemble_statement_prompt(
-                        ctx,
-                        registry,
-                        resolve_signature=resolve_signature,
-                        max_chars=config.max_prompt_chars,
-                    )
-                    if dry_run:
-                        prompts_dir.mkdir(parents=True, exist_ok=True)
-                        (prompts_dir / f"{name}.txt").write_text(
-                            prompt.text, encoding="utf-8"
-                        )
-                        continue
-                    informal = gateway.complete_role(informalizer, prompt.text)[0].text.strip()
-                    pair = ds.NLFLPair(
-                        id=name,
-                        formal_text=subject.signature,
-                        informal_text=informal,
-                        direction=ds.Direction.NL_TO_FL,
-                        provenance=ds.Provenance.ORIGINAL,
-                        source_name=name,
-                        level=level_index,
-                    )
-                    with open(level_path, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(ds.pair_to_dict(pair), ensure_ascii=False) + "\n")
-                    translations[name] = informal
-                    ledger.mark(name)
-                    statements_written += 1
+    def proof_context(name: str) -> prompts.ProofContext:
+        return prompts.ProofContext(
+            formal_statement=index.declarations[name].signature,
+            informal_statement=translations.get(name) or "(statement translation pending)",
+            steps=index.proofs[name],
+            tactic_notes=notes,
+        )
 
-        # Proof pass: only for declarations whose statement translation exists.
-        proofs_path = out_dir / "proofs.jsonl"
-        for name in index.tactic_proof_names():
-            proof_id = f"{name}::proof"
-            if proof_id in ledger.done or proof_id in existing:
-                continue
-            informal_statement = translations.get(name, "")
-            if not informal_statement:
-                if not dry_run:
-                    logger.warning("skipping proof of %s: no statement translation", name)
-                    continue
-                informal_statement = "(statement translation pending)"
-            steps = index.proofs[name]
-            subject = index.declarations[name]
-            ctx = prompts.ProofContext(
-                formal_statement=subject.signature,
-                informal_statement=informal_statement,
-                steps=steps,
-                tactic_notes=notes,
-            )
-            if dry_run:
+    if dry_run:
+        prompts_dir = out_dir / "prompts"
+        for name in statement_order:
+            if name not in existing:
                 prompts_dir.mkdir(parents=True, exist_ok=True)
-                proof_prompt = prompts.assemble_proof_prompt(ctx, registry)
+                (prompts_dir / f"{name}.txt").write_text(statement_prompt(name), encoding="utf-8")
+        for name in proof_names:
+            if f"{name}::proof" not in existing:
+                prompts_dir.mkdir(parents=True, exist_ok=True)
+                proof_prompt = prompts.assemble_proof_prompt(proof_context(name), registry)
                 (prompts_dir / f"{name}.proof.txt").write_text(
                     proof_prompt.text, encoding="utf-8"
                 )
-                continue
-            stepwise = []
-            for step_index in range(len(steps)):
-                step_prompt = prompts.assemble_step_prompt(ctx, step_index, registry)
-                stepwise.append(
-                    gateway.complete_role(informalizer, step_prompt.text)[0].text.strip()
+        return {
+            "statements_written": 0,
+            "proofs_written": 0,
+            "levels": len(assignment.levels),
+            "dry_run": True,
+        }
+
+    ledger = CompletionLedger(out_dir / LEDGER_NAME)
+    informalizer = config.role("informalizer")
+    gateway = config.gateway(cache_dir=out_dir / "cache")
+    counts = {"statements_written": 0, "proofs_written": 0}
+
+    # Reorder buffer: finished records waiting for every earlier one.
+    order = statement_order + [f"{name}::proof" for name in proof_names]
+    finished: dict[str, ds.NLFLPair] = {}
+    cursor = 0
+
+    def flush() -> None:
+        nonlocal cursor
+        while cursor < len(order):
+            item_id = order[cursor]
+            if item_id in finished:
+                pair = finished.pop(item_id)
+                is_statement = pair.record_type == "statement"
+                path = out_dir / (
+                    f"statements_level_{pair.level}.jsonl" if is_statement else "proofs.jsonl"
                 )
-            summary_prompt = prompts.summarize_steps_prompt(stepwise, ctx, registry)
-            whole_proof = gateway.complete_role(informalizer, summary_prompt.text)[0].text.strip()
-            script = subject.signature + " := by\n" + "\n".join(
-                f"  {s.tactic_text}" for s in steps
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(ds.pair_to_dict(pair), ensure_ascii=False) + "\n")
+                counts["statements_written" if is_statement else "proofs_written"] += 1
+            elif item_id not in existing:
+                return
+            ledger.mark(item_id)
+            cursor += 1
+
+    # Dispatch state, touched only by this thread.  waiting[name] counts the
+    # prerequisites of a statement that have no translation yet.
+    prerequisites = graph.prerequisites()
+    dependents = graph.dependents()
+    waiting = {
+        name: sum(dep not in translations for dep in prerequisites[name])
+        for name in statement_order
+    }
+    has_proof = set(proof_names)
+    step_texts: dict[str, list[str | None]] = {}
+    pending: dict[futures.Future, tuple] = {}
+    completed: queue.SimpleQueue = queue.SimpleQueue()
+    stopping = False
+
+    def submit(prompt_text: str, *tag) -> None:
+        future = gateway.submit_role(informalizer, prompt_text)
+        pending[future] = tag
+        future.add_done_callback(completed.put)
+
+    def send_proof(name: str) -> None:
+        if f"{name}::proof" in existing:
+            return
+        ctx = proof_context(name)
+        step_texts[name] = [None] * len(ctx.steps)
+        for step_index in range(len(ctx.steps)):
+            step_prompt = prompts.assemble_step_prompt(ctx, step_index, registry)
+            submit(step_prompt.text, "step", name, step_index)
+
+    def settle(tag: tuple, text: str) -> None:
+        """Record one completion; unless stopping, send the work it unblocks."""
+        kind, name, *rest = tag
+        subject = index.declarations[name]
+        if kind == "statement":
+            finished[name] = ds.NLFLPair(
+                id=name,
+                formal_text=subject.signature,
+                informal_text=text,
+                direction=ds.Direction.NL_TO_FL,
+                provenance=ds.Provenance.ORIGINAL,
+                source_name=name,
+                level=assignment.level_of[name],
             )
-            pair = ds.NLFLPair(
-                id=proof_id,
-                formal_text=script,
-                informal_text=whole_proof,
+            translations[name] = text
+            if stopping:
+                return
+            for dependent in sorted(dependents[name]):
+                waiting[dependent] -= 1
+                if waiting[dependent] == 0 and dependent not in translations:
+                    submit(statement_prompt(dependent), "statement", dependent)
+            if name in has_proof:
+                send_proof(name)
+        elif kind == "step":
+            texts = step_texts[name]
+            texts[rest[0]] = text
+            if not stopping and None not in texts:
+                del step_texts[name]
+                summary = prompts.summarize_steps_prompt(texts, proof_context(name), registry)
+                submit(summary.text, "summary", name)
+        else:
+            steps = index.proofs[name]
+            finished[f"{name}::proof"] = ds.NLFLPair(
+                id=f"{name}::proof",
+                formal_text=subject.signature
+                + " := by\n"
+                + "\n".join(f"  {s.tactic_text}" for s in steps),
+                informal_text=text,
                 direction=ds.Direction.NL_TO_FL,
                 provenance=ds.Provenance.ORIGINAL,
                 source_name=name,
                 level=assignment.level_of.get(name),
                 record_type="proof",
             )
-            with open(proofs_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(ds.pair_to_dict(pair), ensure_ascii=False) + "\n")
-            ledger.mark(proof_id)
-            proofs_written += 1
+
+    try:
+        for name in statement_order:
+            if waiting[name] == 0 and name not in translations:
+                submit(statement_prompt(name), "statement", name)
+        for name in proof_names:
+            if name in translations:
+                send_proof(name)
+        flush()
+        while pending:
+            future = completed.get()
+            tag = pending.pop(future)
+            settle(tag, future.result().text.strip())
+            flush()
+    except BaseException:
+        # Keep every finished record that extends the canonical prefix, then
+        # let the caller see the first error.
+        stopping = True
+        for future in pending:
+            future.cancel()
+        futures.wait(pending)
+        for future, tag in pending.items():
+            if not future.cancelled() and future.exception() is None:
+                settle(tag, future.result().text.strip())
+        flush()
+        raise
     finally:
         gateway.close()
 
-    counts = {
-        "statements_written": statements_written,
-        "proofs_written": proofs_written,
-        "levels": len(assignment.levels),
-        "dry_run": dry_run,
-    }
-    if not dry_run:
-        write_manifest(out_dir, "informalize", config, counts)
+    counts.update({"levels": len(assignment.levels), "dry_run": False})
+    write_manifest(out_dir, "informalize", config, counts)
     return counts
 
 
@@ -373,9 +476,9 @@ def run_augment(
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     gateway = config.gateway(cache_dir=out_dir / "cache")
+    backend = config.backend.build() if tactic else None
     try:
         if tactic:
-            backend = config.backend.build()
             synthesized = aug.synthesize_for_index(index)
             valid, rejected = aug.compile_filter(
                 synthesized, backend, config.compile_timeout_ms
@@ -470,6 +573,8 @@ def run_augment(
             )
     finally:
         gateway.close()
+        if backend is not None:
+            backend.close()
 
     write_manifest(out_dir, "augment", config, counts)
     return counts
@@ -563,13 +668,13 @@ def run_validate(
     if not items:
         raise InvalidInput(f"benchmark {bench_path} is empty")
     k = k if k is not None else config.pass_k
-    backend = config.backend.build()
-    gateway = config.gateway(cache_dir=out_dir / "cache")
     roles = validate.Roles(
         translator=config.role("translator"),
         back_translator=config.role("back_translator"),
         nli_judge=config.role("nli_judge"),
     )
+    backend = config.backend.build()
+    gateway = config.gateway(cache_dir=out_dir / "cache")
     reports = []
     try:
         for item in items:
@@ -589,6 +694,7 @@ def run_validate(
             )
     finally:
         gateway.close()
+        backend.close()
     validate.write_reports(reports, out_dir / "reports.jsonl")
     summary = validate.summarize(reports, dataset_name or Path(bench_path).stem)
     (out_dir / "summary.json").write_text(

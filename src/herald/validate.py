@@ -46,6 +46,8 @@ class CompileOutcome:
 class CompilerBackend(Protocol):
     def check(self, source: str, timeout_ms: int) -> CompileOutcome: ...
 
+    def close(self) -> None: ...
+
 
 class MockCompilerBackend:
     """Scriptable backend keyed by the digest of the exact source checked."""
@@ -66,6 +68,9 @@ class MockCompilerBackend:
         if self.default_ok:
             return CompileOutcome(True)
         return CompileOutcome(False, ("not in scripted pass set",))
+
+    def close(self) -> None:
+        pass
 
 
 class ReplBackend:
@@ -102,13 +107,18 @@ class ReplBackend:
 
     def _reader(self, proc: subprocess.Popen) -> None:
         assert proc.stdout is not None
-        for line in proc.stdout:
-            self._responses.put(line)
+        with proc.stdout:
+            for line in proc.stdout:
+                self._responses.put(line)
 
     def _stop(self) -> None:
         if self._proc is not None:
             self._proc.kill()
             self._proc.wait()
+            try:
+                self._proc.stdin.close()
+            except BrokenPipeError:
+                pass  # a line the dead process never read; nothing to deliver
             self._proc = None
 
     def close(self) -> None:

@@ -100,6 +100,42 @@ def corpus30() -> CorpusIndex:
     return make_corpus(30)
 
 
+def make_wide_corpus(n: int = 40, seed: int = 5, edge_prob: float = 0.08) -> CorpusIndex:
+    """Seeded random-DAG corpus: wide levels, so many statements are ready at
+    once (``make_corpus`` is a chain).  Every third declaration is a theorem
+    with a three-step tactic proof."""
+    nodes, edges = random_dag(random.Random(seed), n, edge_prob)
+    deps: dict[str, set[str]] = {name: set() for name in nodes}
+    for u, v in edges:
+        deps[v].add(u)
+    declarations = {}
+    proofs = {}
+    for i, name in enumerate(sorted(nodes)):
+        has_proof = i % 3 == 0
+        kind = DeclKind.THEOREM if has_proof else DeclKind.DEFINITION
+        declarations[name] = DeclarationRecord(
+            full_name=name,
+            kind=kind,
+            signature=f"{kind.value} {name} : A{i} → B{i}",
+            docstring=None,
+            namespace_path=(f"Ns{i % 4}",),
+            file_path=_FILES[i % 3],
+            line_span=(1 + 3 * i, 2 + 3 * i),
+            dependencies=frozenset(deps[name]),
+            is_tactic_proof=has_proof,
+        )
+        if has_proof:
+            states = [
+                ProofState(hypotheses=(("h", f"A{i}"),), goals=(f"B{i}", f"C{i}")[: 2 - k])
+                for k in range(3)
+            ]
+            proofs[name] = tuple(
+                ProofStep(f"step{k} {name}", states[k], states[min(k + 1, 2)], k)
+                for k in range(3)
+            )
+    return CorpusIndex(declarations=declarations, proofs=proofs)
+
+
 # --- random DAGs with an independent level oracle ---------------------------
 
 
