@@ -33,6 +33,11 @@ EXIT_SCHEMA = 2
 EXIT_PROVIDER = 3
 EXIT_PIPELINE = 4
 
+RESUME_HINT = (
+    "records already written and completions already paid for (the cache) "
+    "stay in the output directory; rerun the same command to resume"
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="pipeline config JSON")
     parser.add_argument("--out", type=Path, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="base seed (overrides config)")
+    parser.add_argument("--seed", type=int,
+                        help="sets both dedup_seed and mix_seed (overrides config)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -111,7 +117,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
-            config.seed = args.seed
             config.dedup_seed = args.seed
             config.mix_seed = args.seed
         out_dir = args.out or config.output_dir
@@ -200,17 +205,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PIPELINE
     except (ProviderExhausted, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: completed items are recorded in the output ledger; "
-            "rerun the same command to resume",
-            file=sys.stderr,
-        )
+        print(f"hint: {RESUME_HINT}", file=sys.stderr)
         return EXIT_PROVIDER
     except HeraldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     except KeyboardInterrupt:
-        print("interrupted; finished items are in the ledger, rerun to resume", file=sys.stderr)
+        print(f"interrupted; {RESUME_HINT}", file=sys.stderr)
         return EXIT_PROVIDER
 
 

@@ -8,22 +8,24 @@ Key set (all optional unless noted):
   augmenter, each ``{"provider": "mock" | "http", "model_id": ...,
   "base_url": ..., "temperature": ...}``.  HTTP providers read their key
   from ``HERALD_API_KEY_<ROLE>``.
-* ``knobs``: retrieval_k, batch_size, pass_k, seed, dedup_seed, mix_seed,
+* ``knobs``: retrieval_k, pass_k, dedup_seed, mix_seed,
   compile_timeout_ms, ratio ("a:b:c"), dirmix ("x:y:z"), header_prelude,
   neighbor_limit, max_prompt_chars, short_circuit, max_in_flight,
-  retry_limit, backoff_base_ms, request_budget, candidate_parallelism,
-  backend
+  retry_limit, backoff_base_ms, request_budget, backend
   (``{"kind": "mock"|"repl", "default_ok": ..., "command": [...]}``).
+  A knob left out takes the :class:`PipelineConfig` default; an unknown
+  knob is a :class:`SchemaError`, so a misspelled or retired key fails
+  loudly instead of being ignored.
 
-``batch_size`` only shapes the ``batches`` field of ``levels.json``;
-informalize concurrency is ``max_in_flight`` alone.
+``max_in_flight`` is the one concurrency knob: every provider call goes
+through the gateway pool.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import InvalidInput, SchemaError
@@ -103,6 +105,10 @@ def _parse_ratio(text: str, parts: int) -> tuple[int, ...]:
     return values
 
 
+_PATH_KEYS = ("corpus_export", "source_dir", "template_registry",
+              "tactic_notes", "example_store", "general_data")
+
+
 @dataclass
 class PipelineConfig:
     corpus_export: Path | None = None
@@ -116,9 +122,7 @@ class PipelineConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
 
     retrieval_k: int = 1
-    batch_size: int = 32
     pass_k: int = 32
-    seed: int = 0
     dedup_seed: int = 0
     mix_seed: int = 0
     compile_timeout_ms: int = 60000
@@ -132,7 +136,6 @@ class PipelineConfig:
     retry_limit: int = 3
     backoff_base_ms: int = 50
     request_budget: int | None = None
-    candidate_parallelism: int = 1
     config_digest: str = "unconfigured"
 
     def __post_init__(self):
@@ -140,10 +143,7 @@ class PipelineConfig:
             raise InvalidInput(f"pass_k must be in [1, 256], got {self.pass_k}")
         if self.retrieval_k < 1:
             raise InvalidInput(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.batch_size < 1:
-            raise InvalidInput(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("corpus_export", "source_dir", "template_registry",
-                     "tactic_notes", "example_store", "general_data"):
+        for name in _PATH_KEYS:
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
                 raise InvalidInput(f"configured path {name}={value} does not exist")
@@ -165,6 +165,13 @@ class PipelineConfig:
         )
 
 
+# Every field under ``knobs`` in the config file; the rest come from
+# ``paths`` and ``roles`` or from the file itself.
+_KNOBS = frozenset(f.name for f in fields(PipelineConfig)) - {
+    *_PATH_KEYS, "output_dir", "roles", "config_digest"
+}
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     raw = Path(path).read_bytes()
     try:
@@ -176,24 +183,27 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     paths = doc.get("paths", {})
     knobs = doc.get("knobs", {})
+    if not isinstance(knobs, dict):
+        raise SchemaError("knobs must be a JSON object", "$.knobs")
     roles_doc = doc.get("roles", {})
     for name in roles_doc:
         if name not in _MOCKS_BY_ROLE:
             raise SchemaError(f"unknown role {name!r}", "$.roles")
+    for key in knobs:
+        if key not in _KNOBS:
+            raise SchemaError(f"unknown knob {key!r}", f"$.knobs.{key}")
 
     def path_or_none(key: str) -> Path | None:
         value = paths.get(key)
         return Path(value) if value else None
 
-    backend_doc = knobs.get("backend", {})
+    backend_doc = knobs.pop("backend", {})
     try:
+        for key in ("ratio", "dirmix"):
+            if key in knobs:
+                knobs[key] = _parse_ratio(knobs[key], 3)
         return PipelineConfig(
-            corpus_export=path_or_none("corpus_export"),
-            source_dir=path_or_none("source_dir"),
-            template_registry=path_or_none("template_registry"),
-            tactic_notes=path_or_none("tactic_notes"),
-            example_store=path_or_none("example_store"),
-            general_data=path_or_none("general_data"),
+            **{key: path_or_none(key) for key in _PATH_KEYS},
             output_dir=Path(paths.get("output_dir", "out")),
             roles={
                 name: RoleConfig(
@@ -210,27 +220,10 @@ def load_config(path: str | Path) -> PipelineConfig:
                 default_ok=backend_doc.get("default_ok", True),
                 command=tuple(backend_doc.get("command", []) or []),
             ),
-            retrieval_k=knobs.get("retrieval_k", 1),
-            batch_size=knobs.get("batch_size", 32),
-            pass_k=knobs.get("pass_k", 32),
-            seed=knobs.get("seed", 0),
-            dedup_seed=knobs.get("dedup_seed", 0),
-            mix_seed=knobs.get("mix_seed", 0),
-            compile_timeout_ms=knobs.get("compile_timeout_ms", 60000),
-            ratio=_parse_ratio(knobs.get("ratio", "1:2:1"), 3),
-            dirmix=_parse_ratio(knobs.get("dirmix", "2:2:1"), 3),
-            header_prelude=knobs.get("header_prelude", "import Mathlib\n"),
-            neighbor_limit=knobs.get("neighbor_limit", 5),
-            max_prompt_chars=knobs.get("max_prompt_chars"),
-            short_circuit=knobs.get("short_circuit", True),
-            max_in_flight=knobs.get("max_in_flight", 8),
-            retry_limit=knobs.get("retry_limit", 3),
-            backoff_base_ms=knobs.get("backoff_base_ms", 50),
-            request_budget=knobs.get("request_budget"),
-            candidate_parallelism=knobs.get("candidate_parallelism", 1),
             config_digest=hashlib.sha256(raw).hexdigest(),
+            **knobs,
         )
     except InvalidInput:
         raise
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad config value: {exc}", str(path)) from exc

@@ -123,25 +123,6 @@ def read_pairs(path: str | Path) -> list[NLFLPair]:
     return pairs
 
 
-def mirror_directions(pairs: list[NLFLPair]) -> list[NLFLPair]:
-    """Duplicate every NL->FL pair with the direction flipped (id + '_rev').
-
-    Rejects input that is not purely NL->FL, which also prevents mirroring
-    twice.
-    """
-    for pair in pairs:
-        if pair.direction != Direction.NL_TO_FL:
-            raise InvalidInput(
-                f"mirror_directions expects nl_to_fl input, pair {pair.id} "
-                f"has direction {pair.direction}"
-            )
-    out = []
-    for pair in pairs:
-        out.append(pair)
-        out.append(replace(pair, id=pair.id + "_rev", direction=Direction.FL_TO_NL))
-    return out
-
-
 def split_by_ratio(total: int, ratio: tuple[int, ...]) -> list[int]:
     """Largest-remainder split of ``total`` into parts proportional to ratio.
 

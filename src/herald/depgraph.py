@@ -1,12 +1,13 @@
-"""Dependency DAG construction, stratification, and batch scheduling.
+"""Dependency DAG construction and stratification.
 
 Levels follow the longest prerequisite chain: a declaration sits one level
 above the highest of its prerequisites, so every level depends only on
 strictly lower levels.  Levels fix the order in which translations are
 written.  Translation itself does not wait for a whole level: a declaration
 is dispatched as soon as its own prerequisites are translated, with
-``max_in_flight`` requests in flight.  The batches of :func:`schedule` only
-shape ``levels.json``, for inspection.
+``max_in_flight`` requests in flight.  :func:`schedule` chunks the levels
+into a flat topological order for callers that want fixed-size batches;
+the pipeline does not use it.
 """
 
 from __future__ import annotations

@@ -25,15 +25,12 @@ from .records import CorpusIndex
 
 logger = logging.getLogger(__name__)
 
-LEDGER_NAME = "completed.jsonl"
-
 
 def write_manifest(out_dir: Path, command: str, config: PipelineConfig, extra: dict) -> None:
     payload = {
         "command": command,
         "config_digest": config.config_digest,
         "seeds": {
-            "seed": config.seed,
             "dedup_seed": config.dedup_seed,
             "mix_seed": config.mix_seed,
         },
@@ -113,11 +110,9 @@ def run_stratify(
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = depgraph.build_graph(index)
     assignment = depgraph.stratify(graph)
-    batches = depgraph.schedule(assignment, config.batch_size)
     doc = {
         "level_of": {n: assignment.level_of[n] for n in sorted(assignment.level_of)},
         "levels": [list(level) for level in assignment.levels],
-        "batches": batches,
         "unresolved_dependencies": graph.unresolved_count,
     }
     (out_dir / "levels.json").write_text(
@@ -149,34 +144,6 @@ def _drop_torn_tail(path: Path) -> None:
     if keep < len(data):
         logger.warning("%s: dropping a torn final line (%d bytes)", path, len(data) - keep)
         os.truncate(path, keep)
-
-
-class CompletionLedger:
-    """Append-only record of finished ids, in the order their records were written."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self.done: set[str] = set()
-        if path.exists():
-            _drop_torn_tail(path)
-            with open(path, "rb") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        self.done.add(json.loads(line)["id"])
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise SchemaError(
-                            f"bad ledger record: {exc}", f"{path.name} line {lineno}"
-                        ) from exc
-
-    def mark(self, item_id: str) -> None:
-        if item_id in self.done:
-            return
-        self.done.add(item_id)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"id": item_id}) + "\n")
-            fh.flush()
 
 
 def _existing_pair_ids(out_dir: Path) -> dict[str, ds.NLFLPair]:
@@ -224,17 +191,17 @@ def run_informalize(
 
     Reorder buffer: records are written in canonical order (statements level
     by level, then proofs by name).  A record is appended to its JSONL file
-    and marked in the ledger only once every earlier record is on disk, so
-    the output tree does not depend on ``max_in_flight`` and an interrupted
-    run leaves a canonical prefix.  On the first error, dispatch stops,
-    queued requests are cancelled, running ones are drained, the prefix is
-    flushed and the error is re-raised.
+    only once every earlier record is on disk, so the output tree does not
+    depend on ``max_in_flight`` and an interrupted run leaves a canonical
+    prefix.  On the first error, dispatch stops, queued requests are
+    cancelled, running ones are drained, the prefix is flushed and the error
+    is re-raised.
 
-    Resume: the records on disk are the source of truth (a torn final line
-    is dropped); missing ones are redone.  A completion that finished behind
-    a gap is lost from the outputs but kept in the cache, so a rerun does
-    not pay for it again.  ``dry_run`` writes the prompts it can build
-    without model calls, serially.
+    Resume: the level files and ``proofs.jsonl`` are the only record of
+    progress (a torn final line is dropped); missing records are redone.  A
+    completion that finished behind a gap is lost from the outputs but kept
+    in the cache, so a rerun does not pay for it again.  ``dry_run`` writes
+    the prompts it can build without model calls, serially.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     digest_file = out_dir / "config_digest.txt"
@@ -317,7 +284,6 @@ def run_informalize(
             "dry_run": True,
         }
 
-    ledger = CompletionLedger(out_dir / LEDGER_NAME)
     informalizer = config.role("informalizer")
     gateway = config.gateway(cache_dir=out_dir / "cache")
     counts = {"statements_written": 0, "proofs_written": 0}
@@ -342,7 +308,6 @@ def run_informalize(
                 counts["statements_written" if is_statement else "proofs_written"] += 1
             elif item_id not in existing:
                 return
-            ledger.mark(item_id)
             cursor += 1
 
     # Dispatch state, touched only by this thread.  waiting[name] counts the
@@ -689,7 +654,6 @@ def run_validate(
                     header=item["header"] if item["header"] is not None else config.header_prelude,
                     timeout_ms=config.compile_timeout_ms,
                     short_circuit=config.short_circuit,
-                    candidate_parallelism=config.candidate_parallelism,
                 )
             )
     finally:

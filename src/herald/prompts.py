@@ -186,11 +186,6 @@ def load_tactic_notes(path: str | Path | None = None) -> dict[str, str]:
     return notes
 
 
-def select_template(kind: DeclKind | str, registry: TemplateRegistry) -> PromptTemplate:
-    value = kind.value if isinstance(kind, DeclKind) else kind
-    return registry.select(value)
-
-
 # --- rendering -----------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ import json
 import queue
 import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -350,7 +349,6 @@ def validate_item(
     header: str = DEFAULT_HEADER,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     short_circuit: bool = True,
-    candidate_parallelism: int = 1,
 ) -> ValidationReport:
     """Sample k candidate formalizations and pipeline each through the checks.
 
@@ -364,38 +362,20 @@ def validate_item(
     completions = gateway.complete_role(roles.translator, translation_prompt(informal), k)
 
     results: list[CandidateResult] = []
-    if short_circuit or candidate_parallelism <= 1:
-        for completion in completions:
-            result = _evaluate_candidate(
-                completion.text.strip(),
-                completion.finish_reason,
-                informal,
-                roles,
-                backend,
-                gateway,
-                header,
-                timeout_ms,
-            )
-            results.append(result)
-            if short_circuit and result.final:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=candidate_parallelism) as pool:
-            futures = [
-                pool.submit(
-                    _evaluate_candidate,
-                    completion.text.strip(),
-                    completion.finish_reason,
-                    informal,
-                    roles,
-                    backend,
-                    gateway,
-                    header,
-                    timeout_ms,
-                )
-                for completion in completions
-            ]
-            results = [f.result() for f in futures]
+    for completion in completions:
+        result = _evaluate_candidate(
+            completion.text.strip(),
+            completion.finish_reason,
+            informal,
+            roles,
+            backend,
+            gateway,
+            header,
+            timeout_ms,
+        )
+        results.append(result)
+        if short_circuit and result.final:
+            break
 
     return ValidationReport(
         item_id=item_id,

@@ -308,9 +308,7 @@ def write_shared_fixtures(root: Path) -> dict[str, Path]:
                           ("informalizer", "translator", "back_translator", "nli_judge", "augmenter")},
                 "knobs": {
                     "retrieval_k": 1,
-                    "batch_size": 8,
                     "pass_k": 4,
-                    "seed": 11,
                     "dedup_seed": 7,
                     "mix_seed": 3,
                     "backend": {"kind": "mock", "default_ok": True},

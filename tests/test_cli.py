@@ -34,7 +34,7 @@ def mock_config(tmp_path) -> Path:
         json.dumps(
             {
                 "roles": {},
-                "knobs": {"batch_size": 4, "pass_k": 2,
+                "knobs": {"pass_k": 2,
                           "backend": {"kind": "mock", "default_ok": True}},
             }
         ),
@@ -96,9 +96,11 @@ class TestStratify:
         doc = json.loads((out / "levels.json").read_text(encoding="utf-8"))
         assert doc["levels"]
         assert dot.read_text(encoding="utf-8").startswith("digraph")
-        # every batch within one level, levels in order
-        flat = [n for batch in doc["batches"] for n in batch]
+        # levels partition level_of, each name on the level it is assigned
+        flat = [n for level in doc["levels"] for n in level]
         assert sorted(flat) == sorted(doc["level_of"])
+        for i, level in enumerate(doc["levels"]):
+            assert all(doc["level_of"][n] == i for n in level)
 
 
 class TestInformalize:
@@ -117,16 +119,12 @@ class TestInformalize:
         assert len(level_files) >= 3
         pairs = [p for f in level_files for p in read_pairs(f)]
         assert len(pairs) == 12
-        assert (inf / "proofs.jsonl").exists()
-        assert (inf / "completed.jsonl").exists()
-        # statement pass precedes the proof pass for each declaration
-        ledger_ids = [
-            json.loads(line)["id"]
-            for line in (inf / "completed.jsonl").read_text(encoding="utf-8").splitlines()
-        ]
-        for pid in ledger_ids:
-            if pid.endswith("::proof"):
-                assert pid.removesuffix("::proof") in ledger_ids
+        # every proof record has its statement's record in a level file
+        proof_ids = [p.id for p in read_pairs(inf / "proofs.jsonl")]
+        assert proof_ids
+        statement_ids = {p.id for p in pairs}
+        for pid in proof_ids:
+            assert pid.removesuffix("::proof") in statement_ids
 
     def test_dry_run_writes_prompts_only(self, tmp_path, export_file, mock_config):
         out = self._setup(tmp_path, export_file, mock_config)
@@ -135,7 +133,7 @@ class TestInformalize:
                    "informalize", "--index", str(out / "index.json"), "--dry-run") == 0
         assert list((inf / "prompts").glob("*.txt"))
         assert not list(inf.glob("statements_level_*.jsonl"))
-        assert not (inf / "completed.jsonl").exists()
+        assert not (inf / "proofs.jsonl").exists()
 
     def test_budget_exhaustion_then_resume(self, tmp_path, export_file, mock_config, capsys):
         out = self._setup(tmp_path, export_file, mock_config)
@@ -163,7 +161,7 @@ class TestInformalize:
                    "informalize", "--index", str(out / "index.json")) == 0
         other = tmp_path / "other.json"
         other.write_text(
-            json.dumps({"knobs": {"batch_size": 2}}), encoding="utf-8"
+            json.dumps({"knobs": {"pass_k": 3}}), encoding="utf-8"
         )
         code = run("--config", str(other), "--out", str(inf),
                    "informalize", "--index", str(out / "index.json"))

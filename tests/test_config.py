@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,9 @@ from herald.errors import InvalidInput, ProviderError, SchemaError
 from herald.gateway import CompletionRequest, FinishReason, HttpChatProvider
 from herald.records import CorpusIndex, ProofState, ProofStep
 from herald.validate import MockCompilerBackend, ReplBackend
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, doc) -> str:
@@ -28,8 +33,8 @@ class TestLoadConfig:
         assert len(config.config_digest) == 64
 
     def test_digest_tracks_file_bytes(self, tmp_path):
-        a = load_config(write_config(tmp_path, {"knobs": {"seed": 1}}))
-        b = load_config(write_config(tmp_path, {"knobs": {"seed": 2}}))
+        a = load_config(write_config(tmp_path, {"knobs": {"dedup_seed": 1}}))
+        b = load_config(write_config(tmp_path, {"knobs": {"dedup_seed": 2}}))
         assert a.config_digest != b.config_digest
 
     def test_pass_k_range(self, tmp_path):
@@ -45,6 +50,47 @@ class TestLoadConfig:
     def test_unknown_role_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             load_config(write_config(tmp_path, {"roles": {"wizard": {}}}))
+
+    @pytest.mark.parametrize("key", ["candidate_parallelism", "max_inflight"])
+    def test_unknown_knob_rejected(self, tmp_path, key):
+        with pytest.raises(SchemaError) as err:
+            load_config(write_config(tmp_path, {"knobs": {"pass_k": 2, key: 4}}))
+        assert err.value.path == f"$.knobs.{key}"
+
+    @pytest.mark.parametrize("doc", [{"knobs": ["pass_k"]}, {"knobs": {"ratio": 5}},
+                                     {"knobs": {"backend": None}}, {"paths": []}])
+    def test_malformed_value_rejected(self, tmp_path, doc):
+        with pytest.raises(SchemaError):
+            load_config(write_config(tmp_path, doc))
+
+    def test_unknown_knob_exits_2(self, tmp_path, capsys):
+        from herald import cli
+
+        config = write_config(tmp_path, {"knobs": {"batch_size": 32}})
+        assert cli.main(["--config", config, "stats", "--data", "x.jsonl"]) == 2
+        assert "$.knobs.batch_size" in capsys.readouterr().err
+
+    def test_every_knob_overrides_its_default(self, tmp_path):
+        knobs = {"retrieval_k": 3, "pass_k": 7, "dedup_seed": 5, "mix_seed": 6,
+                 "compile_timeout_ms": 10, "ratio": "3:2:1", "dirmix": "1:1:1",
+                 "header_prelude": "import Foo\n", "neighbor_limit": 2,
+                 "max_prompt_chars": 900, "short_circuit": False, "max_in_flight": 2,
+                 "retry_limit": 1, "backoff_base_ms": 4, "request_budget": 9,
+                 "backend": {"kind": "repl", "default_ok": False, "command": ["x"]}}
+        config = load_config(write_config(tmp_path, {"knobs": knobs}))
+        expected = dict(knobs, ratio=(3, 2, 1), dirmix=(1, 1, 1),
+                        backend=BackendConfig(kind="repl", default_ok=False, command=("x",)))
+        assert {key: getattr(config, key) for key in knobs} == expected
+
+    def test_readme_example_loads(self, tmp_path):
+        # The README's example names every knob; its paths are placeholders.
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"## Configuration.*?```json\n(.*?)\n```", text, re.S).group(1)
+        doc = json.loads(block)
+        del doc["paths"]
+        config = load_config(write_config(tmp_path, doc))
+        assert config.pass_k == doc["knobs"]["pass_k"]
+        assert set(config.roles) == set(doc["roles"])
 
     def test_missing_path_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):

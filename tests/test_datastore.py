@@ -13,7 +13,6 @@ from herald.datastore import (
     Direction,
     NLFLPair,
     Provenance,
-    mirror_directions,
     mix,
     read_pairs,
     split_by_ratio,
@@ -133,27 +132,6 @@ class TestWriteRead:
             path = f"{tmp}/pairs.jsonl"
             write_pairs(pairs, path)
             assert read_pairs(path) == pairs
-
-
-class TestMirror:
-    def test_one_pair_two_records(self):
-        [fwd, rev] = mirror_directions([pair(1)])
-        assert fwd.direction == Direction.NL_TO_FL
-        assert rev.direction == Direction.FL_TO_NL
-        assert rev.id == fwd.id + "_rev"
-        assert rev.formal_text == fwd.formal_text
-
-    def test_empty(self):
-        assert mirror_directions([]) == []
-
-    def test_doubles_the_count(self):
-        pairs = [pair(i) for i in range(580)]
-        assert len(mirror_directions(pairs)) == 1160
-
-    def test_double_mirror_rejected(self):
-        once = mirror_directions([pair(1)])
-        with pytest.raises(InvalidInput):
-            mirror_directions(once)
 
 
 class TestSplitByRatio:

@@ -20,13 +20,7 @@ from herald.config import BackendConfig, PipelineConfig, RoleConfig
 from herald.datastore import read_pairs
 from herald.errors import BudgetExceeded, SchemaError
 from herald.gateway import MockInformalizer, digest
-from herald.pipeline import (
-    LEDGER_NAME,
-    level_files,
-    run_augment,
-    run_informalize,
-    run_validate,
-)
+from herald.pipeline import level_files, run_augment, run_informalize, run_validate
 from herald.validate import ReplBackend
 
 FAKE_REPL = (sys.executable, str(Path(__file__).parent / "fake_repl.py"))
@@ -129,7 +123,6 @@ def test_budget_cut_leaves_canonical_prefix_and_rerun_repeats_no_call(tmp_path):
     reference = RecordingInformalizer()
     informalize(index, tmp_path / "ref", reference, max_in_flight=8)
     expected = records(tmp_path / "ref")
-    expected_ledger = (tmp_path / "ref" / LEDGER_NAME).read_text("utf-8").splitlines()
 
     out = tmp_path / "cut"
     first = RecordingInformalizer(jitter_s=0.002)
@@ -138,8 +131,6 @@ def test_budget_cut_leaves_canonical_prefix_and_rerun_repeats_no_call(tmp_path):
     written = records(out)
     assert 0 < len(written) < len(expected)
     assert written == expected[: len(written)]
-    ledger = (out / LEDGER_NAME).read_text("utf-8").splitlines()
-    assert ledger == expected_ledger[: len(ledger)]
 
     second = RecordingInformalizer(jitter_s=0.002)
     informalize(index, out, second, max_in_flight=8)
@@ -150,7 +141,7 @@ def test_budget_cut_leaves_canonical_prefix_and_rerun_repeats_no_call(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "target", [LEDGER_NAME, "statements_level_0.jsonl", "statements_level_1.jsonl", "proofs.jsonl"]
+    "target", ["statements_level_0.jsonl", "statements_level_1.jsonl", "proofs.jsonl"]
 )
 def test_resume_after_truncation_at_any_offset(tmp_path, target):
     index = make_wide_corpus(n=24)
@@ -169,7 +160,7 @@ def test_resume_after_truncation_at_any_offset(tmp_path, target):
         assert recorder.calls == [], "every lost record is still in the cache"
 
 
-@pytest.mark.parametrize("target", [LEDGER_NAME, "statements_level_0.jsonl"])
+@pytest.mark.parametrize("target", ["statements_level_0.jsonl"])
 def test_torn_line_before_the_last_is_an_error(tmp_path, target):
     index = make_wide_corpus(n=12)
     out = tmp_path / "inf"
@@ -179,6 +170,30 @@ def test_torn_line_before_the_last_is_an_error(tmp_path, target):
     (out / target).write_bytes(b"".join(lines))
     with pytest.raises(SchemaError):
         informalize(index, out, RecordingInformalizer())
+
+
+def test_output_tree_is_records_digest_manifest_and_cache(tmp_path):
+    out = tmp_path / "inf"
+    informalize(make_wide_corpus(n=12), out, RecordingInformalizer())
+    levels = [p.name for p in level_files(out)]
+    assert levels
+    expected = ["cache", "config_digest.txt", MANIFEST, "proofs.jsonl", *levels]
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    assert (out / "cache").is_dir()
+
+
+def test_completion_ledger_of_an_older_run_is_ignored(tmp_path):
+    index = make_wide_corpus(n=12)
+    out = tmp_path / "inf"
+    informalize(index, out, RecordingInformalizer())
+    stale = b'{"id": "not-a-declaration"}\n{"id": "tor'
+    (out / "completed.jsonl").write_bytes(stale)
+    before = tree_without_manifest(out)
+    recorder = RecordingInformalizer()
+    informalize(index, out, recorder)
+    assert recorder.calls == []
+    assert tree_without_manifest(out) == before
+    assert (out / "completed.jsonl").read_bytes() == stale
 
 
 def _record_repl_processes(monkeypatch) -> list:

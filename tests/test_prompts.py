@@ -21,7 +21,6 @@ from herald.prompts import (
     build_statement_context,
     default_registry,
     load_tactic_notes,
-    select_template,
     summarize_steps_prompt,
 )
 from herald.records import DeclarationRecord, DeclKind, NeighborSet, ProofState, ProofStep
@@ -69,15 +68,15 @@ def minimal_registry_json(default=True) -> str:
 class TestSelectTemplate:
     def test_kind_specific_template_wins(self):
         registry = default_registry()
-        assert select_template(DeclKind.THEOREM, registry).id == "stmt-theorem"
-        assert select_template(DeclKind.INSTANCE, registry).id == "stmt-instance"
+        assert registry.select(DeclKind.THEOREM.value).id == "stmt-theorem"
+        assert registry.select(DeclKind.INSTANCE.value).id == "stmt-instance"
 
     def test_default_when_no_specific(self):
         registry = TemplateRegistry.from_json(minimal_registry_json())
         assert registry.select("opaque").id == "only"
 
     def test_proof_template(self):
-        assert select_template("proof", default_registry()).id == "proof-steps"
+        assert default_registry().select("proof").id == "proof-steps"
 
     def test_no_template_without_default(self):
         registry = TemplateRegistry.from_json(minimal_registry_json(default=False))

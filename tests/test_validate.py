@@ -231,27 +231,6 @@ class TestValidateItem:
         second = _validate(items, k=4)
         assert first == second
 
-    def test_parallel_candidates_match_sequential(self):
-        items = benchmark_items(6)
-        roles, translator = mock_roles()
-        backend = MockCompilerBackend(default_ok=False)
-        script_benchmark_backend(backend, items, translator, header="import Mathlib\n")
-
-        def evaluate(parallelism: int):
-            reports = []
-            with Gateway(GatewayConfig(max_in_flight=8)) as gw:
-                for item in items:
-                    reports.append(
-                        validate_item(
-                            item["informal_text"], 4, roles, backend, gw,
-                            item_id=item["id"], short_circuit=False,
-                            candidate_parallelism=parallelism,
-                        )
-                    )
-            return reports
-
-        assert evaluate(1) == evaluate(4)
-
     def test_wrong_claim_exercises_judge_reject(self):
         # item04 emits a compiling-but-wrong candidate at sample 1
         items = benchmark_items(20)[4:5]
