@@ -13,9 +13,11 @@ Key set (all optional unless noted):
   neighbor_limit, max_prompt_chars, short_circuit, max_in_flight,
   retry_limit, backoff_base_ms, request_budget, backend
   (``{"kind": "mock"|"repl", "default_ok": ..., "command": [...]}``).
-  A knob left out takes the :class:`PipelineConfig` default; an unknown
-  knob is a :class:`SchemaError`, so a misspelled or retired key fails
-  loudly instead of being ignored.
+  A knob left out takes the :class:`PipelineConfig` default.
+
+An unknown key anywhere (a top-level section, a path, a role, a role field,
+a knob or a backend field) is a :class:`SchemaError` naming its JSON path,
+so a misspelled or retired key fails loudly instead of being ignored.
 
 ``max_in_flight`` is the one concurrency knob: every provider call goes
 through the gateway pool.
@@ -170,9 +172,24 @@ class PipelineConfig:
 _KNOBS = frozenset(f.name for f in fields(PipelineConfig)) - {
     *_PATH_KEYS, "output_dir", "roles", "config_digest"
 }
+_SECTIONS = frozenset({"paths", "roles", "knobs"})
+_PATHS = frozenset({*_PATH_KEYS, "output_dir"})
+_ROLE_FIELDS = frozenset(f.name for f in fields(RoleConfig))
+_BACKEND_FIELDS = frozenset(f.name for f in fields(BackendConfig))
+
+
+def _object(value, where: str, allowed: frozenset[str], what: str) -> dict:
+    """``value``, which must be a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(value, dict):
+        raise SchemaError("must be a JSON object", where)
+    for key in value:
+        if key not in allowed:
+            raise SchemaError(f"unknown {what} {key!r}", f"{where}.{key}")
+    return value
 
 
 def load_config(path: str | Path) -> PipelineConfig:
+    """Parse a config file; an unknown key at any level is a :class:`SchemaError`."""
     raw = Path(path).read_bytes()
     try:
         doc = json.loads(raw)
@@ -181,45 +198,33 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not isinstance(doc, dict):
         raise SchemaError("config must be a JSON object", str(path))
 
-    paths = doc.get("paths", {})
-    knobs = doc.get("knobs", {})
-    if not isinstance(knobs, dict):
-        raise SchemaError("knobs must be a JSON object", "$.knobs")
-    roles_doc = doc.get("roles", {})
-    for name in roles_doc:
-        if name not in _MOCKS_BY_ROLE:
-            raise SchemaError(f"unknown role {name!r}", "$.roles")
-    for key in knobs:
-        if key not in _KNOBS:
-            raise SchemaError(f"unknown knob {key!r}", f"$.knobs.{key}")
+    _object(doc, "$", _SECTIONS, "section")
+    paths = _object(doc.get("paths", {}), "$.paths", _PATHS, "path")
+    knobs = _object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob")
+    roles_doc = _object(doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role")
+    roles = {
+        name: RoleConfig(**_object(fields_doc, f"$.roles.{name}", _ROLE_FIELDS, "role field"))
+        for name, fields_doc in roles_doc.items()
+    }
+    backend_doc = _object(
+        knobs.pop("backend", {}), "$.knobs.backend", _BACKEND_FIELDS, "backend field"
+    )
 
     def path_or_none(key: str) -> Path | None:
         value = paths.get(key)
         return Path(value) if value else None
 
-    backend_doc = knobs.pop("backend", {})
     try:
         for key in ("ratio", "dirmix"):
             if key in knobs:
                 knobs[key] = _parse_ratio(knobs[key], 3)
+        if "command" in backend_doc:
+            backend_doc["command"] = tuple(backend_doc["command"] or ())
         return PipelineConfig(
             **{key: path_or_none(key) for key in _PATH_KEYS},
             output_dir=Path(paths.get("output_dir", "out")),
-            roles={
-                name: RoleConfig(
-                    provider=rd.get("provider", "mock"),
-                    model_id=rd.get("model_id"),
-                    base_url=rd.get("base_url"),
-                    temperature=rd.get("temperature", 1.0),
-                    max_output_tokens=rd.get("max_output_tokens", 2048),
-                )
-                for name, rd in roles_doc.items()
-            },
-            backend=BackendConfig(
-                kind=backend_doc.get("kind", "mock"),
-                default_ok=backend_doc.get("default_ok", True),
-                command=tuple(backend_doc.get("command", []) or []),
-            ),
+            roles=roles,
+            backend=BackendConfig(**backend_doc),
             config_digest=hashlib.sha256(raw).hexdigest(),
             **knobs,
         )

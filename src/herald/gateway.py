@@ -127,6 +127,7 @@ class Gateway:
         self.config = config or GatewayConfig()
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
+        self._cache_dir_made = False
         self.stats = {"provider_calls": 0, "retries": 0, "cache_hits": 0}
 
     def close(self) -> None:
@@ -174,16 +175,26 @@ class Gateway:
                 self._executor = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
             return self._executor
 
-    def _cache_path(self, request: CompletionRequest, sample_index: int) -> Path | None:
+    def _cache_path(
+        self, request: CompletionRequest, provider: CompletionProvider, sample_index: int
+    ) -> Path | None:
+        """One file per sample, keyed on every request field and the provider."""
         if self.config.cache_dir is None:
             return None
-        key = f"{digest(request.prompt_text)}|{request.model_id}|{request.temperature!r}|{sample_index}"
+        key = "|".join((
+            digest(request.prompt_text),
+            request.model_id,
+            repr(request.temperature),
+            str(request.max_output_tokens),
+            provider.name,
+            str(sample_index),
+        ))
         return Path(self.config.cache_dir) / (hashlib.sha256(key.encode()).hexdigest() + ".json")
 
     def _one_sample(
         self, request: CompletionRequest, provider: CompletionProvider, sample_index: int
     ) -> Completion:
-        cache_path = self._cache_path(request, sample_index)
+        cache_path = self._cache_path(request, provider, sample_index)
         if cache_path is not None and cache_path.exists():
             obj = json.loads(cache_path.read_text(encoding="utf-8"))
             with self._lock:
@@ -221,7 +232,11 @@ class Gateway:
             raise ProviderExhausted(str(last_error))
 
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            # Made on the first write, so a run with no misses adds no directory.
+            with self._lock:
+                if not self._cache_dir_made:
+                    cache_path.parent.mkdir(parents=True, exist_ok=True)
+                    self._cache_dir_made = True
             tmp = cache_path.with_suffix(".tmp")
             tmp.write_text(
                 json.dumps(

@@ -12,6 +12,7 @@ Two entry points feed the pipeline:
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass, field
@@ -474,13 +475,18 @@ def resolve_neighbors(subject: str, index: CorpusIndex, limit: int) -> NeighborS
     """Find declarations related to ``subject`` by namespace, file, and name.
 
     Each list is truncated to ``limit`` entries; entries in the subject's
-    file sort by line distance first, everything ties broken by name.
+    file sort by line distance first, everything ties broken by name.  The
+    name-prefix list holds the declarations sharing the most leading name
+    components with ``subject`` (at least one).  Only the subject's own
+    groups in ``index.neighbor_groups`` are ranked, so a lookup does not
+    scan the corpus.
     """
     if limit < 1:
         raise InvalidInput(f"limit must be >= 1, got {limit}")
     rec = index.declarations.get(subject)
     if rec is None:
         raise UnknownDeclaration(subject)
+    groups = index.neighbor_groups
 
     def order_key(name: str):
         other = index.declarations[name]
@@ -488,30 +494,22 @@ def resolve_neighbors(subject: str, index: CorpusIndex, limit: int) -> NeighborS
             return (0, abs(other.line_span[0] - rec.line_span[0]), name)
         return (1, 0, name)
 
-    same_namespace = []
-    same_file = []
-    prefix_len: dict[str, int] = {}
-    subject_parts = subject.split(".")
-    for name, other in index.declarations.items():
-        if name == subject:
-            continue
-        if other.namespace_path == rec.namespace_path:
-            same_namespace.append(name)
-        if other.file_path == rec.file_path:
-            same_file.append(name)
-        shared = 0
-        for a, b in zip(subject_parts, name.split(".")):
-            if a != b:
-                break
-            shared += 1
-        if shared >= 1:
-            prefix_len[name] = shared
+    def nearest(group: list[str]) -> tuple[str, ...]:
+        others = (name for name in group if name != subject)
+        return tuple(heapq.nsmallest(limit, others, key=order_key))
 
-    longest = max(prefix_len.values(), default=0)
-    prefix_shared = [n for n, length in prefix_len.items() if length == longest] if longest else []
+    # The subject is in each of its prefix groups; the longest prefix whose
+    # group holds anyone else is the longest prefix shared with another name.
+    parts = tuple(subject.split("."))
+    prefix_shared: list[str] = []
+    for end in range(len(parts), 0, -1):
+        group = groups.by_prefix[parts[:end]]
+        if len(group) > 1:
+            prefix_shared = group
+            break
 
     return NeighborSet(
-        same_namespace=tuple(sorted(same_namespace, key=order_key)[:limit]),
-        same_file=tuple(sorted(same_file, key=order_key)[:limit]),
-        name_prefix_shared=tuple(sorted(prefix_shared, key=order_key)[:limit]),
+        same_namespace=nearest(groups.by_namespace[rec.namespace_path]),
+        same_file=nearest(groups.by_file[rec.file_path]),
+        name_prefix_shared=nearest(prefix_shared),
     )

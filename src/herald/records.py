@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import InvalidInput
 
@@ -105,6 +106,21 @@ class NeighborSet:
 
 
 @dataclass(frozen=True)
+class NeighborGroups:
+    """Declaration names grouped by each relation :class:`NeighborSet` uses.
+
+    ``by_prefix`` maps every leading run of a name's dot-separated
+    components (``("A",)``, ``("A", "b")``, ...) to the names that start
+    with it, so each name is in the group of each of its own prefixes.
+    Names in a group keep corpus order.
+    """
+
+    by_namespace: dict[tuple[str, ...], list[str]]
+    by_file: dict[str, list[str]]
+    by_prefix: dict[tuple[str, ...], list[str]]
+
+
+@dataclass(frozen=True)
 class CorpusIndex:
     """The parsed corpus: declarations, tactic proofs, and file preambles.
 
@@ -128,6 +144,18 @@ class CorpusIndex:
                 )
             if [s.step_index for s in steps] != list(range(len(steps))):
                 raise InvalidInput(f"proof of {name}: step_index not contiguous from 0")
+
+    @cached_property
+    def neighbor_groups(self) -> NeighborGroups:
+        """Built on first use; ``declarations`` is never written after construction."""
+        groups = NeighborGroups({}, {}, {})
+        for name, rec in self.declarations.items():
+            groups.by_namespace.setdefault(rec.namespace_path, []).append(name)
+            groups.by_file.setdefault(rec.file_path, []).append(name)
+            parts = tuple(name.split("."))
+            for end in range(1, len(parts) + 1):
+                groups.by_prefix.setdefault(parts[:end], []).append(name)
+        return groups
 
     def tactic_proof_names(self) -> list[str]:
         """Names of declarations with an ingested tactic proof, sorted."""

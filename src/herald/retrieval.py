@@ -1,15 +1,20 @@
 """Embedded exemplar store with exact cosine-similarity k-NN queries.
 
-The store is a brute-force scan: at the intended scale (a few thousand
-annotated examples) an index structure buys nothing.  Tie-breaking by
-ascending id keeps retrieval reproducible across runs.
+Every query scores every example exactly, with the same compensated dot
+product as :func:`cosine`, so a retrieved score equals ``cosine`` bit for
+bit.  The store computes each example's norm once, at construction; a
+query computes its own norm once and keeps the top k on a heap, building
+results only for the winners.  Tie-breaking by ascending id keeps
+retrieval reproducible across runs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -24,6 +29,11 @@ from .errors import (
 )
 
 STORE_SCHEMA_VERSION = "1"
+
+
+def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
+    """Correctly rounded dot product of two equal-length tuples."""
+    return math.fsum(map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,7 @@ class EmbeddingVector:
         return len(self.values)
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(x * x for x in self.values))
+        return math.sqrt(_dot(self.values, self.values))
 
 
 @dataclass(frozen=True)
@@ -75,8 +85,7 @@ def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
     nv = v.norm()
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("cosine undefined for zero vector")
-    dot = math.fsum(a * b for a, b in zip(u.values, v.values))
-    return dot / (nu * nv)
+    return _dot(u.values, v.values) / (nu * nv)
 
 
 class ExampleStore:
@@ -85,6 +94,7 @@ class ExampleStore:
     def __init__(self, examples: list[AnnotatedExample], dim: int | None):
         self._examples = list(examples)
         self._dim = dim
+        self._norms = [ex.embedding.norm() for ex in self._examples]
 
     @property
     def count(self) -> int:
@@ -129,9 +139,23 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
         return []
     if store.dim is not None and query.dim != store.dim:
         raise DimensionMismatch(f"query dim {query.dim} vs store dim {store.dim}")
-    scored = [ScoredExample(ex, cosine(query, ex.embedding)) for ex in store.examples]
-    scored.sort(key=lambda s: (-s.score, s.example.id))
-    return scored[: min(k, store.count)]
+    q = query.values
+    nq = query.norm()
+
+    def keyed():
+        # Same checks, in the same order, as cosine(query, example).
+        for i, (ex, nv) in enumerate(zip(store._examples, store._norms)):
+            v = ex.embedding.values
+            if len(v) != len(q):
+                raise DimensionMismatch(f"dims {len(q)} vs {len(v)}")
+            if nq == 0.0 or nv == 0.0:
+                raise ZeroVector("cosine undefined for zero vector")
+            yield -(_dot(q, v) / (nq * nv)), ex.id, i
+
+    return [
+        ScoredExample(store._examples[i], -neg_score)
+        for neg_score, _, i in heapq.nsmallest(k, keyed())
+    ]
 
 
 def save_store(store: ExampleStore, directory: str | Path) -> None:

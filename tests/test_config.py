@@ -57,8 +57,33 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {"knobs": {"pass_k": 2, key: 4}}))
         assert err.value.path == f"$.knobs.{key}"
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"paths": {"corpus_exprot": "x.json"}}, "$.paths.corpus_exprot"),
+        ({"knob": {"pass_k": 300}}, "$.knob"),
+        ({"roles": {"translator": {"modle_id": "gpt"}}}, "$.roles.translator.modle_id"),
+        ({"knobs": {"backend": {"kind": "mock", "comand": ["x"]}}}, "$.knobs.backend.comand"),
+    ])
+    def test_unknown_key_rejected_at_its_path(self, tmp_path, doc, where):
+        with pytest.raises(SchemaError) as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.path == where
+
+    def test_unknown_path_key_exits_2(self, tmp_path, capsys):
+        from herald import cli
+
+        config = write_config(tmp_path, {"paths": {"corpus_exprot": "x.json"}})
+        assert cli.main(["--config", config, "stats", "--data", "x.jsonl"]) == 2
+        assert "$.paths.corpus_exprot" in capsys.readouterr().err
+
+    def test_every_role_field_loads(self, tmp_path):
+        role = {"provider": "http", "model_id": "m", "base_url": "http://localhost:1",
+                "temperature": 0.25, "max_output_tokens": 64}
+        config = load_config(write_config(tmp_path, {"roles": {"augmenter": role}}))
+        assert config.roles == {"augmenter": RoleConfig(**role)}
+
     @pytest.mark.parametrize("doc", [{"knobs": ["pass_k"]}, {"knobs": {"ratio": 5}},
-                                     {"knobs": {"backend": None}}, {"paths": []}])
+                                     {"knobs": {"backend": None}}, {"paths": []},
+                                     {"roles": []}, {"roles": {"translator": "gpt"}}])
     def test_malformed_value_rejected(self, tmp_path, doc):
         with pytest.raises(SchemaError):
             load_config(write_config(tmp_path, doc))

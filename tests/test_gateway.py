@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -173,7 +174,7 @@ class TestCache:
         gw1.close()
 
         class Exploding:
-            name = "never-called"
+            name = MockChatProvider.name  # the provider is part of the cache key
 
             def generate(self, request, sample_index):
                 raise AssertionError("cache should have answered")
@@ -192,6 +193,67 @@ class TestCache:
         gw.complete(CompletionRequest(prompt_text="p", temperature=1.0), MockChatProvider())
         gw.close()
         assert gw.stats["provider_calls"] == 2
+
+    def test_cache_distinguishes_max_output_tokens(self, tmp_path):
+        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        for tokens in (256, 2048, 256):
+            gw.complete(
+                CompletionRequest(prompt_text="p", max_output_tokens=tokens), MockChatProvider()
+            )
+        gw.close()
+        assert gw.stats["provider_calls"] == 2
+        assert gw.stats["cache_hits"] == 1
+
+    def test_cache_distinguishes_provider(self, tmp_path):
+        class OtherChat(MockChatProvider):
+            name = "other-chat"
+
+        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        req = CompletionRequest(prompt_text="p")
+        for provider in (MockChatProvider(), OtherChat(), MockChatProvider()):
+            gw.complete(req, provider)
+        gw.close()
+        assert gw.stats["provider_calls"] == 2
+        assert gw.stats["cache_hits"] == 1
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    def test_cache_directory_made_once_on_first_write(self, tmp_path, monkeypatch):
+        import pathlib
+
+        made = []
+        real_mkdir = pathlib.Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", counting_mkdir)
+        cache = tmp_path / "cache"
+        gw = Gateway(GatewayConfig(cache_dir=cache, max_in_flight=16))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # first writes race on the pool threads
+        try:
+            gw.complete(CompletionRequest(prompt_text="p", sample_count=64), MockChatProvider())
+            gw.complete(CompletionRequest(prompt_text="q"), MockChatProvider())
+        finally:
+            sys.setswitchinterval(interval)
+            gw.close()
+        assert gw.stats["provider_calls"] == 65
+        assert made == [cache]
+        assert len(list(cache.iterdir())) == 65
+
+    def test_no_cache_directory_without_a_write(self, tmp_path):
+        class Fatal:
+            name = "fatal"
+
+            def generate(self, request, sample_index):
+                raise ProviderError(self.name, "401 unauthorized")
+
+        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        with pytest.raises(ProviderError):
+            gw.complete(CompletionRequest(prompt_text="p"), Fatal())
+        gw.close()
+        assert not (tmp_path / "cache").exists()
 
     def test_cache_hits_do_not_consume_budget(self, tmp_path):
         config = GatewayConfig(cache_dir=tmp_path / "cache", request_budget=1)

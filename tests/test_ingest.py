@@ -22,7 +22,7 @@ from herald.ingest import (
     scan_declarations,
     serialize_index,
 )
-from herald.records import DeclKind
+from herald.records import CorpusIndex, DeclarationRecord, DeclKind, NeighborSet
 
 DATA = Path(__file__).parent / "data"
 
@@ -276,6 +276,80 @@ class TestScanner:
         assert rec.signature.endswith("b = a")
         assert rec.is_tactic_proof
         assert rec.line_span == (1, 4)
+
+
+def scan_neighbors(subject: str, index: CorpusIndex, limit: int) -> NeighborSet:
+    """Oracle: the whole-corpus scan ``resolve_neighbors`` replaced."""
+    rec = index.declarations[subject]
+
+    def order_key(name: str):
+        other = index.declarations[name]
+        if other.file_path == rec.file_path:
+            return (0, abs(other.line_span[0] - rec.line_span[0]), name)
+        return (1, 0, name)
+
+    same_namespace = []
+    same_file = []
+    prefix_len: dict[str, int] = {}
+    subject_parts = subject.split(".")
+    for name, other in index.declarations.items():
+        if name == subject:
+            continue
+        if other.namespace_path == rec.namespace_path:
+            same_namespace.append(name)
+        if other.file_path == rec.file_path:
+            same_file.append(name)
+        shared = 0
+        for a, b in zip(subject_parts, name.split(".")):
+            if a != b:
+                break
+            shared += 1
+        if shared >= 1:
+            prefix_len[name] = shared
+
+    longest = max(prefix_len.values(), default=0)
+    prefix_shared = [n for n, length in prefix_len.items() if length == longest] if longest else []
+    return NeighborSet(
+        same_namespace=tuple(sorted(same_namespace, key=order_key)[:limit]),
+        same_file=tuple(sorted(same_file, key=order_key)[:limit]),
+        name_prefix_shared=tuple(sorted(prefix_shared, key=order_key)[:limit]),
+    )
+
+
+@st.composite
+def _neighbor_corpora(draw):
+    """Small corpora dense in shared files, namespaces and name prefixes,
+    with nested names (``A.b`` next to ``A.b.c``) and equal line starts."""
+    names = draw(
+        st.lists(
+            st.lists(st.sampled_from(["A", "b", "c", "Nat"]), min_size=1, max_size=4).map(".".join),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    declarations = {}
+    for name in names:
+        start = draw(st.integers(1, 12))
+        declarations[name] = DeclarationRecord(
+            full_name=name,
+            kind=DeclKind.THEOREM,
+            signature="True",
+            docstring=None,
+            namespace_path=draw(st.sampled_from([(), ("A",), ("A", "b"), ("Nat",)])),
+            file_path=draw(st.sampled_from(["X.lean", "Y.lean", "Z.lean"])),
+            line_span=(start, start + 1),
+            dependencies=frozenset(),
+            is_tactic_proof=False,
+        )
+    return CorpusIndex(declarations=declarations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_neighbor_corpora(), st.integers(1, 6))
+def test_indexed_neighbors_equal_the_scan(index, limit):
+    for subject in index.declarations:
+        assert resolve_neighbors(subject, index, limit) == scan_neighbors(subject, index, limit)
 
 
 class TestResolveNeighbors:

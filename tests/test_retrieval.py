@@ -21,6 +21,7 @@ from herald.errors import (
 from herald.retrieval import (
     AnnotatedExample,
     EmbeddingVector,
+    ExampleStore,
     HashEmbeddingProvider,
     cosine,
     embed,
@@ -203,6 +204,35 @@ class TestQueryKnn:
         store = index_examples([example(1, [1, 0])])
         with pytest.raises(DimensionMismatch):
             query_knn(store, vec(1, 0, 0), k=1)
+
+    def test_zero_norm_example_raises_at_query_time(self, tmp_path):
+        examples = [example(1, [1, 0]), example(2, [0, 0]), example(3, [0, 1])]
+        save_store(index_examples(examples), tmp_path / "store")
+        store = load_store(tmp_path / "store")  # loading does not score anything
+        with pytest.raises(ZeroVector):
+            query_knn(store, vec(1, 1), k=1)
+
+    def test_zero_norm_query_raises(self):
+        store = index_examples([example(1, [1, 0])])
+        with pytest.raises(ZeroVector):
+            query_knn(store, vec(0, 0), k=1)
+
+    @pytest.mark.parametrize("k", [12, 13, 50])
+    def test_direct_store_matches_sorted_cosine_oracle(self, k):
+        # Four distinct directions among twelve examples, in shuffled id order,
+        # so most scores tie and the id rule decides.
+        rng = random.Random(k)
+        directions = [[1, 0, 0], [2, -1, 0.5], [-1, 1, 1], [0, 0, -3]]
+        examples = [example(i, rng.choice(directions)) for i in range(12)]
+        rng.shuffle(examples)
+        store = ExampleStore(examples, dim=3)
+        query = vec(1.0, -0.5, 0.25)
+        got = query_knn(store, query, k=k)
+        oracle = sorted(
+            ((cosine(query, ex.embedding), ex.id) for ex in examples),
+            key=lambda t: (-t[0], t[1]),
+        )
+        assert [(h.score, h.example.id) for h in got] == oracle
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.001, max_value=1000.0))
