@@ -188,8 +188,25 @@ def _object(value, where: str, allowed: frozenset[str], what: str) -> dict:
     return value
 
 
+# Knobs that change how a run proceeds but not what it writes, so a rerun may
+# change them (say, raise a spent budget) and still resume.
+_OPERATIONAL_KNOBS = frozenset({"max_in_flight", "retry_limit", "backoff_base_ms", "request_budget"})
+
+
+def _config_digest(doc: dict, knobs: dict) -> str:
+    """SHA-256 of the document as canonical JSON, without the operational knobs."""
+    kept = {key: value for key, value in knobs.items() if key not in _OPERATIONAL_KNOBS}
+    canonical = json.dumps({**doc, "knobs": kept}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse a config file; an unknown key at any level is a :class:`SchemaError`."""
+    """Parse a config file; an unknown key at any level is a :class:`SchemaError`.
+
+    ``config_digest`` covers what the document says, not how it is laid out
+    (key order and whitespace do not count), and leaves out the operational
+    knobs.
+    """
     raw = Path(path).read_bytes()
     try:
         doc = json.loads(raw)
@@ -201,6 +218,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     _object(doc, "$", _SECTIONS, "section")
     paths = _object(doc.get("paths", {}), "$.paths", _PATHS, "path")
     knobs = _object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob")
+    config_digest = _config_digest(doc, knobs)
     roles_doc = _object(doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role")
     roles = {
         name: RoleConfig(**_object(fields_doc, f"$.roles.{name}", _ROLE_FIELDS, "role field"))
@@ -225,7 +243,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             output_dir=Path(paths.get("output_dir", "out")),
             roles=roles,
             backend=BackendConfig(**backend_doc),
-            config_digest=hashlib.sha256(raw).hexdigest(),
+            config_digest=config_digest,
             **knobs,
         )
     except InvalidInput:

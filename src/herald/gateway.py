@@ -65,15 +65,20 @@ class Completion:
 
 @dataclass(frozen=True)
 class CompletionRequest:
+    """``sample_count`` samples, indexed from ``sample_offset`` on."""
+
     prompt_text: str
     sample_count: int = 1
     temperature: float = 1.0
     max_output_tokens: int = 2048
     model_id: str = "mock"
+    sample_offset: int = 0
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise InvalidInput(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.sample_offset < 0:
+            raise InvalidInput(f"sample_offset must be >= 0, got {self.sample_offset}")
         if self.temperature < 0:
             raise InvalidInput(f"temperature must be >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
@@ -110,13 +115,16 @@ class Role:
     max_output_tokens: int = 2048
 
 
-def _role_request(role: Role, prompt_text: str, sample_count: int) -> CompletionRequest:
+def _role_request(
+    role: Role, prompt_text: str, sample_count: int, sample_offset: int = 0
+) -> CompletionRequest:
     return CompletionRequest(
         prompt_text=prompt_text,
         sample_count=sample_count,
         temperature=role.temperature,
         max_output_tokens=role.max_output_tokens,
         model_id=role.model_id,
+        sample_offset=sample_offset,
     )
 
 
@@ -147,26 +155,28 @@ class Gateway:
             raise InvalidInput(
                 f"sample_count {request.sample_count} exceeds cap {self.config.sample_cap}"
             )
+        first = request.sample_offset
         if request.sample_count == 1:
-            return [self._one_sample(request, provider, 0)]
+            return [self._one_sample(request, provider, first)]
         futures = [
             self._pool().submit(self._one_sample, request, provider, i)
-            for i in range(request.sample_count)
+            for i in range(first, first + request.sample_count)
         ]
         return [f.result() for f in futures]
 
     def complete_role(self, role: Role, prompt_text: str, sample_count: int = 1) -> list[Completion]:
         return self.complete(_role_request(role, prompt_text, sample_count), role.provider)
 
-    def submit_role(self, role: Role, prompt_text: str) -> Future:
-        """One sample on the pool, without waiting: a ``Future[Completion]``.
+    def submit_role(self, role: Role, prompt_text: str, sample_index: int = 0) -> Future:
+        """Sample ``sample_index`` on the pool, without waiting: a ``Future[Completion]``.
 
-        The pool thread runs :meth:`complete`, so caching, retries and the
+        The pool thread runs :meth:`complete`, so caching (under the same key
+        as sample ``sample_index`` of a k-sample request), retries and the
         budget check are the same as for a blocking call.  Pool threads never
         wait on other pool futures, so any number of submissions is safe at
         any ``max_in_flight``.
         """
-        request = _role_request(role, prompt_text, 1)
+        request = _role_request(role, prompt_text, 1, sample_index)
         return self._pool().submit(lambda: self.complete(request, role.provider)[0])
 
     def _pool(self) -> ThreadPoolExecutor:
@@ -231,7 +241,8 @@ class Gateway:
         else:  # pragma: no cover - loop always breaks or raises
             raise ProviderExhausted(str(last_error))
 
-        if cache_path is not None:
+        # A truncated or failed completion is not reused: a rerun asks again.
+        if cache_path is not None and completion.finish_reason == FinishReason.STOP:
             # Made on the first write, so a run with no misses adds no directory.
             with self._lock:
                 if not self._cache_dir_made:

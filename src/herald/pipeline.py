@@ -15,12 +15,14 @@ import os
 import queue
 from concurrent import futures
 from pathlib import Path
+from typing import Callable, Container, Hashable, Sequence, TextIO
 
 from . import augment as aug
 from . import datastore as ds
 from . import depgraph, ingest, prompts, retrieval, validate
 from .config import PipelineConfig
 from .errors import InvalidInput, SchemaError
+from .gateway import Completion
 from .records import CorpusIndex
 
 logger = logging.getLogger(__name__)
@@ -146,6 +148,80 @@ def _drop_torn_tail(path: Path) -> None:
         os.truncate(path, keep)
 
 
+class _OrderedDispatch:
+    """Gateway futures in; records appended to their JSONL files in canonical order.
+
+    ``order`` lists every record key in canonical order and ``on_disk`` holds
+    the keys an earlier run already wrote.  The stage sends requests with
+    :meth:`submit` and hands finished records to :meth:`finish`.  :meth:`run`
+    feeds each completion to ``settle(tag, completion)`` on the calling
+    thread as it returns, and appends a record only once every earlier one
+    is on disk, so the files do not depend on ``max_in_flight`` and an
+    interrupted run leaves a canonical prefix.  Each file is opened once, and
+    each line flushed as it is written, in canonical order.
+
+    On the first error, ``stopping`` turns true (``settle`` must then send
+    nothing more), queued requests are cancelled, running ones are drained
+    and settled, the prefix is flushed and the error is re-raised.
+    """
+
+    def __init__(self, order: Sequence[Hashable], on_disk: Container[Hashable]):
+        self.stopping = False
+        self._order = order
+        self._on_disk = on_disk
+        self._cursor = 0
+        self._finished: dict[Hashable, tuple[Path, str]] = {}
+        self._handles: dict[Path, TextIO] = {}
+        self._pending: dict[futures.Future, object] = {}
+        self._completed: queue.SimpleQueue = queue.SimpleQueue()
+
+    def submit(self, future: futures.Future, tag: object) -> None:
+        self._pending[future] = tag
+        future.add_done_callback(self._completed.put)
+
+    def finish(self, key: Hashable, path: Path, line: str) -> None:
+        self._finished[key] = (path, line)
+
+    def _flush(self) -> None:
+        while self._cursor < len(self._order):
+            key = self._order[self._cursor]
+            if key in self._finished:
+                path, line = self._finished.pop(key)
+                handle = self._handles.get(path)
+                if handle is None:
+                    handle = self._handles[path] = open(path, "a", encoding="utf-8")
+                handle.write(line)
+                handle.flush()
+            elif key not in self._on_disk:
+                return
+            self._cursor += 1
+
+    def run(self, start: Callable[[], None], settle: Callable[[object, Completion], None]) -> None:
+        """``start()`` sends the first requests; returns once none is pending."""
+        try:
+            start()
+            self._flush()
+            while self._pending:
+                future = self._completed.get()
+                settle(self._pending.pop(future), future.result())
+                self._flush()
+        except BaseException:
+            # Keep every finished record that extends the canonical prefix,
+            # then let the caller see the first error.
+            self.stopping = True
+            for future in self._pending:
+                future.cancel()
+            futures.wait(self._pending)
+            for future, tag in self._pending.items():
+                if not future.cancelled() and future.exception() is None:
+                    settle(tag, future.result())
+            self._flush()
+            raise
+        finally:
+            for handle in self._handles.values():
+                handle.close()
+
+
 def _existing_pair_ids(out_dir: Path) -> dict[str, ds.NLFLPair]:
     """Pairs already on disk from an interrupted run, keyed by id."""
     found: dict[str, ds.NLFLPair] = {}
@@ -189,13 +265,10 @@ def run_informalize(
     back.  All provider calls go through the gateway pool, so
     ``max_in_flight`` is the one concurrency knob.
 
-    Reorder buffer: records are written in canonical order (statements level
-    by level, then proofs by name).  A record is appended to its JSONL file
-    only once every earlier record is on disk, so the output tree does not
-    depend on ``max_in_flight`` and an interrupted run leaves a canonical
-    prefix.  On the first error, dispatch stops, queued requests are
-    cancelled, running ones are drained, the prefix is flushed and the error
-    is re-raised.
+    Reorder buffer (:class:`_OrderedDispatch`): records are written in
+    canonical order (statements level by level, then proofs by name), so the
+    output tree does not depend on ``max_in_flight`` and an interrupted run
+    leaves a canonical prefix.
 
     Resume: the level files and ``proofs.jsonl`` are the only record of
     progress (a torn final line is dropped); missing records are redone.  A
@@ -287,28 +360,19 @@ def run_informalize(
     informalizer = config.role("informalizer")
     gateway = config.gateway(cache_dir=out_dir / "cache")
     counts = {"statements_written": 0, "proofs_written": 0}
+    dispatch = _OrderedDispatch(
+        statement_order + [f"{name}::proof" for name in proof_names], existing
+    )
 
-    # Reorder buffer: finished records waiting for every earlier one.
-    order = statement_order + [f"{name}::proof" for name in proof_names]
-    finished: dict[str, ds.NLFLPair] = {}
-    cursor = 0
-
-    def flush() -> None:
-        nonlocal cursor
-        while cursor < len(order):
-            item_id = order[cursor]
-            if item_id in finished:
-                pair = finished.pop(item_id)
-                is_statement = pair.record_type == "statement"
-                path = out_dir / (
-                    f"statements_level_{pair.level}.jsonl" if is_statement else "proofs.jsonl"
-                )
-                with open(path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(ds.pair_to_dict(pair), ensure_ascii=False) + "\n")
-                counts["statements_written" if is_statement else "proofs_written"] += 1
-            elif item_id not in existing:
-                return
-            cursor += 1
+    def finish(pair: ds.NLFLPair) -> None:
+        is_statement = pair.record_type == "statement"
+        path = out_dir / (
+            f"statements_level_{pair.level}.jsonl" if is_statement else "proofs.jsonl"
+        )
+        dispatch.finish(
+            pair.id, path, json.dumps(ds.pair_to_dict(pair), ensure_ascii=False) + "\n"
+        )
+        counts["statements_written" if is_statement else "proofs_written"] += 1
 
     # Dispatch state, touched only by this thread.  waiting[name] counts the
     # prerequisites of a statement that have no translation yet.
@@ -320,14 +384,9 @@ def run_informalize(
     }
     has_proof = set(proof_names)
     step_texts: dict[str, list[str | None]] = {}
-    pending: dict[futures.Future, tuple] = {}
-    completed: queue.SimpleQueue = queue.SimpleQueue()
-    stopping = False
 
     def submit(prompt_text: str, *tag) -> None:
-        future = gateway.submit_role(informalizer, prompt_text)
-        pending[future] = tag
-        future.add_done_callback(completed.put)
+        dispatch.submit(gateway.submit_role(informalizer, prompt_text), tag)
 
     def send_proof(name: str) -> None:
         if f"{name}::proof" in existing:
@@ -338,22 +397,33 @@ def run_informalize(
             step_prompt = prompts.assemble_step_prompt(ctx, step_index, registry)
             submit(step_prompt.text, "step", name, step_index)
 
-    def settle(tag: tuple, text: str) -> None:
+    def start() -> None:
+        for name in statement_order:
+            if waiting[name] == 0 and name not in translations:
+                submit(statement_prompt(name), "statement", name)
+        for name in proof_names:
+            if name in translations:
+                send_proof(name)
+
+    def settle(tag: tuple, completion: Completion) -> None:
         """Record one completion; unless stopping, send the work it unblocks."""
         kind, name, *rest = tag
+        text = completion.text.strip()
         subject = index.declarations[name]
         if kind == "statement":
-            finished[name] = ds.NLFLPair(
-                id=name,
-                formal_text=subject.signature,
-                informal_text=text,
-                direction=ds.Direction.NL_TO_FL,
-                provenance=ds.Provenance.ORIGINAL,
-                source_name=name,
-                level=assignment.level_of[name],
+            finish(
+                ds.NLFLPair(
+                    id=name,
+                    formal_text=subject.signature,
+                    informal_text=text,
+                    direction=ds.Direction.NL_TO_FL,
+                    provenance=ds.Provenance.ORIGINAL,
+                    source_name=name,
+                    level=assignment.level_of[name],
+                )
             )
             translations[name] = text
-            if stopping:
+            if dispatch.stopping:
                 return
             for dependent in sorted(dependents[name]):
                 waiting[dependent] -= 1
@@ -364,50 +434,29 @@ def run_informalize(
         elif kind == "step":
             texts = step_texts[name]
             texts[rest[0]] = text
-            if not stopping and None not in texts:
+            if not dispatch.stopping and None not in texts:
                 del step_texts[name]
                 summary = prompts.summarize_steps_prompt(texts, proof_context(name), registry)
                 submit(summary.text, "summary", name)
         else:
             steps = index.proofs[name]
-            finished[f"{name}::proof"] = ds.NLFLPair(
-                id=f"{name}::proof",
-                formal_text=subject.signature
-                + " := by\n"
-                + "\n".join(f"  {s.tactic_text}" for s in steps),
-                informal_text=text,
-                direction=ds.Direction.NL_TO_FL,
-                provenance=ds.Provenance.ORIGINAL,
-                source_name=name,
-                level=assignment.level_of.get(name),
-                record_type="proof",
+            finish(
+                ds.NLFLPair(
+                    id=f"{name}::proof",
+                    formal_text=subject.signature
+                    + " := by\n"
+                    + "\n".join(f"  {s.tactic_text}" for s in steps),
+                    informal_text=text,
+                    direction=ds.Direction.NL_TO_FL,
+                    provenance=ds.Provenance.ORIGINAL,
+                    source_name=name,
+                    level=assignment.level_of.get(name),
+                    record_type="proof",
+                )
             )
 
     try:
-        for name in statement_order:
-            if waiting[name] == 0 and name not in translations:
-                submit(statement_prompt(name), "statement", name)
-        for name in proof_names:
-            if name in translations:
-                send_proof(name)
-        flush()
-        while pending:
-            future = completed.get()
-            tag = pending.pop(future)
-            settle(tag, future.result().text.strip())
-            flush()
-    except BaseException:
-        # Keep every finished record that extends the canonical prefix, then
-        # let the caller see the first error.
-        stopping = True
-        for future in pending:
-            future.cancel()
-        futures.wait(pending)
-        for future, tag in pending.items():
-            if not future.cancelled() and future.exception() is None:
-                settle(tag, future.result().text.strip())
-        flush()
-        raise
+        dispatch.run(start, settle)
     finally:
         gateway.close()
 
@@ -621,6 +670,33 @@ def load_benchmark(path: Path) -> list[dict]:
     return items
 
 
+def _written_report_count(path: Path, items: list[dict], k: int, short_circuit: bool) -> int:
+    """How many reports an earlier run left in ``reports.jsonl``.
+
+    They must be the reports of the benchmark's first items, in order, made
+    with this ``k`` and ``short_circuit``; a torn final line is dropped.
+    """
+    if not path.exists():
+        return 0
+    _drop_torn_tail(path)
+    count = 0
+    for report in validate.read_reports(path):
+        expected = items[count]["id"] if count < len(items) else None
+        if report.item_id != expected:
+            raise SchemaError(
+                f"report for {report.item_id!r} where the benchmark has {expected!r}",
+                f"{path}: line {count + 1}",
+            )
+        if (report.k, report.short_circuit) != (k, short_circuit):
+            raise InvalidInput(
+                f"{path} holds reports made with k={report.k}, "
+                f"short_circuit={report.short_circuit}; this run has k={k}, "
+                f"short_circuit={short_circuit}; refusing to resume"
+            )
+        count += 1
+    return count
+
+
 def run_validate(
     bench_path: Path,
     config: PipelineConfig,
@@ -628,6 +704,21 @@ def run_validate(
     k: int | None = None,
     dataset_name: str | None = None,
 ) -> validate.BenchmarkSummary:
+    """pass@k over a benchmark, streamed to ``reports.jsonl`` in benchmark order.
+
+    Dispatch: items are opened in benchmark order, at most
+    ``4 * max_in_flight`` unfinished at a time, each a
+    :class:`validate.ItemRun` whose requests all go through the gateway pool;
+    compile checks run on this thread as candidates come up.  Items run
+    concurrently, and each report is appended as soon as every earlier one
+    is on disk, so ``reports.jsonl`` does not depend on ``max_in_flight``.
+
+    Resume: ``reports.jsonl`` is the only record of progress.  It must hold
+    the reports of a prefix of the benchmark (a torn final line is dropped);
+    those items are skipped and the rest are run, their completions already
+    paid for coming from the cache.  ``summary.json`` and the manifest are
+    built from the whole file.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     items = load_benchmark(bench_path)
     if not items:
@@ -638,29 +729,57 @@ def run_validate(
         back_translator=config.role("back_translator"),
         nli_judge=config.role("nli_judge"),
     )
+    reports_path = out_dir / "reports.jsonl"
+    written = _written_report_count(reports_path, items, k, config.short_circuit)
     backend = config.backend.build()
     gateway = config.gateway(cache_dir=out_dir / "cache")
-    reports = []
-    try:
-        for item in items:
-            reports.append(
-                validate.validate_item(
-                    item["informal_text"],
-                    k,
-                    roles,
-                    backend,
-                    gateway,
-                    item_id=item["id"],
-                    header=item["header"] if item["header"] is not None else config.header_prelude,
-                    timeout_ms=config.compile_timeout_ms,
-                    short_circuit=config.short_circuit,
-                )
+    dispatch = _OrderedDispatch(range(len(items)), range(written))
+    todo = iter(range(written, len(items)))
+    # Enough open items to keep the pool busy while some wait on a compile
+    # check or a verdict; few enough that pending futures stay bounded by
+    # max_in_flight and k, not by the benchmark's size.
+    window = 4 * config.max_in_flight
+    runs: dict[int, validate.ItemRun] = {}  # the unfinished items, by position
+
+    def open_items() -> None:
+        while len(runs) < window:
+            position = next(todo, None)
+            if position is None:
+                return
+            item = items[position]
+            run = validate.ItemRun(
+                item["informal_text"],
+                k,
+                roles,
+                backend,
+                gateway,
+                lambda future, tag, key=position: dispatch.submit(future, (key, tag)),
+                item_id=item["id"],
+                header=item["header"] if item["header"] is not None else config.header_prelude,
+                timeout_ms=config.compile_timeout_ms,
+                short_circuit=config.short_circuit,
             )
+            runs[position] = run
+            run.start()
+
+    def settle(tag: tuple, completion: Completion) -> None:
+        if dispatch.stopping:
+            return  # the rerun takes these from the cache
+        position, step = tag
+        report = runs[position].settle(step, completion)
+        if report is not None:
+            del runs[position]
+            dispatch.finish(position, reports_path, validate.report_line(report))
+            open_items()
+
+    try:
+        dispatch.run(open_items, settle)
     finally:
         gateway.close()
         backend.close()
-    validate.write_reports(reports, out_dir / "reports.jsonl")
-    summary = validate.summarize(reports, dataset_name or Path(bench_path).stem)
+    summary = validate.summarize(
+        validate.read_reports(reports_path), dataset_name or Path(bench_path).stem
+    )
     (out_dir / "summary.json").write_text(
         validate.summary_to_json(summary) + "\n", encoding="utf-8"
     )

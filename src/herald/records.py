@@ -101,9 +101,6 @@ class NeighborSet:
     same_file: tuple[str, ...] = ()
     name_prefix_shared: tuple[str, ...] = ()
 
-    def all_names(self) -> set[str]:
-        return set(self.same_namespace) | set(self.same_file) | set(self.name_prefix_shared)
-
 
 @dataclass(frozen=True)
 class NeighborGroups:

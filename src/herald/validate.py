@@ -15,17 +15,20 @@ import json
 import queue
 import subprocess
 import threading
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import Future
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from .errors import BackendUnavailable, InvalidInput, MixedK
+from .errors import BackendUnavailable, InvalidInput, MixedK, SchemaError
 from .gateway import (
     BACK_TRANSLATE_MARKER,
     NLI_CANDIDATE_MARKER,
     NLI_ORIGINAL_MARKER,
     TRANSLATE_MARKER,
+    Completion,
     FinishReason,
     Gateway,
     Role,
@@ -289,14 +292,16 @@ class Roles:
 def _evaluate_candidate(
     text: str,
     finish_reason: FinishReason,
-    informal: str,
-    roles: Roles,
     backend: CompilerBackend,
-    gateway: Gateway,
     header: str,
     timeout_ms: int,
 ) -> CandidateResult:
-    if finish_reason == FinishReason.ERROR or not text.strip():
+    """First look at a candidate: skip it, or compile-check it.
+
+    A compiling candidate comes back with its verdict still ``SKIPPED``;
+    :class:`ItemRun` fills in the back-translation and the judge's verdict.
+    """
+    if finish_reason == FinishReason.ERROR or not text:
         return CandidateResult(
             candidate_text=text,
             compile=CompileStatus.SKIPPED,
@@ -306,36 +311,136 @@ def _evaluate_candidate(
             final=False,
         )
     outcome = compile_check(compose_source(text, header), backend, timeout_ms)
-    if not outcome.ok:
-        return CandidateResult(
-            candidate_text=text,
-            compile=CompileStatus.FAIL,
-            compile_diagnostic="; ".join(outcome.diagnostics) or "compile failed",
-            back_translation=None,
-            nli=NliStatus.SKIPPED,
-            final=False,
-        )
-    back_nl = back_translate(text, gateway, roles.back_translator)
-    if not back_nl:
-        return CandidateResult(
-            candidate_text=text,
-            compile=CompileStatus.PASS,
-            compile_diagnostic=None,
-            back_translation="",
-            nli=NliStatus.REJECT,
-            final=False,
-            nli_parse_failure=True,
-        )
-    nli = nli_check(informal, back_nl, gateway, roles.nli_judge)
+    diagnostic = "; ".join(outcome.diagnostics) or "compile failed"
     return CandidateResult(
         candidate_text=text,
-        compile=CompileStatus.PASS,
-        compile_diagnostic=None,
-        back_translation=back_nl,
-        nli=nli.verdict,
-        final=nli.verdict == NliStatus.ACCEPT,
-        nli_parse_failure=nli.parse_failure,
+        compile=CompileStatus.PASS if outcome.ok else CompileStatus.FAIL,
+        compile_diagnostic=None if outcome.ok else diagnostic,
+        back_translation=None,
+        nli=NliStatus.SKIPPED,
+        final=False,
     )
+
+
+class ItemRun:
+    """One item's pass@k evaluation, advanced by completions as they return.
+
+    :meth:`start` sends the k translate samples through the gateway pool and
+    hands each future to ``track(future, tag)``; the driver passes every
+    completion back to :meth:`settle` with its tag, in any order, on one
+    thread.  Candidates are looked at strictly in sample order, each compile
+    check on that thread; a pass sends the back-translation, and its return
+    sends the judge.  With ``short_circuit``, candidate i+1 is looked at only
+    after candidate i's verdict, and none after the first accepted one;
+    otherwise every compiling candidate is judged.  Nothing else is sent, so
+    the provider calls are the same whatever order completions return in.
+
+    The report is ready once every request sent has returned, so an item
+    whose report is written leaves no call unpaid behind it.
+    """
+
+    def __init__(
+        self,
+        informal: str,
+        k: int,
+        roles: Roles,
+        backend: CompilerBackend,
+        gateway: Gateway,
+        track: Callable[[Future, tuple], None],
+        *,
+        item_id: str = "",
+        header: str = DEFAULT_HEADER,
+        timeout_ms: int = DEFAULT_TIMEOUT_MS,
+        short_circuit: bool = True,
+    ):
+        if k < 1:
+            raise InvalidInput(f"k must be >= 1, got {k}")
+        self.informal = informal
+        self.k = k
+        self.roles = roles
+        self.backend = backend
+        self.gateway = gateway
+        self.track = track
+        self.item_id = item_id
+        self.header = header
+        self.timeout_ms = timeout_ms
+        self.short_circuit = short_circuit
+        self._samples: list[Completion | None] = [None] * k
+        self._results: list[CandidateResult] = []
+        self._outstanding = 0  # requests sent, not yet settled
+        self._judging = 0  # compiled candidates still waiting for a verdict
+        self._accepted = False
+
+    def _send(self, role: Role, prompt_text: str, tag: tuple, sample_index: int = 0) -> None:
+        self._outstanding += 1
+        self.track(self.gateway.submit_role(role, prompt_text, sample_index), tag)
+
+    def start(self) -> None:
+        prompt = translation_prompt(self.informal)
+        for i in range(self.k):
+            self._send(self.roles.translator, prompt, ("sample", i), i)
+
+    def settle(self, tag: tuple, completion: Completion) -> ValidationReport | None:
+        """Take one returned completion; the report once the item is done."""
+        self._outstanding -= 1
+        kind, i = tag
+        if kind == "sample":
+            self._samples[i] = completion
+        elif kind == "back":
+            back_nl = completion.text.strip()
+            if back_nl:
+                if not self.informal:
+                    raise InvalidInput("cannot judge against an empty informal statement")
+                self._results[i] = replace(self._results[i], back_translation=back_nl)
+                self._send(self.roles.nli_judge, nli_prompt(self.informal, back_nl), ("judge", i))
+            else:
+                self._verdict(i, "", NliOutcome(NliStatus.REJECT, parse_failure=True))
+        else:
+            self._verdict(i, self._results[i].back_translation, _parse_verdict(completion.text))
+        self._advance()
+        looked_at_all = len(self._results) == self.k or (self.short_circuit and self._accepted)
+        if self._outstanding or self._judging or not looked_at_all:
+            return None
+        return ValidationReport(
+            item_id=self.item_id,
+            k=self.k,
+            candidates=tuple(self._results),
+            success=self._accepted,
+            short_circuit=self.short_circuit,
+        )
+
+    def _verdict(self, i: int, back_nl: str, nli: NliOutcome) -> None:
+        self._results[i] = replace(
+            self._results[i],
+            back_translation=back_nl,
+            nli=nli.verdict,
+            final=nli.verdict == NliStatus.ACCEPT,
+            nli_parse_failure=nli.parse_failure,
+        )
+        self._judging -= 1
+        self._accepted = self._accepted or self._results[i].final
+
+    def _advance(self) -> None:
+        """Look at every candidate whose turn has come and whose sample is in."""
+        while len(self._results) < self.k:
+            if self.short_circuit and (self._judging or self._accepted):
+                return
+            i = len(self._results)
+            sample = self._samples[i]
+            if sample is None:
+                return
+            result = _evaluate_candidate(
+                sample.text.strip(), sample.finish_reason, self.backend, self.header,
+                self.timeout_ms,
+            )
+            self._results.append(result)
+            if result.compile == CompileStatus.PASS:
+                self._judging += 1
+                self._send(
+                    self.roles.back_translator,
+                    back_translation_prompt(result.candidate_text),
+                    ("back", i),
+                )
 
 
 def validate_item(
@@ -355,35 +460,24 @@ def validate_item(
     With ``short_circuit`` (the default) evaluation stops at the first
     candidate that passes everything; otherwise all compiling candidates go
     through back-translation and the judge.  The mode is recorded on the
-    report.
+    report.  This is :class:`ItemRun` for one item, waiting on its requests
+    in the order they were sent.
     """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    completions = gateway.complete_role(roles.translator, translation_prompt(informal), k)
-
-    results: list[CandidateResult] = []
-    for completion in completions:
-        result = _evaluate_candidate(
-            completion.text.strip(),
-            completion.finish_reason,
-            informal,
-            roles,
-            backend,
-            gateway,
-            header,
-            timeout_ms,
-        )
-        results.append(result)
-        if short_circuit and result.final:
-            break
-
-    return ValidationReport(
-        item_id=item_id,
-        k=k,
-        candidates=tuple(results),
-        success=any(r.final for r in results),
-        short_circuit=short_circuit,
+    sent: deque[tuple[Future, tuple]] = deque()
+    run = ItemRun(
+        informal, k, roles, backend, gateway, lambda future, tag: sent.append((future, tag)),
+        item_id=item_id, header=header, timeout_ms=timeout_ms, short_circuit=short_circuit,
     )
+    try:
+        run.start()
+        while True:
+            future, tag = sent.popleft()
+            report = run.settle(tag, future.result())
+            if report is not None:
+                return report
+    finally:
+        for future, _ in sent:
+            future.cancel()
 
 
 @dataclass(frozen=True)
@@ -401,19 +495,23 @@ class BenchmarkSummary:
             raise InvalidInput("accuracy must equal succeeded / total")
 
 
-def summarize(reports: list[ValidationReport], dataset_name: str) -> BenchmarkSummary:
-    """Aggregate pass@k over reports that share one k."""
-    if not reports:
+def summarize(reports: Iterable[ValidationReport], dataset_name: str) -> BenchmarkSummary:
+    """Aggregate pass@k over reports that share one k, in one pass."""
+    ks: set[int] = set()
+    total = succeeded = 0
+    for report in reports:
+        ks.add(report.k)
+        total += 1
+        succeeded += report.success
+    if not total:
         raise InvalidInput("no reports to summarize")
-    ks = {r.k for r in reports}
     if len(ks) > 1:
         raise MixedK(f"reports mix k values {sorted(ks)}")
-    succeeded = sum(1 for r in reports if r.success)
     return BenchmarkSummary(
         dataset_name=dataset_name,
-        total=len(reports),
+        total=total,
         succeeded=succeeded,
-        accuracy=succeeded / len(reports),
+        accuracy=succeeded / total,
         k=ks.pop(),
     )
 
@@ -460,8 +558,39 @@ def report_to_dict(report: ValidationReport) -> dict:
     }
 
 
-def write_reports(reports: list[ValidationReport], path: str | Path) -> int:
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True) + "\n")
-    return len(reports)
+def report_line(report: ValidationReport) -> str:
+    """One ``reports.jsonl`` line, newline included."""
+    return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def report_from_dict(obj: dict) -> ValidationReport:
+    return ValidationReport(
+        item_id=obj["item_id"],
+        k=obj["k"],
+        success=obj["success"],
+        short_circuit=obj["short_circuit"],
+        candidates=tuple(
+            CandidateResult(
+                candidate_text=c["candidate_text"],
+                compile=CompileStatus(c["compile"]),
+                compile_diagnostic=c["compile_diagnostic"],
+                back_translation=c["back_translation"],
+                nli=NliStatus(c["nli"]),
+                final=c["final"],
+                nli_parse_failure=c["nli_parse_failure"],
+            )
+            for c in obj["candidates"]
+        ),
+    )
+
+
+def read_reports(path: str | Path) -> Iterator[ValidationReport]:
+    """The reports of a ``reports.jsonl``, one at a time; a malformed line is a
+    :class:`SchemaError` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                report = report_from_dict(json.loads(line))
+            except (KeyError, ValueError, TypeError, InvalidInput) as exc:
+                raise SchemaError(f"bad report: {exc}", f"{path}: line {lineno}") from exc
+            yield report

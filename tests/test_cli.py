@@ -167,6 +167,25 @@ class TestInformalize:
                    "informalize", "--index", str(out / "index.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("rerun_doc, rerun_indent, rerun_code", [
+        ({"knobs": {"request_budget": 1000}}, None, 0),  # a spent budget raised
+        ({"knobs": {"request_budget": 1}}, 4, 3),  # the same document, laid out anew
+    ])
+    def test_resume_after_an_operational_or_layout_edit(
+        self, tmp_path, export_file, mock_config, capsys, rerun_doc, rerun_indent, rerun_code
+    ):
+        out = self._setup(tmp_path, export_file, mock_config)
+        inf = tmp_path / "inf"
+        config = tmp_path / "budget.json"
+        config.write_text(json.dumps({"knobs": {"request_budget": 1}}), encoding="utf-8")
+        index = str(out / "index.json")
+        assert run("--config", str(config), "--out", str(inf), "informalize", "--index", index) == 3
+        config.write_text(json.dumps(rerun_doc, indent=rerun_indent), encoding="utf-8")
+        capsys.readouterr()
+        code = run("--config", str(config), "--out", str(inf), "informalize", "--index", index)
+        assert code == rerun_code
+        assert "refusing to resume" not in capsys.readouterr().err
+
 
 class TestAugmentMixValidateStats:
     def test_augment_outputs(self, tmp_path, export_file, mock_config):
@@ -204,6 +223,18 @@ class TestAugmentMixValidateStats:
             (tmp_path / "run" / "stats" / "stats.json").read_text(encoding="utf-8")
         )
         assert stats_doc["total"] == 20
+
+    def test_validate_budget_exhaustion_then_resume(self, tmp_path, capsys):
+        bench = write_shared_fixtures(tmp_path / "fixtures")["bench"]
+        ref, val = tmp_path / "ref", tmp_path / "val"
+        config = tmp_path / "budget.json"
+        config.write_text(json.dumps({"knobs": {"request_budget": 12}}), encoding="utf-8")
+        argv = ("validate", "--bench", str(bench), "--k", "4")
+        assert run("--out", str(ref), *argv) == 0
+        assert run("--config", str(config), "--out", str(val), *argv) == 3
+        assert "rerun the same command to resume" in capsys.readouterr().err
+        assert run("--out", str(val), *argv) == 0
+        assert tree_digest(val) == tree_digest(ref)
 
     def test_end_to_end_determinism(self, tmp_path):
         fixtures = write_shared_fixtures(tmp_path / "fixtures")

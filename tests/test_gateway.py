@@ -22,6 +22,7 @@ from herald.gateway import (
     MockBackTranslator,
     MockChatProvider,
     MockNliJudge,
+    Role,
     digest,
     normalize_text,
 )
@@ -254,6 +255,43 @@ class TestCache:
             gw.complete(CompletionRequest(prompt_text="p"), Fatal())
         gw.close()
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("reason", [FinishReason.LENGTH, FinishReason.ERROR])
+    def test_truncated_or_failed_completion_is_not_cached(self, tmp_path, reason):
+        class Cut:
+            name = "cut"
+
+            def generate(self, request, sample_index):
+                text = "" if reason == FinishReason.ERROR else "theorem t : 1 ="
+                return Completion(text=text, finish_reason=reason)
+
+        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        req = CompletionRequest(prompt_text="p")
+        for _ in range(2):
+            assert gw.complete(req, Cut())[0].finish_reason == reason
+        gw.close()
+        assert gw.stats["provider_calls"] == 2
+        assert gw.stats["cache_hits"] == 0
+        assert not (tmp_path / "cache").exists()
+
+    def test_submitted_sample_shares_the_key_of_its_index(self, tmp_path):
+        config = GatewayConfig(cache_dir=tmp_path / "cache")
+        with Gateway(config) as gw:
+            batch = gw.complete(CompletionRequest(prompt_text="p", sample_count=3),
+                                MockChatProvider())
+
+        class Exploding:
+            name = MockChatProvider.name
+
+            def generate(self, request, sample_index):
+                raise AssertionError("cache should have answered")
+
+        role = Role(provider=Exploding(), model_id="mock", temperature=1.0,
+                    max_output_tokens=2048)
+        with Gateway(config) as gw:
+            single = [gw.submit_role(role, "p", sample_index=i).result() for i in range(3)]
+        assert single == batch
+        assert gw.stats["cache_hits"] == 3
 
     def test_cache_hits_do_not_consume_budget(self, tmp_path):
         config = GatewayConfig(cache_dir=tmp_path / "cache", request_budget=1)

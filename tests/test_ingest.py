@@ -402,8 +402,13 @@ class TestResolveNeighbors:
                 assert len(got) <= limit
                 assert set(got) <= expected
                 assert len(got) == min(limit, len(expected))
-            assert subject not in neighbors.all_names()
-            assert neighbors.all_names() <= set(index.declarations)
+            names = (
+                set(neighbors.same_namespace)
+                | set(neighbors.same_file)
+                | set(neighbors.name_prefix_shared)
+            )
+            assert subject not in names
+            assert names <= set(index.declarations)
 
     def test_longest_prefix_wins(self):
         index = parse_jixia_export(

@@ -29,11 +29,12 @@ from herald.validate import (
     compile_check,
     compose_source,
     nli_check,
+    read_reports,
+    report_line,
     summarize,
     summary_table,
     summary_to_json,
     validate_item,
-    write_reports,
 )
 
 FAKE_REPL = [sys.executable, str(Path(__file__).parent / "fake_repl.py")]
@@ -298,7 +299,9 @@ class TestSummarize:
         summary = summarize(reports, "bench")
         assert '"k": 128' in summary_to_json(summary)
         assert "bench" in summary_table(summary)
-        assert write_reports(reports, tmp_path / "r.jsonl") == 4
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(report_line(r) for r in reports), encoding="utf-8")
+        assert list(read_reports(path)) == reports
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
