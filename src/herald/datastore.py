@@ -110,6 +110,20 @@ def write_pairs_atomic(pairs: list[NLFLPair], path: str | Path) -> int:
     return count
 
 
+def drop_torn_tail(path: Path) -> None:
+    """Cut a final line that a kill mid-append left without its newline.
+
+    Every record is written as one newline-terminated line, so only the last
+    line of a file can be torn.  A malformed line before it stays an error
+    for the reader.
+    """
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        logger.warning("%s: dropping a torn final line (%d bytes)", path, len(data) - keep)
+        os.truncate(path, keep)
+
+
 def read_pairs(path: str | Path) -> list[NLFLPair]:
     pairs = []
     with open(path, encoding="utf-8") as fh:

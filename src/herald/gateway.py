@@ -23,9 +23,16 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, TextIO
 
-from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
+from .datastore import drop_torn_tail
+from .errors import (
+    BudgetExceeded,
+    InvalidInput,
+    ProviderError,
+    ProviderExhausted,
+    SchemaError,
+)
 
 # Section markers used by prompt builders; the mocks parse them back out.
 TRANSLATE_MARKER = "INFORMAL STATEMENT:"
@@ -128,20 +135,125 @@ def _role_request(
     )
 
 
+class _CompletionLog:
+    """``cache/completions.jsonl``: the completions paid for, one line per sample.
+
+    Read once, on construction, into a dict, so a hit never touches the disk;
+    a torn final line is dropped as for every other JSONL file.  Each new
+    entry is appended as one flushed line, the directory and the append
+    handle made on the first.  :meth:`close` rewrites the log in key order
+    through a temporary file, so a finished run leaves one sorted file
+    whatever order the pool threads appended in.  One writing process per
+    output directory is assumed.
+    """
+
+    NAME = "completions.jsonl"
+
+    def __init__(self, directory: Path):
+        self._path = Path(directory) / self.NAME
+        self._entries: dict[str, Completion] = {}
+        self._handle: TextIO | None = None
+        if not self._path.exists():
+            return
+        drop_torn_tail(self._path)
+        with open(self._path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    obj = json.loads(line)
+                    self._entries[obj["key"]] = Completion(
+                        text=obj["text"],
+                        finish_reason=FinishReason(obj["finish_reason"]),
+                        provider_meta=obj["provider_meta"],
+                    )
+                except (KeyError, TypeError, ValueError, InvalidInput) as exc:
+                    raise SchemaError(
+                        f"bad cache entry: {exc}", f"{self._path}: line {lineno}"
+                    ) from exc
+
+    def get(self, key: str) -> Completion | None:
+        return self._entries.get(key)
+
+    def add(self, key: str, completion: Completion) -> None:
+        self._entries[key] = completion
+        if self._handle is None:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self._path, "a", encoding="utf-8")
+        self._handle.write(_log_line(key, completion))
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        if not self._entries:
+            return
+        tmp = self._path.with_suffix(".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(_log_line(key, self._entries[key]) for key in sorted(self._entries))
+        os.replace(tmp, self._path)
+
+
+def _log_line(key: str, completion: Completion) -> str:
+    return json.dumps(
+        {
+            "key": key,
+            "text": completion.text,
+            "finish_reason": completion.finish_reason.value,
+            "provider_meta": dict(completion.provider_meta),
+        },
+        ensure_ascii=False,
+        sort_keys=True,
+    ) + "\n"
+
+
+def _cache_key(request: CompletionRequest, provider: CompletionProvider, sample_index: int) -> str:
+    """One entry per sample, keyed on every request field and the provider."""
+    key = "|".join((
+        digest(request.prompt_text),
+        request.model_id,
+        repr(request.temperature),
+        str(request.max_output_tokens),
+        provider.name,
+        str(sample_index),
+    ))
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
 class Gateway:
-    """Fans completion requests out to a provider with bounded concurrency."""
+    """Fans completion requests out to a provider with bounded concurrency.
+
+    ``stats`` counts provider calls (retries included), retries, cache hits,
+    and the truncated (``length``) and failed (``error``) completions the
+    provider returned.
+    """
 
     def __init__(self, config: GatewayConfig | None = None):
         self.config = config or GatewayConfig()
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._cache_dir_made = False
-        self.stats = {"provider_calls": 0, "retries": 0, "cache_hits": 0}
+        self._log: _CompletionLog | None = None
+        self.stats = {
+            "provider_calls": 0,
+            "retries": 0,
+            "cache_hits": 0,
+            "truncated": 0,
+            "failed": 0,
+        }
 
     def close(self) -> None:
+        """Wait for the pool, then close and sort the completion log.
+
+        The log is read here if no request did, so a run that asks for
+        nothing still sorts what a killed run left.
+        """
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        with self._lock:
+            log = self._completion_log()
+            self._log = None
+        if log is not None:
+            log.close()
 
     def __enter__(self) -> "Gateway":
         return self
@@ -185,35 +297,23 @@ class Gateway:
                 self._executor = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
             return self._executor
 
-    def _cache_path(
-        self, request: CompletionRequest, provider: CompletionProvider, sample_index: int
-    ) -> Path | None:
-        """One file per sample, keyed on every request field and the provider."""
-        if self.config.cache_dir is None:
-            return None
-        key = "|".join((
-            digest(request.prompt_text),
-            request.model_id,
-            repr(request.temperature),
-            str(request.max_output_tokens),
-            provider.name,
-            str(sample_index),
-        ))
-        return Path(self.config.cache_dir) / (hashlib.sha256(key.encode()).hexdigest() + ".json")
+    def _completion_log(self) -> _CompletionLog | None:
+        """The cache, read on first use; call with the lock held."""
+        if self._log is None and self.config.cache_dir is not None:
+            self._log = _CompletionLog(self.config.cache_dir)
+        return self._log
 
     def _one_sample(
         self, request: CompletionRequest, provider: CompletionProvider, sample_index: int
     ) -> Completion:
-        cache_path = self._cache_path(request, provider, sample_index)
-        if cache_path is not None and cache_path.exists():
-            obj = json.loads(cache_path.read_text(encoding="utf-8"))
+        key = None
+        if self.config.cache_dir is not None:
+            key = _cache_key(request, provider, sample_index)
             with self._lock:
-                self.stats["cache_hits"] += 1
-            return Completion(
-                text=obj["text"],
-                finish_reason=FinishReason(obj["finish_reason"]),
-                provider_meta=obj.get("provider_meta", {}),
-            )
+                cached = self._completion_log().get(key)
+                if cached is not None:
+                    self.stats["cache_hits"] += 1
+                    return cached
 
         last_error: ProviderError | None = None
         for attempt in range(self.config.retry_limit + 1):
@@ -241,26 +341,14 @@ class Gateway:
         else:  # pragma: no cover - loop always breaks or raises
             raise ProviderExhausted(str(last_error))
 
-        # A truncated or failed completion is not reused: a rerun asks again.
-        if cache_path is not None and completion.finish_reason == FinishReason.STOP:
-            # Made on the first write, so a run with no misses adds no directory.
-            with self._lock:
-                if not self._cache_dir_made:
-                    cache_path.parent.mkdir(parents=True, exist_ok=True)
-                    self._cache_dir_made = True
-            tmp = cache_path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(
-                    {
-                        "text": completion.text,
-                        "finish_reason": completion.finish_reason.value,
-                        "provider_meta": dict(completion.provider_meta),
-                    },
-                    ensure_ascii=False,
-                ),
-                encoding="utf-8",
-            )
-            os.replace(tmp, cache_path)
+        # A truncated or failed completion is not cached: a rerun asks again.
+        with self._lock:
+            if completion.finish_reason == FinishReason.LENGTH:
+                self.stats["truncated"] += 1
+            elif completion.finish_reason == FinishReason.ERROR:
+                self.stats["failed"] += 1
+            elif key is not None:
+                self._completion_log().add(key, completion)
         return completion
 
 

@@ -12,12 +12,14 @@ Two entry points feed the pipeline:
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
 from io import IOBase
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import DuplicateDeclaration, InvalidInput, SchemaError, UnknownDeclaration
 from .records import (
@@ -25,6 +27,7 @@ from .records import (
     CorpusIndex,
     DeclarationRecord,
     DeclKind,
+    NeighborGroup,
     NeighborSet,
     ProofState,
     ProofStep,
@@ -471,15 +474,39 @@ def scan_declarations(lean_source: str, file_path: str = "<source>") -> ScanResu
     return result
 
 
+def _by_distance(entries: list[tuple[int, str]], line: int) -> Iterator[str]:
+    """Names of sorted (line, name) ``entries`` by distance from ``line``, then by name."""
+    cut = bisect.bisect_left(entries, (line,))
+
+    def after():
+        for i in range(cut, len(entries)):
+            start, name = entries[i]
+            yield start - line, name
+
+    def before():
+        # Lines descending; each run of one line keeps its names ascending.
+        end = cut
+        while end > 0:
+            start = entries[end - 1][0]
+            run = bisect.bisect_left(entries, (start,), 0, end)
+            for i in range(run, end):
+                yield line - start, entries[i][1]
+            end = run
+
+    for _, name in heapq.merge(before(), after()):
+        yield name
+
+
 def resolve_neighbors(subject: str, index: CorpusIndex, limit: int) -> NeighborSet:
     """Find declarations related to ``subject`` by namespace, file, and name.
 
     Each list is truncated to ``limit`` entries; entries in the subject's
     file sort by line distance first, everything ties broken by name.  The
     name-prefix list holds the declarations sharing the most leading name
-    components with ``subject`` (at least one).  Only the subject's own
-    groups in ``index.neighbor_groups`` are ranked, so a lookup does not
-    scan the corpus.
+    components with ``subject`` (at least one).  Each list reads only the
+    subject's pre-ranked group in ``index.neighbor_groups``: a bisect on
+    line in its same-file members, then names in order, so a lookup costs
+    O(log G + limit) for a group of G names.
     """
     if limit < 1:
         raise InvalidInput(f"limit must be >= 1, got {limit}")
@@ -488,23 +515,29 @@ def resolve_neighbors(subject: str, index: CorpusIndex, limit: int) -> NeighborS
         raise UnknownDeclaration(subject)
     groups = index.neighbor_groups
 
-    def order_key(name: str):
-        other = index.declarations[name]
-        if other.file_path == rec.file_path:
-            return (0, abs(other.line_span[0] - rec.line_span[0]), name)
-        return (1, 0, name)
-
-    def nearest(group: list[str]) -> tuple[str, ...]:
-        others = (name for name in group if name != subject)
-        return tuple(heapq.nsmallest(limit, others, key=order_key))
+    def nearest(group: NeighborGroup | None) -> tuple[str, ...]:
+        if group is None:
+            return ()
+        same_file = group.lines.get(rec.file_path, [])
+        others = (name for name in _by_distance(same_file, rec.line_span[0]) if name != subject)
+        found = list(itertools.islice(others, limit))
+        if len(found) < limit:
+            # Every same-file member is in ``found``; the rest follow by name.
+            rest = (
+                name
+                for name in group.names
+                if name != subject and index.declarations[name].file_path != rec.file_path
+            )
+            found.extend(itertools.islice(rest, limit - len(found)))
+        return tuple(found)
 
     # The subject is in each of its prefix groups; the longest prefix whose
     # group holds anyone else is the longest prefix shared with another name.
     parts = tuple(subject.split("."))
-    prefix_shared: list[str] = []
+    prefix_shared = None
     for end in range(len(parts), 0, -1):
         group = groups.by_prefix[parts[:end]]
-        if len(group) > 1:
+        if len(group.names) > 1:
             prefix_shared = group
             break
 

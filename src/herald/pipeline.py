@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import queue
 from concurrent import futures
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import datastore as ds
 from . import depgraph, ingest, prompts, retrieval, validate
 from .config import PipelineConfig
 from .errors import InvalidInput, SchemaError
-from .gateway import Completion
+from .gateway import Completion, Gateway
 from .records import CorpusIndex
 
 logger = logging.getLogger(__name__)
@@ -40,6 +39,18 @@ def write_manifest(out_dir: Path, command: str, config: PipelineConfig, extra: d
     payload.update(extra)
     (out_dir / f"{command}_run_manifest.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def _close_gateway(gateway: Gateway, stage: str) -> None:
+    """Close the stage's gateway and log its counters at INFO.
+
+    The counters stay out of the manifests: how many samples a resumed run
+    takes from the cache depends on where the earlier run stopped.
+    """
+    gateway.close()
+    logger.info(
+        "%s: %s", stage, ", ".join(f"{name} {count}" for name, count in gateway.stats.items())
     )
 
 
@@ -134,20 +145,6 @@ def run_stratify(
 # --- informalize -------------------------------------------------------------
 
 
-def _drop_torn_tail(path: Path) -> None:
-    """Cut a final line that a kill mid-append left without its newline.
-
-    Every record is written as one newline-terminated line, so only the last
-    line of a file can be torn.  A malformed line before it stays an error
-    for the reader.
-    """
-    data = path.read_bytes()
-    keep = data.rfind(b"\n") + 1
-    if keep < len(data):
-        logger.warning("%s: dropping a torn final line (%d bytes)", path, len(data) - keep)
-        os.truncate(path, keep)
-
-
 class _OrderedDispatch:
     """Gateway futures in; records appended to their JSONL files in canonical order.
 
@@ -227,7 +224,7 @@ def _existing_pair_ids(out_dir: Path) -> dict[str, ds.NLFLPair]:
     found: dict[str, ds.NLFLPair] = {}
     for path in level_files(out_dir) + [out_dir / "proofs.jsonl"]:
         if path.exists():
-            _drop_torn_tail(path)
+            ds.drop_torn_tail(path)
             for pair in ds.read_pairs(path):
                 found[pair.id] = pair
     return found
@@ -458,7 +455,7 @@ def run_informalize(
     try:
         dispatch.run(start, settle)
     finally:
-        gateway.close()
+        _close_gateway(gateway, "informalize")
 
     counts.update({"levels": len(assignment.levels), "dry_run": False})
     write_manifest(out_dir, "informalize", config, counts)
@@ -586,7 +583,7 @@ def run_augment(
                 }
             )
     finally:
-        gateway.close()
+        _close_gateway(gateway, "augment")
         if backend is not None:
             backend.close()
 
@@ -678,7 +675,7 @@ def _written_report_count(path: Path, items: list[dict], k: int, short_circuit: 
     """
     if not path.exists():
         return 0
-    _drop_torn_tail(path)
+    ds.drop_torn_tail(path)
     count = 0
     for report in validate.read_reports(path):
         expected = items[count]["id"] if count < len(items) else None
@@ -775,7 +772,7 @@ def run_validate(
     try:
         dispatch.run(open_items, settle)
     finally:
-        gateway.close()
+        _close_gateway(gateway, "validate")
         backend.close()
     summary = validate.summarize(
         validate.read_reports(reports_path), dataset_name or Path(bench_path).stem

@@ -103,18 +103,29 @@ class NeighborSet:
 
 
 @dataclass(frozen=True)
+class NeighborGroup:
+    """The names in one group, ranked both ways a neighbor lookup reads them.
+
+    ``names`` is sorted; ``lines[file]`` lists the members declared in
+    ``file`` as sorted (start line, name) pairs.
+    """
+
+    names: list[str]
+    lines: dict[str, list[tuple[int, str]]]
+
+
+@dataclass(frozen=True)
 class NeighborGroups:
     """Declaration names grouped by each relation :class:`NeighborSet` uses.
 
     ``by_prefix`` maps every leading run of a name's dot-separated
     components (``("A",)``, ``("A", "b")``, ...) to the names that start
     with it, so each name is in the group of each of its own prefixes.
-    Names in a group keep corpus order.
     """
 
-    by_namespace: dict[tuple[str, ...], list[str]]
-    by_file: dict[str, list[str]]
-    by_prefix: dict[tuple[str, ...], list[str]]
+    by_namespace: dict[tuple[str, ...], NeighborGroup]
+    by_file: dict[str, NeighborGroup]
+    by_prefix: dict[tuple[str, ...], NeighborGroup]
 
 
 @dataclass(frozen=True)
@@ -147,11 +158,20 @@ class CorpusIndex:
         """Built on first use; ``declarations`` is never written after construction."""
         groups = NeighborGroups({}, {}, {})
         for name, rec in self.declarations.items():
-            groups.by_namespace.setdefault(rec.namespace_path, []).append(name)
-            groups.by_file.setdefault(rec.file_path, []).append(name)
             parts = tuple(name.split("."))
-            for end in range(1, len(parts) + 1):
-                groups.by_prefix.setdefault(parts[:end], []).append(name)
+            memberships = [(groups.by_namespace, rec.namespace_path), (groups.by_file, rec.file_path)]
+            memberships += [(groups.by_prefix, parts[:end]) for end in range(1, len(parts) + 1)]
+            for by, key in memberships:
+                group = by.get(key)
+                if group is None:
+                    group = by[key] = NeighborGroup([], {})
+                group.names.append(name)
+                group.lines.setdefault(rec.file_path, []).append((rec.line_span[0], name))
+        for by in (groups.by_namespace, groups.by_file, groups.by_prefix):
+            for group in by.values():
+                group.names.sort()
+                for entries in group.lines.values():
+                    entries.sort()
         return groups
 
     def tactic_proof_names(self) -> list[str]:

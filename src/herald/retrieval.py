@@ -1,11 +1,12 @@
 """Embedded exemplar store with exact cosine-similarity k-NN queries.
 
-Every query scores every example exactly, with the same compensated dot
-product as :func:`cosine`, so a retrieved score equals ``cosine`` bit for
-bit.  The store computes each example's norm once, at construction; a
-query computes its own norm once and keeps the top k on a heap, building
-results only for the winners.  Tie-breaking by ascending id keeps
-retrieval reproducible across runs.
+A query screens every example with a plain float dot product, then scores
+the few that can reach the top k with the same compensated dot product as
+:func:`cosine`, so a retrieved score equals ``cosine`` bit for bit.  The
+store computes each example's norm once, at construction; a query computes
+its own norm once and keeps the top k on a heap, building results only for
+the winners.  Tie-breaking by ascending id keeps retrieval reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from .errors import (
     DimensionMismatch,
@@ -29,6 +30,12 @@ from .errors import (
 )
 
 STORE_SCHEMA_VERSION = "1"
+
+_UNIT_ROUNDOFF = 2.0**-53
+# Screening applies where |q|·|v| lies in this range for every example: no
+# product of components can overflow, and underflow stays far below a unit of
+# roundoff.  Outside it every example is scored exactly.
+_SCREEN_MIN, _SCREEN_MAX = 2.0**-500, 2.0**500
 
 
 def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
@@ -95,6 +102,7 @@ class ExampleStore:
         self._examples = list(examples)
         self._dim = dim
         self._norms = [ex.embedding.norm() for ex in self._examples]
+        self._norm_range = (min(self._norms, default=0.0), max(self._norms, default=0.0))
 
     @property
     def count(self) -> int:
@@ -132,7 +140,13 @@ def index_examples(examples: list[AnnotatedExample]) -> ExampleStore:
 
 
 def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[ScoredExample]:
-    """Exactly min(k, count) results by descending score, ties by ascending id."""
+    """Exactly min(k, count) results by descending score, ties by ascending id.
+
+    Every example is first screened with a plain float dot product.  Only
+    those whose screened score is within twice its error bound of the k-th
+    best are scored again with :func:`_dot`, so each returned score is the
+    one :func:`cosine` gives.
+    """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if store.count == 0:
@@ -140,21 +154,38 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
     if store.dim is not None and query.dim != store.dim:
         raise DimensionMismatch(f"query dim {query.dim} vs store dim {store.dim}")
     q = query.values
+    n = len(q)
     nq = query.norm()
-
-    def keyed():
+    screened = []
+    for ex, nv in zip(store._examples, store._norms):
         # Same checks, in the same order, as cosine(query, example).
-        for i, (ex, nv) in enumerate(zip(store._examples, store._norms)):
-            v = ex.embedding.values
-            if len(v) != len(q):
-                raise DimensionMismatch(f"dims {len(q)} vs {len(v)}")
-            if nq == 0.0 or nv == 0.0:
-                raise ZeroVector("cosine undefined for zero vector")
-            yield -(_dot(q, v) / (nq * nv)), ex.id, i
+        v = ex.embedding.values
+        if len(v) != n:
+            raise DimensionMismatch(f"dims {n} vs {len(v)}")
+        if nq == 0.0 or nv == 0.0:
+            raise ZeroVector("cosine undefined for zero vector")
+        screened.append(sum(map(operator.mul, q, v)) / (nq * nv))
 
+    candidates: Iterable[int] = range(len(screened))
+    smallest, largest = store._norm_range
+    if len(screened) > k and _SCREEN_MIN < nq * smallest and nq * largest < _SCREEN_MAX:
+        # The plain sum of n products is off from the compensated one by at
+        # most γ_n·|q|·|v|; five more units of roundoff cover the rounded
+        # norms, the two divisions and any underflowed product, so no score
+        # moves by more than `err`.  An example screened below the k-th best
+        # by more than 2·err scores below k others and cannot be returned.
+        m = (n + 5) * _UNIT_ROUNDOFF
+        err = m / (1.0 - m)
+        floor = heapq.nlargest(k, screened)[-1] - 2.0 * err
+        candidates = [i for i, score in enumerate(screened) if score >= floor]
+
+    examples, norms = store._examples, store._norms
+    keyed = (
+        (-(_dot(q, examples[i].embedding.values) / (nq * norms[i])), examples[i].id, i)
+        for i in candidates
+    )
     return [
-        ScoredExample(store._examples[i], -neg_score)
-        for neg_score, _, i in heapq.nsmallest(k, keyed())
+        ScoredExample(examples[i], -neg_score) for neg_score, _, i in heapq.nsmallest(k, keyed)
     ]
 
 

@@ -245,6 +245,12 @@ def tree_digest(root: Path) -> dict[str, str]:
     return out
 
 
+def cache_keys(cache_dir: Path) -> list[str]:
+    """The keys in a stage's completion log, in file order."""
+    with open(Path(cache_dir) / "completions.jsonl", encoding="utf-8") as fh:
+        return [json.loads(line)["key"] for line in fh]
+
+
 def write_shared_fixtures(root: Path) -> dict[str, Path]:
     """Corpus export, exemplar store, general data, bench, and config shared
     by both runs of the determinism check."""

@@ -7,6 +7,7 @@ import sys
 import threading
 
 import pytest
+from conftest import cache_keys
 
 from herald.errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
 from herald.gateway import (
@@ -216,7 +217,7 @@ class TestCache:
         gw.close()
         assert gw.stats["provider_calls"] == 2
         assert gw.stats["cache_hits"] == 1
-        assert len(list((tmp_path / "cache").iterdir())) == 2
+        assert len(cache_keys(tmp_path / "cache")) == 2
 
     def test_cache_directory_made_once_on_first_write(self, tmp_path, monkeypatch):
         import pathlib
@@ -241,7 +242,7 @@ class TestCache:
             gw.close()
         assert gw.stats["provider_calls"] == 65
         assert made == [cache]
-        assert len(list(cache.iterdir())) == 65
+        assert len(cache_keys(cache)) == 65
 
     def test_no_cache_directory_without_a_write(self, tmp_path):
         class Fatal:
@@ -273,6 +274,22 @@ class TestCache:
         assert gw.stats["provider_calls"] == 2
         assert gw.stats["cache_hits"] == 0
         assert not (tmp_path / "cache").exists()
+
+    def test_truncated_and_failed_completions_are_counted(self):
+        class Mixed:
+            name = "mixed"
+
+            def generate(self, request, sample_index):
+                if sample_index % 3 == 1:
+                    return Completion(text="theorem t :", finish_reason=FinishReason.LENGTH)
+                if sample_index % 3 == 2:
+                    return Completion(text="", finish_reason=FinishReason.ERROR)
+                return Completion(text="ok")
+
+        with Gateway() as gw:
+            gw.complete(CompletionRequest(prompt_text="p", sample_count=7), Mixed())
+        assert gw.stats == {"provider_calls": 7, "retries": 0, "cache_hits": 0,
+                            "truncated": 2, "failed": 2}
 
     def test_submitted_sample_shares_the_key_of_its_index(self, tmp_path):
         config = GatewayConfig(cache_dir=tmp_path / "cache")

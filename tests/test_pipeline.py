@@ -3,6 +3,8 @@ backend lifetime."""
 
 from __future__ import annotations
 
+import json
+import logging
 import os
 import random
 import re
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
-from conftest import make_wide_corpus, tree_digest
+from conftest import cache_keys, make_wide_corpus, tree_digest
 
 from herald import depgraph, validate
 from herald.config import BackendConfig, PipelineConfig, RoleConfig
@@ -167,7 +169,7 @@ def test_resume_after_truncation_at_any_offset(tmp_path, target):
         assert recorder.calls == [], "every lost record is still in the cache"
 
 
-@pytest.mark.parametrize("target", ["statements_level_0.jsonl"])
+@pytest.mark.parametrize("target", ["statements_level_0.jsonl", "cache/completions.jsonl"])
 def test_torn_line_before_the_last_is_an_error(tmp_path, target):
     index = make_wide_corpus(n=12)
     out = tmp_path / "inf"
@@ -201,6 +203,107 @@ def test_completion_ledger_of_an_older_run_is_ignored(tmp_path):
     assert recorder.calls == []
     assert tree_without_manifest(out) == before
     assert (out / "completed.jsonl").read_bytes() == stale
+
+
+def test_resume_after_log_truncation_at_any_offset(tmp_path):
+    index = make_wide_corpus(n=24)
+    ref = tmp_path / "ref"
+    informalize(index, ref, RecordingInformalizer())
+    data = (ref / "cache" / "completions.jsonl").read_bytes()
+    rng = random.Random(11)
+    offsets = {0, data.index(b"\n") + 1, len(data) - 1, *rng.sample(range(len(data)), 5)}
+    for offset in sorted(offsets):
+        out = tmp_path / f"cut{offset}"
+        shutil.copytree(ref, out)
+        for path in level_files(out) + [out / "proofs.jsonl"]:
+            path.unlink()  # a kill loses the records of every lost completion
+        os.truncate(out / "cache" / "completions.jsonl", offset)
+        recorder = RecordingInformalizer()
+        informalize(index, out, recorder)
+        lost = data.count(b"\n") - data[:offset].count(b"\n")
+        assert len(recorder.calls) == lost, offset
+        assert tree_digest(out) == tree_digest(ref), offset
+
+
+@pytest.mark.parametrize("damage", ["leftover tmp", "unsorted log"])
+def test_rerun_without_misses_leaves_one_sorted_log(tmp_path, damage):
+    index = make_wide_corpus(n=12)
+    ref = tmp_path / "ref"
+    informalize(index, ref, RecordingInformalizer())
+    out = tmp_path / "inf"
+    shutil.copytree(ref, out)
+    log = out / "cache" / "completions.jsonl"
+    if damage == "leftover tmp":  # a kill during the rewrite at close
+        (out / "cache" / "completions.tmp").write_bytes(log.read_bytes()[:100])
+    else:  # a kill before it: lines in the order the pool threads appended them
+        lines = log.read_bytes().splitlines(keepends=True)
+        random.Random(3).shuffle(lines)
+        log.write_bytes(b"".join(lines))
+    recorder = RecordingInformalizer()
+    informalize(index, out, recorder)
+    assert recorder.calls == []
+    assert tree_without_manifest(out) == tree_without_manifest(ref)
+
+
+def test_per_file_cache_of_an_older_version_is_not_read(tmp_path):
+    index = make_wide_corpus(n=12)
+    ref = tmp_path / "ref"
+    reference = RecordingInformalizer()
+    informalize(index, ref, reference)
+    out = tmp_path / "inf"
+    (out / "cache").mkdir(parents=True)
+    # The older layout: one <key>.json file per sample, same key digest.
+    for line in (ref / "cache" / "completions.jsonl").read_text("utf-8").splitlines():
+        entry = json.loads(line)
+        (out / "cache" / f"{entry.pop('key')}.json").write_text(json.dumps(entry), "utf-8")
+    recorder = RecordingInformalizer()
+    informalize(index, out, recorder)
+    assert sorted(recorder.calls) == sorted(reference.calls)
+    assert cache_keys(out / "cache") == cache_keys(ref / "cache")
+
+
+class InterruptedInformalizer(RecordingInformalizer):
+    """Raises KeyboardInterrupt, as Ctrl-C would, from its 20th call on."""
+
+    def generate(self, request, sample_index):
+        if len(self.calls) >= 20:
+            raise KeyboardInterrupt
+        return super().generate(request, sample_index)
+
+
+@pytest.mark.parametrize("error", [BudgetExceeded, KeyboardInterrupt])
+def test_log_is_closed_and_sorted_when_a_stage_raises(tmp_path, monkeypatch, error):
+    from herald import gateway
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(gateway, "open", recording_open, raising=False)
+    out = tmp_path / "inf"
+    with pytest.raises(error):
+        if error is BudgetExceeded:
+            informalize(make_wide_corpus(), out, RecordingInformalizer(), request_budget=20)
+        else:
+            informalize(make_wide_corpus(), out, InterruptedInformalizer())
+    assert opened and all(handle.closed for handle in opened)
+    keys = cache_keys(out / "cache")
+    assert len(keys) >= 10 and keys == sorted(keys)
+
+
+def test_each_stage_logs_its_gateway_counters_at_close(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="herald.pipeline")
+    index = make_wide_corpus(n=12)
+    informalize(index, tmp_path / "inf", RecordingInformalizer())
+    run_augment(index, PipelineConfig(), tmp_path / "aug", tactic=True)
+    validate_run(write_bench(tmp_path / "bench.jsonl", 2), tmp_path / "val")
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert [line.split(":")[0] for line in lines] == ["informalize", "augment", "validate"]
+    for line in lines:
+        for counter in ("provider_calls", "retries", "cache_hits", "truncated", "failed"):
+            assert f"{counter} " in line
 
 
 def _record_repl_processes(monkeypatch) -> list:
@@ -371,7 +474,7 @@ def test_validate_report_waits_for_its_slowest_sample(tmp_path):
                             max_in_flight=8)
     summary = run_validate(bench, config, tmp_path / "val", k=6)
     assert summary.succeeded == 1
-    assert len(list((tmp_path / "val" / "cache").iterdir())) == 6 + 2
+    assert len(cache_keys(tmp_path / "val" / "cache")) == 6 + 2
 
 
 def test_validate_resume_after_truncation_at_any_offset(tmp_path):

@@ -234,6 +234,32 @@ class TestQueryKnn:
         )
         assert [(h.score, h.example.id) for h in got] == oracle
 
+    def test_tie_that_the_screening_sum_splits_still_breaks_by_id(self):
+        # Both dot products are exactly 1 + 2**-52, but summed left to right
+        # the first rounds to 1 and the second does not, so the screen ranks
+        # "b" ahead by one unit; the exact rescore must still put "a" first.
+        tiny = 2.0**-53
+        examples = [
+            AnnotatedExample(id=i, formal_text="t", informal_text="s", embedding=vec(*values))
+            for i, values in (("a", (1.0, tiny, tiny)), ("b", (tiny, tiny, 1.0)),
+                              ("c", (0.0, 1.0, 0.0)))
+        ]
+        [hit] = query_knn(index_examples(examples), vec(1, 1, 1), k=1)
+        assert hit.example.id == "a"
+        assert hit.score == cosine(vec(1, 1, 1), examples[0].embedding)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_norms_outside_the_screened_range_match_the_oracle(self, scale):
+        rng = random.Random(4)
+        examples = [example(i, [scale * rng.gauss(0, 1) for _ in range(8)]) for i in range(30)]
+        query = vec(*(scale * rng.gauss(0, 1) for _ in range(8)))
+        got = query_knn(index_examples(examples), query, k=5)
+        oracle = sorted(
+            ((cosine(query, ex.embedding), ex.id) for ex in examples),
+            key=lambda t: (-t[0], t[1]),
+        )[:5]
+        assert [(h.score, h.example.id) for h in got] == oracle
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.001, max_value=1000.0))
     def test_ranking_is_scale_invariant(self, seed, scale):
