@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import pipeline
 from . import datastore as ds
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, parse_ratio
 from .validate import summary_table
 from .errors import (
     BudgetExceeded,
@@ -94,13 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_ratio_flag(text: str) -> tuple[int, int, int]:
-    parts = tuple(int(x) for x in text.split(":"))
-    if len(parts) != 3 or any(v < 1 for v in parts):
-        raise InvalidInput(f"ratio must be three positive integers, got {text!r}")
-    return parts
-
-
 def _load_pairs_arg(path: Path) -> list[ds.NLFLPair]:
     if path.is_dir():
         return pipeline.load_statement_pairs(path)
@@ -163,9 +156,9 @@ def main(argv: list[str] | None = None) -> int:
 
         elif args.command == "mix":
             if args.ratio:
-                config.ratio = _parse_ratio_flag(args.ratio)
+                config.ratio = parse_ratio(args.ratio)
             if args.dirmix:
-                config.dirmix = _parse_ratio_flag(args.dirmix)
+                config.dirmix = parse_ratio(args.dirmix)
             general_path = args.general or config.general_data
             if general_path is None:
                 raise InvalidInput("mix needs --general or paths.general_data in config")

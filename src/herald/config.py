@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .errors import InvalidInput, SchemaError
 from .gateway import (
+    SAMPLE_CAP,
     Gateway,
     GatewayConfig,
     HttpChatProvider,
@@ -97,13 +98,14 @@ class BackendConfig:
         raise InvalidInput(f"unknown backend kind {self.kind!r}")
 
 
-def _parse_ratio(text: str, parts: int) -> tuple[int, ...]:
+def parse_ratio(text: str) -> tuple[int, int, int]:
+    """``a:b:c`` with three positive integers, from the config file or a flag."""
     try:
         values = tuple(int(p) for p in text.split(":"))
     except ValueError:
         raise InvalidInput(f"ratio must look like 1:2:1, got {text!r}") from None
-    if len(values) != parts or any(v < 1 for v in values):
-        raise InvalidInput(f"ratio needs {parts} positive components, got {text!r}")
+    if len(values) != 3 or any(v < 1 for v in values):
+        raise InvalidInput(f"ratio needs 3 positive components, got {text!r}")
     return values
 
 
@@ -141,8 +143,8 @@ class PipelineConfig:
     config_digest: str = "unconfigured"
 
     def __post_init__(self):
-        if not 1 <= self.pass_k <= 256:
-            raise InvalidInput(f"pass_k must be in [1, 256], got {self.pass_k}")
+        if not 1 <= self.pass_k <= SAMPLE_CAP:
+            raise InvalidInput(f"pass_k must be in [1, {SAMPLE_CAP}], got {self.pass_k}")
         if self.retrieval_k < 1:
             raise InvalidInput(f"retrieval_k must be >= 1, got {self.retrieval_k}")
         for name in _PATH_KEYS:
@@ -235,7 +237,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     try:
         for key in ("ratio", "dirmix"):
             if key in knobs:
-                knobs[key] = _parse_ratio(knobs[key], 3)
+                knobs[key] = parse_ratio(knobs[key])
         if "command" in backend_doc:
             backend_doc["command"] = tuple(backend_doc["command"] or ())
         return PipelineConfig(

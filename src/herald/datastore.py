@@ -1,6 +1,9 @@
 """NL-FL pair persistence and training-mixture assembly.
 
-The on-disk format is JSONL, one pair per line, fields in fixed order.
+Every record file herald reads, resumes or rewrites is JSONL, one record per
+line.  This module holds the one reader (:func:`read_jsonl`), the torn-line
+rule for resumable files (:func:`drop_torn_tail`) and the one atomic replace
+(:func:`replace_atomic`); pairs are written with fields in fixed order.
 Mixtures realize the configured provenance ratio (default 1:2:1 over
 original, tactic-augmented, informal-augmented pairs) and direction ratio
 (default 2:2:1 over NL->FL, FL->NL, general instruction data) with
@@ -17,12 +20,15 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import EmptyPool, InvalidInput, SchemaError
 
 logger = logging.getLogger(__name__)
 
 DATASET_SCHEMA_VERSION = "1"
+
+T = TypeVar("T")
 
 
 class Direction(str, Enum):
@@ -91,23 +97,35 @@ def pair_from_dict(obj: dict) -> NLFLPair:
     )
 
 
-def write_pairs(pairs: list[NLFLPair], path: str | Path) -> int:
-    """One JSON object per line, UTF-8, fields in fixed order; fsynced."""
+def pair_line(pair: NLFLPair) -> str:
+    """One record-file line, newline included: fields in fixed order, UTF-8."""
+    return json.dumps(pair_to_dict(pair), ensure_ascii=False) + "\n"
+
+
+def _write_synced(path: str | Path, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair_to_dict(pair), ensure_ascii=False) + "\n")
+        fh.writelines(lines)
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def write_pairs(pairs: list[NLFLPair], path: str | Path) -> int:
+    """One JSON object per line (:func:`pair_line`); fsynced."""
+    _write_synced(path, map(pair_line, pairs))
     return len(pairs)
 
 
-def write_pairs_atomic(pairs: list[NLFLPair], path: str | Path) -> int:
-    """Write via a temp file in the same directory, then rename into place."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    count = write_pairs(pairs, tmp)
+def replace_atomic(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace ``path`` by ``lines``: write and fsync ``<stem>.tmp`` beside it,
+    then rename it into place, so a kill leaves the old file or the new one."""
+    tmp = Path(path).with_suffix(".tmp")
+    _write_synced(tmp, lines)
     os.replace(tmp, path)
-    return count
+
+
+def write_pairs_atomic(pairs: list[NLFLPair], path: str | Path) -> int:
+    replace_atomic(path, map(pair_line, pairs))
+    return len(pairs)
 
 
 def drop_torn_tail(path: Path) -> None:
@@ -115,7 +133,9 @@ def drop_torn_tail(path: Path) -> None:
 
     Every record is written as one newline-terminated line, so only the last
     line of a file can be torn.  A malformed line before it stays an error
-    for the reader.
+    for the reader.  The resumable files (the informalize level files and
+    ``proofs.jsonl``, ``reports.jsonl``, the completion log) pass through
+    this before :func:`read_jsonl`; input files are read as they are.
     """
     data = path.read_bytes()
     keep = data.rfind(b"\n") + 1
@@ -124,17 +144,27 @@ def drop_torn_tail(path: Path) -> None:
         os.truncate(path, keep)
 
 
-def read_pairs(path: str | Path) -> list[NLFLPair]:
-    pairs = []
+def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> Iterator[T]:
+    """``parse(json.loads(line))`` for each line of ``path``, lazily; blank
+    lines are skipped.
+
+    A line that is not JSON, or that ``parse`` fails on for a missing key, a
+    wrong type or a rejected value, is a :class:`SchemaError` ``bad {what}``
+    located at ``{path}: line {n}``.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                pairs.append(pair_from_dict(json.loads(line)))
-            except (KeyError, ValueError, TypeError, InvalidInput) as exc:
-                raise SchemaError(f"bad pair record: {exc}", f"line {lineno}") from exc
-    return pairs
+                record = parse(json.loads(line))
+            except (KeyError, TypeError, ValueError, InvalidInput) as exc:
+                raise SchemaError(f"bad {what}: {exc}", f"{path}: line {lineno}") from exc
+            yield record
+
+
+def read_pairs(path: str | Path) -> list[NLFLPair]:
+    return list(read_jsonl(path, pair_from_dict, "pair record"))
 
 
 def split_by_ratio(total: int, ratio: tuple[int, ...]) -> list[int]:

@@ -25,14 +25,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Protocol, TextIO
 
-from .datastore import drop_torn_tail
-from .errors import (
-    BudgetExceeded,
-    InvalidInput,
-    ProviderError,
-    ProviderExhausted,
-    SchemaError,
-)
+from .datastore import drop_torn_tail, read_jsonl, replace_atomic
+from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
 
 # Section markers used by prompt builders; the mocks parse them back out.
 TRANSLATE_MARKER = "INFORMAL STATEMENT:"
@@ -41,6 +35,10 @@ NLI_ORIGINAL_MARKER = "ORIGINAL STATEMENT:"
 NLI_CANDIDATE_MARKER = "BACK-TRANSLATED STATEMENT:"
 STRATEGY_MARKER = "REWRITE STRATEGY:"
 STRATEGY_TEXT_MARKER = "STATEMENT TO REWRITE:"
+
+# Most samples one request may ask for; also the bound on ``pass_k`` and on
+# validate's ``--k``, which draw that many per item.
+SAMPLE_CAP = 256
 
 
 def digest(prompt_text: str) -> str:
@@ -98,7 +96,6 @@ class GatewayConfig:
     retry_limit: int = 3
     backoff_base_ms: int = 50
     cache_dir: Path | None = None
-    sample_cap: int = 256
     request_budget: int | None = None
 
     def __post_init__(self):
@@ -139,12 +136,12 @@ class _CompletionLog:
     """``cache/completions.jsonl``: the completions paid for, one line per sample.
 
     Read once, on construction, into a dict, so a hit never touches the disk;
-    a torn final line is dropped as for every other JSONL file.  Each new
-    entry is appended as one flushed line, the directory and the append
+    a torn final line is dropped as for every resumable record file.  Each
+    new entry is appended as one flushed line, the directory and the append
     handle made on the first.  :meth:`close` rewrites the log in key order
-    through a temporary file, so a finished run leaves one sorted file
-    whatever order the pool threads appended in.  One writing process per
-    output directory is assumed.
+    with :func:`datastore.replace_atomic`, so a finished run leaves one
+    sorted file whatever order the pool threads appended in.  One writing
+    process per output directory is assumed.
     """
 
     NAME = "completions.jsonl"
@@ -153,22 +150,9 @@ class _CompletionLog:
         self._path = Path(directory) / self.NAME
         self._entries: dict[str, Completion] = {}
         self._handle: TextIO | None = None
-        if not self._path.exists():
-            return
-        drop_torn_tail(self._path)
-        with open(self._path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    obj = json.loads(line)
-                    self._entries[obj["key"]] = Completion(
-                        text=obj["text"],
-                        finish_reason=FinishReason(obj["finish_reason"]),
-                        provider_meta=obj["provider_meta"],
-                    )
-                except (KeyError, TypeError, ValueError, InvalidInput) as exc:
-                    raise SchemaError(
-                        f"bad cache entry: {exc}", f"{self._path}: line {lineno}"
-                    ) from exc
+        if self._path.exists():
+            drop_torn_tail(self._path)
+            self._entries = dict(read_jsonl(self._path, _log_entry, "cache entry"))
 
     def get(self, key: str) -> Completion | None:
         return self._entries.get(key)
@@ -185,12 +169,19 @@ class _CompletionLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        if not self._entries:
-            return
-        tmp = self._path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(_log_line(key, self._entries[key]) for key in sorted(self._entries))
-        os.replace(tmp, self._path)
+        if self._entries:
+            replace_atomic(
+                self._path, (_log_line(key, self._entries[key]) for key in sorted(self._entries))
+            )
+
+
+def _log_entry(obj: dict) -> tuple[str, Completion]:
+    completion = Completion(
+        text=obj["text"],
+        finish_reason=FinishReason(obj["finish_reason"]),
+        provider_meta=obj["provider_meta"],
+    )
+    return obj["key"], completion
 
 
 def _log_line(key: str, completion: Completion) -> str:
@@ -263,10 +254,8 @@ class Gateway:
 
     def complete(self, request: CompletionRequest, provider: CompletionProvider) -> list[Completion]:
         """Exactly ``sample_count`` completions in sample order."""
-        if request.sample_count > self.config.sample_cap:
-            raise InvalidInput(
-                f"sample_count {request.sample_count} exceeds cap {self.config.sample_cap}"
-            )
+        if request.sample_count > SAMPLE_CAP:
+            raise InvalidInput(f"sample_count {request.sample_count} exceeds cap {SAMPLE_CAP}")
         first = request.sample_offset
         if request.sample_count == 1:
             return [self._one_sample(request, provider, first)]

@@ -21,7 +21,7 @@ from . import datastore as ds
 from . import depgraph, ingest, prompts, retrieval, validate
 from .config import PipelineConfig
 from .errors import InvalidInput, SchemaError
-from .gateway import Completion, Gateway
+from .gateway import SAMPLE_CAP, Completion, Gateway
 from .records import CorpusIndex
 
 logger = logging.getLogger(__name__)
@@ -220,14 +220,11 @@ class _OrderedDispatch:
 
 
 def _existing_pair_ids(out_dir: Path) -> dict[str, ds.NLFLPair]:
-    """Pairs already on disk from an interrupted run, keyed by id."""
-    found: dict[str, ds.NLFLPair] = {}
-    for path in level_files(out_dir) + [out_dir / "proofs.jsonl"]:
-        if path.exists():
-            ds.drop_torn_tail(path)
-            for pair in ds.read_pairs(path):
-                found[pair.id] = pair
-    return found
+    """Pairs already on disk from an interrupted run, keyed by id; a torn
+    final line is dropped first."""
+    for path in _pair_files(out_dir):
+        ds.drop_torn_tail(path)
+    return {pair.id: pair for pair in load_statement_pairs(out_dir)}
 
 
 def _load_registry(config: PipelineConfig) -> prompts.TemplateRegistry:
@@ -366,9 +363,7 @@ def run_informalize(
         path = out_dir / (
             f"statements_level_{pair.level}.jsonl" if is_statement else "proofs.jsonl"
         )
-        dispatch.finish(
-            pair.id, path, json.dumps(ds.pair_to_dict(pair), ensure_ascii=False) + "\n"
-        )
+        dispatch.finish(pair.id, path, ds.pair_line(pair))
         counts["statements_written" if is_statement else "proofs_written"] += 1
 
     # Dispatch state, touched only by this thread.  waiting[name] counts the
@@ -462,14 +457,14 @@ def run_informalize(
     return counts
 
 
-def load_statement_pairs(informalize_dir: Path) -> list[ds.NLFLPair]:
-    pairs: list[ds.NLFLPair] = []
-    for path in level_files(informalize_dir):
-        pairs.extend(ds.read_pairs(path))
+def _pair_files(informalize_dir: Path) -> list[Path]:
+    """The level files, then ``proofs.jsonl`` if there is one."""
     proofs = Path(informalize_dir) / "proofs.jsonl"
-    if proofs.exists():
-        pairs.extend(ds.read_pairs(proofs))
-    return pairs
+    return level_files(informalize_dir) + ([proofs] if proofs.exists() else [])
+
+
+def load_statement_pairs(informalize_dir: Path) -> list[ds.NLFLPair]:
+    return [pair for path in _pair_files(informalize_dir) for pair in ds.read_pairs(path)]
 
 
 # --- augment ------------------------------------------------------------------
@@ -594,28 +589,20 @@ def run_augment(
 # --- mix ------------------------------------------------------------------------
 
 
+def _general_pair(obj: dict) -> ds.NLFLPair:
+    return ds.NLFLPair(
+        id=obj["id"],
+        formal_text="",
+        informal_text=obj["text"],
+        direction=None,
+        provenance=ds.Provenance.GENERAL,
+        record_type="instruction",
+    )
+
+
 def load_general_pairs(path: Path) -> list[ds.NLFLPair]:
     """General-domain instruction data: JSONL rows {id, text}."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                pairs.append(
-                    ds.NLFLPair(
-                        id=obj["id"],
-                        formal_text="",
-                        informal_text=obj["text"],
-                        direction=None,
-                        provenance=ds.Provenance.GENERAL,
-                        record_type="instruction",
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise SchemaError(f"bad general record: {exc}", f"line {lineno}") from exc
-    return pairs
+    return list(ds.read_jsonl(path, _general_pair, "general record"))
 
 
 def run_mix(
@@ -647,24 +634,16 @@ def run_mix(
 # --- validate ---------------------------------------------------------------------
 
 
+def _benchmark_item(obj: dict) -> dict:
+    return {
+        "id": str(obj["id"]),
+        "informal_text": obj["informal_text"],
+        "header": obj.get("header"),
+    }
+
+
 def load_benchmark(path: Path) -> list[dict]:
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                items.append(
-                    {
-                        "id": str(obj["id"]),
-                        "informal_text": obj["informal_text"],
-                        "header": obj.get("header"),
-                    }
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise SchemaError(f"bad benchmark record: {exc}", f"line {lineno}") from exc
-    return items
+    return list(ds.read_jsonl(path, _benchmark_item, "benchmark record"))
 
 
 def _written_report_count(path: Path, items: list[dict], k: int, short_circuit: bool) -> int:
@@ -682,7 +661,7 @@ def _written_report_count(path: Path, items: list[dict], k: int, short_circuit: 
         if report.item_id != expected:
             raise SchemaError(
                 f"report for {report.item_id!r} where the benchmark has {expected!r}",
-                f"{path}: line {count + 1}",
+                f"{path}: report {count + 1}",
             )
         if (report.k, report.short_circuit) != (k, short_circuit):
             raise InvalidInput(
@@ -716,11 +695,13 @@ def run_validate(
     paid for coming from the cache.  ``summary.json`` and the manifest are
     built from the whole file.
     """
+    k = k if k is not None else config.pass_k
+    if not 1 <= k <= SAMPLE_CAP:
+        raise InvalidInput(f"k must be in [1, {SAMPLE_CAP}], got {k}")
     out_dir.mkdir(parents=True, exist_ok=True)
     items = load_benchmark(bench_path)
     if not items:
         raise InvalidInput(f"benchmark {bench_path} is empty")
-    k = k if k is not None else config.pass_k
     roles = validate.Roles(
         translator=config.role("translator"),
         back_translator=config.role("back_translator"),

@@ -8,7 +8,6 @@ not code.  Assembly is pure: equal contexts produce byte-identical prompts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -104,8 +103,6 @@ class PromptTemplate:
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    template_id: str
-    context_digest: str
 
 
 class TemplateRegistry:
@@ -264,15 +261,7 @@ def _render(template: PromptTemplate, contents: dict[str, str]) -> RenderedPromp
             parts.append(f"{seg.label}\n{content}\n")
         else:
             parts.append(f"{content}\n")
-    text = "\n".join(parts)
-    payload = json.dumps(
-        {"template": template.id, "contents": contents}, sort_keys=True, ensure_ascii=False
-    )
-    return RenderedPrompt(
-        text=text,
-        template_id=template.id,
-        context_digest=hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-    )
+    return RenderedPrompt(text="\n".join(parts))
 
 
 def assemble_statement_prompt(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
+from .datastore import read_jsonl
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -215,6 +216,15 @@ def save_store(store: ExampleStore, directory: str | Path) -> None:
             )
 
 
+def _example_from_dict(obj: dict) -> AnnotatedExample:
+    return AnnotatedExample(
+        id=obj["id"],
+        formal_text=obj["formal_text"],
+        informal_text=obj["informal_text"],
+        embedding=EmbeddingVector(tuple(float(x) for x in obj["embedding"])),
+    )
+
+
 def load_store(directory: str | Path) -> ExampleStore:
     directory = Path(directory)
     try:
@@ -226,24 +236,9 @@ def load_store(directory: str | Path) -> ExampleStore:
             f"unsupported store schema_version {meta.get('schema_version')!r}",
             str(directory / "meta.json"),
         )
-    examples = []
-    with open(directory / "examples.jsonl", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                examples.append(
-                    AnnotatedExample(
-                        id=obj["id"],
-                        formal_text=obj["formal_text"],
-                        informal_text=obj["informal_text"],
-                        embedding=EmbeddingVector(tuple(float(x) for x in obj["embedding"])),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise SchemaError(f"bad example record: {exc}", f"examples.jsonl:{lineno}") from exc
-    store = index_examples(examples)
+    store = index_examples(
+        list(read_jsonl(directory / "examples.jsonl", _example_from_dict, "example record"))
+    )
     if meta.get("count") != store.count:
         raise SchemaError(
             f"meta count {meta.get('count')} != {store.count} records",

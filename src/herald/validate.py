@@ -22,7 +22,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from .errors import BackendUnavailable, InvalidInput, MixedK, SchemaError
+from .datastore import read_jsonl
+from .errors import BackendUnavailable, InvalidInput, MixedK
 from .gateway import (
     BACK_TRANSLATE_MARKER,
     NLI_CANDIDATE_MARKER,
@@ -57,13 +58,11 @@ class MockCompilerBackend:
     def __init__(self, default_ok: bool = False):
         self.default_ok = default_ok
         self._outcomes: dict[str, CompileOutcome] = {}
-        self.checked: list[str] = []
 
     def script(self, source: str, ok: bool, diagnostics: Sequence[str] = ()) -> None:
         self._outcomes[digest(source)] = CompileOutcome(ok, tuple(diagnostics))
 
     def check(self, source: str, timeout_ms: int) -> CompileOutcome:
-        self.checked.append(digest(source))
         outcome = self._outcomes.get(digest(source))
         if outcome is not None:
             return outcome
@@ -587,10 +586,4 @@ def report_from_dict(obj: dict) -> ValidationReport:
 def read_reports(path: str | Path) -> Iterator[ValidationReport]:
     """The reports of a ``reports.jsonl``, one at a time; a malformed line is a
     :class:`SchemaError` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                report = report_from_dict(json.loads(line))
-            except (KeyError, ValueError, TypeError, InvalidInput) as exc:
-                raise SchemaError(f"bad report: {exc}", f"{path}: line {lineno}") from exc
-            yield report
+    return read_jsonl(path, report_from_dict, "report")

@@ -280,3 +280,47 @@ class TestAugmentMixValidateStats:
         assert run("--out", str(tmp_path / "s"), "stats", "--data", str(data)) == 0
         out = capsys.readouterr().out
         assert "total records" in out
+
+
+class TestBadInputExits2:
+    @pytest.fixture
+    def pairs_file(self, tmp_path) -> Path:
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"id": f"p{i}", "formal_text": "f", "informal_text": "i",
+                            "direction": "nl_to_fl", "provenance": "original"}) + "\n"
+                for i in range(4)
+            ),
+            encoding="utf-8",
+        )
+        return path
+
+    def mix(self, tmp_path, pairs_file, *extra, tactic_aug=None):
+        general = tmp_path / "general.jsonl"
+        general.write_text('{"id": "g", "text": "t"}\n', encoding="utf-8")
+        return run("--out", str(tmp_path / "mix"), "mix", "--original", str(pairs_file),
+                   "--tactic-aug", str(tactic_aug or pairs_file),
+                   "--informal-aug", str(pairs_file), "--general", str(general),
+                   "--total", "4", *extra)
+
+    def test_malformed_input_file_is_named(self, tmp_path, pairs_file, capsys):
+        bad = tmp_path / "bad_tactic.jsonl"
+        bad.write_text(pairs_file.read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
+        assert self.mix(tmp_path, pairs_file, tactic_aug=bad) == 2
+        assert f"{bad}: line 5: bad pair record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--ratio", "--dirmix"])
+    @pytest.mark.parametrize("value", ["1:x:1", "1:2", "0:1:1"])
+    def test_bad_ratio_flag(self, tmp_path, pairs_file, capsys, flag, value):
+        assert self.mix(tmp_path, pairs_file, flag, value) == 2
+        assert repr(value) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "257"])
+    def test_k_out_of_range(self, tmp_path, capsys, k):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "b0", "informal_text": "p holds."}\n', encoding="utf-8")
+        out = tmp_path / "val"
+        assert run("--out", str(out), "validate", "--bench", str(bench), "--k", k) == 2
+        assert f"k must be in [1, 256], got {k}" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,4 +1,4 @@
-"""Pair persistence, direction mirroring, ratio mixing, dataset stats."""
+"""Pair persistence, record-file readers, ratio mixing, dataset stats."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from herald.datastore import (
     NLFLPair,
     Provenance,
     mix,
+    pair_to_dict,
     read_pairs,
     split_by_ratio,
     stats,
@@ -23,6 +24,10 @@ from herald.datastore import (
     write_pairs_atomic,
 )
 from herald.errors import EmptyPool, InvalidInput, SchemaError
+from herald.gateway import Gateway, GatewayConfig
+from herald.pipeline import load_benchmark, load_general_pairs
+from herald.retrieval import STORE_SCHEMA_VERSION, load_store
+from herald.validate import read_reports
 
 
 def pair(
@@ -120,7 +125,7 @@ class TestWriteRead:
         write_pairs_atomic([pair(2)], path)
         [only] = read_pairs(path)
         assert only.id.endswith("00002")
-        assert not path.with_name(path.name + ".tmp").exists()
+        assert not path.with_suffix(".tmp").exists()
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 10000), max_size=25, unique=True))
@@ -321,3 +326,88 @@ class TestStats:
         with pytest.raises(SchemaError) as exc:
             stats(path)
         assert "line 2" in str(exc.value)
+
+
+def _read_store(path):
+    meta = {"schema_version": STORE_SCHEMA_VERSION, "dim": 2, "count": 2}
+    (path.parent / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    return load_store(path.parent).count
+
+
+def _read_cache(path):
+    # Closing a gateway reads its log and rewrites what it read, sorted.
+    Gateway(GatewayConfig(cache_dir=path.parent)).close()
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+# name -> (file name, read the file and count its records, a good record i,
+# a record that parses but that the record's constructor rejects)
+READERS = {
+    "pairs": (
+        "pairs.jsonl",
+        lambda path: len(read_pairs(path)),
+        lambda i: pair_to_dict(pair(i)),
+        {"id": "x", "formal_text": "f", "informal_text": "", "direction": "nl_to_fl",
+         "provenance": "original"},
+    ),
+    "reports": (
+        "reports.jsonl",
+        lambda path: len(list(read_reports(path))),
+        lambda i: {"item_id": f"a{i}", "k": 1, "success": False, "candidates": [],
+                   "short_circuit": True},
+        {"item_id": "x", "k": 1, "success": True, "candidates": [], "short_circuit": True},
+    ),
+    "benchmark": (
+        "bench.jsonl",
+        lambda path: len(load_benchmark(path)),
+        lambda i: {"id": f"b{i}", "informal_text": "t"},
+        None,  # items are plain dicts: nothing to reject
+    ),
+    "general": (
+        "general.jsonl",
+        lambda path: len(load_general_pairs(path)),
+        lambda i: {"id": f"g{i}", "text": "t"},
+        {"id": "x", "text": ""},
+    ),
+    "cache log": (
+        "completions.jsonl",
+        _read_cache,
+        lambda i: {"key": f"k{i}", "text": "t", "finish_reason": "stop", "provider_meta": {}},
+        {"key": "x", "text": "t", "finish_reason": "error", "provider_meta": {}},
+    ),
+    "example store": (
+        "examples.jsonl",
+        _read_store,
+        lambda i: {"id": f"e{i}", "formal_text": "f", "informal_text": "i",
+                   "embedding": [1.0, float(i)]},
+        {"id": "x", "formal_text": "", "informal_text": "i", "embedding": [1.0, 0.0]},
+    ),
+}
+
+# The rejected line is each reader's own (the fourth entry above).
+BAD_LINES = {"not json": "{broken", "missing key": json.dumps({"id": "x"}), "rejected": None}
+
+
+class TestRecordReaders:
+    """Every JSONL reader goes through ``read_jsonl``: blank lines are skipped
+    and a bad line is a SchemaError located at ``file: line N``."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_blank_lines_skipped(self, tmp_path, reader):
+        name, read, good, _ = READERS[reader]
+        path = tmp_path / name
+        path.write_text(f"{json.dumps(good(0))}\n\n{json.dumps(good(1))}\n", encoding="utf-8")
+        assert read(path) == 2
+
+    @pytest.mark.parametrize("reader, bad", [
+        (reader, bad) for reader in READERS for bad in BAD_LINES
+        if not (bad == "rejected" and READERS[reader][3] is None)
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, reader, bad):
+        name, read, good, rejected = READERS[reader]
+        path = tmp_path / name
+        line = BAD_LINES[bad] or json.dumps(rejected)
+        path.write_text(f"{json.dumps(good(0))}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as exc:
+            read(path)
+        assert exc.value.path == f"{path}: line 3"

@@ -14,6 +14,7 @@ from herald.gateway import (
     BACK_TRANSLATE_MARKER,
     NLI_CANDIDATE_MARKER,
     NLI_ORIGINAL_MARKER,
+    SAMPLE_CAP,
     Completion,
     CompletionRequest,
     FinishReason,
@@ -138,7 +139,7 @@ class TestComplete:
 
     def test_stress_in_flight_cap(self):
         provider = InstrumentedProvider()
-        gw = Gateway(GatewayConfig(max_in_flight=4, sample_cap=256))
+        gw = Gateway(GatewayConfig(max_in_flight=4))
         threads = [
             threading.Thread(
                 target=lambda: gw.complete(
@@ -155,9 +156,11 @@ class TestComplete:
         assert provider.max_live <= 4
 
     def test_sample_cap(self):
-        gw = Gateway(GatewayConfig(sample_cap=4))
+        gw = Gateway(GatewayConfig())
         with pytest.raises(InvalidInput):
-            gw.complete(CompletionRequest(prompt_text="x", sample_count=5), MockChatProvider())
+            gw.complete(
+                CompletionRequest(prompt_text="x", sample_count=SAMPLE_CAP + 1), MockChatProvider()
+            )
 
     def test_budget_guard(self):
         gw = Gateway(GatewayConfig(request_budget=2))

@@ -203,7 +203,6 @@ class TestStatementPrompt:
         a = assemble_statement_prompt(ctx, default_registry())
         b = assemble_statement_prompt(ctx, default_registry())
         assert a.text == b.text
-        assert a.context_digest == b.context_digest
 
     def test_context_rejects_non_dependency_translation(self):
         with pytest.raises(InvalidInput):
