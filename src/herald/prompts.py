@@ -174,12 +174,15 @@ def default_registry() -> TemplateRegistry:
 def load_tactic_notes(path: str | Path | None = None) -> dict[str, str]:
     """Tactic-name -> explanation map; bundled seed file when no path given."""
     if path is None:
-        text = resources.files("herald").joinpath("data/tactic_notes.json").read_text("utf-8")
+        source = resources.files("herald").joinpath("data/tactic_notes.json")
     else:
-        text = Path(path).read_text(encoding="utf-8")
-    notes = json.loads(text)
+        source = Path(path)
+    try:
+        notes = json.loads(source.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"tactic notes are not valid JSON: {exc}", str(source)) from exc
     if not isinstance(notes, dict):
-        raise SchemaError("tactic notes must be a JSON object")
+        raise SchemaError("tactic notes must be a JSON object", str(source))
     return notes
 
 

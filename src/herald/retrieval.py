@@ -1,12 +1,14 @@
 """Embedded exemplar store with exact cosine-similarity k-NN queries.
 
-A query screens every example with a plain float dot product, then scores
-the few that can reach the top k with the same compensated dot product as
-:func:`cosine`, so a retrieved score equals ``cosine`` bit for bit.  The
-store computes each example's norm once, at construction; a query computes
-its own norm once and keeps the top k on a heap, building results only for
-the winners.  Tie-breaking by ascending id keeps retrieval reproducible
-across runs.
+A query screens every example with a plain float dot product over the
+query's nonzero components only, then scores the few that can reach the top
+k with the same compensated dot product as :func:`cosine`, so a retrieved
+score equals ``cosine`` bit for bit.  The store does once, at construction,
+everything that does not depend on the query: each example's norm and its
+reciprocal, and where the per-example checks of ``cosine`` (a dimension
+mismatch, a zero norm) would first fail.  A query computes its own norm
+once and keeps the top k on a heap, building results only for the winners.
+Tie-breaking by ascending id keeps retrieval reproducible across runs.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .errors import (
 STORE_SCHEMA_VERSION = "1"
 
 _UNIT_ROUNDOFF = 2.0**-53
-# Screening applies where |q|·|v| lies in this range for every example: no
-# product of components can overflow, and underflow stays far below a unit of
-# roundoff.  Outside it every example is scored exactly.
-_SCREEN_MIN, _SCREEN_MAX = 2.0**-500, 2.0**500
+# Screening applies where the query's norm and every example's lie in this
+# range: no square or product of components can overflow, and all underflow
+# together stays below 2^-400 of a unit of roundoff at any practical
+# dimension.  Outside it every example is scored exactly.
+_SCREEN_MIN, _SCREEN_MAX = 2.0**-300, 2.0**300
 
 
 def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
@@ -97,13 +100,44 @@ def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
 
 
 class ExampleStore:
-    """Immutable collection of annotated examples; concurrent queries are safe."""
+    """Immutable collection of annotated examples; concurrent queries are safe.
+
+    Construction scores nothing: a zero-norm or odd-dimension example is an
+    error only when a query reaches it, as with :func:`cosine`.  It records
+    where that happens instead, so a query checks once, not per example.
+    """
 
     def __init__(self, examples: list[AnnotatedExample], dim: int | None):
         self._examples = list(examples)
         self._dim = dim
+        self._values = [ex.embedding.values for ex in self._examples]
         self._norms = [ex.embedding.norm() for ex in self._examples]
-        self._norm_range = (min(self._norms, default=0.0), max(self._norms, default=0.0))
+        self._recips = [1.0 / nv if nv else 0.0 for nv in self._norms]
+        self._screenable = all(_SCREEN_MIN < nv < _SCREEN_MAX for nv in self._norms)
+        # The first example's dim, the index of the first whose dim differs
+        # from it, and of the first with a zero norm; count where none does.
+        lengths = [len(v) for v in self._values]
+        self._lead_dim = lengths[0] if lengths else None
+        self._odd_dim_at = next(
+            (i for i, d in enumerate(lengths) if d != lengths[0]), len(lengths)
+        )
+        self._zero_norm_at = next(
+            (i for i, nv in enumerate(self._norms) if nv == 0.0), len(self._norms)
+        )
+
+    def _check_query(self, n: int, nq: float) -> None:
+        """Raise what cosine(query, example) raises first, scanning in store order.
+
+        ``n`` and ``nq`` are the query's dim and norm.  At each example the
+        dimension is checked before the norms, and a zero-norm query fails
+        at the first example.
+        """
+        odd = 0 if n != self._lead_dim else self._odd_dim_at
+        zero = 0 if nq == 0.0 else self._zero_norm_at
+        if odd <= zero and odd < len(self._values):
+            raise DimensionMismatch(f"dims {n} vs {len(self._values[odd])}")
+        if zero < len(self._values):
+            raise ZeroVector("cosine undefined for zero vector")
 
     @property
     def count(self) -> int:
@@ -143,10 +177,25 @@ def index_examples(examples: list[AnnotatedExample]) -> ExampleStore:
 def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[ScoredExample]:
     """Exactly min(k, count) results by descending score, ties by ascending id.
 
-    Every example is first screened with a plain float dot product.  Only
-    those whose screened score is within twice its error bound of the k-th
-    best are scored again with :func:`_dot`, so each returned score is the
-    one :func:`cosine` gives.
+    Every example is first screened with a plain float dot product over the
+    query's m nonzero components; the others add exact zeros to
+    :func:`cosine`'s sum.  Only examples whose screened score is within
+    twice its error bound of the k-th best are scored again with
+    :func:`_dot`, so each returned score is the one :func:`cosine` gives.
+
+    The screen works in cosine units: with p_j = q_j/|q| rounded once per
+    query and r = 1/|v| rounded once per store, an example screens as
+    ``sum(p_j·v_j)·r``.  Let a_j = q_j·v_j/(|q|·|v|) over the computed norms
+    and γ_i = i·u/(1 - i·u), u the unit roundoff.  The screen is within
+    γ_{m+5}·Σ|a_j| of Σa_j: one unit each for p_j, the product, r and the
+    last multiply, and γ_{m+1} for the sum (γ_{m-1} left to right; Python
+    3.12's compensated sum is within it too).  The rescore is within
+    γ_4·Σ|a_j| (products, fsum, |q|·|v|, division).  Each computed norm is
+    at least (1 - u)² of the exact one, so Cauchy–Schwarz gives
+    Σ|a_j| <= 1 + γ_4, and screen and rescore differ by at most γ_{m+13}.
+    ``err`` = γ_{m+15} adds a unit for rounding the floor and one for
+    underflow.  An example screened below the k-th best by more than
+    2·err scores below k others and cannot be returned.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -155,27 +204,18 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
     if store.dim is not None and query.dim != store.dim:
         raise DimensionMismatch(f"query dim {query.dim} vs store dim {store.dim}")
     q = query.values
-    n = len(q)
     nq = query.norm()
-    screened = []
-    for ex, nv in zip(store._examples, store._norms):
-        # Same checks, in the same order, as cosine(query, example).
-        v = ex.embedding.values
-        if len(v) != n:
-            raise DimensionMismatch(f"dims {n} vs {len(v)}")
-        if nq == 0.0 or nv == 0.0:
-            raise ZeroVector("cosine undefined for zero vector")
-        screened.append(sum(map(operator.mul, q, v)) / (nq * nv))
+    store._check_query(len(q), nq)
 
-    candidates: Iterable[int] = range(len(screened))
-    smallest, largest = store._norm_range
-    if len(screened) > k and _SCREEN_MIN < nq * smallest and nq * largest < _SCREEN_MAX:
-        # The plain sum of n products is off from the compensated one by at
-        # most γ_n·|q|·|v|; five more units of roundoff cover the rounded
-        # norms, the two divisions and any underflowed product, so no score
-        # moves by more than `err`.  An example screened below the k-th best
-        # by more than 2·err scores below k others and cannot be returned.
-        m = (n + 5) * _UNIT_ROUNDOFF
+    candidates: Iterable[int] = range(store.count)
+    if store.count > k and store._screenable and _SCREEN_MIN < nq < _SCREEN_MAX:
+        nz = [j for j, x in enumerate(q) if x]
+        p = [q[j] / nq for j in nz]
+        # itemgetter of one index returns the bare item; a slice keeps a tuple.
+        pick = operator.itemgetter(*nz if len(nz) > 1 else [slice(nz[0], nz[0] + 1)])
+        mul = operator.mul
+        screened = [sum(map(mul, p, pick(v))) * r for v, r in zip(store._values, store._recips)]
+        m = (len(nz) + 15) * _UNIT_ROUNDOFF
         err = m / (1.0 - m)
         floor = heapq.nlargest(k, screened)[-1] - 2.0 * err
         candidates = [i for i, score in enumerate(screened) if score >= floor]
@@ -227,23 +267,28 @@ def _example_from_dict(obj: dict) -> AnnotatedExample:
 
 def load_store(directory: str | Path) -> ExampleStore:
     directory = Path(directory)
+    meta_path = directory / "meta.json"
     try:
-        meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError("store meta.json not found", str(directory)) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"store meta is not valid JSON: {exc}", str(meta_path)) from exc
+    if not isinstance(meta, dict):
+        raise SchemaError("store meta must be a JSON object", str(meta_path))
     if meta.get("schema_version") != STORE_SCHEMA_VERSION:
         raise SchemaError(
-            f"unsupported store schema_version {meta.get('schema_version')!r}",
-            str(directory / "meta.json"),
+            f"unsupported store schema_version {meta.get('schema_version')!r}", str(meta_path)
         )
     store = index_examples(
         list(read_jsonl(directory / "examples.jsonl", _example_from_dict, "example record"))
     )
     if meta.get("count") != store.count:
-        raise SchemaError(
-            f"meta count {meta.get('count')} != {store.count} records",
-            str(directory / "meta.json"),
-        )
+        raise SchemaError(f"meta count {meta.get('count')} != {store.count} records",
+                          str(meta_path))
+    if store.count and meta.get("dim") != store.dim:
+        raise SchemaError(f"meta dim {meta.get('dim')} != records' dim {store.dim}",
+                          str(meta_path))
     return store
 
 

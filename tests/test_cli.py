@@ -310,6 +310,23 @@ class TestBadInputExits2:
         assert self.mix(tmp_path, pairs_file, tactic_aug=bad) == 2
         assert f"{bad}: line 5: bad pair record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, configured, bad", [
+        ("tactic_notes", "notes.json", "notes.json"),
+        ("example_store", "store", "store/meta.json"),
+    ])
+    def test_malformed_json_document_is_named(self, tmp_path, export_file, capsys,
+                                              key, configured, bad):
+        (tmp_path / "store").mkdir()
+        (tmp_path / bad).write_text("{broken\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {key: str(tmp_path / configured)}}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--out", str(out), "ingest", "--export", str(export_file)) == 0
+        assert run("--config", str(config), "--out", str(tmp_path / "inf"), "informalize",
+                   "--index", str(out / "index.json"), "--dry-run") == 2
+        assert f"error: {tmp_path / bad}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--ratio", "--dirmix"])
     @pytest.mark.parametrize("value", ["1:x:1", "1:2", "0:1:1"])
     def test_bad_ratio_flag(self, tmp_path, pairs_file, capsys, flag, value):

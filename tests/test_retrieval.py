@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herald import retrieval
 from herald.errors import (
     DimensionMismatch,
     DuplicateId,
     InvalidInput,
     ProviderError,
+    SchemaError,
     ZeroVector,
 )
 from herald.retrieval import (
@@ -139,6 +141,17 @@ class TestStore:
         assert reopened == store
         assert reopened.examples[3].embedding.values == examples[3].embedding.values
 
+    def test_meta_dim_is_checked_only_against_records(self, tmp_path):
+        store_dir = tmp_path / "store"
+        save_store(index_examples([example(1, [1, 0, 2])]), store_dir)
+        meta = store_dir / "meta.json"
+        meta.write_text('{"schema_version": "1", "dim": 4, "count": 1}\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match="meta.json: meta dim 4"):
+            load_store(store_dir)
+        (store_dir / "examples.jsonl").write_text("", encoding="utf-8")
+        meta.write_text('{"schema_version": "1", "dim": 4, "count": 0}\n', encoding="utf-8")
+        assert load_store(store_dir).count == 0
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
@@ -248,6 +261,25 @@ class TestQueryKnn:
         assert hit.example.id == "a"
         assert hit.score == cosine(vec(1, 1, 1), examples[0].embedding)
 
+    def test_tie_that_the_unit_screen_splits_still_breaks_by_id(self):
+        # The query's norm is 2, so the screen sums halves of each row's
+        # components: exactly half the plain left-to-right sum.  Both dot
+        # products are 1 + 2**-52 and both norms round to 1, so the scores
+        # tie; the screen ranks "b" ahead by one unit, and a margin any
+        # narrower than the bound would drop "a" before the rescore.
+        tiny = 2.0**-53
+        examples = [
+            AnnotatedExample(id=i, formal_text="t", informal_text="s", embedding=vec(*values))
+            for i, values in (("a", (1.0, tiny, tiny, 0.0)), ("b", (tiny, tiny, 1.0, 0.0)),
+                              ("c", (0.0, 1.0, 0.0, 0.0)))
+        ]
+        query = vec(1, 1, 1, 1)
+        [hit] = query_knn(index_examples(examples), query, k=1)
+        assert hit.example.id == "a"
+        assert hit.score == cosine(query, examples[0].embedding) == cosine(
+            query, examples[1].embedding
+        )
+
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
     def test_norms_outside_the_screened_range_match_the_oracle(self, scale):
         rng = random.Random(4)
@@ -259,6 +291,89 @@ class TestQueryKnn:
             key=lambda t: (-t[0], t[1]),
         )[:5]
         assert [(h.score, h.example.id) for h in got] == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_screen_matches_sorted_cosine_oracle_bit_for_bit(self, data):
+        dim = data.draw(st.integers(1, 10), label="dim")
+        magnitude = st.one_of(st.floats(0.001, 8.0), st.sampled_from([0.5, 1.0, 2.0]))
+
+        def vector(zeros):
+            return [
+                0.0 if zero else data.draw(magnitude) * data.draw(st.sampled_from([1.0, -1.0]))
+                for zero in zeros
+            ]
+
+        def zero_pattern():
+            zeros = data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+            if all(zeros):
+                zeros[data.draw(st.integers(0, dim - 1))] = False
+            return zeros
+
+        # Examples repeat rows of a small pool, so scores tie and the id rule decides.
+        pool = [vector(zero_pattern()) for _ in range(data.draw(st.integers(1, 8)))]
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+        examples = [example(i, row) for i, row in enumerate(rows)]
+        data.draw(st.randoms(use_true_random=False)).shuffle(examples)
+        shape = data.draw(st.sampled_from(["one nonzero", "none zero", "random zeros"]))
+        if shape == "one nonzero":
+            j = data.draw(st.integers(0, dim - 1))
+            zeros = [i != j for i in range(dim)]
+        else:
+            zeros = [False] * dim if shape == "none zero" else zero_pattern()
+        query = vec(*vector(zeros))
+        k = data.draw(st.sampled_from([1, 3, len(examples)]), label="k")
+
+        got = query_knn(index_examples(examples), query, k=k)
+        oracle = sorted(
+            ((cosine(query, ex.embedding), ex.id) for ex in examples),
+            key=lambda t: (-t[0], t[1]),
+        )[:k]
+        assert [(h.score.hex(), h.example.id) for h in got] == [
+            (score.hex(), i) for score, i in oracle
+        ]
+
+    @pytest.mark.parametrize("rows, query, raised", [
+        ([[1, 0], [1, 0, 0], [0, 0]], [1, 1], DimensionMismatch),
+        ([[1, 0], [0, 0], [1, 0, 0]], [1, 1], ZeroVector),
+        ([[1, 0, 0], [1, 0]], [0, 0], DimensionMismatch),
+        ([[1, 0], [1, 0, 0]], [0, 0], ZeroVector),
+        ([[1, 0, 0], [1, 0]], [1, 1], DimensionMismatch),
+    ], ids=["odd_dim_before_zero_norm", "zero_norm_before_odd_dim",
+            "zero_query_odd_first_example", "zero_query_even_first_example",
+            "query_dim_differs_from_the_first_example"])
+    def test_first_failing_example_decides_the_error(self, rows, query, raised):
+        # A store built directly skips index_examples' dimension check, so
+        # the query reports whatever a scan of cosine(query, example) in
+        # store order would hit first.
+        store = ExampleStore([example(i, row) for i, row in enumerate(rows)], dim=None)
+        with pytest.raises(raised):
+            query_knn(store, vec(*query), k=1)
+
+    def test_screen_rescores_a_few_examples_per_query(self, monkeypatch):
+        # Deterministic guard on the screen's pruning: a 500 x 64 Gaussian
+        # store queried with hashed signatures at k = 1.  Scoring every
+        # example exactly would rescore 500 per query.
+        rng = random.Random(500)
+        store = index_examples(
+            [example(i, [rng.gauss(0, 1) for _ in range(64)]) for i in range(500)]
+        )
+        provider = HashEmbeddingProvider(dim=64)
+        vocabulary = [f"x{i}" for i in range(150)] + ["∀", ":", "=", "→", "+", "*", "(", ")"]
+        rescored = []
+        exact_dot = retrieval._dot
+
+        def counting_dot(u, v):
+            if u is not v:  # the query's own norm is _dot(q, q)
+                rescored[-1] += 1
+            return exact_dot(u, v)
+
+        monkeypatch.setattr(retrieval, "_dot", counting_dot)
+        for _ in range(100):
+            text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(6, 16)))
+            rescored.append(0)
+            query_knn(store, embed(text, provider), k=1)
+        assert max(rescored) <= 3, rescored
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.001, max_value=1000.0))
