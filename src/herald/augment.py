@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from . import datastore as ds
 from .errors import InvalidInput
 from .gateway import (
     STRATEGY_MARKER,
@@ -24,7 +25,7 @@ from .gateway import (
     Role,
     normalize_text,
 )
-from .records import CorpusIndex, ProofState
+from .records import CorpusIndex, DeclarationRecord, DeclKind, ProofState
 
 _ANON_MARKER = "✝"
 _INSTANCE_NAME_RE = re.compile(r"inst(✝.*|\d*)$")
@@ -44,6 +45,21 @@ class SynthesizedStatement:
     def __post_init__(self):
         if not self.formal_text.endswith("by sorry"):
             raise InvalidInput("synthesized statements must end with 'by sorry'")
+
+    def record(self) -> DeclarationRecord:
+        """The statement as a theorem whose signature is everything before
+        its ``:= by sorry`` body, for the statement prompt."""
+        return DeclarationRecord(
+            full_name=self.name,
+            kind=DeclKind.THEOREM,
+            signature=self.formal_text.removesuffix(" := by sorry").strip(),
+            docstring=None,
+            namespace_path=(),
+            file_path="",
+            line_span=(1, 1),
+            dependencies=frozenset(),
+            is_tactic_proof=True,
+        )
 
 
 @dataclass(frozen=True)
@@ -154,20 +170,16 @@ def compile_filter(
 
 
 def write_rejected_report(rejected: list[RejectedStatement], path: str | Path) -> int:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in rejected:
-            fh.write(
-                json.dumps(
-                    {
-                        "name": item.statement.name,
-                        "formal_text": item.statement.formal_text,
-                        "origin": item.statement.origin,
-                        "diagnostic": item.diagnostic,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rows = (
+        {
+            "name": item.statement.name,
+            "formal_text": item.statement.formal_text,
+            "origin": item.statement.origin,
+            "diagnostic": item.diagnostic,
+        }
+        for item in rejected
+    )
+    ds.replace_atomic(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
     return len(rejected)
 
 

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("informalize", help="dependency-ordered statement and proof translation")
     p.add_argument("--index", type=Path, required=True)
-    p.add_argument("--dry-run", action="store_true", help="write prompts, no model calls")
+    p.add_argument("--dry-run", action="store_true", help="write first-wave prompts, call no model")
     p.add_argument("--budget", type=int, help="abort after this many provider calls")
 
     p = sub.add_parser("augment", help="tactic-state synthesis and informal variants")
@@ -108,10 +108,18 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        config = load_config(args.config) if args.config else PipelineConfig()
+        # Knob flags join the config file's knobs before its digest is taken.
+        flags = {}
         if args.seed is not None:
-            config.dedup_seed = args.seed
-            config.mix_seed = args.seed
+            flags["dedup_seed"] = flags["mix_seed"] = args.seed
+        for key in ("dedup_seed", "ratio", "dirmix"):  # --dedup-seed wins over --seed
+            if getattr(args, key, None) is not None:
+                flags[key] = getattr(args, key)
+        if args.config:
+            config = load_config(args.config, flags)
+        else:
+            ratios = {key: parse_ratio(flags[key]) for key in ("ratio", "dirmix") if key in flags}
+            config = PipelineConfig(**{**flags, **ratios})
         out_dir = args.out or config.output_dir
 
         if args.command == "ingest":
@@ -139,8 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"informalize: {counts}")
 
         elif args.command == "augment":
-            if args.dedup_seed is not None:
-                config.dedup_seed = args.dedup_seed
             index = pipeline.load_index(args.index)
             do_tactic = args.tactic or not args.informal
             original_pairs = _load_pairs_arg(args.pairs) if args.pairs else None
@@ -155,10 +161,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"augment: {counts}")
 
         elif args.command == "mix":
-            if args.ratio:
-                config.ratio = parse_ratio(args.ratio)
-            if args.dirmix:
-                config.dirmix = parse_ratio(args.dirmix)
             general_path = args.general or config.general_data
             if general_path is None:
                 raise InvalidInput("mix needs --general or paths.general_data in config")

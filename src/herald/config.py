@@ -202,12 +202,13 @@ def _config_digest(doc: dict, knobs: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, flags: dict | None = None) -> PipelineConfig:
     """Parse a config file; an unknown key at any level is a :class:`SchemaError`.
 
-    ``config_digest`` covers what the document says, not how it is laid out
-    (key order and whitespace do not count), and leaves out the operational
-    knobs.
+    ``flags`` (command-line knobs, in the file's form) replace the file's
+    knobs of the same name.  ``config_digest`` covers what the result says,
+    not how it is laid out (key order and whitespace do not count), and
+    leaves out the operational knobs.
     """
     raw = Path(path).read_bytes()
     try:
@@ -219,7 +220,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     _object(doc, "$", _SECTIONS, "section")
     paths = _object(doc.get("paths", {}), "$.paths", _PATHS, "path")
-    knobs = _object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob")
+    knobs = {**_object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob"), **(flags or {})}
     config_digest = _config_digest(doc, knobs)
     roles_doc = _object(doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role")
     roles = {

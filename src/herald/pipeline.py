@@ -13,6 +13,7 @@ import json
 import logging
 import queue
 from concurrent import futures
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Container, Hashable, Sequence, TextIO
 
@@ -267,22 +268,24 @@ def run_informalize(
     Resume: the level files and ``proofs.jsonl`` are the only record of
     progress (a torn final line is dropped); missing records are redone.  A
     completion that finished behind a gap is lost from the outputs but kept
-    in the cache, so a rerun does not pay for it again.  ``dry_run`` writes
-    the prompts it can build without model calls, serially.
+    in the cache, so a rerun does not pay for it again.  ``dry_run`` makes
+    the same first wave of requests but writes each prompt to
+    ``prompts/<name>.txt`` or ``prompts/<name>.step<i>.txt`` instead of
+    sending it; later prompts read model answers, so it cannot write them.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     digest_file = out_dir / "config_digest.txt"
-    if not dry_run:
-        # Tamper check: never resume into outputs built from another config.
-        if digest_file.exists():
-            previous = digest_file.read_text(encoding="utf-8").strip()
-            if previous != config.config_digest:
-                raise InvalidInput(
-                    f"{out_dir} was produced with config digest {previous[:12]}, "
-                    f"current config is {config.config_digest[:12]}; refusing to resume"
-                )
-        else:
-            digest_file.write_text(config.config_digest + "\n", encoding="utf-8")
+    # Tamper check: never resume into outputs built from another config.  A
+    # dry run claims no directory, so the config may still change after it.
+    if digest_file.exists():
+        previous = digest_file.read_text(encoding="utf-8").strip()
+        if previous != config.config_digest:
+            raise InvalidInput(
+                f"{out_dir} was produced with config digest {previous[:12]}, "
+                f"current config is {config.config_digest[:12]}; refusing to resume"
+            )
+    elif not dry_run:
+        digest_file.write_text(config.config_digest + "\n", encoding="utf-8")
     registry = _load_registry(config)
     notes = prompts.load_tactic_notes(config.tactic_notes)
     store, embed_provider = _retrieval_context(config)
@@ -326,45 +329,10 @@ def run_informalize(
     def proof_context(name: str) -> prompts.ProofContext:
         return prompts.ProofContext(
             formal_statement=index.declarations[name].signature,
-            informal_statement=translations.get(name) or "(statement translation pending)",
+            informal_statement=translations[name],
             steps=index.proofs[name],
             tactic_notes=notes,
         )
-
-    if dry_run:
-        prompts_dir = out_dir / "prompts"
-        for name in statement_order:
-            if name not in existing:
-                prompts_dir.mkdir(parents=True, exist_ok=True)
-                (prompts_dir / f"{name}.txt").write_text(statement_prompt(name), encoding="utf-8")
-        for name in proof_names:
-            if f"{name}::proof" not in existing:
-                prompts_dir.mkdir(parents=True, exist_ok=True)
-                proof_prompt = prompts.assemble_proof_prompt(proof_context(name), registry)
-                (prompts_dir / f"{name}.proof.txt").write_text(
-                    proof_prompt.text, encoding="utf-8"
-                )
-        return {
-            "statements_written": 0,
-            "proofs_written": 0,
-            "levels": len(assignment.levels),
-            "dry_run": True,
-        }
-
-    informalizer = config.role("informalizer")
-    gateway = config.gateway(cache_dir=out_dir / "cache")
-    counts = {"statements_written": 0, "proofs_written": 0}
-    dispatch = _OrderedDispatch(
-        statement_order + [f"{name}::proof" for name in proof_names], existing
-    )
-
-    def finish(pair: ds.NLFLPair) -> None:
-        is_statement = pair.record_type == "statement"
-        path = out_dir / (
-            f"statements_level_{pair.level}.jsonl" if is_statement else "proofs.jsonl"
-        )
-        dispatch.finish(pair.id, path, ds.pair_line(pair))
-        counts["statements_written" if is_statement else "proofs_written"] += 1
 
     # Dispatch state, touched only by this thread.  waiting[name] counts the
     # prerequisites of a statement that have no translation yet.
@@ -378,7 +346,12 @@ def run_informalize(
     step_texts: dict[str, list[str | None]] = {}
 
     def submit(prompt_text: str, *tag) -> None:
-        dispatch.submit(gateway.submit_role(informalizer, prompt_text), tag)
+        if dry_run:
+            kind, name, *rest = tag
+            step = f".step{rest[0]}" if kind == "step" else ""
+            (out_dir / "prompts" / f"{name}{step}.txt").write_text(prompt_text, encoding="utf-8")
+        else:
+            dispatch.submit(gateway.submit_role(informalizer, prompt_text), tag)
 
     def send_proof(name: str) -> None:
         if f"{name}::proof" in existing:
@@ -396,6 +369,31 @@ def run_informalize(
         for name in proof_names:
             if name in translations:
                 send_proof(name)
+
+    counts = {
+        "statements_written": 0,
+        "proofs_written": 0,
+        "levels": len(assignment.levels),
+        "dry_run": dry_run,
+    }
+    if dry_run:
+        (out_dir / "prompts").mkdir(exist_ok=True)
+        start()
+        return counts
+
+    informalizer = config.role("informalizer")
+    gateway = config.gateway(cache_dir=out_dir / "cache")
+    dispatch = _OrderedDispatch(
+        statement_order + [f"{name}::proof" for name in proof_names], existing
+    )
+
+    def finish(pair: ds.NLFLPair) -> None:
+        is_statement = pair.record_type == "statement"
+        path = out_dir / (
+            f"statements_level_{pair.level}.jsonl" if is_statement else "proofs.jsonl"
+        )
+        dispatch.finish(pair.id, path, ds.pair_line(pair))
+        counts["statements_written" if is_statement else "proofs_written"] += 1
 
     def settle(tag: tuple, completion: Completion) -> None:
         """Record one completion; unless stopping, send the work it unblocks."""
@@ -452,7 +450,6 @@ def run_informalize(
     finally:
         _close_gateway(gateway, "informalize")
 
-    counts.update({"levels": len(assignment.levels), "dry_run": False})
     write_manifest(out_dir, "informalize", config, counts)
     return counts
 
@@ -493,31 +490,16 @@ def run_augment(
             n_original = len(index.tactic_proof_names())
             sampled = aug.dedup_sample(valid, n_original, config.dedup_seed)
 
-            with open(out_dir / "synthesized.jsonl", "w", encoding="utf-8") as fh:
-                for stmt in valid:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "name": stmt.name,
-                                "formal_text": stmt.formal_text,
-                                "origin": stmt.origin,
-                                "origin_step": stmt.origin_step,
-                                "goal_index": stmt.goal_index,
-                                "context_preamble": stmt.context_preamble,
-                            },
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
+            ds.replace_atomic(
+                out_dir / "synthesized.jsonl",
+                (json.dumps(asdict(stmt), ensure_ascii=False) + "\n" for stmt in valid),
+            )
 
             informalizer = config.role("informalizer")
             registry = _load_registry(config)
             pairs = []
             for stmt in sampled:
-                # Synthesized statements re-enter the normal statement path:
-                # scan the emitted text back into a record and prompt from it.
-                [rec] = ingest.scan_declarations(stmt.formal_text).records
-                ctx = prompts.StatementContext(subject=rec)
+                ctx = prompts.StatementContext(subject=stmt.record())
                 prompt = prompts.assemble_statement_prompt(ctx, registry)
                 informal_text = gateway.complete_role(informalizer, prompt.text)[0].text.strip()
                 pairs.append(

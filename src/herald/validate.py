@@ -103,14 +103,16 @@ class ReplBackend:
             )
         except OSError as exc:
             raise BackendUnavailable(f"cannot start {self.command[0]}: {exc}") from exc
-        self._responses = queue.Queue()
-        threading.Thread(target=self._reader, args=(self._proc,), daemon=True).start()
+        # A reader keeps its own process's queue: a late line from a replaced
+        # process must not answer a check sent to the new one.
+        self._responses = responses = queue.Queue()
+        threading.Thread(target=self._reader, args=(self._proc, responses), daemon=True).start()
 
-    def _reader(self, proc: subprocess.Popen) -> None:
+    def _reader(self, proc: subprocess.Popen, responses: queue.Queue) -> None:
         assert proc.stdout is not None
         with proc.stdout:
             for line in proc.stdout:
-                self._responses.put(line)
+                responses.put(line)
 
     def _stop(self) -> None:
         if self._proc is not None:

@@ -282,6 +282,44 @@ class TestAugmentMixValidateStats:
         assert "total records" in out
 
 
+def config_digest_of_run(tmp_path: Path, name: str, knobs: dict, *argv: str) -> str:
+    """The config digest in the run manifest of ``argv`` under a config file
+    whose knobs are ``knobs``."""
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps({"knobs": knobs}), encoding="utf-8")
+    out = tmp_path / name
+    assert run("--config", str(config), "--out", str(out), *argv) == 0
+    [manifest] = out.glob("*_run_manifest.json")
+    return json.loads(manifest.read_text(encoding="utf-8"))["config_digest"]
+
+
+@pytest.mark.parametrize("flags, knobs", [
+    (["--seed", "5", "ingest"], {"dedup_seed": 5, "mix_seed": 5}),
+    (["--seed", "5", "augment", "--dedup-seed", "9"], {"dedup_seed": 9, "mix_seed": 5}),
+    (["mix", "--ratio", "1:1:1", "--dirmix", "1:1:1"], {"ratio": "1:1:1", "dirmix": "1:1:1"}),
+])
+def test_knob_flags_count_in_the_config_digest(tmp_path, export_file, flags, knobs):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(
+        json.dumps({"id": f"p{i}", "formal_text": "f", "informal_text": "i",
+                    "direction": "nl_to_fl", "provenance": "original"}) + "\n"
+        for i in range(4)
+    ), encoding="utf-8")
+    general = tmp_path / "general.jsonl"
+    general.write_text('{"id": "g", "text": "t"}\n', encoding="utf-8")
+    inputs = {
+        "ingest": ["--export", str(export_file)],
+        "augment": ["--index", str(export_file), "--tactic"],
+        "mix": ["--original", str(pairs), "--tactic-aug", str(pairs), "--informal-aug",
+                str(pairs), "--general", str(general), "--total", "4"],
+    }
+    command = next(arg for arg in flags if arg in inputs)
+    flagged = config_digest_of_run(tmp_path, "flagged", {}, *flags, *inputs[command])
+    written = config_digest_of_run(tmp_path, "written", knobs, command, *inputs[command])
+    neither = config_digest_of_run(tmp_path, "neither", {}, command, *inputs[command])
+    assert flagged == written != neither
+
+
 class TestBadInputExits2:
     @pytest.fixture
     def pairs_file(self, tmp_path) -> Path:

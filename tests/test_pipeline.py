@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
-from conftest import cache_keys, make_wide_corpus, tree_digest
+from conftest import cache_keys, make_corpus, make_wide_corpus, tree_digest
 
-from herald import depgraph, validate
+from herald import cli, depgraph, validate
 from herald.config import BackendConfig, PipelineConfig, RoleConfig
 from herald.datastore import read_pairs
 from herald.errors import BudgetExceeded, InvalidInput, SchemaError
@@ -29,7 +29,9 @@ from herald.gateway import (
     MockNliJudge,
     digest,
 )
+from herald.ingest import serialize_index
 from herald.pipeline import level_files, run_augment, run_informalize, run_validate
+from herald.records import CorpusIndex, DeclarationRecord, DeclKind, ProofState, ProofStep
 from herald.validate import CompileOutcome, ReplBackend
 
 FAKE_REPL = (sys.executable, str(Path(__file__).parent / "fake_repl.py"))
@@ -38,17 +40,20 @@ MANIFEST = "informalize_run_manifest.json"
 
 class RecordingInformalizer(MockInformalizer):
     """Mock informalizer with seeded, jittered latency that logs the start and
-    end of every call, keyed by prompt digest, in one sequence."""
+    end of every call, keyed by prompt digest, in one sequence, and keeps
+    each prompt by its digest."""
 
     def __init__(self, jitter_s: float = 0.0):
         self.jitter_s = jitter_s
         self.events: list[tuple[str, str]] = []
+        self.prompts: dict[str, str] = {}
         self._lock = threading.Lock()
 
     def generate(self, request, sample_index):
         key = digest(request.prompt_text)
         with self._lock:
             self.events.append(("start", key))
+            self.prompts[key] = request.prompt_text
         time.sleep(random.Random(key).uniform(0, self.jitter_s))
         completion = super().generate(request, sample_index)
         with self._lock:
@@ -179,6 +184,64 @@ def test_torn_line_before_the_last_is_an_error(tmp_path, target):
     (out / target).write_bytes(b"".join(lines))
     with pytest.raises(SchemaError):
         informalize(index, out, RecordingInformalizer())
+
+
+def first_wave(index: CorpusIndex, out: Path) -> set[str]:
+    """Names of the prompt files a dry run into ``out`` should write: every
+    untranslated statement whose prerequisites are all translated, and each
+    step of every missing proof whose statement is translated."""
+    paths = level_files(out) + [out / "proofs.jsonl"]
+    on_disk = {pair.id for path in paths if path.exists() for pair in read_pairs(path)}
+    prerequisites = depgraph.build_graph(index).prerequisites()
+    statements = {
+        f"{name}.txt"
+        for name in index.declarations
+        if name not in on_disk and on_disk.issuperset(prerequisites[name])
+    }
+    steps = {
+        f"{name}.step{i}.txt"
+        for name in index.tactic_proof_names()
+        if name in on_disk and f"{name}::proof" not in on_disk
+        for i in range(len(index.proofs[name]))
+    }
+    return statements | steps
+
+
+def check_dry_run_is_first_wave(index: CorpusIndex, out: Path) -> set[str]:
+    """Dry-run into ``out``, then run for real there: the prompt files must be
+    the first wave, each byte-identical to a prompt the real run sends."""
+    expected = first_wave(index, out)
+    counts = run_informalize(index, PipelineConfig(), out, dry_run=True)
+    assert counts["dry_run"] and counts["statements_written"] == 0
+    written = {path.name: path.read_bytes() for path in (out / "prompts").iterdir()}
+    assert set(written) == expected
+    # Without the cache, every prompt the run sends reaches the provider.
+    shutil.rmtree(out / "cache", ignore_errors=True)
+    recorder = RecordingInformalizer()
+    informalize(index, out, recorder)
+    sent = set(recorder.calls)
+    for name, text in written.items():
+        assert digest(text.decode("utf-8")) in sent, name
+    return expected
+
+
+@pytest.mark.parametrize("corpus", [make_corpus, make_wide_corpus])
+def test_dry_run_writes_the_prompts_a_fresh_run_sends_first(tmp_path, corpus):
+    index = corpus()
+    expected = check_dry_run_is_first_wave(index, tmp_path / "inf")
+    levels = depgraph.stratify(depgraph.build_graph(index)).levels
+    assert expected == {f"{name}.txt" for name in levels[0]}
+
+
+def test_dry_run_after_a_budget_cut_writes_the_prompts_the_rerun_sends_first(tmp_path):
+    index = make_wide_corpus()
+    out = tmp_path / "inf"
+    with pytest.raises(BudgetExceeded):
+        informalize(index, out, RecordingInformalizer(jitter_s=0.002), max_in_flight=8,
+                    request_budget=30)
+    expected = check_dry_run_is_first_wave(index, out)
+    assert any(".step" in name for name in expected), "the cut left proofs to start"
+    assert any(".step" not in name for name in expected), "the cut left statements to start"
 
 
 def test_output_tree_is_records_digest_manifest_and_cache(tmp_path):
@@ -325,6 +388,41 @@ def test_validate_closes_repl_backend(tmp_path, monkeypatch):
     config = PipelineConfig(backend=BackendConfig(kind="repl", command=FAKE_REPL))
     run_validate(bench, config, tmp_path / "val", k=2)
     assert procs and all(proc.poll() is not None for proc in procs)
+
+
+def one_proof_index(goal: str) -> CorpusIndex:
+    """One theorem ``T.foo`` whose one-step proof starts from ``n : Nat ⊢ goal``."""
+    before = ProofState(hypotheses=(("n", "Nat"),), goals=(goal,))
+    after = ProofState(hypotheses=(("n", "Nat"),))
+    decl = DeclarationRecord(
+        full_name="T.foo",
+        kind=DeclKind.THEOREM,
+        signature=f"theorem foo (n : Nat) : {goal}",
+        docstring=None,
+        namespace_path=("T",),
+        file_path="T.lean",
+        line_span=(1, 2),
+        dependencies=frozenset(),
+        is_tactic_proof=True,
+    )
+    return CorpusIndex({"T.foo": decl}, proofs={"T.foo": (ProofStep("simp", before, after, 0),)})
+
+
+def test_tactic_aug_prompt_carries_the_whole_synthesized_signature(tmp_path):
+    recorder = RecordingInformalizer()
+    config = PipelineConfig(roles={"informalizer": RecordingRole(recorder=recorder)})
+    run_augment(one_proof_index("let x := n; x = n"), config, tmp_path / "aug", tactic=True)
+    [prompt] = recorder.prompts.values()
+    assert "theorem T.foo_tac_0 (n : Nat) : let x := n; x = n" in prompt.splitlines()
+
+
+def test_tactic_aug_of_a_goal_with_a_line_starting_with_theorem(tmp_path):
+    export = tmp_path / "corpus.json"
+    export.write_text(serialize_index(one_proof_index("n = n\ntheorem b : True")), "utf-8")
+    out = tmp_path / "aug"
+    assert cli.main(["--out", str(out), "augment", "--index", str(export), "--tactic"]) == 0
+    [pair] = read_pairs(out / "tactic_aug.jsonl")
+    assert pair.formal_text == "theorem T.foo_tac_0 (n : Nat) : n = n\ntheorem b : True := by sorry"
 
 
 def test_augment_closes_repl_backend(tmp_path, monkeypatch):

@@ -80,6 +80,26 @@ class TestBackends:
         finally:
             backend.close()
 
+    def test_repl_late_line_of_a_replaced_process_stays_in_its_queue(self):
+        # The stub writes its line only when told to, so the old process
+        # answers after the backend has started its replacement.
+        stub = [sys.executable, "-c", "import sys; sys.stdin.readline(); print('late')"]
+        backend = ReplBackend(stub)
+        backend._start()
+        old, old_responses = backend._proc, backend._responses
+        try:
+            backend._start()  # as a restart after a timeout or an exit does
+            old.stdin.write("go\n")
+            old.stdin.close()
+            assert old.wait(timeout=10) == 0
+            assert old_responses.get(timeout=5) == "late\n"
+            assert backend._responses.empty()
+        finally:
+            backend.close()
+            old.kill()
+            old.wait(timeout=10)
+            old.stdin.close()
+
     def test_repl_malformed_response(self):
         backend = ReplBackend(FAKE_REPL)
         try:
