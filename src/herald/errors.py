@@ -67,6 +67,10 @@ class ProviderExhausted(HeraldError):
     """All retries against a provider were spent."""
 
 
+class BlankAnswer(ProviderExhausted):
+    """A provider answered with blank text; it was not cached, so a rerun asks again."""
+
+
 class BudgetExceeded(HeraldError):
     """The configured request budget guard tripped."""
 

@@ -330,13 +330,13 @@ class Gateway:
         else:  # pragma: no cover - loop always breaks or raises
             raise ProviderExhausted(str(last_error))
 
-        # A truncated or failed completion is not cached: a rerun asks again.
+        # A truncated, failed or blank completion is not cached: a rerun asks again.
         with self._lock:
             if completion.finish_reason == FinishReason.LENGTH:
                 self.stats["truncated"] += 1
             elif completion.finish_reason == FinishReason.ERROR:
                 self.stats["failed"] += 1
-            elif key is not None:
+            elif key is not None and completion.text.strip():
                 self._completion_log().add(key, completion)
         return completion
 

@@ -21,7 +21,7 @@ from . import augment as aug
 from . import datastore as ds
 from . import depgraph, ingest, prompts, retrieval, validate
 from .config import PipelineConfig
-from .errors import InvalidInput, SchemaError
+from .errors import BlankAnswer, InvalidInput, SchemaError
 from .gateway import SAMPLE_CAP, Completion, Gateway
 from .records import CorpusIndex
 
@@ -53,6 +53,18 @@ def _close_gateway(gateway: Gateway, stage: str) -> None:
     logger.info(
         "%s: %s", stage, ", ".join(f"{name} {count}" for name, count in gateway.stats.items())
     )
+
+
+def _answer_text(completion: Completion, subject: str) -> str:
+    """The completion's text, stripped; a blank answer raises :class:`BlankAnswer`.
+
+    The gateway never caches a blank answer, so the rerun that exit 3 asks
+    for sends the request again.
+    """
+    text = completion.text.strip()
+    if not text:
+        raise BlankAnswer(f"blank answer for {subject}")
+    return text
 
 
 def level_files(directory: Path) -> list[Path]:
@@ -396,9 +408,15 @@ def run_informalize(
         counts["statements_written" if is_statement else "proofs_written"] += 1
 
     def settle(tag: tuple, completion: Completion) -> None:
-        """Record one completion; unless stopping, send the work it unblocks."""
+        """Record one completion; unless stopping, send the work it unblocks.
+
+        While stopping, a blank answer is dropped rather than raised, so the
+        first error is the one reported and the prefix is still written.
+        """
         kind, name, *rest = tag
-        text = completion.text.strip()
+        if dispatch.stopping and not completion.text.strip():
+            return
+        text = _answer_text(completion, f"{kind} {name}")
         subject = index.declarations[name]
         if kind == "statement":
             finish(
@@ -501,7 +519,8 @@ def run_augment(
             for stmt in sampled:
                 ctx = prompts.StatementContext(subject=stmt.record())
                 prompt = prompts.assemble_statement_prompt(ctx, registry)
-                informal_text = gateway.complete_role(informalizer, prompt.text)[0].text.strip()
+                completion = gateway.complete_role(informalizer, prompt.text)[0]
+                informal_text = _answer_text(completion, f"statement {stmt.name}")
                 pairs.append(
                     ds.NLFLPair(
                         id=stmt.name,

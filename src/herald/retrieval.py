@@ -1,14 +1,16 @@
 """Embedded exemplar store with exact cosine-similarity k-NN queries.
 
-A query screens every example with a plain float dot product over the
-query's nonzero components only, then scores the few that can reach the top
-k with the same compensated dot product as :func:`cosine`, so a retrieved
-score equals ``cosine`` bit for bit.  The store does once, at construction,
-everything that does not depend on the query: each example's norm and its
-reciprocal, and where the per-example checks of ``cosine`` (a dimension
-mismatch, a zero norm) would first fail.  A query computes its own norm
-once and keeps the top k on a heap, building results only for the winners.
-Tie-breaking by ascending id keeps retrieval reproducible across runs.
+A query screens the whole store in fixed-point integers, then scores the few
+examples that can reach the top k with the same compensated dot product as
+:func:`cosine`, so a retrieved score equals ``cosine`` bit for bit.  The
+store does once, at construction, everything that does not depend on the
+query: each example's norm, where the per-example checks of ``cosine`` (a
+dimension mismatch, a zero norm) would first fail, and its unit-normalised
+rows rounded to integers and packed one dimension per Python int, 64 bits
+per example.  A query then costs one bigint multiply-add per nonzero
+component of its own, for all examples at once; it keeps the top k on a
+heap and builds results only for the winners.  Tie-breaking by ascending id
+keeps retrieval reproducible across runs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import heapq
 import json
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -34,12 +38,23 @@ from .errors import (
 
 STORE_SCHEMA_VERSION = "1"
 
-_UNIT_ROUNDOFF = 2.0**-53
 # Screening applies where the query's norm and every example's lie in this
 # range: no square or product of components can overflow, and all underflow
 # together stays below 2^-400 of a unit of roundoff at any practical
 # dimension.  Outside it every example is scored exactly.
 _SCREEN_MIN, _SCREEN_MAX = 2.0**-300, 2.0**300
+
+
+def _shifts(dim: int) -> tuple[int, int]:
+    """Fixed-point shifts (S, T) of query and example components.
+
+    S + T = 63 - bit_length(dim), so dim·2^(S+T) < 2^63: a sum of dim
+    products of integers at most 2^S and 2^T in magnitude stays inside a
+    signed 64-bit field.  Splitting the bits evenly minimises the screen's
+    rounding error.
+    """
+    bits = 63 - dim.bit_length()
+    return bits - bits // 2, bits // 2
 
 
 def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
@@ -105,6 +120,8 @@ class ExampleStore:
     Construction scores nothing: a zero-norm or odd-dimension example is an
     error only when a query reaches it, as with :func:`cosine`.  It records
     where that happens instead, so a query checks once, not per example.
+    Where every example can be screened (one dim, every norm inside the
+    screened range), it also packs the screen's columns.
     """
 
     def __init__(self, examples: list[AnnotatedExample], dim: int | None):
@@ -112,8 +129,6 @@ class ExampleStore:
         self._dim = dim
         self._values = [ex.embedding.values for ex in self._examples]
         self._norms = [ex.embedding.norm() for ex in self._examples]
-        self._recips = [1.0 / nv if nv else 0.0 for nv in self._norms]
-        self._screenable = all(_SCREEN_MIN < nv < _SCREEN_MAX for nv in self._norms)
         # The first example's dim, the index of the first whose dim differs
         # from it, and of the first with a zero norm; count where none does.
         lengths = [len(v) for v in self._values]
@@ -124,6 +139,40 @@ class ExampleStore:
         self._zero_norm_at = next(
             (i for i, nv in enumerate(self._norms) if nv == 0.0), len(self._norms)
         )
+        self._columns: list[int] | None = None
+        if (
+            lengths
+            and self._odd_dim_at == len(lengths)
+            and all(_SCREEN_MIN < nv < _SCREEN_MAX for nv in self._norms)
+        ):
+            self._pack_columns()
+
+    def _pack_columns(self) -> None:
+        """Column j is one int holding W_ij (see :func:`query_knn`) in a
+        64-bit field per example i; each query's sum starts at ``_bias``,
+        2^63 in every field.
+
+        |W_ij| <= 2^T, so W_ij + 2^T is packed and the offset subtracted
+        back.  Ints and arrays convert in native byte order, so
+        ``array("Q")`` reads the fields back in example order.
+        """
+        shift_s, shift_t = _shifts(self._lead_dim)
+        self._query_scale = float(1 << shift_s)
+        scale, offset = float(1 << shift_t), 1 << shift_t
+        rows = [(v, 1.0 / nv) for v, nv in zip(self._values, self._norms)]
+        ones = int.from_bytes(array("Q", [1]).tobytes() * len(rows), sys.byteorder)
+        self._columns = [
+            int.from_bytes(
+                array("Q", [round(v[j] * r * scale) + offset for v, r in rows]).tobytes(),
+                sys.byteorder,
+            )
+            - offset * ones
+            for j in range(self._lead_dim)
+        ]
+        self._bias = ones << 63
+        # γ_12·2^(S+T), rounded up: the float part of the screen's bound.
+        self._float_err = ((13 << (shift_s + shift_t)) >> 53) + 1
+        self._half_units = (1 << (shift_s - 1)) + (1 << (shift_t - 1))
 
     def _check_query(self, n: int, nq: float) -> None:
         """Raise what cosine(query, example) raises first, scanning in store order.
@@ -177,25 +226,42 @@ def index_examples(examples: list[AnnotatedExample]) -> ExampleStore:
 def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[ScoredExample]:
     """Exactly min(k, count) results by descending score, ties by ascending id.
 
-    Every example is first screened with a plain float dot product over the
-    query's m nonzero components; the others add exact zeros to
-    :func:`cosine`'s sum.  Only examples whose screened score is within
-    twice its error bound of the k-th best are scored again with
-    :func:`_dot`, so each returned score is the one :func:`cosine` gives.
+    Every example is first screened with an exact integer dot product over
+    the query's m nonzero components; the others add exact zeros to
+    :func:`cosine`'s sum.  Only examples whose screen is within twice its
+    error bound E of the k-th best are scored again with :func:`_dot`, so
+    each returned score is the one :func:`cosine` gives.
 
-    The screen works in cosine units: with p_j = q_j/|q| rounded once per
-    query and r = 1/|v| rounded once per store, an example screens as
-    ``sum(p_j·v_j)·r``.  Let a_j = q_j·v_j/(|q|·|v|) over the computed norms
-    and γ_i = i·u/(1 - i·u), u the unit roundoff.  The screen is within
-    γ_{m+5}·Σ|a_j| of Σa_j: one unit each for p_j, the product, r and the
-    last multiply, and γ_{m+1} for the sum (γ_{m-1} left to right; Python
-    3.12's compensated sum is within it too).  The rescore is within
-    γ_4·Σ|a_j| (products, fsum, |q|·|v|, division).  Each computed norm is
-    at least (1 - u)² of the exact one, so Cauchy–Schwarz gives
-    Σ|a_j| <= 1 + γ_4, and screen and rescore differ by at most γ_{m+13}.
-    ``err`` = γ_{m+15} adds a unit for rounding the floor and one for
-    underflow.  An example screened below the k-th best by more than
-    2·err scores below k others and cannot be returned.
+    The screen works in cosine units scaled by 2^(S+T), S and T from
+    :func:`_shifts`.  With p̂_j = fl(q_j/|q|) rounded once per query and
+    ŵ_ij = fl(v_ij·fl(1/|v_i|)) once per store, the query's integers are
+    P_j = round(p̂_j·2^S) and the store's W_ij = round(ŵ_ij·2^T), and
+    example i screens as X_i = Σ_j P_j·W_ij.  The store's packed columns
+    make this one multiply-add per component for all examples at once; the
+    sum starts at 2^63 in every 64-bit field, and the fields are read back
+    as unsigned integers 2^63 + X_i, compared exactly.
+
+    Let a_j = q_j·v_ij/(|q|·|v_i|) over the computed norms and
+    γ_i = i·u/(1 - i·u), u the unit roundoff.  Each computed norm is at
+    least (1 - u)² of the exact one, so ‖p̂‖ <= 1 + γ_3, ‖ŵ_i‖ <= 1 + γ_4
+    and, by Cauchy–Schwarz, Σ|a_j| <= 1 + γ_4.  As S, T <= 31 leaves
+    2^S·γ_4 < 1/2, |P_j| <= 2^S and |W_ij| <= 2^T, so |X_i| <=
+    dim·2^(S+T) < 2^63 fits its field.
+    |X_i - 2^(S+T)·cosine| is at most E = E_q + E_f:
+
+    * Quantisation.  P_j·W_ij - 2^(S+T)·p̂_j·ŵ_ij = 2^S·p̂_j·β + 2^T·ŵ_ij·α
+      + α·β with |α|, |β| <= 1/2, so over m components the error is at most
+      2^(S-1)·Σ|p̂_j| + 2^(T-1)·Σ|ŵ_ij| + m/4, and Σ|p̂_j|, Σ|ŵ_ij| are at
+      most √m·(1 + γ_4).  E_q = ⌈√m⌉·(2^(S-1) + 2^(T-1)) + 1 + ⌈m/4⌉; the
+      1 covers the γ_4 share, as ⌈√m⌉·2^max(S,T) < 2^34.
+    * Floats.  Σp̂_j·ŵ_ij is Σa_j(1 + θ_3) and the rescore Σa_j(1 + θ_4),
+      |θ_i| <= γ_i (a product, fsum, |q|·|v| and the division), so they
+      differ by at most (γ_3 + γ_4)(1 + γ_4) <= γ_11; a unit more for
+      underflow gives E_f = ⌈γ_12·2^(S+T)⌉.
+
+    An example screened below the k-th best screen by more than 2E scores
+    below k others and cannot be returned.  Every step past p̂ and ŵ is
+    exact integer arithmetic, so no summation order enters the bound.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -208,17 +274,18 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
     store._check_query(len(q), nq)
 
     candidates: Iterable[int] = range(store.count)
-    if store.count > k and store._screenable and _SCREEN_MIN < nq < _SCREEN_MAX:
-        nz = [j for j, x in enumerate(q) if x]
-        p = [q[j] / nq for j in nz]
-        # itemgetter of one index returns the bare item; a slice keeps a tuple.
-        pick = operator.itemgetter(*nz if len(nz) > 1 else [slice(nz[0], nz[0] + 1)])
-        mul = operator.mul
-        screened = [sum(map(mul, p, pick(v))) * r for v, r in zip(store._values, store._recips)]
-        m = (len(nz) + 15) * _UNIT_ROUNDOFF
-        err = m / (1.0 - m)
-        floor = heapq.nlargest(k, screened)[-1] - 2.0 * err
-        candidates = [i for i, score in enumerate(screened) if score >= floor]
+    if store.count > k and store._columns is not None and _SCREEN_MIN < nq < _SCREEN_MAX:
+        scale = store._query_scale
+        screen = store._bias
+        m = 0
+        for x, column in zip(q, store._columns):
+            if x:
+                screen += round(x / nq * scale) * column
+                m += 1
+        fields = array("Q", screen.to_bytes(8 * store.count, sys.byteorder))
+        err = (math.isqrt(m - 1) + 1) * store._half_units + 1 + (m + 3) // 4 + store._float_err
+        floor = heapq.nlargest(k, fields)[-1] - 2 * err
+        candidates = [i for i, z in enumerate(fields) if z >= floor]
 
     examples, norms = store._examples, store._norms
     keyed = (

@@ -14,7 +14,9 @@ from conftest import (
 )
 
 from herald import cli
+from herald import config as config_module
 from herald.datastore import read_pairs
+from herald.gateway import Completion, MockInformalizer
 from herald.ingest import serialize_index
 
 DATA = Path(__file__).parent / "data"
@@ -185,6 +187,54 @@ class TestInformalize:
         code = run("--config", str(config), "--out", str(inf), "informalize", "--index", index)
         assert code == rerun_code
         assert "refusing to resume" not in capsys.readouterr().err
+
+
+class BlankOnce(MockInformalizer):
+    """The mock informalizer, except that call number ``blank_at`` answers blank."""
+
+    blank_at = 0
+    calls = 0
+
+    def generate(self, request, sample_index):
+        BlankOnce.calls += 1
+        if BlankOnce.calls == BlankOnce.blank_at + 1:
+            return Completion(text="   ")
+        return super().generate(request, sample_index)
+
+
+@pytest.mark.parametrize("stage, blank_at", [
+    (("informalize",), 0),  # the first statement, so no record reaches disk
+    (("augment", "--tactic"), 1),  # the second tactic-aug statement; the first is cached
+])
+def test_blank_answer_exits_3_then_resumes_to_the_clean_tree(
+    tmp_path, export_file, mock_config, monkeypatch, capsys, stage, blank_at
+):
+    index = tmp_path / "index"
+    assert run("--out", str(index), "ingest", "--export", str(export_file)) == 0
+    argv = (*stage, "--index", str(index / "index.json"))
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert run("--config", str(mock_config), "--out", str(ref), *argv) == 0
+
+    # One request in flight, so the blank answer goes to a fixed request.
+    serial = tmp_path / "serial.json"
+    doc = json.loads(mock_config.read_text(encoding="utf-8"))
+    doc["knobs"]["max_in_flight"] = 1
+    serial.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(BlankOnce, "blank_at", blank_at)
+    monkeypatch.setattr(BlankOnce, "calls", 0)
+    monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "informalizer", BlankOnce)
+    capsys.readouterr()
+    assert run("--config", str(serial), "--out", str(out), *argv) == 3
+    err = capsys.readouterr().err
+    assert "blank answer" in err and "rerun the same command to resume" in err
+    log = out / "cache" / "completions.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+    assert len(lines) >= blank_at
+    assert all(json.loads(line)["text"].strip() for line in lines)
+
+    monkeypatch.undo()
+    assert run("--config", str(mock_config), "--out", str(out), *argv) == 0
+    assert tree_digest(out) == tree_digest(ref)
 
 
 class TestAugmentMixValidateStats:

@@ -278,6 +278,23 @@ class TestCache:
         assert gw.stats["cache_hits"] == 0
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("text", ["", "  \n\t "])
+    def test_blank_stop_completion_is_not_cached(self, tmp_path, text):
+        class Blank:
+            name = "blank"
+
+            def generate(self, request, sample_index):
+                return Completion(text=text)
+
+        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        req = CompletionRequest(prompt_text="p")
+        for _ in range(2):
+            assert gw.complete(req, Blank())[0].text == text
+        gw.close()
+        assert gw.stats["provider_calls"] == 2
+        assert gw.stats["cache_hits"] == 0
+        assert not (tmp_path / "cache").exists()
+
     def test_truncated_and_failed_completions_are_counted(self):
         class Mixed:
             name = "mixed"

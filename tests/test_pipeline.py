@@ -21,8 +21,9 @@ from conftest import cache_keys, make_corpus, make_wide_corpus, tree_digest
 from herald import cli, depgraph, validate
 from herald.config import BackendConfig, PipelineConfig, RoleConfig
 from herald.datastore import read_pairs
-from herald.errors import BudgetExceeded, InvalidInput, SchemaError
+from herald.errors import BudgetExceeded, InvalidInput, ProviderError, SchemaError
 from herald.gateway import (
+    Completion,
     MockBackTranslator,
     MockChatProvider,
     MockInformalizer,
@@ -332,6 +333,31 @@ class InterruptedInformalizer(RecordingInformalizer):
         if len(self.calls) >= 20:
             raise KeyboardInterrupt
         return super().generate(request, sample_index)
+
+
+def test_blank_answer_drained_after_the_first_error_is_dropped(tmp_path):
+    # Three statements in flight: the third fails first; while the run
+    # drains, the first answers and the second answers blank.  The first
+    # error is the one raised, and the first statement is still written.
+    index = make_wide_corpus(n=8)
+    first, second, third = depgraph.stratify(depgraph.build_graph(index)).levels[0][:3]
+    failed = threading.Event()
+
+    class FailThenBlank(MockInformalizer):
+        def generate(self, request, sample_index):
+            subject = request.prompt_text.rsplit("to translate:", 1)[-1].split()[1]
+            if subject == third:
+                failed.set()
+                raise ProviderError(self.name, "401 unauthorized")
+            assert failed.wait(10)
+            time.sleep(0.05)  # the failure reaches the dispatch first
+            if subject == second:
+                return Completion(text="  ")
+            return super().generate(request, sample_index)
+
+    with pytest.raises(ProviderError, match="401"):
+        informalize(index, tmp_path / "inf", FailThenBlank(), max_in_flight=3)
+    assert [json.loads(line)["id"] for line in records(tmp_path / "inf")] == [first]
 
 
 @pytest.mark.parametrize("error", [BudgetExceeded, KeyboardInterrupt])

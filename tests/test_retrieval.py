@@ -3,11 +3,16 @@ equivalence for queries, and round-trip persistence."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import write_shared_fixtures
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +37,8 @@ from herald.retrieval import (
     query_knn,
     save_store,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def vec(*values: float) -> EmbeddingVector:
@@ -375,6 +382,30 @@ class TestQueryKnn:
             query_knn(store, embed(text, provider), k=1)
         assert max(rescored) <= 3, rescored
 
+    def test_screen_rescores_a_few_examples_per_query_at_5000(self, monkeypatch):
+        # The same guard on a store ten times larger: scoring every example
+        # exactly would rescore 5000 per query.
+        rng = random.Random(5000)
+        store = index_examples(
+            [example(i, [rng.gauss(0, 1) for _ in range(64)]) for i in range(5000)]
+        )
+        provider = HashEmbeddingProvider(dim=64)
+        vocabulary = [f"x{i}" for i in range(150)] + ["∀", ":", "=", "→", "+", "*", "(", ")"]
+        rescored = []
+        exact_dot = retrieval._dot
+
+        def counting_dot(u, v):
+            if u is not v:
+                rescored[-1] += 1
+            return exact_dot(u, v)
+
+        monkeypatch.setattr(retrieval, "_dot", counting_dot)
+        for _ in range(100):
+            text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(6, 16)))
+            rescored.append(0)
+            query_knn(store, embed(text, provider), k=1)
+        assert max(rescored) <= 3, rescored
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.001, max_value=1000.0))
     def test_ranking_is_scale_invariant(self, seed, scale):
@@ -390,6 +421,129 @@ class TestQueryKnn:
         base = [h.example.id for h in query_knn(store, vec(*query), k=20)]
         scaled = [h.example.id for h in query_knn(store, vec(*(x * scale for x in query)), k=20)]
         assert base == scaled
+
+
+def sorted_cosine_oracle(examples, query, k):
+    return [
+        (score.hex(), i)
+        for score, i in sorted(
+            ((cosine(query, ex.embedding), ex.id) for ex in examples),
+            key=lambda t: (-t[0], t[1]),
+        )[:k]
+    ]
+
+
+def hits(store, query, k):
+    return [(h.score.hex(), h.example.id) for h in query_knn(store, query, k=k)]
+
+
+class TestIntegerScreenEdges:
+    """The fixed-point screen at the limits of its integers, against the
+    sorted-``cosine`` oracle bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 127, 1023])
+    def test_largest_dim_for_its_shifts(self, dim):
+        # dim + 1 has one more bit, so it gets smaller shifts: no dim with
+        # these shifts packs more products into a field.  Each row holds a
+        # single component ±|v|, so its W is ±2^T, and the query's
+        # components share one magnitude, so every P_j is nonzero and as
+        # large as all of them can be at once.
+        s, t = retrieval._shifts(dim)
+        assert dim << (s + t) < 1 << 63 <= (dim + 1) << (s + t)
+        assert sum(retrieval._shifts(dim + 1)) == s + t - 1
+        rng = random.Random(dim)
+        rows = []
+        for i in range(40):
+            row = [0.0] * dim
+            row[rng.randrange(dim)] = rng.choice([-1.0, 1.0]) * rng.choice([0.5, 3.0, 1e-3])
+            rows.append(row)
+        examples = [example(i, row) for i, row in enumerate(rows)]
+        store = index_examples(examples)
+        magnitude = rng.choice([0.25, 7.0])
+        query = vec(*(rng.choice([-magnitude, magnitude]) for _ in range(dim)))
+        for k in (1, 5):
+            assert hits(store, query, k) == sorted_cosine_oracle(examples, query, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_ties_finer_than_the_screen(self, seed):
+        # Rows that differ from one base row by up to 2^-30 of each
+        # component, as much as the screen rounds at these dims (S and T
+        # are 29 to 31), so the screen ranks them in an order of its own.
+        # Without the margin 2E the true best is often not rescored.
+        rng = random.Random(seed)
+        dim = rng.randint(2, 16)
+        base = [rng.gauss(0, 1) for _ in range(dim)]
+        rows = [[x * (1 + rng.uniform(-1, 1) * 2.0**-30) for x in base] for _ in range(60)]
+        rows += [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(20)]
+        examples = [example(i, row) for i, row in enumerate(rows)]
+        rng.shuffle(examples)
+        store = index_examples(examples)
+        for _ in range(20):
+            query = vec(*(x + rng.gauss(0, 0.5) for x in base))
+            for k in (1, 3):
+                assert hits(store, query, k) == sorted_cosine_oracle(examples, query, k)
+
+    def test_all_negative_query(self):
+        rng = random.Random(21)
+        examples = [example(i, [rng.gauss(0, 1) for _ in range(16)]) for i in range(200)]
+        query = vec(*(-abs(rng.gauss(0, 1)) for _ in range(16)))
+        store = index_examples(examples)
+        for k in (1, 4):
+            assert hits(store, query, k) == sorted_cosine_oracle(examples, query, k)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_single_nonzero_component(self, sign):
+        # Many examples share the component's value, so scores tie.
+        rng = random.Random(17)
+        examples = [
+            example(i, [rng.choice([0.0, 1.0, -2.0, 0.5]) for _ in range(8)]) for i in range(120)
+        ]
+        examples = [ex for ex in examples if any(ex.embedding.values)]
+        query = vec(*(sign * 3.0 if j == 5 else 0.0 for j in range(8)))
+        store = index_examples(examples)
+        for k in (1, 7):
+            assert hits(store, query, k) == sorted_cosine_oracle(examples, query, k)
+
+    @pytest.mark.parametrize("extra", [0, 1, 20])
+    def test_k_at_least_count(self, extra):
+        rng = random.Random(extra)
+        examples = [example(i, [rng.gauss(0, 1) for _ in range(12)]) for i in range(30)]
+        query = vec(*(rng.gauss(0, 1) for _ in range(12)))
+        k = len(examples) + extra
+        assert hits(index_examples(examples), query, k) == sorted_cosine_oracle(
+            examples, query, k
+        )
+
+
+def test_herald_never_imports_numpy(tmp_path):
+    # numpy is installed but not a dependency; importing it would cost
+    # every stage about 12 MiB of RSS.  Load a store, query it, then informalize
+    # a small corpus with retrieval, all in a fresh interpreter.
+    write_shared_fixtures(tmp_path)
+    script = """
+import sys
+from pathlib import Path
+from herald import pipeline, retrieval
+from herald.config import PipelineConfig
+
+root = Path(sys.argv[1])
+store = retrieval.load_store(root / "store")
+query = retrieval.embed("theorem t : a = a", retrieval.HashEmbeddingProvider(dim=store.dim))
+assert len(retrieval.query_knn(store, query, 2)) == 2
+config = PipelineConfig(example_store=root / "store")
+pipeline.run_informalize(pipeline.load_index(root / "corpus.json"), config, root / "out")
+assert (root / "out" / "statements_level_0.jsonl").exists()
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestEmbed:
