@@ -195,10 +195,44 @@ def _object(value, where: str, allowed: frozenset[str], what: str) -> dict:
 _OPERATIONAL_KNOBS = frozenset({"max_in_flight", "retry_limit", "backoff_base_ms", "request_budget"})
 
 
-def _config_digest(doc: dict, knobs: dict) -> str:
-    """SHA-256 of the document as canonical JSON, without the operational knobs."""
-    kept = {key: value for key, value in knobs.items() if key not in _OPERATIONAL_KNOBS}
-    canonical = json.dumps({**doc, "knobs": kept}, sort_keys=True, separators=(",", ":"))
+# The value each key takes when the file leaves it out, spelled as the file
+# spells it: a ratio as "a:b:c", the backend command as a list.
+_DEFAULTS = {
+    "paths": {**dict.fromkeys(_PATH_KEYS), "output_dir": "out"},
+    "role": {f.name: f.default for f in fields(RoleConfig)},
+    "knobs": {
+        **{name: getattr(PipelineConfig, name) for name in _KNOBS - {"backend"}},
+        **{key: ":".join(map(str, getattr(PipelineConfig, key))) for key in ("ratio", "dirmix")},
+    },
+    "backend": {**{f.name: f.default for f in fields(BackendConfig)}, "command": []},
+}
+
+
+def _explicit(section: dict, defaults: dict) -> dict:
+    """The keys of ``section`` not set to their default (same type, equal value)."""
+    return {
+        key: value for key, value in section.items()
+        if not (key in defaults and type(value) is type(defaults[key]) and value == defaults[key])
+    }
+
+
+def _config_digest(paths: dict, roles: dict, knobs: dict, backend: dict) -> str:
+    """SHA-256 of the config as canonical JSON, without the operational knobs.
+
+    A key set to its default counts as left out, and a section left empty
+    as missing, so two files that say the same thing hash alike.  ``knobs``
+    is always there, so a file that spells out no default hashes as the
+    document itself always has.
+    """
+    roles = {name: explicit for name, role in roles.items()
+             if (explicit := _explicit(role, _DEFAULTS["role"]))}
+    knobs = _explicit({key: value for key, value in knobs.items()
+                       if key not in _OPERATIONAL_KNOBS}, _DEFAULTS["knobs"])
+    if backend := _explicit(backend, _DEFAULTS["backend"]):
+        knobs["backend"] = backend
+    sections = {"paths": _explicit(paths, _DEFAULTS["paths"]), "roles": roles}
+    doc = {name: section for name, section in sections.items() if section}
+    canonical = json.dumps({**doc, "knobs": knobs}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -207,8 +241,8 @@ def load_config(path: str | Path, flags: dict | None = None) -> PipelineConfig:
 
     ``flags`` (command-line knobs, in the file's form) replace the file's
     knobs of the same name.  ``config_digest`` covers what the result says,
-    not how it is laid out (key order and whitespace do not count), and
-    leaves out the operational knobs.
+    not how it is written (key order, whitespace, keys set to their default
+    and empty sections do not count), and leaves out the operational knobs.
     """
     raw = Path(path).read_bytes()
     try:
@@ -221,15 +255,17 @@ def load_config(path: str | Path, flags: dict | None = None) -> PipelineConfig:
     _object(doc, "$", _SECTIONS, "section")
     paths = _object(doc.get("paths", {}), "$.paths", _PATHS, "path")
     knobs = {**_object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob"), **(flags or {})}
-    config_digest = _config_digest(doc, knobs)
-    roles_doc = _object(doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role")
-    roles = {
-        name: RoleConfig(**_object(fields_doc, f"$.roles.{name}", _ROLE_FIELDS, "role field"))
-        for name, fields_doc in roles_doc.items()
+    roles_doc = {
+        name: _object(fields_doc, f"$.roles.{name}", _ROLE_FIELDS, "role field")
+        for name, fields_doc in _object(
+            doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role"
+        ).items()
     }
     backend_doc = _object(
         knobs.pop("backend", {}), "$.knobs.backend", _BACKEND_FIELDS, "backend field"
     )
+    config_digest = _config_digest(paths, roles_doc, knobs, backend_doc)
+    roles = {name: RoleConfig(**fields_doc) for name, fields_doc in roles_doc.items()}
 
     def path_or_none(key: str) -> Path | None:
         value = paths.get(key)

@@ -2,8 +2,9 @@
 
 Every record file herald reads, resumes or rewrites is JSONL, one record per
 line.  This module holds the one reader (:func:`read_jsonl`), the torn-line
-rule for resumable files (:func:`drop_torn_tail`) and the one atomic replace
-(:func:`replace_atomic`); pairs are written with fields in fixed order.
+rule for resumable files (:func:`drop_torn_tail`), the one atomic replace
+(:func:`replace_atomic`) and the one keyed cache log (:class:`KeyedLog`);
+pairs are written with fields in fixed order.
 Mixtures realize the configured provenance ratio (default 1:2:1 over
 original, tactic-augmented, informal-augmented pairs) and direction ratio
 (default 2:2:1 over NL->FL, FL->NL, general instruction data) with
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import EmptyPool, InvalidInput, SchemaError
 
@@ -134,8 +135,8 @@ def drop_torn_tail(path: Path) -> None:
     Every record is written as one newline-terminated line, so only the last
     line of a file can be torn.  A malformed line before it stays an error
     for the reader.  The resumable files (the informalize level files and
-    ``proofs.jsonl``, ``reports.jsonl``, the completion log) pass through
-    this before :func:`read_jsonl`; input files are read as they are.
+    ``proofs.jsonl``, ``reports.jsonl``, the cache logs) pass through this
+    before :func:`read_jsonl`; input files are read as they are.
     """
     data = path.read_bytes()
     keep = data.rfind(b"\n") + 1
@@ -161,6 +162,58 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> Itera
             except (KeyError, TypeError, ValueError, InvalidInput) as exc:
                 raise SchemaError(f"bad {what}: {exc}", f"{path}: line {lineno}") from exc
             yield record
+
+
+class KeyedLog(Generic[T]):
+    """An append-only JSONL file of ``{"key": ..., **fields}`` entries: a stage's
+    cache of something paid for (``cache/completions.jsonl``,
+    ``cache/checks.jsonl``).
+
+    Read once, on construction, into a dict, so a hit never touches the disk;
+    a torn final line is dropped as for every resumable record file, and a
+    malformed line is a :class:`SchemaError` naming it.  ``parse`` turns an
+    entry's object into its value and ``fields`` a value back into the
+    entry's other keys.  Each new entry is appended as one flushed line, the
+    directory and the append handle made on the first.  :meth:`close`
+    rewrites the file in key order with :func:`replace_atomic`, so a finished
+    run leaves one sorted file whatever order the entries were added in.  One
+    writing process per output directory is assumed; callers on several
+    threads hold their own lock.
+    """
+
+    def __init__(
+        self, path: Path, parse: Callable[[dict], T], fields: Callable[[T], dict], what: str
+    ):
+        self._path = path
+        self._fields = fields
+        self._entries: dict[str, T] = {}
+        self._handle: TextIO | None = None
+        if path.exists():
+            drop_torn_tail(path)
+            self._entries = dict(read_jsonl(path, lambda obj: (obj["key"], parse(obj)), what))
+
+    def get(self, key: str) -> T | None:
+        return self._entries.get(key)
+
+    def add(self, key: str, value: T) -> None:
+        self._entries[key] = value
+        if self._handle is None:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self._path, "a", encoding="utf-8")
+        self._handle.write(self._line(key, value))
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        if self._entries:
+            entries = self._entries
+            replace_atomic(self._path, (self._line(key, entries[key]) for key in sorted(entries)))
+
+    def _line(self, key: str, value: T) -> str:
+        return json.dumps({"key": key, **self._fields(value)}, ensure_ascii=False,
+                          sort_keys=True) + "\n"
 
 
 def read_pairs(path: str | Path) -> list[NLFLPair]:

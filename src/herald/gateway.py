@@ -14,7 +14,6 @@ the judge mock answers by normalized-string containment).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import threading
@@ -23,9 +22,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Protocol, TextIO
+from typing import Mapping, Protocol
 
-from .datastore import drop_torn_tail, read_jsonl, replace_atomic
+from .datastore import KeyedLog
 from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
 
 # Section markers used by prompt builders; the mocks parse them back out.
@@ -132,69 +131,20 @@ def _role_request(
     )
 
 
-class _CompletionLog:
-    """``cache/completions.jsonl``: the completions paid for, one line per sample.
-
-    Read once, on construction, into a dict, so a hit never touches the disk;
-    a torn final line is dropped as for every resumable record file.  Each
-    new entry is appended as one flushed line, the directory and the append
-    handle made on the first.  :meth:`close` rewrites the log in key order
-    with :func:`datastore.replace_atomic`, so a finished run leaves one
-    sorted file whatever order the pool threads appended in.  One writing
-    process per output directory is assumed.
-    """
-
-    NAME = "completions.jsonl"
-
-    def __init__(self, directory: Path):
-        self._path = Path(directory) / self.NAME
-        self._entries: dict[str, Completion] = {}
-        self._handle: TextIO | None = None
-        if self._path.exists():
-            drop_torn_tail(self._path)
-            self._entries = dict(read_jsonl(self._path, _log_entry, "cache entry"))
-
-    def get(self, key: str) -> Completion | None:
-        return self._entries.get(key)
-
-    def add(self, key: str, completion: Completion) -> None:
-        self._entries[key] = completion
-        if self._handle is None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self._path, "a", encoding="utf-8")
-        self._handle.write(_log_line(key, completion))
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if self._entries:
-            replace_atomic(
-                self._path, (_log_line(key, self._entries[key]) for key in sorted(self._entries))
-            )
-
-
-def _log_entry(obj: dict) -> tuple[str, Completion]:
-    completion = Completion(
+def _completion(obj: dict) -> Completion:
+    return Completion(
         text=obj["text"],
         finish_reason=FinishReason(obj["finish_reason"]),
         provider_meta=obj["provider_meta"],
     )
-    return obj["key"], completion
 
 
-def _log_line(key: str, completion: Completion) -> str:
-    return json.dumps(
-        {
-            "key": key,
-            "text": completion.text,
-            "finish_reason": completion.finish_reason.value,
-            "provider_meta": dict(completion.provider_meta),
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    ) + "\n"
+def _completion_fields(completion: Completion) -> dict:
+    return {
+        "text": completion.text,
+        "finish_reason": completion.finish_reason.value,
+        "provider_meta": dict(completion.provider_meta),
+    }
 
 
 def _cache_key(request: CompletionRequest, provider: CompletionProvider, sample_index: int) -> str:
@@ -222,7 +172,7 @@ class Gateway:
         self.config = config or GatewayConfig()
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._log: _CompletionLog | None = None
+        self._log: KeyedLog[Completion] | None = None
         self.stats = {
             "provider_calls": 0,
             "retries": 0,
@@ -286,10 +236,14 @@ class Gateway:
                 self._executor = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
             return self._executor
 
-    def _completion_log(self) -> _CompletionLog | None:
-        """The cache, read on first use; call with the lock held."""
+    def _completion_log(self) -> KeyedLog[Completion] | None:
+        """``cache/completions.jsonl``, one entry per sample paid for, read on
+        first use; call with the lock held."""
         if self._log is None and self.config.cache_dir is not None:
-            self._log = _CompletionLog(self.config.cache_dir)
+            self._log = KeyedLog(
+                Path(self.config.cache_dir) / "completions.jsonl",
+                _completion, _completion_fields, "cache entry",
+            )
         return self._log
 
     def _one_sample(

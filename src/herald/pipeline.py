@@ -55,6 +55,16 @@ def _close_gateway(gateway: Gateway, stage: str) -> None:
     )
 
 
+def _close_backend(backend: validate.CompilerBackend, stage: str) -> None:
+    """Close the stage's compiler backend; a cached one logs its counters at
+    INFO, kept out of the manifests for the same reason as the gateway's."""
+    backend.close()
+    if isinstance(backend, validate.CachedChecks):
+        logger.info(
+            "%s: %s", stage, ", ".join(f"{name} {count}" for name, count in backend.stats.items())
+        )
+
+
 def _answer_text(completion: Completion, subject: str) -> str:
     """The completion's text, stripped; a blank answer raises :class:`BlankAnswer`.
 
@@ -497,7 +507,7 @@ def run_augment(
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     gateway = config.gateway(cache_dir=out_dir / "cache")
-    backend = config.backend.build() if tactic else None
+    backend = validate.cache_checks(config.backend.build(), out_dir / "cache") if tactic else None
     try:
         if tactic:
             synthesized = aug.synthesize_for_index(index)
@@ -581,7 +591,7 @@ def run_augment(
     finally:
         _close_gateway(gateway, "augment")
         if backend is not None:
-            backend.close()
+            _close_backend(backend, "augment")
 
     write_manifest(out_dir, "augment", config, counts)
     return counts
@@ -692,9 +702,12 @@ def run_validate(
 
     Resume: ``reports.jsonl`` is the only record of progress.  It must hold
     the reports of a prefix of the benchmark (a torn final line is dropped);
-    those items are skipped and the rest are run, their completions already
-    paid for coming from the cache.  ``summary.json`` and the manifest are
-    built from the whole file.
+    those items are skipped and the rest are run.  What the earlier run paid
+    for comes from the cache: its completions from
+    ``cache/completions.jsonl`` and, with a REPL backend, its compile checks
+    from ``cache/checks.jsonl`` (:func:`validate.cache_checks`), so no
+    candidate is checked twice.  ``summary.json`` and the manifest are built
+    from the whole file.
     """
     k = k if k is not None else config.pass_k
     if not 1 <= k <= SAMPLE_CAP:
@@ -710,7 +723,7 @@ def run_validate(
     )
     reports_path = out_dir / "reports.jsonl"
     written = _written_report_count(reports_path, items, k, config.short_circuit)
-    backend = config.backend.build()
+    backend = validate.cache_checks(config.backend.build(), out_dir / "cache")
     gateway = config.gateway(cache_dir=out_dir / "cache")
     dispatch = _OrderedDispatch(range(len(items)), range(written))
     todo = iter(range(written, len(items)))
@@ -755,7 +768,7 @@ def run_validate(
         dispatch.run(open_items, settle)
     finally:
         _close_gateway(gateway, "validate")
-        backend.close()
+        _close_backend(backend, "validate")
     summary = validate.summarize(
         validate.read_reports(reports_path), dataset_name or Path(bench_path).stem
     )

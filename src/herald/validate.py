@@ -6,7 +6,9 @@ An item succeeds when any of its k candidates passes both checks.
 
 Two compiler backends implement one interface: a subprocess driver speaking
 line-delimited JSON to a proof-checker REPL, and a scriptable mock keyed by
-statement digest so everything runs without a toolchain.
+statement digest so everything runs without a toolchain.  The stages keep the
+REPL's outcomes in their ``cache/checks.jsonl`` (:func:`cache_checks`), so a
+rerun pays for no check twice.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from .datastore import read_jsonl
+from .datastore import KeyedLog, read_jsonl
 from .errors import BackendUnavailable, InvalidInput, MixedK
 from .gateway import (
     BACK_TRANSLATE_MARKER,
@@ -38,6 +40,8 @@ from .gateway import (
 
 DEFAULT_HEADER = "import Mathlib\n"
 DEFAULT_TIMEOUT_MS = 60000
+# The diagnostics of a check that ran out of time.
+TIMEOUT = ("timeout",)
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ class ReplBackend:
                 line = self._responses.get(timeout=timeout_ms / 1000.0)
             except queue.Empty:
                 self._stop()
-                return CompileOutcome(False, ("timeout",))
+                return CompileOutcome(False, TIMEOUT)
             try:
                 resp = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -160,6 +164,63 @@ class ReplBackend:
             return CompileOutcome(
                 bool(resp.get("ok")), tuple(str(d) for d in resp.get("diagnostics", []))
             )
+
+
+def _outcome(obj: dict) -> CompileOutcome:
+    ok, diagnostics = obj["ok"], obj["diagnostics"]
+    if not isinstance(ok, bool) or not isinstance(diagnostics, list):
+        raise TypeError("ok must be a boolean and diagnostics a list")
+    return CompileOutcome(ok, tuple(str(d) for d in diagnostics))
+
+
+def _outcome_fields(outcome: CompileOutcome) -> dict:
+    return {"ok": outcome.ok, "diagnostics": list(outcome.diagnostics)}
+
+
+class CachedChecks:
+    """A process-backed checker whose outcomes are kept in ``cache/checks.jsonl``.
+
+    An entry is keyed by the SHA-256 of the exact source checked, header
+    included, so a rerun answers every check already paid for without a
+    round trip to the process.  The checker's command is not in the key: an
+    output directory is bound to one proof checker, as its ``reports.jsonl``
+    is.  A timeout is not kept, and a check that raises (the process gone or
+    answering garbage) keeps nothing, so a rerun asks again.  ``stats``
+    counts the checks sent to the process and those answered from the file.
+    Checks come from one thread.
+    """
+
+    def __init__(self, backend: CompilerBackend, cache_dir: Path):
+        self.backend = backend
+        self.stats = {"compile_checks": 0, "check_cache_hits": 0}
+        self._log = KeyedLog(cache_dir / "checks.jsonl", _outcome, _outcome_fields, "check entry")
+
+    def check(self, source: str, timeout_ms: int) -> CompileOutcome:
+        key = digest(source)
+        outcome = self._log.get(key)
+        if outcome is not None:
+            self.stats["check_cache_hits"] += 1
+            return outcome
+        self.stats["compile_checks"] += 1
+        outcome = self.backend.check(source, timeout_ms)
+        if outcome.diagnostics != TIMEOUT:
+            self._log.add(key, outcome)
+        return outcome
+
+    def close(self) -> None:
+        try:
+            self._log.close()
+        finally:
+            self.backend.close()
+
+
+def cache_checks(backend: CompilerBackend, cache_dir: Path) -> CompilerBackend:
+    """``backend``, its outcomes kept in ``cache_dir`` when it is a
+    :class:`ReplBackend`; an in-process backend checks again for free and is
+    returned as it is."""
+    if isinstance(backend, ReplBackend):
+        return CachedChecks(backend, cache_dir)
+    return backend
 
 
 def compose_source(statement_text: str, header: str = DEFAULT_HEADER) -> str:
@@ -330,11 +391,14 @@ class ItemRun:
     hands each future to ``track(future, tag)``; the driver passes every
     completion back to :meth:`settle` with its tag, in any order, on one
     thread.  Candidates are looked at strictly in sample order, each compile
-    check on that thread; a pass sends the back-translation, and its return
-    sends the judge.  With ``short_circuit``, candidate i+1 is looked at only
-    after candidate i's verdict, and none after the first accepted one;
-    otherwise every compiling candidate is judged.  Nothing else is sent, so
-    the provider calls are the same whatever order completions return in.
+    check on that thread through ``backend``; wrapped by
+    :func:`cache_checks`, it answers a check an earlier run made from
+    ``cache/checks.jsonl``.  A pass sends the back-translation, and its
+    return sends the judge.  With ``short_circuit``, candidate i+1 is looked
+    at only after candidate i's verdict, and none after the first accepted
+    one; otherwise every compiling candidate is judged.  Nothing else is
+    sent, so the provider calls are the same whatever order completions
+    return in.
 
     The report is ready once every request sent has returned, so an item
     whose report is written leaves no call unpaid behind it.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,91 @@ def test_knob_flags_count_in_the_config_digest(tmp_path, export_file, flags, kno
     written = config_digest_of_run(tmp_path, "written", knobs, command, *inputs[command])
     neither = config_digest_of_run(tmp_path, "neither", {}, command, *inputs[command])
     assert flagged == written != neither
+
+
+# --- the compile-check cache, through a REPL -----------------------------------
+
+FAKE_REPL = [sys.executable, str(Path(__file__).parent / "fake_repl.py")]
+
+
+def repl_config(path: Path, log: Path, **knobs) -> Path:
+    """A config whose backend is ``fake_repl.py`` logging every source to ``log``."""
+    backend = {"kind": "repl", "command": [*FAKE_REPL, "--log", str(log)]}
+    path.write_text(json.dumps({"knobs": {"backend": backend, **knobs}}), encoding="utf-8")
+    return path
+
+
+def drain(log: Path) -> list[str]:
+    """The sources the REPL processes received since the last drain."""
+    if not log.exists():
+        return []
+    sources = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    log.unlink()
+    return sources
+
+
+def repl_bench(path: Path) -> Path:
+    """Per pair of items: one the judge accepts at its first candidate, one
+    whose every candidate compiles and is rejected (its text is cut in the
+    candidate), one whose every candidate fails to compile."""
+    texts = []
+    for i in range(2):
+        texts += [f"OK short {i}",
+                  f"OK {i}, but this statement runs past the forty characters kept",
+                  f"no proof {i}"]
+    path.write_text("".join(json.dumps({"id": f"b{i}", "informal_text": text}) + "\n"
+                            for i, text in enumerate(texts)), encoding="utf-8")
+    return path
+
+
+def test_validate_resumed_after_a_budget_cut_checks_no_source_twice(tmp_path, capsys):
+    log = tmp_path / "sent.jsonl"
+    plain = repl_config(tmp_path / "plain.json", log)
+    budget = repl_config(tmp_path / "budget.json", log, request_budget=20, max_in_flight=1)
+    argv = ("validate", "--bench", str(repl_bench(tmp_path / "bench.jsonl")), "--k", "3")
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert run("--config", str(plain), "--out", str(ref), *argv) == 0
+    clean = drain(log)
+    assert len(clean) == len(set(clean)) == 2 * (1 + 3 + 3)
+
+    assert run("--config", str(budget), "--out", str(out), *argv) == 3
+    assert "rerun the same command to resume" in capsys.readouterr().err
+    first = drain(log)
+    assert run("--config", str(plain), "--out", str(out), *argv) == 0
+    rest = drain(log)
+    assert first and rest, "the budget cut the run between two checks"
+    assert len(first + rest) == len(set(first + rest))
+    assert set(first + rest) == set(clean)
+    assert tree_digest(out) == tree_digest(ref)
+
+
+def test_second_tactic_augment_makes_no_check(tmp_path, export_file):
+    log = tmp_path / "sent.jsonl"
+    config = repl_config(tmp_path / "config.json", log)
+    index = tmp_path / "index"
+    assert run("--out", str(index), "ingest", "--export", str(export_file)) == 0
+    argv = ("--config", str(config), "--out", str(tmp_path / "aug"),
+            "augment", "--index", str(index / "index.json"), "--tactic")
+    assert run(*argv) == 0
+    assert drain(log)
+    before = tree_digest(tmp_path / "aug")
+    assert run(*argv) == 0
+    assert drain(log) == []
+    assert tree_digest(tmp_path / "aug") == before
+
+
+def test_malformed_check_log_line_exits_2_naming_it(tmp_path, capsys):
+    config = repl_config(tmp_path / "config.json", tmp_path / "sent.jsonl")
+    argv = ("--config", str(config), "--out", str(tmp_path / "val"),
+            "validate", "--bench", str(repl_bench(tmp_path / "bench.jsonl")), "--k", "3")
+    assert run(*argv) == 0
+    log = tmp_path / "val" / "cache" / "checks.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[0] = lines[0][:5] + b"\n"
+    log.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert f"{log}: line 1" in capsys.readouterr().err
 
 
 class TestBadInputExits2:

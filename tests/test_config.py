@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -36,6 +37,16 @@ class TestLoadConfig:
         a = load_config(write_config(tmp_path, {"knobs": {"dedup_seed": 1}}))
         b = load_config(write_config(tmp_path, {"knobs": {"dedup_seed": 2}}))
         assert a.config_digest != b.config_digest
+
+    def test_digest_ignores_empty_sections_and_keys_at_their_default(self, tmp_path):
+        knobs = {"dedup_seed": 3}
+        digests = {
+            load_config(write_config(tmp_path, doc)).config_digest
+            for doc in ({"roles": {}, "knobs": knobs}, {"knobs": knobs},
+                        {"knobs": {**knobs, "pass_k": 32}})
+        }
+        # The canonical document of a config that spells out no default.
+        assert digests == {hashlib.sha256(b'{"knobs":{"dedup_seed":3}}').hexdigest()}
 
     def test_pass_k_range(self, tmp_path):
         with pytest.raises(InvalidInput):

@@ -27,7 +27,7 @@ from herald.errors import EmptyPool, InvalidInput, SchemaError
 from herald.gateway import Gateway, GatewayConfig
 from herald.pipeline import load_benchmark, load_general_pairs
 from herald.retrieval import STORE_SCHEMA_VERSION, load_store
-from herald.validate import read_reports
+from herald.validate import CachedChecks, ReplBackend, read_reports
 
 
 def pair(
@@ -334,6 +334,12 @@ def _read_store(path):
     return load_store(path.parent).count
 
 
+def _read_check_log(path):
+    # Closing the check cache reads its file and rewrites what it read, sorted.
+    CachedChecks(ReplBackend(["never-started"]), path.parent).close()
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
 def _read_cache(path):
     # Closing a gateway reads its log and rewrites what it read, sorted.
     Gateway(GatewayConfig(cache_dir=path.parent)).close()
@@ -374,6 +380,12 @@ READERS = {
         _read_cache,
         lambda i: {"key": f"k{i}", "text": "t", "finish_reason": "stop", "provider_meta": {}},
         {"key": "x", "text": "t", "finish_reason": "error", "provider_meta": {}},
+    ),
+    "check log": (
+        "checks.jsonl",
+        _read_check_log,
+        lambda i: {"key": f"k{i}", "ok": i % 2 == 0, "diagnostics": [] if i % 2 == 0 else ["e"]},
+        {"key": "x", "ok": "false", "diagnostics": []},
     ),
     "example store": (
         "examples.jsonl",

@@ -362,7 +362,7 @@ def test_blank_answer_drained_after_the_first_error_is_dropped(tmp_path):
 
 @pytest.mark.parametrize("error", [BudgetExceeded, KeyboardInterrupt])
 def test_log_is_closed_and_sorted_when_a_stage_raises(tmp_path, monkeypatch, error):
-    from herald import gateway
+    from herald import datastore  # the cache log's module
 
     opened = []
 
@@ -370,7 +370,7 @@ def test_log_is_closed_and_sorted_when_a_stage_raises(tmp_path, monkeypatch, err
         opened.append(open(*args, **kwargs))
         return opened[-1]
 
-    monkeypatch.setattr(gateway, "open", recording_open, raising=False)
+    monkeypatch.setattr(datastore, "open", recording_open, raising=False)
     out = tmp_path / "inf"
     with pytest.raises(error):
         if error is BudgetExceeded:
@@ -640,6 +640,88 @@ def test_validate_resume_refuses_a_file_it_did_not_write(tmp_path, damage, error
     path.write_bytes(b"".join(lines))
     with pytest.raises(error):
         validate_run(bench, out, k=5 if damage == "other k" else 6)
+
+
+class InProcessRepl(ReplBackend):
+    """A REPL backend answered in this process: the mock translator's odd
+    samples and every source without a sample index compile.  Every source
+    it is asked about is appended to ``sent``."""
+
+    def __init__(self, sent: list):
+        super().__init__(["in-process"])
+        self.sent = sent
+
+    def check(self, source, timeout_ms):
+        self.sent.append(source)
+        sample = _SAMPLE_RE.search(source)
+        return CompileOutcome(sample is None or int(sample.group(2)) % 2 == 1, ("even",))
+
+
+@dataclass(frozen=True)
+class InProcessReplConfig(BackendConfig):
+    sent: list = field(default_factory=list, compare=False)
+
+    def build(self):
+        return InProcessRepl(self.sent)
+
+
+def repl_validate_run(bench: Path, out: Path, events: list | None = None) -> list[str]:
+    """:func:`validate_run` with the in-process REPL; the sources it checked."""
+    role = WrappedRole(events=[] if events is None else events)
+    backend = InProcessReplConfig()
+    config = PipelineConfig(roles={"translator": role, "back_translator": role,
+                                   "nli_judge": role},
+                            backend=backend, max_in_flight=2)
+    run_validate(bench, config, out, k=6)
+    return backend.sent
+
+
+def test_mock_backends_write_no_check_log(tmp_path):
+    validate_run(write_bench(tmp_path / "bench.jsonl", 4), tmp_path / "val")
+    run_augment(make_wide_corpus(n=12), PipelineConfig(), tmp_path / "aug", tactic=True)
+    assert sorted(p.name for p in (tmp_path / "val" / "cache").iterdir()) == ["completions.jsonl"]
+    assert sorted(p.name for p in (tmp_path / "aug" / "cache").iterdir()) == ["completions.jsonl"]
+
+
+def test_validate_resume_after_check_log_truncation_at_any_offset(tmp_path):
+    bench = write_bench(tmp_path / "bench.jsonl", 6)
+    ref = tmp_path / "ref"
+    checked = repl_validate_run(bench, ref)
+    assert len(checked) == len(set(checked)) == 3 * 2 + 3 * 6
+    data = (ref / "cache" / "checks.jsonl").read_bytes()
+    rng = random.Random(7)
+    offsets = {0, data.index(b"\n") + 1, len(data) - 1, *rng.sample(range(len(data)), 5)}
+    for offset in sorted(offsets):
+        out = tmp_path / f"cut{offset}"
+        shutil.copytree(ref, out)
+        # A kill loses the reports that the lost checks were waiting for.
+        (out / "reports.jsonl").unlink()
+        (out / "summary.json").unlink()
+        os.truncate(out / "cache" / "checks.jsonl", offset)
+        events = []
+        rechecked = repl_validate_run(bench, out, events)
+        lost = data.count(b"\n") - data[:offset].count(b"\n")
+        assert len(rechecked) == lost, offset
+        assert calls(events) == [], "every completion is in the cache"
+        assert tree_digest(out) == tree_digest(ref), offset
+
+
+def test_validate_and_augment_log_their_check_counters_at_close(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="herald.pipeline")
+    bench = write_bench(tmp_path / "bench.jsonl", 2)
+    for _ in range(2):
+        repl_validate_run(bench, tmp_path / "val")
+    config = PipelineConfig(backend=InProcessReplConfig())
+    for _ in range(2):
+        run_augment(make_wide_corpus(n=12), config, tmp_path / "aug", tactic=True)
+    lines = [r.getMessage() for r in caplog.records if "compile_checks" in r.getMessage()]
+    synthesized = len((tmp_path / "aug" / "cache" / "checks.jsonl").read_text().splitlines())
+    assert lines == [
+        "validate: compile_checks 8, check_cache_hits 0",  # 1 + 6 candidates and 1 repeat
+        "validate: compile_checks 0, check_cache_hits 0",  # both reports on disk
+        f"augment: compile_checks {synthesized}, check_cache_hits 0",
+        f"augment: compile_checks 0, check_cache_hits {synthesized}",
+    ]
 
 
 def test_short_circuit_sends_no_back_translation_before_the_previous_verdict(tmp_path):

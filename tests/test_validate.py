@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -16,9 +18,13 @@ from herald.gateway import (
     MockBackTranslator,
     MockNliJudge,
     Role,
+    digest,
 )
 from herald.validate import (
+    TIMEOUT,
+    CachedChecks,
     CandidateResult,
+    CompileOutcome,
     CompileStatus,
     MockCompilerBackend,
     NliStatus,
@@ -26,6 +32,7 @@ from herald.validate import (
     Roles,
     ValidationReport,
     back_translate,
+    cache_checks,
     compile_check,
     compose_source,
     nli_check,
@@ -119,6 +126,103 @@ class TestBackends:
         )
         assert compose_source("theorem t : A", "") == "theorem t : A"
         assert compose_source("x", "import Mathlib").startswith("import Mathlib\n")
+
+
+class InProcessRepl(ReplBackend):
+    """A ReplBackend answered in this process, as ``fake_repl.py`` would
+    answer; every source it is asked about is kept in ``sent``."""
+
+    def __init__(self):
+        super().__init__(["in-process"])
+        self.sent: list[str] = []
+
+    def check(self, source, timeout_ms):
+        self.sent.append(source)
+        ok = "OK" in source
+        return CompileOutcome(ok, () if ok else ("error: unexpected token",))
+
+
+def logging_repl(log: Path) -> list[str]:
+    """``fake_repl.py`` appending every source it receives to ``log``."""
+    return [*FAKE_REPL, "--log", str(log)]
+
+
+def sources_in(log: Path) -> list[str]:
+    return [json.loads(line) for line in log.read_text("utf-8").splitlines()] if log.exists() else []
+
+
+class TestCachedChecks:
+    SOURCES = ("import Mathlib\ntheorem a : OK", "import Mathlib\ntheorem b : no",
+               "theorem c : OK", "theorem d : no")
+
+    def test_only_a_repl_backend_is_wrapped(self, tmp_path):
+        mock = MockCompilerBackend()
+        assert cache_checks(mock, tmp_path) is mock
+        repl = ReplBackend(FAKE_REPL)
+        cached = cache_checks(repl, tmp_path)
+        assert isinstance(cached, CachedChecks) and cached.backend is repl
+        cached.close()
+        assert not tmp_path.joinpath("checks.jsonl").exists()
+
+    def test_a_rerun_answers_every_check_from_the_file(self, tmp_path):
+        first = CachedChecks(InProcessRepl(), tmp_path)
+        outcomes = [first.check(source, 1000) for source in (*self.SOURCES, self.SOURCES[0])]
+        first.close()
+        assert first.backend.sent == list(self.SOURCES)
+        assert first.stats == {"compile_checks": 4, "check_cache_hits": 1}
+        lines = [json.loads(line) for line in (tmp_path / "checks.jsonl").read_text().splitlines()]
+        assert [line["key"] for line in lines] == sorted(digest(s) for s in self.SOURCES)
+        assert lines[0].keys() == {"key", "ok", "diagnostics"}
+
+        again = CachedChecks(InProcessRepl(), tmp_path)
+        assert [again.check(source, 1000) for source in self.SOURCES] == outcomes[:4]
+        assert again.check("theorem e : OK", 1000).ok
+        again.close()
+        assert again.backend.sent == ["theorem e : OK"]
+        assert again.stats == {"compile_checks": 1, "check_cache_hits": 4}
+
+    def test_truncation_at_every_offset_rechecks_only_the_lost_entries(self, tmp_path):
+        ref = tmp_path / "ref"
+        checks = CachedChecks(InProcessRepl(), ref)
+        for source in self.SOURCES:
+            checks.check(source, 1000)
+        checks.close()
+        data = (ref / "checks.jsonl").read_bytes()
+        for offset in range(len(data) + 1):
+            cut = tmp_path / f"cut{offset}"
+            cut.mkdir()
+            (cut / "checks.jsonl").write_bytes(data[:offset])
+            checks = CachedChecks(InProcessRepl(), cut)
+            for source in self.SOURCES:
+                checks.check(source, 1000)
+            checks.close()
+            lost = data.count(b"\n") - data[:offset].count(b"\n")
+            assert len(checks.backend.sent) == lost, offset
+            assert (cut / "checks.jsonl").read_bytes() == data, offset
+            shutil.rmtree(cut)
+
+    def test_a_timeout_is_checked_again_on_the_rerun(self, tmp_path):
+        log = tmp_path / "sent.jsonl"
+        for _ in range(2):
+            checks = CachedChecks(ReplBackend(logging_repl(log)), tmp_path / "cache")
+            try:
+                assert checks.check("theorem SLEEP", 200) == CompileOutcome(False, TIMEOUT)
+            finally:
+                checks.close()
+            assert checks.stats == {"compile_checks": 1, "check_cache_hits": 0}
+        assert sources_in(log) == ["theorem SLEEP"] * 2
+        assert not (tmp_path / "cache").exists()
+
+    def test_an_unavailable_backend_leaves_no_entry(self, tmp_path):
+        checks = CachedChecks(ReplBackend(FAKE_REPL), tmp_path)
+        try:
+            assert checks.check("theorem a : OK", 5000).ok
+            with pytest.raises(BackendUnavailable):
+                checks.check("theorem GARBAGE", 5000)
+        finally:
+            checks.close()
+        [entry] = (tmp_path / "checks.jsonl").read_text().splitlines()
+        assert json.loads(entry)["key"] == digest("theorem a : OK")
 
 
 class TestSteps:
