@@ -108,18 +108,14 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        # Knob flags join the config file's knobs before its digest is taken.
-        flags = {}
+        config = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
-            flags["dedup_seed"] = flags["mix_seed"] = args.seed
-        for key in ("dedup_seed", "ratio", "dirmix"):  # --dedup-seed wins over --seed
+            config.dedup_seed = config.mix_seed = args.seed
+        if getattr(args, "dedup_seed", None) is not None:  # wins over --seed
+            config.dedup_seed = args.dedup_seed
+        for key in ("ratio", "dirmix"):
             if getattr(args, key, None) is not None:
-                flags[key] = getattr(args, key)
-        if args.config:
-            config = load_config(args.config, flags)
-        else:
-            ratios = {key: parse_ratio(flags[key]) for key in ("ratio", "dirmix") if key in flags}
-            config = PipelineConfig(**{**flags, **ratios})
+                setattr(config, key, parse_ratio(getattr(args, key)))
         out_dir = args.out or config.output_dir
 
         if args.command == "ingest":
@@ -161,14 +157,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"augment: {counts}")
 
         elif args.command == "mix":
-            general_path = args.general or config.general_data
-            if general_path is None:
+            if args.general:
+                config.general_data = args.general
+            if config.general_data is None:
                 raise InvalidInput("mix needs --general or paths.general_data in config")
             manifest = pipeline.run_mix(
                 _load_pairs_arg(args.original),
                 ds.read_pairs(args.tactic_aug),
                 ds.read_pairs(args.informal_aug),
-                pipeline.load_general_pairs(general_path),
+                pipeline.load_general_pairs(config.general_data),
                 config,
                 out_dir,
                 total=args.total,

@@ -21,6 +21,11 @@ so a misspelled or retired key fails loudly instead of being ignored.
 
 ``max_in_flight`` is the one concurrency knob: every provider call goes
 through the gateway pool.
+
+:attr:`PipelineConfig.config_digest` covers the config a stage runs with,
+whether it came from a file, from flags or from code: it hashes the document
+a config file would spell for the resolved fields, so two configs that say
+the same thing hash alike however they were made.
 """
 
 from __future__ import annotations
@@ -140,7 +145,6 @@ class PipelineConfig:
     retry_limit: int = 3
     backoff_base_ms: int = 50
     request_budget: int | None = None
-    config_digest: str = "unconfigured"
 
     def __post_init__(self):
         if not 1 <= self.pass_k <= SAMPLE_CAP:
@@ -168,16 +172,60 @@ class PipelineConfig:
             )
         )
 
+    @property
+    def config_digest(self) -> str:
+        """SHA-256 of the config as canonical JSON, without the operational knobs.
+
+        The document is the one a config file would spell: a field equal to
+        its default in type and value counts as left out, and a section left
+        empty as missing.  ``knobs`` is always there, so a config that sets
+        nothing but defaults hashes as ``{"knobs":{}}``.  Only the fields of
+        :class:`RoleConfig` count for a role, whatever its class.
+        """
+        default = PipelineConfig()
+        roles = {name: changed for name, role in self.roles.items()
+                 if (changed := _changed(role, RoleConfig(), _ROLE_FIELDS))}
+        knobs = _changed(self, default, _KNOBS - _OPERATIONAL_KNOBS - {"backend"})
+        if backend := _changed(self.backend, default.backend, _BACKEND_FIELDS):
+            knobs["backend"] = backend
+        sections = {"paths": _changed(self, default, _PATHS), "roles": roles}
+        doc = {name: section for name, section in sections.items() if section}
+        canonical = json.dumps({**doc, "knobs": knobs}, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
 
 # Every field under ``knobs`` in the config file; the rest come from
 # ``paths`` and ``roles`` or from the file itself.
-_KNOBS = frozenset(f.name for f in fields(PipelineConfig)) - {
-    *_PATH_KEYS, "output_dir", "roles", "config_digest"
-}
+_KNOBS = frozenset(f.name for f in fields(PipelineConfig)) - {*_PATH_KEYS, "output_dir", "roles"}
 _SECTIONS = frozenset({"paths", "roles", "knobs"})
 _PATHS = frozenset({*_PATH_KEYS, "output_dir"})
 _ROLE_FIELDS = frozenset(f.name for f in fields(RoleConfig))
 _BACKEND_FIELDS = frozenset(f.name for f in fields(BackendConfig))
+# Knobs that change how a run proceeds but not what it writes, so a rerun may
+# change them (say, raise a spent budget) and still resume.
+_OPERATIONAL_KNOBS = frozenset({"max_in_flight", "retry_limit", "backoff_base_ms", "request_budget"})
+
+
+def _spelled(name: str, value):
+    """Field ``name``'s ``value`` as a config file spells it: a ratio as
+    ``"a:b:c"``, the backend command as a list, a path as a string."""
+    if name in ("ratio", "dirmix"):
+        return ":".join(map(str, value))
+    if name == "command":
+        return list(value)
+    return str(value) if isinstance(value, Path) else value
+
+
+def _changed(obj, default, names) -> dict:
+    """The fields ``names`` of ``obj`` that differ from ``default``'s in type
+    or value, spelled as a config file spells them."""
+    changed = {}
+    for name in names:
+        value = _spelled(name, getattr(obj, name))
+        base = _spelled(name, getattr(default, name))
+        if type(value) is not type(base) or value != base:
+            changed[name] = value
+    return changed
 
 
 def _object(value, where: str, allowed: frozenset[str], what: str) -> dict:
@@ -190,59 +238,13 @@ def _object(value, where: str, allowed: frozenset[str], what: str) -> dict:
     return value
 
 
-# Knobs that change how a run proceeds but not what it writes, so a rerun may
-# change them (say, raise a spent budget) and still resume.
-_OPERATIONAL_KNOBS = frozenset({"max_in_flight", "retry_limit", "backoff_base_ms", "request_budget"})
-
-
-# The value each key takes when the file leaves it out, spelled as the file
-# spells it: a ratio as "a:b:c", the backend command as a list.
-_DEFAULTS = {
-    "paths": {**dict.fromkeys(_PATH_KEYS), "output_dir": "out"},
-    "role": {f.name: f.default for f in fields(RoleConfig)},
-    "knobs": {
-        **{name: getattr(PipelineConfig, name) for name in _KNOBS - {"backend"}},
-        **{key: ":".join(map(str, getattr(PipelineConfig, key))) for key in ("ratio", "dirmix")},
-    },
-    "backend": {**{f.name: f.default for f in fields(BackendConfig)}, "command": []},
-}
-
-
-def _explicit(section: dict, defaults: dict) -> dict:
-    """The keys of ``section`` not set to their default (same type, equal value)."""
-    return {
-        key: value for key, value in section.items()
-        if not (key in defaults and type(value) is type(defaults[key]) and value == defaults[key])
-    }
-
-
-def _config_digest(paths: dict, roles: dict, knobs: dict, backend: dict) -> str:
-    """SHA-256 of the config as canonical JSON, without the operational knobs.
-
-    A key set to its default counts as left out, and a section left empty
-    as missing, so two files that say the same thing hash alike.  ``knobs``
-    is always there, so a file that spells out no default hashes as the
-    document itself always has.
-    """
-    roles = {name: explicit for name, role in roles.items()
-             if (explicit := _explicit(role, _DEFAULTS["role"]))}
-    knobs = _explicit({key: value for key, value in knobs.items()
-                       if key not in _OPERATIONAL_KNOBS}, _DEFAULTS["knobs"])
-    if backend := _explicit(backend, _DEFAULTS["backend"]):
-        knobs["backend"] = backend
-    sections = {"paths": _explicit(paths, _DEFAULTS["paths"]), "roles": roles}
-    doc = {name: section for name, section in sections.items() if section}
-    canonical = json.dumps({**doc, "knobs": knobs}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def load_config(path: str | Path, flags: dict | None = None) -> PipelineConfig:
+def load_config(path: str | Path) -> PipelineConfig:
     """Parse a config file; an unknown key at any level is a :class:`SchemaError`.
 
-    ``flags`` (command-line knobs, in the file's form) replace the file's
-    knobs of the same name.  ``config_digest`` covers what the result says,
-    not how it is written (key order, whitespace, keys set to their default
-    and empty sections do not count), and leaves out the operational knobs.
+    Flags and code may change the result afterwards; its ``config_digest``
+    follows, since it is computed from the fields, not from the file (key
+    order, whitespace, keys set to their default and empty sections do not
+    count).
     """
     raw = Path(path).read_bytes()
     try:
@@ -254,9 +256,9 @@ def load_config(path: str | Path, flags: dict | None = None) -> PipelineConfig:
 
     _object(doc, "$", _SECTIONS, "section")
     paths = _object(doc.get("paths", {}), "$.paths", _PATHS, "path")
-    knobs = {**_object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob"), **(flags or {})}
-    roles_doc = {
-        name: _object(fields_doc, f"$.roles.{name}", _ROLE_FIELDS, "role field")
+    knobs = _object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob")
+    roles = {
+        name: RoleConfig(**_object(fields_doc, f"$.roles.{name}", _ROLE_FIELDS, "role field"))
         for name, fields_doc in _object(
             doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role"
         ).items()
@@ -264,8 +266,6 @@ def load_config(path: str | Path, flags: dict | None = None) -> PipelineConfig:
     backend_doc = _object(
         knobs.pop("backend", {}), "$.knobs.backend", _BACKEND_FIELDS, "backend field"
     )
-    config_digest = _config_digest(paths, roles_doc, knobs, backend_doc)
-    roles = {name: RoleConfig(**fields_doc) for name, fields_doc in roles_doc.items()}
 
     def path_or_none(key: str) -> Path | None:
         value = paths.get(key)
@@ -282,7 +282,6 @@ def load_config(path: str | Path, flags: dict | None = None) -> PipelineConfig:
             output_dir=Path(paths.get("output_dir", "out")),
             roles=roles,
             backend=BackendConfig(**backend_doc),
-            config_digest=config_digest,
             **knobs,
         )
     except InvalidInput:

@@ -110,12 +110,6 @@ def _write_synced(path: str | Path, lines: Iterable[str]) -> None:
         os.fsync(fh.fileno())
 
 
-def write_pairs(pairs: list[NLFLPair], path: str | Path) -> int:
-    """One JSON object per line (:func:`pair_line`); fsynced."""
-    _write_synced(path, map(pair_line, pairs))
-    return len(pairs)
-
-
 def replace_atomic(path: str | Path, lines: Iterable[str]) -> None:
     """Replace ``path`` by ``lines``: write and fsync ``<stem>.tmp`` beside it,
     then rename it into place, so a kill leaves the old file or the new one."""

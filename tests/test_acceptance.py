@@ -25,7 +25,7 @@ from conftest import (
 )
 
 from herald.augment import dedup_sample, synthesize_from_state, synthesize_for_index
-from herald.datastore import Provenance, mix, split_by_ratio, write_pairs
+from herald.datastore import Provenance, mix, split_by_ratio, write_pairs_atomic
 from herald.depgraph import DepGraph, schedule, stratify
 from herald.gateway import Gateway, GatewayConfig, MockBackTranslator, MockNliJudge, Role
 from herald.ingest import scan_declarations
@@ -278,7 +278,7 @@ def test_mixing_ratios(tmp_path):
         seed=0,
     )
     path = tmp_path / "dataset.jsonl"
-    write_pairs(records, path)
+    write_pairs_atomic(records, path)
     lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l]
     assert manifest.total == len(lines)
     report(

@@ -297,9 +297,9 @@ class TestAugmentMixValidateStats:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
         pairs_file = tmp_path / "pairs.jsonl"
-        from herald.datastore import Direction, NLFLPair, Provenance, write_pairs
+        from herald.datastore import Direction, NLFLPair, Provenance, write_pairs_atomic
 
-        write_pairs(
+        write_pairs_atomic(
             [
                 NLFLPair(
                     id=f"p{i}", formal_text="f", informal_text="i",
@@ -316,10 +316,10 @@ class TestAugmentMixValidateStats:
         assert code == 4  # EmptyPool is a pipeline error
 
     def test_stats_command(self, tmp_path, capsys):
-        from herald.datastore import Direction, NLFLPair, Provenance, write_pairs
+        from herald.datastore import Direction, NLFLPair, Provenance, write_pairs_atomic
 
         data = tmp_path / "d.jsonl"
-        write_pairs(
+        write_pairs_atomic(
             [
                 NLFLPair(
                     id="a", formal_text="f", informal_text="i",
@@ -344,31 +344,61 @@ def config_digest_of_run(tmp_path: Path, name: str, knobs: dict, *argv: str) -> 
     return json.loads(manifest.read_text(encoding="utf-8"))["config_digest"]
 
 
-@pytest.mark.parametrize("flags, knobs", [
-    (["--seed", "5", "ingest"], {"dedup_seed": 5, "mix_seed": 5}),
-    (["--seed", "5", "augment", "--dedup-seed", "9"], {"dedup_seed": 9, "mix_seed": 5}),
-    (["mix", "--ratio", "1:1:1", "--dirmix", "1:1:1"], {"ratio": "1:1:1", "dirmix": "1:1:1"}),
-])
-def test_knob_flags_count_in_the_config_digest(tmp_path, export_file, flags, knobs):
+def mix_inputs(tmp_path: Path, general: str = "general") -> list[str]:
+    """``mix`` arguments: four original pairs as every pool, and a general
+    pool of one record in ``<general>.jsonl``."""
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(
         json.dumps({"id": f"p{i}", "formal_text": "f", "informal_text": "i",
                     "direction": "nl_to_fl", "provenance": "original"}) + "\n"
         for i in range(4)
     ), encoding="utf-8")
-    general = tmp_path / "general.jsonl"
-    general.write_text('{"id": "g", "text": "t"}\n', encoding="utf-8")
+    path = tmp_path / f"{general}.jsonl"
+    path.write_text('{"id": "g", "text": "t"}\n', encoding="utf-8")
+    return ["--original", str(pairs), "--tactic-aug", str(pairs), "--informal-aug",
+            str(pairs), "--general", str(path), "--total", "4"]
+
+
+@pytest.mark.parametrize("flags, knobs", [
+    (["--seed", "5", "ingest"], {"dedup_seed": 5, "mix_seed": 5}),
+    (["--seed", "5", "augment", "--dedup-seed", "9"], {"dedup_seed": 9, "mix_seed": 5}),
+    (["mix", "--ratio", "1:1:1", "--dirmix", "1:1:1"], {"ratio": "1:1:1", "dirmix": "1:1:1"}),
+])
+def test_knob_flags_count_in_the_config_digest(tmp_path, export_file, flags, knobs):
     inputs = {
         "ingest": ["--export", str(export_file)],
         "augment": ["--index", str(export_file), "--tactic"],
-        "mix": ["--original", str(pairs), "--tactic-aug", str(pairs), "--informal-aug",
-                str(pairs), "--general", str(general), "--total", "4"],
+        "mix": mix_inputs(tmp_path),
     }
     command = next(arg for arg in flags if arg in inputs)
     flagged = config_digest_of_run(tmp_path, "flagged", {}, *flags, *inputs[command])
     written = config_digest_of_run(tmp_path, "written", knobs, command, *inputs[command])
     neither = config_digest_of_run(tmp_path, "neither", {}, command, *inputs[command])
     assert flagged == written != neither
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["augment", "--dedup-seed", "3"], {"dedup_seed": 3}),
+    (["--seed", "3", "augment"], {"dedup_seed": 3, "mix_seed": 3}),
+])
+def test_a_code_built_config_hashes_as_its_flag_and_file_twins(tmp_path, export_file,
+                                                               argv, fields):
+    inputs = ["--index", str(export_file), "--tactic"]
+    flagged = config_digest_of_run(tmp_path, "flagged", {}, *argv, *inputs)
+    written = config_digest_of_run(tmp_path, "written", fields, "augment", *inputs)
+    assert config_module.PipelineConfig(**fields).config_digest == flagged == written
+
+
+def test_input_path_flags_count_in_the_config_digest(tmp_path, export_file):
+    # Two stages run from different inputs under one config must not claim
+    # the same config: ``ingest --export`` and ``mix --general`` name them.
+    other = tmp_path / "other.json"
+    other.write_text(serialize_index(make_corpus(20)), encoding="utf-8")
+    ingests = {config_digest_of_run(tmp_path, f"ingest{i}", {}, "ingest", "--export", str(path))
+               for i, path in enumerate((export_file, other))}
+    mixes = {config_digest_of_run(tmp_path, name, {}, "mix", *mix_inputs(tmp_path, name))
+             for name in ("general_a", "general_b")}
+    assert len(ingests) == len(mixes) == 2
 
 
 # --- the compile-check cache, through a REPL -----------------------------------

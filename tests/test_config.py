@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,73 @@ class TestLoadConfig:
         path.write_text("{oops", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_config(str(path))
+
+
+# A value other than the default for every field of the three config classes.
+# A new field needs one here, so that it cannot escape the digest unseen.
+OTHER_VALUES = {
+    PipelineConfig: {
+        "corpus_export": Path("export.json"), "source_dir": Path("lean"),
+        "template_registry": Path("templates.json"), "tactic_notes": Path("notes.json"),
+        "example_store": Path("store"), "general_data": Path("general.jsonl"),
+        "output_dir": Path("elsewhere"), "roles": {"translator": RoleConfig(model_id="m")},
+        "backend": BackendConfig(kind="repl", command=("lean",)),
+        "retrieval_k": 2, "pass_k": 8, "dedup_seed": 3, "mix_seed": 4,
+        "compile_timeout_ms": 10, "ratio": (3, 2, 1), "dirmix": (1, 1, 1),
+        "header_prelude": "", "neighbor_limit": 2, "max_prompt_chars": 900,
+        "short_circuit": False, "max_in_flight": 2, "retry_limit": 1,
+        "backoff_base_ms": 4, "request_budget": 9,
+    },
+    RoleConfig: {"provider": "http", "model_id": "m", "base_url": "http://localhost:1",
+                 "temperature": 0.5, "max_output_tokens": 64},
+    BackendConfig: {"kind": "repl", "default_ok": False, "command": ("lean",)},
+}
+OPERATIONAL_KNOBS = {"max_in_flight", "retry_limit", "backoff_base_ms", "request_budget"}
+
+
+class TestConfigDigest:
+    @pytest.mark.parametrize("owner, name", [
+        pytest.param(owner, f.name, id=f"{owner.__name__}.{f.name}")
+        for owner in OTHER_VALUES for f in fields(owner)
+    ])
+    def test_every_field_counts_but_the_operational_knobs(self, owner, name):
+        assert name in OTHER_VALUES[owner], f"give {owner.__name__}.{name} a value above"
+        value = OTHER_VALUES[owner][name]
+        assert getattr(owner(), name) != value
+        config = PipelineConfig()
+        if owner is PipelineConfig:
+            setattr(config, name, value)  # as the CLI sets a flag, unchecked
+        elif owner is RoleConfig:
+            config.roles = {"translator": RoleConfig(**{name: value})}
+        else:
+            config.backend = BackendConfig(**{name: value})
+        changed = config.config_digest != PipelineConfig().config_digest
+        assert changed == (name not in OPERATIONAL_KNOBS)
+
+    def test_a_code_built_config_hashes_as_its_file(self, tmp_path):
+        written = load_config(write_config(tmp_path, {"knobs": {"dedup_seed": 3}}))
+        assert PipelineConfig(dedup_seed=3).config_digest == written.config_digest
+        assert PipelineConfig().config_digest == hashlib.sha256(b'{"knobs":{}}').hexdigest()
+
+    def test_fields_of_a_role_subclass_do_not_count(self):
+        @dataclass(frozen=True)
+        class MeteredRole(RoleConfig):
+            latency_ms: float = 15.0
+
+        config = PipelineConfig(roles={"translator": MeteredRole()})
+        assert config.config_digest == PipelineConfig().config_digest
+        config.roles = {"translator": MeteredRole(temperature=0.5)}
+        assert config.config_digest == PipelineConfig(
+            roles={"translator": RoleConfig(temperature=0.5)}).config_digest
+
+    def test_a_path_counts_as_written(self, tmp_path):
+        written = load_config(write_config(tmp_path, {"paths": {"general_data": str(tmp_path)}}))
+        config = PipelineConfig()
+        config.general_data = tmp_path
+        assert config.config_digest == written.config_digest
+        canonical = json.dumps({"knobs": {}, "paths": {"general_data": str(tmp_path)}},
+                               separators=(",", ":"))
+        assert written.config_digest == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestRoleAndBackendBuilding:

@@ -20,7 +20,6 @@ from herald.datastore import (
     stats,
     stats_table,
     stats_to_json,
-    write_pairs,
     write_pairs_atomic,
 )
 from herald.errors import EmptyPool, InvalidInput, SchemaError
@@ -85,19 +84,19 @@ class TestPairInvariants:
 class TestWriteRead:
     def test_empty(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
-        assert write_pairs([], path) == 0
+        assert write_pairs_atomic([], path) == 0
         assert path.read_text(encoding="utf-8") == ""
         assert read_pairs(path) == []
 
     def test_three_pairs_round_trip(self, tmp_path):
         pairs = [pair(i) for i in range(3)]
         path = tmp_path / "pairs.jsonl"
-        assert write_pairs(pairs, path) == 3
+        assert write_pairs_atomic(pairs, path) == 3
         assert read_pairs(path) == pairs
 
     def test_field_order_is_fixed(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
-        write_pairs([pair(1)], path)
+        write_pairs_atomic([pair(1)], path)
         keys = list(json.loads(path.read_text(encoding="utf-8")).keys())
         assert keys == [
             "id", "formal_text", "informal_text", "direction",
@@ -116,7 +115,7 @@ class TestWriteRead:
             for i in range(10000)
         ]
         path = tmp_path / "big.jsonl"
-        write_pairs(pairs, path)
+        write_pairs_atomic(pairs, path)
         assert read_pairs(path) == pairs
 
     def test_atomic_write_replaces(self, tmp_path):
@@ -135,7 +134,7 @@ class TestWriteRead:
         pairs = [pair(i) for i in ids]
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/pairs.jsonl"
-            write_pairs(pairs, path)
+            write_pairs_atomic(pairs, path)
             assert read_pairs(path) == pairs
 
 
@@ -194,7 +193,7 @@ class TestMix:
         )
         for name in ("a.jsonl", "b.jsonl"):
             records, _ = mix(*pools, **kwargs)
-            write_pairs(records, tmp_path / name)
+            write_pairs_atomic(records, tmp_path / name)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_different_seeds_differ(self):
@@ -280,7 +279,7 @@ class TestMix:
             seed=2,
         )
         path = tmp_path / "dataset.jsonl"
-        write_pairs(records, path)
+        write_pairs_atomic(records, path)
         lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l]
         assert manifest.total == len(lines)
         assert json.loads(manifest.to_json())["total"] == len(lines)
@@ -295,7 +294,7 @@ class TestStats:
             + [pair(i, Provenance.GENERAL, direction=None, record_type="instruction") for i in range(4)]
         )
         path = tmp_path / "data.jsonl"
-        write_pairs(records, path)
+        write_pairs_atomic(records, path)
         result = stats(path)
         assert result.total == 14
         assert result.by_provenance == {"original": 5, "tactic_aug": 5, "general": 4}

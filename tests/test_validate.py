@@ -206,7 +206,7 @@ class TestCachedChecks:
         for _ in range(2):
             checks = CachedChecks(ReplBackend(logging_repl(log)), tmp_path / "cache")
             try:
-                assert checks.check("theorem SLEEP", 200) == CompileOutcome(False, TIMEOUT)
+                assert checks.check("theorem SLEEP", 2000) == CompileOutcome(False, TIMEOUT)
             finally:
                 checks.close()
             assert checks.stats == {"compile_checks": 1, "check_cache_hits": 0}
