@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import datastore as ds
-from .errors import InvalidInput
+from .errors import BlankAnswer, InvalidInput
 from .gateway import (
     STRATEGY_MARKER,
     STRATEGY_TEXT_MARKER,
@@ -291,7 +291,7 @@ class NLVariant:
 
 @dataclass(frozen=True)
 class VariantBatch:
-    """Variants kept plus bookkeeping: attempted == kept + dropped."""
+    """The variant kept, if any, plus bookkeeping: attempted == kept + dropped."""
 
     variants: tuple[NLVariant, ...]
     attempted: int
@@ -307,25 +307,30 @@ def strategy_prompt(strategy: AugmentationStrategy, informal_text: str) -> str:
     )
 
 
+def strategy_order(pair_id: str, seed: int) -> list[AugmentationStrategy]:
+    """:func:`all_strategies` shuffled by ``seed`` and ``pair_id`` alone: a
+    string seed, so neither ``PYTHONHASHSEED`` nor the other statements count."""
+    order = all_strategies()
+    random.Random(f"{seed}:{pair_id}").shuffle(order)
+    return order
+
+
 def informal_variants(
     pair, strategies: list[AugmentationStrategy], gateway: Gateway, role: Role
 ) -> VariantBatch:
-    """One gateway call per strategy; outputs identical to the original
-    (after whitespace/case normalization) are dropped and counted."""
+    """One gateway call per strategy, in order, up to the first output that
+    differs from the original after whitespace/case normalization, which is
+    kept; each identical output is dropped and counted.  A blank answer raises
+    :class:`BlankAnswer`: it is never cached, so the rerun asks again."""
     if not pair.informal_text or not pair.formal_text:
         raise InvalidInput(f"pair {pair.id} must carry both texts")
-    variants = []
-    dropped = 0
     origin_norm = normalize_text(pair.informal_text)
-    for strategy in strategies:
+    for attempted, strategy in enumerate(strategies, 1):
         completion = gateway.complete_role(role, strategy_prompt(strategy, pair.informal_text))[0]
         text = completion.text.strip()
-        if not text or normalize_text(text) == origin_norm:
-            dropped += 1
-            continue
-        variants.append(
-            NLVariant(origin_pair_id=pair.id, strategy=strategy, informal_text=text)
-        )
-    return VariantBatch(
-        variants=tuple(variants), attempted=len(strategies), dropped=dropped
-    )
+        if not text:
+            raise BlankAnswer(f"blank answer for variant {strategy.tag()} of {pair.id}")
+        if normalize_text(text) != origin_norm:
+            variant = NLVariant(origin_pair_id=pair.id, strategy=strategy, informal_text=text)
+            return VariantBatch(variants=(variant,), attempted=attempted, dropped=attempted - 1)
+    return VariantBatch(variants=(), attempted=len(strategies), dropped=len(strategies))

@@ -181,6 +181,8 @@ class PipelineConfig:
         empty as missing.  ``knobs`` is always there, so a config that sets
         nothing but defaults hashes as ``{"knobs":{}}``.  Only the fields of
         :class:`RoleConfig` count for a role, whatever its class.
+        ``output_dir`` does not count: where a tree is written does not
+        change what is written in it, and ``--out`` may name it instead.
         """
         default = PipelineConfig()
         roles = {name: changed for name, role in self.roles.items()
@@ -188,7 +190,7 @@ class PipelineConfig:
         knobs = _changed(self, default, _KNOBS - _OPERATIONAL_KNOBS - {"backend"})
         if backend := _changed(self.backend, default.backend, _BACKEND_FIELDS):
             knobs["backend"] = backend
-        sections = {"paths": _changed(self, default, _PATHS), "roles": roles}
+        sections = {"paths": _changed(self, default, _PATH_KEYS), "roles": roles}
         doc = {name: section for name, section in sections.items() if section}
         canonical = json.dumps({**doc, "knobs": knobs}, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

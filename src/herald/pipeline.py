@@ -504,6 +504,11 @@ def run_augment(
     informal: bool = False,
     original_pairs: list[ds.NLFLPair] | None = None,
 ) -> dict[str, int]:
+    """Tactic-aug statements, dedup-sampled, and informal variants: one seeded
+    strategy per statement (:func:`augment.strategy_order`), the next on a drop,
+    written in source order as ``{id}__var{j}``, ``j`` its index in
+    :func:`augment.all_strategies`.  Record files go through ``replace_atomic``,
+    so a kill can tear only the completion log, which a rerun reads back."""
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     gateway = config.gateway(cache_dir=out_dir / "cache")
@@ -562,13 +567,14 @@ def run_augment(
                 p for p in original_pairs if p.record_type == "statement" and p.formal_text
             ]
             for pair in source_pairs:
-                batch = aug.informal_variants(pair, strategies, gateway, augmenter)
+                order = aug.strategy_order(pair.id, config.dedup_seed)
+                batch = aug.informal_variants(pair, order, gateway, augmenter)
                 attempted += batch.attempted
                 dropped += batch.dropped
-                for i, variant in enumerate(batch.variants):
+                for variant in batch.variants:
                     variants.append(
                         ds.NLFLPair(
-                            id=f"{pair.id}__var{i}",
+                            id=f"{pair.id}__var{strategies.index(variant.strategy)}",
                             formal_text=pair.formal_text,
                             informal_text=variant.informal_text,
                             direction=ds.Direction.NL_TO_FL,
@@ -577,15 +583,12 @@ def run_augment(
                             level=pair.level,
                         )
                     )
-            sampled_variants = aug.dedup_sample(
-                variants, len(source_pairs), config.dedup_seed
-            )
-            ds.write_pairs_atomic(sampled_variants, out_dir / "informal_aug.jsonl")
+            ds.write_pairs_atomic(variants, out_dir / "informal_aug.jsonl")
             counts.update(
                 {
                     "variants_attempted": attempted,
                     "variants_dropped": dropped,
-                    "informal_aug_pairs": len(sampled_variants),
+                    "informal_aug_pairs": len(variants),
                 }
             )
     finally:

@@ -1,9 +1,13 @@
 """Tactic-state statement synthesis, compile filtering, dedup sampling,
-and the four informal-variant strategies."""
+the four informal-variant strategies and the seeded strategy draw."""
 
 from __future__ import annotations
 
 import re
+import threading
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import pytest
 from conftest import make_corpus
@@ -23,11 +27,22 @@ from herald.augment import (
     synthesize_from_state,
     write_rejected_report,
 )
-from herald.datastore import Direction, NLFLPair, Provenance
+from herald.config import PipelineConfig, RoleConfig
+from herald.datastore import Direction, NLFLPair, Provenance, read_pairs
 from herald.errors import InvalidInput
-from herald.gateway import Completion, Gateway, GatewayConfig, MockAugmenter, Role
+from herald.gateway import (
+    STRATEGY_MARKER,
+    STRATEGY_TEXT_MARKER,
+    Completion,
+    Gateway,
+    GatewayConfig,
+    MockAugmenter,
+    Role,
+    _section_after,
+)
 from herald.ingest import scan_declarations
-from herald.records import DeclKind, ProofState
+from herald.pipeline import run_augment
+from herald.records import CorpusIndex, DeclKind, ProofState
 from herald.validate import MockCompilerBackend
 
 RUNNING_EXAMPLE_STATE = ProofState(
@@ -243,8 +258,6 @@ class TestInformalVariants:
             name = "echo"
 
             def generate(self, request, sample_index):
-                from herald.gateway import STRATEGY_TEXT_MARKER, _section_after
-
                 return Completion(text=_section_after(request.prompt_text, STRATEGY_TEXT_MARKER))
 
         strategies = all_strategies()
@@ -260,13 +273,14 @@ class TestInformalVariants:
         assert batch.variants == ()
 
     def test_counts_conserved(self):
+        # The walk stops at the first variant kept: the mock rewrites every
+        # strategy, so the first is kept and the other five are never asked.
         strategies = all_strategies()
         with self._gateway() as gw:
             batch = informal_variants(pair("If A, then B."), strategies, gw, self._role())
-        assert batch.attempted == len(strategies)
+        assert batch.attempted == 1
         assert batch.attempted == len(batch.variants) + batch.dropped
-        for variant in batch.variants:
-            assert variant.strategy in strategies
+        assert [variant.strategy for variant in batch.variants] == strategies[:1]
 
     def test_strategy_validation(self):
         with pytest.raises(InvalidInput):
@@ -285,3 +299,117 @@ class TestInformalVariants:
         text = strategy_prompt(strategy, "Some claim.")
         assert "multi_linguistic_translation ru" in text
         assert "Some claim." in text
+
+
+# --- the strategy draw, through run_augment -------------------------------------
+
+TAGS = [strategy.tag() for strategy in all_strategies()]
+TRANSLATION = StrategyKind.MULTI_LINGUISTIC_TRANSLATION.value
+
+
+class LoggingAugmenter(MockAugmenter):
+    """The mock augmenter, logging (statement text, strategy tag) per call,
+    that echoes the statement back for every strategy of a family in ``echo``."""
+
+    def __init__(self, echo=()):
+        self.echo = set(echo)
+        self.calls: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+
+    def generate(self, request, sample_index):
+        tag = _section_after(request.prompt_text, STRATEGY_MARKER)
+        text = _section_after(request.prompt_text, STRATEGY_TEXT_MARKER)
+        with self._lock:
+            self.calls.append((text, tag))
+        if tag.split()[0] in self.echo:
+            return Completion(text=text)
+        return super().generate(request, sample_index)
+
+
+@dataclass(frozen=True)
+class LoggingRole(RoleConfig):
+    augmenter: LoggingAugmenter = field(default_factory=LoggingAugmenter)
+
+    def build(self, role_name):
+        return replace(super().build(role_name), provider=self.augmenter)
+
+
+def statements(n: int) -> list[NLFLPair]:
+    return [
+        NLFLPair(id=f"s{i}", formal_text=f"theorem s{i} : True",
+                 informal_text=f"Statement {i} holds.", direction=Direction.NL_TO_FL,
+                 provenance=Provenance.ORIGINAL)
+        for i in range(n)
+    ]
+
+
+@dataclass
+class Draw:
+    counts: dict
+    kept: list[tuple[str, str]]  # (statement id, strategy tag) in file order
+    asked: dict[str, list[str]]  # statement id -> strategy tags in call order
+
+
+def draw(out: Path, pairs: list[NLFLPair], echo=(), seed: int = 0) -> Draw:
+    augmenter = LoggingAugmenter(echo)
+    config = PipelineConfig(roles={"augmenter": LoggingRole(augmenter=augmenter)},
+                            dedup_seed=seed)
+    counts = run_augment(CorpusIndex({}), config, out, tactic=False, informal=True,
+                         original_pairs=pairs)
+    kept = []
+    for record in read_pairs(out / "informal_aug.jsonl"):
+        pid, j = record.id.rsplit("__var", 1)
+        kept.append((pid, TAGS[int(j)]))
+    by_text = {p.informal_text: p.id for p in pairs}
+    asked: dict[str, list[str]] = {}
+    for text, tag in augmenter.calls:
+        asked.setdefault(by_text[text], []).append(tag)
+    return Draw(counts, kept, asked)
+
+
+class TestStrategyDraw:
+    def test_one_record_per_statement_in_source_order(self, tmp_path):
+        pairs = statements(30)
+        result = draw(tmp_path / "aug", pairs)
+        assert [pid for pid, _ in result.kept] == [p.id for p in pairs]
+        assert result.counts["informal_aug_pairs"] == len(pairs)
+
+    def test_calls_are_one_per_statement_plus_one_per_drop(self, tmp_path):
+        pairs = statements(30)
+        result = draw(tmp_path / "aug", pairs, echo={TRANSLATION})
+        calls = sum(len(tags) for tags in result.asked.values())
+        echoed = sum(tag.startswith(TRANSLATION) for tags in result.asked.values()
+                     for tag in tags)
+        assert echoed > 0
+        assert result.counts["variants_dropped"] == echoed
+        assert calls == len(pairs) + result.counts["variants_dropped"]
+        assert result.counts["variants_attempted"] == calls
+
+    def test_an_echoed_family_is_skipped_for_the_next_strategy_in_order(self, tmp_path):
+        pairs = statements(30)
+        # Every strategy echoed: each statement is asked all six, in its order.
+        full = draw(tmp_path / "all", pairs, echo={kind.value for kind in StrategyKind})
+        assert full.kept == [] and full.counts["variants_dropped"] == 6 * len(pairs)
+        assert all(sorted(tags) == sorted(TAGS) for tags in full.asked.values())
+
+        result = draw(tmp_path / "aug", pairs, echo={TRANSLATION})
+        for pid, tag in result.kept:
+            order = full.asked[pid]
+            expected = next(t for t in order if not t.startswith(TRANSLATION))
+            assert tag == expected
+            assert result.asked[pid] == order[: order.index(expected) + 1]
+
+    def test_a_statements_draw_depends_on_itself_and_the_seed_alone(self, tmp_path):
+        pairs = statements(30)
+        together = dict(draw(tmp_path / "all", pairs).kept)
+        for i in (0, 7, 29):
+            [(pid, tag)] = draw(tmp_path / f"alone{i}", [pairs[i]]).kept
+            assert together[pid] == tag
+        reseeded = dict(draw(tmp_path / "seed1", pairs, seed=1).kept)
+        assert reseeded != together
+
+    def test_each_strategy_is_kept_a_fair_share_of_the_time(self, tmp_path):
+        n = 600
+        kept = Counter(tag for _, tag in draw(tmp_path / "aug", statements(n)).kept)
+        assert set(kept) == set(TAGS)
+        assert all(n / 12 <= kept[tag] <= n / 4 for tag in TAGS), kept

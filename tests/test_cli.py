@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import shutil
 import sys
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from conftest import (
 from herald import cli
 from herald import config as config_module
 from herald.datastore import read_pairs
-from herald.gateway import Completion, MockInformalizer
+from herald.gateway import Completion, MockAugmenter, MockInformalizer
 from herald.ingest import serialize_index
 
 DATA = Path(__file__).parent / "data"
@@ -189,30 +192,63 @@ class TestInformalize:
         assert code == rerun_code
         assert "refusing to resume" not in capsys.readouterr().err
 
+    def test_out_resumes_a_tree_begun_at_paths_output_dir(self, tmp_path, export_file,
+                                                          mock_config):
+        out = self._setup(tmp_path, export_file, mock_config)
+        inf = tmp_path / "inf"
+        config = tmp_path / "budget.json"
+        config.write_text(json.dumps({"paths": {"output_dir": str(inf)},
+                                      "knobs": {"request_budget": 3}}), encoding="utf-8")
+        index = str(out / "index.json")
+        assert run("--config", str(config), "informalize", "--index", index) == 3
+        assert run("--out", str(inf), "informalize", "--index", index) == 0
 
-class BlankOnce(MockInformalizer):
-    """The mock informalizer, except that call number ``blank_at`` answers blank."""
 
-    blank_at = 0
+class Scripted:
+    """Mixed into a mock role: ``calls`` counts the calls of every role it is
+    mixed into, and call number ``blank_at`` (from 0) answers blank."""
+
+    blank_at = -1
     calls = 0
 
     def generate(self, request, sample_index):
-        BlankOnce.calls += 1
-        if BlankOnce.calls == BlankOnce.blank_at + 1:
+        Scripted.calls += 1
+        if Scripted.calls == Scripted.blank_at + 1:
             return Completion(text="   ")
         return super().generate(request, sample_index)
+
+
+class ScriptedInformalizer(Scripted, MockInformalizer):
+    pass
+
+
+class ScriptedAugmenter(Scripted, MockAugmenter):
+    pass
+
+
+def informalized(tmp_path, export_file, mock_config) -> tuple[str, str]:
+    """``--index`` and ``--pairs`` for ``augment``: the index and the
+    informalize output of ``export_file``."""
+    index, inf = tmp_path / "index", tmp_path / "inf"
+    assert run("--out", str(index), "ingest", "--export", str(export_file)) == 0
+    assert run("--config", str(mock_config), "--out", str(inf),
+               "informalize", "--index", str(index / "index.json")) == 0
+    return str(index / "index.json"), str(inf)
 
 
 @pytest.mark.parametrize("stage, blank_at", [
     (("informalize",), 0),  # the first statement, so no record reaches disk
     (("augment", "--tactic"), 1),  # the second tactic-aug statement; the first is cached
+    # the second statement's first strategy: a blank is no drop, so the walk
+    # must not move on to the next strategy
+    (("augment", "--informal"), 1),
 ])
 def test_blank_answer_exits_3_then_resumes_to_the_clean_tree(
     tmp_path, export_file, mock_config, monkeypatch, capsys, stage, blank_at
 ):
-    index = tmp_path / "index"
-    assert run("--out", str(index), "ingest", "--export", str(export_file)) == 0
-    argv = (*stage, "--index", str(index / "index.json"))
+    index, pairs = informalized(tmp_path, export_file, mock_config)
+    informal = "--informal" in stage
+    argv = (*stage, "--index", index, *(("--pairs", pairs) if informal else ()))
     ref, out = tmp_path / "ref", tmp_path / "out"
     assert run("--config", str(mock_config), "--out", str(ref), *argv) == 0
 
@@ -221,9 +257,12 @@ def test_blank_answer_exits_3_then_resumes_to_the_clean_tree(
     doc = json.loads(mock_config.read_text(encoding="utf-8"))
     doc["knobs"]["max_in_flight"] = 1
     serial.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setattr(BlankOnce, "blank_at", blank_at)
-    monkeypatch.setattr(BlankOnce, "calls", 0)
-    monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "informalizer", BlankOnce)
+    monkeypatch.setattr(Scripted, "blank_at", blank_at)
+    monkeypatch.setattr(Scripted, "calls", 0)
+    if informal:
+        monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "augmenter", ScriptedAugmenter)
+    else:
+        monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "informalizer", ScriptedInformalizer)
     capsys.readouterr()
     assert run("--config", str(serial), "--out", str(out), *argv) == 3
     err = capsys.readouterr().err
@@ -236,6 +275,60 @@ def test_blank_answer_exits_3_then_resumes_to_the_clean_tree(
     monkeypatch.undo()
     assert run("--config", str(mock_config), "--out", str(out), *argv) == 0
     assert tree_digest(out) == tree_digest(ref)
+
+
+class TestInformalAugmentResume:
+    """``augment --tactic --informal`` stopped midway resumes to the clean tree."""
+
+    @pytest.fixture
+    def clean(self, tmp_path, export_file, mock_config, monkeypatch):
+        """The argv of the run, its clean output and its provider calls; every
+        role called counts in ``Scripted.calls`` from here on."""
+        index, pairs = informalized(tmp_path, export_file, mock_config)
+        monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "informalizer", ScriptedInformalizer)
+        monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "augmenter", ScriptedAugmenter)
+        monkeypatch.setattr(Scripted, "calls", 0)
+        argv = ("augment", "--tactic", "--informal", "--index", index, "--pairs", pairs)
+        ref = tmp_path / "ref"
+        assert run("--config", str(mock_config), "--out", str(ref), *argv) == 0
+        return argv, ref, Scripted.calls
+
+    def test_budget_cut_in_the_informal_loop(self, tmp_path, mock_config, capsys, clean):
+        argv, ref, clean_calls = clean
+        manifest = json.loads((ref / "augment_run_manifest.json").read_text(encoding="utf-8"))
+        budget = manifest["tactic_aug_pairs"] + manifest["informal_aug_pairs"] // 2
+        assert manifest["tactic_aug_pairs"] < budget < clean_calls
+        config = tmp_path / "budget.json"
+        doc = json.loads(mock_config.read_text(encoding="utf-8"))
+        doc["knobs"]["request_budget"] = budget
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", str(config), "--out", str(out), *argv) == 3
+        assert "rerun the same command to resume" in capsys.readouterr().err
+
+        Scripted.calls = 0
+        assert run("--config", str(mock_config), "--out", str(out), *argv) == 0
+        assert Scripted.calls == clean_calls - budget
+        assert tree_digest(out) == tree_digest(ref)
+
+    def test_torn_completion_log(self, tmp_path, mock_config, clean):
+        argv, ref, _ = clean
+        data = (ref / "cache" / "completions.jsonl").read_bytes()
+        rng = random.Random(11)
+        offsets = {0, data.index(b"\n") + 1, len(data) - 1, *rng.sample(range(len(data)), 6)}
+        assert len(offsets) >= 8
+        for offset in sorted(offsets):
+            out = tmp_path / f"cut{offset}"
+            shutil.copytree(ref, out)
+            # informal_aug.jsonl and the manifest are written after the loop.
+            (out / "informal_aug.jsonl").unlink()
+            (out / "augment_run_manifest.json").unlink()
+            os.truncate(out / "cache" / "completions.jsonl", offset)
+            Scripted.calls = 0
+            assert run("--config", str(mock_config), "--out", str(out), *argv) == 0
+            lost = data.count(b"\n") - data[:offset].count(b"\n")
+            assert Scripted.calls == lost, offset
+            assert tree_digest(out) == tree_digest(ref), offset
 
 
 class TestAugmentMixValidateStats:

@@ -166,6 +166,8 @@ OTHER_VALUES = {
     BackendConfig: {"kind": "repl", "default_ok": False, "command": ("lean",)},
 }
 OPERATIONAL_KNOBS = {"max_in_flight", "retry_limit", "backoff_base_ms", "request_budget"}
+# Where a tree is written does not change what is written in it.
+NOT_COUNTED = OPERATIONAL_KNOBS | {"output_dir"}
 
 
 class TestConfigDigest:
@@ -185,7 +187,7 @@ class TestConfigDigest:
         else:
             config.backend = BackendConfig(**{name: value})
         changed = config.config_digest != PipelineConfig().config_digest
-        assert changed == (name not in OPERATIONAL_KNOBS)
+        assert changed == (name not in NOT_COUNTED)
 
     def test_a_code_built_config_hashes_as_its_file(self, tmp_path):
         written = load_config(write_config(tmp_path, {"knobs": {"dedup_seed": 3}}))
