@@ -326,7 +326,8 @@ def informal_variants(
         raise InvalidInput(f"pair {pair.id} must carry both texts")
     origin_norm = normalize_text(pair.informal_text)
     for attempted, strategy in enumerate(strategies, 1):
-        completion = gateway.complete_role(role, strategy_prompt(strategy, pair.informal_text))[0]
+        prompt_text = strategy_prompt(strategy, pair.informal_text)
+        completion = gateway.submit_role(role, prompt_text).result()
         text = completion.text.strip()
         if not text:
             raise BlankAnswer(f"blank answer for variant {strategy.tag()} of {pair.id}")

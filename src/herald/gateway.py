@@ -1,8 +1,9 @@
 """Provider-agnostic completion client with retries, caching, and mocks.
 
-The gateway owns the only mutable state in the pipeline (cache, counters)
-behind a lock; callers may issue requests from any thread.  Concurrency is
-bounded by a single executor sized to ``max_in_flight``.
+Every request is one sample, which :meth:`Gateway.complete` answers from the
+cache or the provider.  The gateway owns the only mutable state in the
+pipeline (cache, counters) behind a lock, and the one pool, of
+``max_in_flight`` threads, that callers on any thread submit requests to.
 
 Which hosted models back each pipeline role is configuration, not code:
 bind a provider + model id per role.  The mock providers below are test
@@ -22,7 +23,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import ClassVar, Mapping, Protocol
 
 from .datastore import KeyedLog
 from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
@@ -35,8 +36,7 @@ NLI_CANDIDATE_MARKER = "BACK-TRANSLATED STATEMENT:"
 STRATEGY_MARKER = "REWRITE STRATEGY:"
 STRATEGY_TEXT_MARKER = "STATEMENT TO REWRITE:"
 
-# Most samples one request may ask for; also the bound on ``pass_k`` and on
-# validate's ``--k``, which draw that many per item.
+# Bound on ``pass_k`` and on validate's ``--k``: the most samples drawn per item.
 SAMPLE_CAP = 256
 
 
@@ -69,20 +69,21 @@ class Completion:
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """``sample_count`` samples, indexed from ``sample_offset`` on."""
+    """One sample of ``prompt_text``: the one numbered ``sample_index``."""
+
+    # Not a field: every request is one sample.  perfbench's tracer still
+    # reads it for its ``gateway.samples`` count.
+    sample_count: ClassVar[int] = 1
 
     prompt_text: str
-    sample_count: int = 1
     temperature: float = 1.0
     max_output_tokens: int = 2048
     model_id: str = "mock"
-    sample_offset: int = 0
+    sample_index: int = 0
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise InvalidInput(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.sample_offset < 0:
-            raise InvalidInput(f"sample_offset must be >= 0, got {self.sample_offset}")
+        if self.sample_index < 0:
+            raise InvalidInput(f"sample_index must be >= 0, got {self.sample_index}")
         if self.temperature < 0:
             raise InvalidInput(f"temperature must be >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
@@ -100,6 +101,11 @@ class GatewayConfig:
     def __post_init__(self):
         if self.max_in_flight < 1:
             raise InvalidInput("max_in_flight must be >= 1")
+        # A budget of 0 is valid: the run is answered from the cache alone.
+        for name in ("retry_limit", "backoff_base_ms", "request_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InvalidInput(f"{name} must be >= 0, got {value}")
 
 
 class CompletionProvider(Protocol):
@@ -118,19 +124,6 @@ class Role:
     max_output_tokens: int = 2048
 
 
-def _role_request(
-    role: Role, prompt_text: str, sample_count: int, sample_offset: int = 0
-) -> CompletionRequest:
-    return CompletionRequest(
-        prompt_text=prompt_text,
-        sample_count=sample_count,
-        temperature=role.temperature,
-        max_output_tokens=role.max_output_tokens,
-        model_id=role.model_id,
-        sample_offset=sample_offset,
-    )
-
-
 def _completion(obj: dict) -> Completion:
     return Completion(
         text=obj["text"],
@@ -147,7 +140,7 @@ def _completion_fields(completion: Completion) -> dict:
     }
 
 
-def _cache_key(request: CompletionRequest, provider: CompletionProvider, sample_index: int) -> str:
+def _cache_key(request: CompletionRequest, provider: CompletionProvider) -> str:
     """One entry per sample, keyed on every request field and the provider."""
     key = "|".join((
         digest(request.prompt_text),
@@ -155,13 +148,13 @@ def _cache_key(request: CompletionRequest, provider: CompletionProvider, sample_
         repr(request.temperature),
         str(request.max_output_tokens),
         provider.name,
-        str(sample_index),
+        str(request.sample_index),
     ))
     return hashlib.sha256(key.encode()).hexdigest()
 
 
 class Gateway:
-    """Fans completion requests out to a provider with bounded concurrency.
+    """Answers one-sample requests through a pool of ``max_in_flight`` threads.
 
     ``stats`` counts provider calls (retries included), retries, cache hits,
     and the truncated (``length``) and failed (``error``) completions the
@@ -170,7 +163,8 @@ class Gateway:
 
     def __init__(self, config: GatewayConfig | None = None):
         self.config = config or GatewayConfig()
-        self._executor: ThreadPoolExecutor | None = None
+        # Starts no thread until the first submit.
+        self._executor = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
         self._lock = threading.Lock()
         self._log: KeyedLog[Completion] | None = None
         self.stats = {
@@ -187,9 +181,7 @@ class Gateway:
         The log is read here if no request did, so a run that asks for
         nothing still sorts what a killed run left.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._executor.shutdown(wait=True)
         with self._lock:
             log = self._completion_log()
             self._log = None
@@ -202,39 +194,21 @@ class Gateway:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def complete(self, request: CompletionRequest, provider: CompletionProvider) -> list[Completion]:
-        """Exactly ``sample_count`` completions in sample order."""
-        if request.sample_count > SAMPLE_CAP:
-            raise InvalidInput(f"sample_count {request.sample_count} exceeds cap {SAMPLE_CAP}")
-        first = request.sample_offset
-        if request.sample_count == 1:
-            return [self._one_sample(request, provider, first)]
-        futures = [
-            self._pool().submit(self._one_sample, request, provider, i)
-            for i in range(first, first + request.sample_count)
-        ]
-        return [f.result() for f in futures]
-
-    def complete_role(self, role: Role, prompt_text: str, sample_count: int = 1) -> list[Completion]:
-        return self.complete(_role_request(role, prompt_text, sample_count), role.provider)
-
     def submit_role(self, role: Role, prompt_text: str, sample_index: int = 0) -> Future:
-        """Sample ``sample_index`` on the pool, without waiting: a ``Future[Completion]``.
+        """Sample ``sample_index`` of ``prompt_text`` on the pool, without
+        waiting: a ``Future[Completion]`` that runs :meth:`complete`.
 
-        The pool thread runs :meth:`complete`, so caching (under the same key
-        as sample ``sample_index`` of a k-sample request), retries and the
-        budget check are the same as for a blocking call.  Pool threads never
-        wait on other pool futures, so any number of submissions is safe at
-        any ``max_in_flight``.
+        Pool threads never wait on other pool futures, so any number of
+        submissions is safe at any ``max_in_flight``.
         """
-        request = _role_request(role, prompt_text, 1, sample_index)
-        return self._pool().submit(lambda: self.complete(request, role.provider)[0])
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
-            return self._executor
+        request = CompletionRequest(
+            prompt_text=prompt_text,
+            temperature=role.temperature,
+            max_output_tokens=role.max_output_tokens,
+            model_id=role.model_id,
+            sample_index=sample_index,
+        )
+        return self._executor.submit(self.complete, request, role.provider)
 
     def _completion_log(self) -> KeyedLog[Completion] | None:
         """``cache/completions.jsonl``, one entry per sample paid for, read on
@@ -246,19 +220,22 @@ class Gateway:
             )
         return self._log
 
-    def _one_sample(
-        self, request: CompletionRequest, provider: CompletionProvider, sample_index: int
-    ) -> Completion:
+    def complete(self, request: CompletionRequest, provider: CompletionProvider) -> Completion:
+        """The sample ``request`` names, from the cache or from ``provider``.
+
+        A transient provider error is retried up to ``retry_limit`` times with
+        exponential backoff; every call, retries included, counts against the
+        request budget.
+        """
         key = None
         if self.config.cache_dir is not None:
-            key = _cache_key(request, provider, sample_index)
+            key = _cache_key(request, provider)
             with self._lock:
                 cached = self._completion_log().get(key)
                 if cached is not None:
                     self.stats["cache_hits"] += 1
                     return cached
 
-        last_error: ProviderError | None = None
         for attempt in range(self.config.retry_limit + 1):
             with self._lock:
                 budget = self.config.request_budget
@@ -270,10 +247,9 @@ class Gateway:
                 if attempt > 0:
                     self.stats["retries"] += 1
             try:
-                completion = provider.generate(request, sample_index)
+                completion = provider.generate(request, request.sample_index)
                 break
             except ProviderError as exc:
-                last_error = exc
                 if not exc.transient or attempt == self.config.retry_limit:
                     if exc.transient:
                         raise ProviderExhausted(
@@ -281,8 +257,6 @@ class Gateway:
                         ) from exc
                     raise
                 time.sleep(self.config.backoff_base_ms * (2**attempt) / 1000.0)
-        else:  # pragma: no cover - loop always breaks or raises
-            raise ProviderExhausted(str(last_error))
 
         # A truncated, failed or blank completion is not cached: a rerun asks again.
         with self._lock:

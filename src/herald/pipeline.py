@@ -534,7 +534,7 @@ def run_augment(
             for stmt in sampled:
                 ctx = prompts.StatementContext(subject=stmt.record())
                 prompt = prompts.assemble_statement_prompt(ctx, registry)
-                completion = gateway.complete_role(informalizer, prompt.text)[0]
+                completion = gateway.submit_role(informalizer, prompt.text).result()
                 informal_text = _answer_text(completion, f"statement {stmt.name}")
                 pairs.append(
                     ds.NLFLPair(

@@ -268,7 +268,7 @@ def nli_prompt(original_nl: str, back_nl: str) -> str:
 def back_translate(formal_text: str, gateway: Gateway, role: Role) -> str:
     if not formal_text:
         raise InvalidInput("cannot back-translate empty formal text")
-    completion = gateway.complete_role(role, back_translation_prompt(formal_text))[0]
+    completion = gateway.submit_role(role, back_translation_prompt(formal_text)).result()
     return completion.text.strip()
 
 
@@ -301,7 +301,7 @@ def nli_check(original_nl: str, back_nl: str, gateway: Gateway, role: Role) -> N
     """
     if not original_nl or not back_nl:
         raise InvalidInput("nli_check requires both texts non-empty")
-    completion = gateway.complete_role(role, nli_prompt(original_nl, back_nl))[0]
+    completion = gateway.submit_role(role, nli_prompt(original_nl, back_nl)).result()
     return _parse_verdict(completion.text)
 
 

@@ -115,6 +115,17 @@ class TestInformalize:
         assert run("--out", str(out), "ingest", "--export", str(export_file)) == 0
         return out
 
+    @pytest.mark.parametrize("knob", ["retry_limit", "backoff_base_ms", "request_budget"])
+    def test_negative_gateway_knob_exits_2(self, tmp_path, export_file, mock_config, capsys,
+                                           knob):
+        out = self._setup(tmp_path, export_file, mock_config)
+        negative = tmp_path / "negative.json"
+        negative.write_text(json.dumps({"knobs": {knob: -1}}), encoding="utf-8")
+        capsys.readouterr()
+        assert run("--config", str(negative), "--out", str(tmp_path / "inf"),
+                   "informalize", "--index", str(out / "index.json")) == 2
+        assert f"{knob} must be >= 0, got -1" in capsys.readouterr().err
+
     def test_level_files_in_order(self, tmp_path, export_file, mock_config):
         out = self._setup(tmp_path, export_file, mock_config)
         inf = tmp_path / "inf"

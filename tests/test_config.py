@@ -12,7 +12,7 @@ import pytest
 
 from herald.config import BackendConfig, PipelineConfig, RoleConfig, load_config
 from herald.errors import InvalidInput, ProviderError, SchemaError
-from herald.gateway import CompletionRequest, FinishReason, HttpChatProvider
+from herald.gateway import SAMPLE_CAP, CompletionRequest, FinishReason, HttpChatProvider
 from herald.records import CorpusIndex, ProofState, ProofStep
 from herald.validate import MockCompilerBackend, ReplBackend
 
@@ -54,6 +54,11 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {"knobs": {"pass_k": 300}}))
         with pytest.raises(InvalidInput):
             load_config(write_config(tmp_path, {"knobs": {"pass_k": 0}}))
+
+    def test_sample_cap(self):
+        assert PipelineConfig(pass_k=SAMPLE_CAP).pass_k == SAMPLE_CAP
+        with pytest.raises(InvalidInput, match=f"pass_k must be in \\[1, {SAMPLE_CAP}\\]"):
+            PipelineConfig(pass_k=SAMPLE_CAP + 1)
 
     def test_retrieval_k_range(self, tmp_path):
         with pytest.raises(InvalidInput):

@@ -14,7 +14,6 @@ from herald.gateway import (
     BACK_TRANSLATE_MARKER,
     NLI_CANDIDATE_MARKER,
     NLI_ORIGINAL_MARKER,
-    SAMPLE_CAP,
     Completion,
     CompletionRequest,
     FinishReason,
@@ -30,6 +29,16 @@ from herald.gateway import (
 )
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+def chat_role(provider=None) -> Role:
+    return Role(provider=provider or MockChatProvider(), model_id="mock")
+
+
+def samples(gw: Gateway, role: Role, prompt_text: str, k: int) -> list[Completion]:
+    """Samples ``0..k-1`` of ``prompt_text``, submitted together, in index order."""
+    futures = [gw.submit_role(role, prompt_text, sample_index=i) for i in range(k)]
+    return [f.result(timeout=30) for f in futures]
 
 
 class FlakyProvider:
@@ -92,18 +101,26 @@ class TestDigest:
 class TestComplete:
     def test_mock_determinism(self):
         gw = Gateway(GatewayConfig(max_in_flight=4))
-        req = CompletionRequest(prompt_text="translate this", sample_count=3)
-        first = [c.text for c in gw.complete(req, MockChatProvider())]
-        second = [c.text for c in gw.complete(req, MockChatProvider())]
+        first = [c.text for c in samples(gw, chat_role(), "translate this", 3)]
+        second = [c.text for c in samples(gw, chat_role(), "translate this", 3)]
         gw.close()
         assert first == second
         assert len(first) == 3
         assert len(set(first)) == 3  # samples differ by index
 
+    def test_sample_index_reaches_the_provider(self):
+        gw = Gateway()
+        for i in (0, 5):
+            completion = gw.complete(CompletionRequest(prompt_text="x", sample_index=i),
+                                     MockChatProvider())
+            assert completion == MockChatProvider().generate(CompletionRequest(prompt_text="x"), i)
+        with pytest.raises(InvalidInput):
+            CompletionRequest(prompt_text="x", sample_index=-1)
+
     def test_retry_then_success(self):
         gw = Gateway(GatewayConfig(retry_limit=3, backoff_base_ms=1))
         provider = FlakyProvider(failures=2)
-        [completion] = gw.complete(CompletionRequest(prompt_text="x"), provider)
+        completion = gw.complete(CompletionRequest(prompt_text="x"), provider)
         assert "ok" in completion.text
         assert gw.stats["retries"] == 2
 
@@ -130,8 +147,7 @@ class TestComplete:
     def test_128_samples_bounded_concurrency(self):
         provider = InstrumentedProvider()
         gw = Gateway(GatewayConfig(max_in_flight=8))
-        req = CompletionRequest(prompt_text="q", sample_count=128)
-        completions = gw.complete(req, provider)
+        completions = samples(gw, chat_role(provider), "q", 128)
         gw.close()
         assert len(completions) == 128
         assert [c.text for c in completions] == [f"sample {i}" for i in range(128)]
@@ -140,27 +156,43 @@ class TestComplete:
     def test_stress_in_flight_cap(self):
         provider = InstrumentedProvider()
         gw = Gateway(GatewayConfig(max_in_flight=4))
-        threads = [
-            threading.Thread(
-                target=lambda: gw.complete(
-                    CompletionRequest(prompt_text=f"p{i}", sample_count=10), provider
-                ),
-            )
-            for i in range(4)  # 40 submissions, 10x the cap
-        ]
-        for t in threads:
+        results: dict[int, list[Completion]] = {}
+        errors: list[Exception] = []
+
+        def submitter(i: int) -> None:
+            try:
+                results[i] = samples(gw, chat_role(provider), f"p{i}", 10)
+            except Exception as exc:  # re-raised in the test thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=submitter, args=(i,)) for i in range(4)]
+        for t in threads:  # 40 submissions from 4 threads, 10x the cap
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
         gw.close()
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert sorted(results) == [0, 1, 2, 3]
+        assert all(len(batch) == 10 for batch in results.values())
         assert provider.max_live <= 4
 
-    def test_sample_cap(self):
-        gw = Gateway(GatewayConfig())
-        with pytest.raises(InvalidInput):
-            gw.complete(
-                CompletionRequest(prompt_text="x", sample_count=SAMPLE_CAP + 1), MockChatProvider()
-            )
+    def test_submit_never_waits_on_the_gateway_lock(self):
+        gw = Gateway()
+        submitted: list = []
+        submitter = threading.Thread(
+            target=lambda: submitted.append(gw.submit_role(chat_role(), "p"))
+        )
+        with gw._lock:  # as a pool thread does while it reads the cache
+            submitter.start()
+            submitter.join(timeout=2)
+        try:
+            assert not submitter.is_alive(), "submit_role waited on the gateway lock"
+            assert submitted[0].result(timeout=10).text
+        finally:
+            submitter.join(timeout=10)
+            gw.close()
 
     def test_budget_guard(self):
         gw = Gateway(GatewayConfig(request_budget=2))
@@ -173,9 +205,8 @@ class TestComplete:
 class TestCache:
     def test_cache_hit_is_byte_identical(self, tmp_path):
         config = GatewayConfig(cache_dir=tmp_path / "cache")
-        req = CompletionRequest(prompt_text="cached?", sample_count=2)
         gw1 = Gateway(config)
-        first = gw1.complete(req, MockChatProvider())
+        first = samples(gw1, chat_role(), "cached?", 2)
         gw1.close()
 
         class Exploding:
@@ -185,7 +216,7 @@ class TestCache:
                 raise AssertionError("cache should have answered")
 
         gw2 = Gateway(config)
-        second = gw2.complete(req, Exploding())
+        second = samples(gw2, chat_role(Exploding()), "cached?", 2)
         gw2.close()
         assert [c.text for c in first] == [c.text for c in second]
         assert gw2.stats["cache_hits"] == 2
@@ -238,7 +269,7 @@ class TestCache:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # first writes race on the pool threads
         try:
-            gw.complete(CompletionRequest(prompt_text="p", sample_count=64), MockChatProvider())
+            samples(gw, chat_role(), "p", 64)
             gw.complete(CompletionRequest(prompt_text="q"), MockChatProvider())
         finally:
             sys.setswitchinterval(interval)
@@ -272,7 +303,7 @@ class TestCache:
         gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
         req = CompletionRequest(prompt_text="p")
         for _ in range(2):
-            assert gw.complete(req, Cut())[0].finish_reason == reason
+            assert gw.complete(req, Cut()).finish_reason == reason
         gw.close()
         assert gw.stats["provider_calls"] == 2
         assert gw.stats["cache_hits"] == 0
@@ -289,7 +320,7 @@ class TestCache:
         gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
         req = CompletionRequest(prompt_text="p")
         for _ in range(2):
-            assert gw.complete(req, Blank())[0].text == text
+            assert gw.complete(req, Blank()).text == text
         gw.close()
         assert gw.stats["provider_calls"] == 2
         assert gw.stats["cache_hits"] == 0
@@ -307,15 +338,15 @@ class TestCache:
                 return Completion(text="ok")
 
         with Gateway() as gw:
-            gw.complete(CompletionRequest(prompt_text="p", sample_count=7), Mixed())
+            samples(gw, chat_role(Mixed()), "p", 7)
         assert gw.stats == {"provider_calls": 7, "retries": 0, "cache_hits": 0,
                             "truncated": 2, "failed": 2}
 
     def test_submitted_sample_shares_the_key_of_its_index(self, tmp_path):
         config = GatewayConfig(cache_dir=tmp_path / "cache")
         with Gateway(config) as gw:
-            batch = gw.complete(CompletionRequest(prompt_text="p", sample_count=3),
-                                MockChatProvider())
+            batch = [gw.complete(CompletionRequest(prompt_text="p", sample_index=i),
+                                 MockChatProvider()) for i in range(3)]
 
         class Exploding:
             name = MockChatProvider.name
@@ -330,6 +361,16 @@ class TestCache:
         assert single == batch
         assert gw.stats["cache_hits"] == 3
 
+    def test_cache_key_is_pinned(self, tmp_path):
+        # Completion logs written by earlier versions must keep answering.
+        role = Role(provider=MockChatProvider(), model_id="m", temperature=0.5,
+                    max_output_tokens=64)
+        with Gateway(GatewayConfig(cache_dir=tmp_path / "cache")) as gw:
+            gw.submit_role(role, "pinned prompt", sample_index=3).result(timeout=10)
+        assert cache_keys(tmp_path / "cache") == [
+            "75f83d4c37049d29f269921ebdcbc2e5c67b47252dc916ba426087233420bbf2"
+        ]
+
     def test_cache_hits_do_not_consume_budget(self, tmp_path):
         config = GatewayConfig(cache_dir=tmp_path / "cache", request_budget=1)
         gw = Gateway(config)
@@ -338,6 +379,20 @@ class TestCache:
         gw.complete(req, MockChatProvider())  # second time from cache
         gw.close()
         assert gw.stats["cache_hits"] == 1
+
+        # A budget of 0 is valid: the run is answered from the cache alone.
+        with Gateway(GatewayConfig(cache_dir=tmp_path / "cache", request_budget=0)) as gw:
+            gw.complete(req, MockChatProvider())
+            with pytest.raises(BudgetExceeded):
+                gw.complete(CompletionRequest(prompt_text="never asked"), MockChatProvider())
+        assert gw.stats["cache_hits"] == 1
+        assert gw.stats["provider_calls"] == 0
+
+    @pytest.mark.parametrize("knob", ["max_in_flight", "retry_limit", "backoff_base_ms",
+                                      "request_budget"])
+    def test_negative_knob_rejected(self, knob):
+        with pytest.raises(InvalidInput, match=knob):
+            GatewayConfig(**{knob: -1})
 
 
 class TestMockProviders:
