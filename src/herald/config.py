@@ -183,12 +183,17 @@ class PipelineConfig:
         :class:`RoleConfig` count for a role, whatever its class.
         ``output_dir`` does not count: where a tree is written does not
         change what is written in it, and ``--out`` may name it instead.
+
+        Nor does the backend's ``command`` (its ``kind`` and ``default_ok``
+        do): it says how the checker's process starts, not which checker
+        answers.  The compile-check cache leaves it out of its key too, and
+        informalize never runs the checker.
         """
         default = PipelineConfig()
         roles = {name: changed for name, role in self.roles.items()
                  if (changed := _changed(role, RoleConfig(), _ROLE_FIELDS))}
         knobs = _changed(self, default, _KNOBS - _OPERATIONAL_KNOBS - {"backend"})
-        if backend := _changed(self.backend, default.backend, _BACKEND_FIELDS):
+        if backend := _changed(self.backend, default.backend, _BACKEND_FIELDS - {"command"}):
             knobs["backend"] = backend
         sections = {"paths": _changed(self, default, _PATH_KEYS), "roles": roles}
         doc = {name: section for name, section in sections.items() if section}
@@ -210,11 +215,9 @@ _OPERATIONAL_KNOBS = frozenset({"max_in_flight", "retry_limit", "backoff_base_ms
 
 def _spelled(name: str, value):
     """Field ``name``'s ``value`` as a config file spells it: a ratio as
-    ``"a:b:c"``, the backend command as a list, a path as a string."""
+    ``"a:b:c"``, a path as a string."""
     if name in ("ratio", "dirmix"):
         return ":".join(map(str, value))
-    if name == "command":
-        return list(value)
     return str(value) if isinstance(value, Path) else value
 
 

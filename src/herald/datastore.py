@@ -27,8 +27,6 @@ from .errors import EmptyPool, InvalidInput, SchemaError
 
 logger = logging.getLogger(__name__)
 
-DATASET_SCHEMA_VERSION = "1"
-
 T = TypeVar("T")
 
 

@@ -166,7 +166,12 @@ class Gateway:
         # Starts no thread until the first submit.
         self._executor = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
         self._lock = threading.Lock()
-        self._log: KeyedLog[Completion] | None = None
+        # ``cache/completions.jsonl``, one entry per sample paid for, read
+        # now, so a malformed cache fails before any call is paid for.
+        self._log = None if self.config.cache_dir is None else KeyedLog(
+            Path(self.config.cache_dir) / "completions.jsonl",
+            _completion, _completion_fields, "cache entry",
+        )
         self.stats = {
             "provider_calls": 0,
             "retries": 0,
@@ -176,17 +181,11 @@ class Gateway:
         }
 
     def close(self) -> None:
-        """Wait for the pool, then close and sort the completion log.
-
-        The log is read here if no request did, so a run that asks for
-        nothing still sorts what a killed run left.
-        """
+        """Wait for the pool, then close and sort the completion log, so a
+        run that asks for nothing still sorts what a killed run left."""
         self._executor.shutdown(wait=True)
-        with self._lock:
-            log = self._completion_log()
-            self._log = None
-        if log is not None:
-            log.close()
+        if self._log is not None:
+            self._log.close()
 
     def __enter__(self) -> "Gateway":
         return self
@@ -210,16 +209,6 @@ class Gateway:
         )
         return self._executor.submit(self.complete, request, role.provider)
 
-    def _completion_log(self) -> KeyedLog[Completion] | None:
-        """``cache/completions.jsonl``, one entry per sample paid for, read on
-        first use; call with the lock held."""
-        if self._log is None and self.config.cache_dir is not None:
-            self._log = KeyedLog(
-                Path(self.config.cache_dir) / "completions.jsonl",
-                _completion, _completion_fields, "cache entry",
-            )
-        return self._log
-
     def complete(self, request: CompletionRequest, provider: CompletionProvider) -> Completion:
         """The sample ``request`` names, from the cache or from ``provider``.
 
@@ -228,10 +217,10 @@ class Gateway:
         request budget.
         """
         key = None
-        if self.config.cache_dir is not None:
+        if self._log is not None:
             key = _cache_key(request, provider)
             with self._lock:
-                cached = self._completion_log().get(key)
+                cached = self._log.get(key)
                 if cached is not None:
                     self.stats["cache_hits"] += 1
                     return cached
@@ -265,7 +254,7 @@ class Gateway:
             elif completion.finish_reason == FinishReason.ERROR:
                 self.stats["failed"] += 1
             elif key is not None and completion.text.strip():
-                self._completion_log().add(key, completion)
+                self._log.add(key, completion)
         return completion
 
 

@@ -13,7 +13,7 @@ import json
 import logging
 import queue
 from concurrent import futures
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Container, Hashable, Sequence, TextIO
 
@@ -22,7 +22,7 @@ from . import datastore as ds
 from . import depgraph, ingest, prompts, retrieval, validate
 from .config import PipelineConfig
 from .errors import BlankAnswer, InvalidInput, SchemaError
-from .gateway import SAMPLE_CAP, Completion, Gateway
+from .gateway import Completion, Gateway
 from .records import CorpusIndex
 
 logger = logging.getLogger(__name__)
@@ -43,26 +43,45 @@ def write_manifest(out_dir: Path, command: str, config: PipelineConfig, extra: d
     )
 
 
-def _close_gateway(gateway: Gateway, stage: str) -> None:
-    """Close the stage's gateway and log its counters at INFO.
+def _log_counters(stage: str, stats: dict[str, int]) -> None:
+    logger.info("%s: %s", stage, ", ".join(f"{name} {count}" for name, count in stats.items()))
+
+
+def _claim(out_dir: Path, config: PipelineConfig, write: bool = True) -> None:
+    """Bind ``out_dir`` to ``config``: the first claim writes
+    ``config_digest.txt`` (if ``write``), and a run under another digest is
+    refused with :class:`InvalidInput` (exit 2), so a stage never resumes
+    into records kept from another config."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest_file = out_dir / "config_digest.txt"
+    if digest_file.exists():
+        previous = digest_file.read_text(encoding="utf-8").strip()
+        if previous != config.config_digest:
+            raise InvalidInput(
+                f"{out_dir} was produced with config digest {previous[:12]}, "
+                f"current config is {config.config_digest[:12]}; refusing to resume"
+            )
+    elif write:
+        digest_file.write_text(config.config_digest + "\n", encoding="utf-8")
+
+
+def _close_stage(
+    stage: str, gateway: Gateway, backend: validate.CompilerBackend | None = None
+) -> None:
+    """Close the stage's gateway, then its compiler backend even if that
+    raised; log the gateway's counters, and a cached backend's, at INFO.
 
     The counters stay out of the manifests: how many samples a resumed run
     takes from the cache depends on where the earlier run stopped.
     """
-    gateway.close()
-    logger.info(
-        "%s: %s", stage, ", ".join(f"{name} {count}" for name, count in gateway.stats.items())
-    )
-
-
-def _close_backend(backend: validate.CompilerBackend, stage: str) -> None:
-    """Close the stage's compiler backend; a cached one logs its counters at
-    INFO, kept out of the manifests for the same reason as the gateway's."""
-    backend.close()
-    if isinstance(backend, validate.CachedChecks):
-        logger.info(
-            "%s: %s", stage, ", ".join(f"{name} {count}" for name, count in backend.stats.items())
-        )
+    try:
+        gateway.close()
+        _log_counters(stage, gateway.stats)
+    finally:
+        if backend is not None:
+            backend.close()
+            if isinstance(backend, validate.CachedChecks):
+                _log_counters(stage, backend.stats)
 
 
 def _answer_text(completion: Completion, subject: str) -> str:
@@ -287,27 +306,18 @@ def run_informalize(
     output tree does not depend on ``max_in_flight`` and an interrupted run
     leaves a canonical prefix.
 
-    Resume: the level files and ``proofs.jsonl`` are the only record of
-    progress (a torn final line is dropped); missing records are redone.  A
-    completion that finished behind a gap is lost from the outputs but kept
-    in the cache, so a rerun does not pay for it again.  ``dry_run`` makes
-    the same first wave of requests but writes each prompt to
-    ``prompts/<name>.txt`` or ``prompts/<name>.step<i>.txt`` instead of
-    sending it; later prompts read model answers, so it cannot write them.
+    Resume: the directory is claimed (:func:`_claim`); the level files and
+    ``proofs.jsonl`` are the only record of progress (a torn final line is
+    dropped), and missing records are redone.  A completion that finished
+    behind a gap is lost from the outputs but kept in the cache, so a rerun
+    does not pay for it again.  The manifest counts the finished tree, so a
+    resumed tree is a clean one.  ``dry_run`` makes the same first wave of
+    requests but writes each prompt to ``prompts/<name>.txt`` or
+    ``prompts/<name>.step<i>.txt`` instead of sending it; later prompts read
+    model answers, so it cannot write them.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    digest_file = out_dir / "config_digest.txt"
-    # Tamper check: never resume into outputs built from another config.  A
-    # dry run claims no directory, so the config may still change after it.
-    if digest_file.exists():
-        previous = digest_file.read_text(encoding="utf-8").strip()
-        if previous != config.config_digest:
-            raise InvalidInput(
-                f"{out_dir} was produced with config digest {previous[:12]}, "
-                f"current config is {config.config_digest[:12]}; refusing to resume"
-            )
-    elif not dry_run:
-        digest_file.write_text(config.config_digest + "\n", encoding="utf-8")
+    # A dry run claims no directory, so the config may still change after it.
+    _claim(out_dir, config, write=not dry_run)
     registry = _load_registry(config)
     notes = prompts.load_tactic_notes(config.tactic_notes)
     store, embed_provider = _retrieval_context(config)
@@ -393,8 +403,8 @@ def run_informalize(
                 send_proof(name)
 
     counts = {
-        "statements_written": 0,
-        "proofs_written": 0,
+        "statements": len(statement_order),
+        "proofs": len(proof_names),
         "levels": len(assignment.levels),
         "dry_run": dry_run,
     }
@@ -415,7 +425,6 @@ def run_informalize(
             f"statements_level_{pair.level}.jsonl" if is_statement else "proofs.jsonl"
         )
         dispatch.finish(pair.id, path, ds.pair_line(pair))
-        counts["statements_written" if is_statement else "proofs_written"] += 1
 
     def settle(tag: tuple, completion: Completion) -> None:
         """Record one completion; unless stopping, send the work it unblocks.
@@ -476,7 +485,7 @@ def run_informalize(
     try:
         dispatch.run(start, settle)
     finally:
-        _close_gateway(gateway, "informalize")
+        _close_stage("informalize", gateway)
 
     write_manifest(out_dir, "informalize", config, counts)
     return counts
@@ -592,9 +601,7 @@ def run_augment(
                 }
             )
     finally:
-        _close_gateway(gateway, "augment")
-        if backend is not None:
-            _close_backend(backend, "augment")
+        _close_stage("augment", gateway, backend)
 
     write_manifest(out_dir, "augment", config, counts)
     return counts
@@ -660,11 +667,11 @@ def load_benchmark(path: Path) -> list[dict]:
     return list(ds.read_jsonl(path, _benchmark_item, "benchmark record"))
 
 
-def _written_report_count(path: Path, items: list[dict], k: int, short_circuit: bool) -> int:
+def _written_report_count(path: Path, items: list[dict]) -> int:
     """How many reports an earlier run left in ``reports.jsonl``.
 
-    They must be the reports of the benchmark's first items, in order, made
-    with this ``k`` and ``short_circuit``; a torn final line is dropped.
+    They must be the reports of the benchmark's first items, in order; a torn
+    final line is dropped.
     """
     if not path.exists():
         return 0
@@ -676,12 +683,6 @@ def _written_report_count(path: Path, items: list[dict], k: int, short_circuit: 
             raise SchemaError(
                 f"report for {report.item_id!r} where the benchmark has {expected!r}",
                 f"{path}: report {count + 1}",
-            )
-        if (report.k, report.short_circuit) != (k, short_circuit):
-            raise InvalidInput(
-                f"{path} holds reports made with k={report.k}, "
-                f"short_circuit={report.short_circuit}; this run has k={k}, "
-                f"short_circuit={short_circuit}; refusing to resume"
             )
         count += 1
     return count
@@ -703,7 +704,8 @@ def run_validate(
     concurrently, and each report is appended as soon as every earlier one
     is on disk, so ``reports.jsonl`` does not depend on ``max_in_flight``.
 
-    Resume: ``reports.jsonl`` is the only record of progress.  It must hold
+    Resume: the directory is claimed (:func:`_claim`) with ``pass_k`` set to
+    ``k``.  ``reports.jsonl`` is the only record of progress.  It must hold
     the reports of a prefix of the benchmark (a torn final line is dropped);
     those items are skipped and the rest are run.  What the earlier run paid
     for comes from the cache: its completions from
@@ -712,10 +714,9 @@ def run_validate(
     candidate is checked twice.  ``summary.json`` and the manifest are built
     from the whole file.
     """
-    k = k if k is not None else config.pass_k
-    if not 1 <= k <= SAMPLE_CAP:
-        raise InvalidInput(f"k must be in [1, {SAMPLE_CAP}], got {k}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if k is not None:
+        config = replace(config, pass_k=k)  # which bounds k by SAMPLE_CAP
+    k = config.pass_k
     items = load_benchmark(bench_path)
     if not items:
         raise InvalidInput(f"benchmark {bench_path} is empty")
@@ -724,8 +725,9 @@ def run_validate(
         back_translator=config.role("back_translator"),
         nli_judge=config.role("nli_judge"),
     )
+    _claim(out_dir, config)
     reports_path = out_dir / "reports.jsonl"
-    written = _written_report_count(reports_path, items, k, config.short_circuit)
+    written = _written_report_count(reports_path, items)
     backend = validate.cache_checks(config.backend.build(), out_dir / "cache")
     gateway = config.gateway(cache_dir=out_dir / "cache")
     dispatch = _OrderedDispatch(range(len(items)), range(written))
@@ -770,8 +772,7 @@ def run_validate(
     try:
         dispatch.run(open_items, settle)
     finally:
-        _close_gateway(gateway, "validate")
-        _close_backend(backend, "validate")
+        _close_stage("validate", gateway, backend)
     summary = validate.summarize(
         validate.read_reports(reports_path), dataset_name or Path(bench_path).stem
     )

@@ -182,9 +182,10 @@ class CachedChecks:
 
     An entry is keyed by the SHA-256 of the exact source checked, header
     included, so a rerun answers every check already paid for without a
-    round trip to the process.  The checker's command is not in the key: an
-    output directory is bound to one proof checker, as its ``reports.jsonl``
-    is.  A timeout is not kept, and a check that raises (the process gone or
+    round trip to the process.  The checker's command is not in the key, nor
+    in the config digest that claims the directory: an output directory is
+    bound to one proof checker, as its ``reports.jsonl`` is, however its
+    process is started.  A timeout is not kept, and a check that raises (the process gone or
     answering garbage) keeps nothing, so a rerun asks again.  ``stats``
     counts the checks sent to the process and those answered from the file.
     Checks come from one thread.

@@ -391,6 +391,23 @@ class TestAugmentMixValidateStats:
         assert run("--out", str(val), *argv) == 0
         assert tree_digest(val) == tree_digest(ref)
 
+    def test_validate_rerun_under_another_translator_exits_2(self, tmp_path, capsys):
+        bench = write_shared_fixtures(tmp_path / "fixtures")["bench"]
+        val = tmp_path / "val"
+        budget, other = tmp_path / "budget.json", tmp_path / "other.json"
+        budget.write_text(json.dumps({"knobs": {"request_budget": 30, "max_in_flight": 1}}),
+                          encoding="utf-8")
+        other.write_text(json.dumps({"roles": {"translator": {"model_id": "other"}}}),
+                         encoding="utf-8")
+        argv = ("--out", str(val), "validate", "--bench", str(bench), "--k", "4")
+        assert run("--config", str(budget), *argv) == 3
+        reports = (val / "reports.jsonl").read_bytes()
+        assert reports, "the cut run kept some reports"
+        capsys.readouterr()
+        assert run("--config", str(other), *argv) == 2
+        assert "refusing to resume" in capsys.readouterr().err
+        assert (val / "reports.jsonl").read_bytes() == reports
+
     def test_end_to_end_determinism(self, tmp_path):
         fixtures = write_shared_fixtures(tmp_path / "fixtures")
         run_full_pipeline(fixtures, tmp_path / "run1")
@@ -558,6 +575,24 @@ def test_validate_resumed_after_a_budget_cut_checks_no_source_twice(tmp_path, ca
     assert first and rest, "the budget cut the run between two checks"
     assert len(first + rest) == len(set(first + rest))
     assert set(first + rest) == set(clean)
+    assert tree_digest(out) == tree_digest(ref)
+
+
+def test_validate_resumes_under_a_checker_command_with_one_more_flag(tmp_path, capsys):
+    # The command says how the checker's process starts, not which checker
+    # answers, so it does not bind the directory.
+    backend = {"kind": "repl", "command": FAKE_REPL}
+    budget = tmp_path / "budget.json"
+    budget.write_text(json.dumps({"knobs": {"backend": backend, "request_budget": 20}}),
+                      encoding="utf-8")
+    logged = repl_config(tmp_path / "logged.json", tmp_path / "sent.jsonl")
+    argv = ("validate", "--bench", str(repl_bench(tmp_path / "bench.jsonl")), "--k", "3")
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert run("--config", str(logged), "--out", str(ref), *argv) == 0
+    assert run("--config", str(budget), "--out", str(out), *argv) == 3
+    capsys.readouterr()
+    assert run("--config", str(logged), "--out", str(out), *argv) == 0
+    assert "refusing to resume" not in capsys.readouterr().err
     assert tree_digest(out) == tree_digest(ref)
 
 

@@ -171,8 +171,9 @@ OTHER_VALUES = {
     BackendConfig: {"kind": "repl", "default_ok": False, "command": ("lean",)},
 }
 OPERATIONAL_KNOBS = {"max_in_flight", "retry_limit", "backoff_base_ms", "request_budget"}
-# Where a tree is written does not change what is written in it.
-NOT_COUNTED = OPERATIONAL_KNOBS | {"output_dir"}
+# Where a tree is written does not change what is written in it, and how the
+# proof checker's process is started does not change which checker answers.
+NOT_COUNTED = OPERATIONAL_KNOBS | {"output_dir", "command"}
 
 
 class TestConfigDigest:

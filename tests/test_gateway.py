@@ -9,7 +9,13 @@ import threading
 import pytest
 from conftest import cache_keys
 
-from herald.errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
+from herald.errors import (
+    BudgetExceeded,
+    InvalidInput,
+    ProviderError,
+    ProviderExhausted,
+    SchemaError,
+)
 from herald.gateway import (
     BACK_TRANSLATE_MARKER,
     NLI_CANDIDATE_MARKER,
@@ -387,6 +393,13 @@ class TestCache:
                 gw.complete(CompletionRequest(prompt_text="never asked"), MockChatProvider())
         assert gw.stats["cache_hits"] == 1
         assert gw.stats["provider_calls"] == 0
+
+    def test_malformed_cache_fails_before_any_call(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "completions.jsonl").write_text('{"key\n{"key": "k"}\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 1"):
+            Gateway(GatewayConfig(cache_dir=cache))
 
     @pytest.mark.parametrize("knob", ["max_in_flight", "retry_limit", "backoff_base_ms",
                                       "request_budget"])

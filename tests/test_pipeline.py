@@ -3,6 +3,7 @@ backend lifetime."""
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from herald.datastore import read_pairs
 from herald.errors import BudgetExceeded, InvalidInput, ProviderError, SchemaError
 from herald.gateway import (
     Completion,
+    Gateway,
     MockBackTranslator,
     MockChatProvider,
     MockInformalizer,
@@ -83,13 +85,6 @@ def records(out: Path) -> list[str]:
     """Output lines in write order: level files by level, then proofs."""
     paths = level_files(out) + [out / "proofs.jsonl"]
     return [line for p in paths if p.exists() for line in p.read_text("utf-8").splitlines()]
-
-
-def tree_without_manifest(out: Path) -> dict[str, str]:
-    # The run manifest counts what this run wrote, so it differs after a resume.
-    tree = tree_digest(out)
-    del tree[MANIFEST]
-    return tree
 
 
 def prompt_key(informal_text: str) -> str:
@@ -152,7 +147,7 @@ def test_budget_cut_leaves_canonical_prefix_and_rerun_repeats_no_call(tmp_path):
     calls = first.calls + second.calls
     assert len(first.calls) == 30
     assert sorted(calls) == sorted(reference.calls)  # each prompt paid for once
-    assert tree_without_manifest(out) == tree_without_manifest(tmp_path / "ref")
+    assert tree_digest(out) == tree_digest(tmp_path / "ref")
 
 
 @pytest.mark.parametrize(
@@ -171,7 +166,7 @@ def test_resume_after_truncation_at_any_offset(tmp_path, target):
         os.truncate(out / target, offset)
         recorder = RecordingInformalizer()
         informalize(index, out, recorder)
-        assert tree_without_manifest(out) == tree_without_manifest(ref), offset
+        assert tree_digest(out) == tree_digest(ref), offset
         assert recorder.calls == [], "every lost record is still in the cache"
 
 
@@ -213,7 +208,7 @@ def check_dry_run_is_first_wave(index: CorpusIndex, out: Path) -> set[str]:
     the first wave, each byte-identical to a prompt the real run sends."""
     expected = first_wave(index, out)
     counts = run_informalize(index, PipelineConfig(), out, dry_run=True)
-    assert counts["dry_run"] and counts["statements_written"] == 0
+    assert counts["dry_run"] and not (out / MANIFEST).exists()
     written = {path.name: path.read_bytes() for path in (out / "prompts").iterdir()}
     assert set(written) == expected
     # Without the cache, every prompt the run sends reaches the provider.
@@ -223,6 +218,9 @@ def check_dry_run_is_first_wave(index: CorpusIndex, out: Path) -> set[str]:
     sent = set(recorder.calls)
     for name, text in written.items():
         assert digest(text.decode("utf-8")) in sent, name
+    # The dry run counts the tree that the real run finishes.
+    manifest = json.loads((out / MANIFEST).read_text("utf-8"))
+    assert {key: manifest[key] for key in counts} == {**counts, "dry_run": False}
     return expected
 
 
@@ -261,11 +259,11 @@ def test_completion_ledger_of_an_older_run_is_ignored(tmp_path):
     informalize(index, out, RecordingInformalizer())
     stale = b'{"id": "not-a-declaration"}\n{"id": "tor'
     (out / "completed.jsonl").write_bytes(stale)
-    before = tree_without_manifest(out)
+    before = tree_digest(out)
     recorder = RecordingInformalizer()
     informalize(index, out, recorder)
     assert recorder.calls == []
-    assert tree_without_manifest(out) == before
+    assert tree_digest(out) == before
     assert (out / "completed.jsonl").read_bytes() == stale
 
 
@@ -306,7 +304,7 @@ def test_rerun_without_misses_leaves_one_sorted_log(tmp_path, damage):
     recorder = RecordingInformalizer()
     informalize(index, out, recorder)
     assert recorder.calls == []
-    assert tree_without_manifest(out) == tree_without_manifest(ref)
+    assert tree_digest(out) == tree_digest(ref)
 
 
 def test_per_file_cache_of_an_older_version_is_not_read(tmp_path):
@@ -413,6 +411,25 @@ def test_validate_closes_repl_backend(tmp_path, monkeypatch):
     bench.write_text('{"id": "a", "informal_text": "p holds."}\n', encoding="utf-8")
     config = PipelineConfig(backend=BackendConfig(kind="repl", command=FAKE_REPL))
     run_validate(bench, config, tmp_path / "val", k=2)
+    assert procs and all(proc.poll() is not None for proc in procs)
+
+
+@pytest.mark.parametrize("stage", ["augment", "validate"])
+def test_repl_backend_closed_when_the_gateway_close_raises(tmp_path, monkeypatch, stage):
+    procs = _record_repl_processes(monkeypatch)
+    close = Gateway.close
+
+    def failing_close(gateway):
+        close(gateway)
+        raise OSError(errno.ENOSPC, "no space left on device")  # say, rewriting the log
+
+    monkeypatch.setattr(Gateway, "close", failing_close)
+    config = PipelineConfig(backend=BackendConfig(kind="repl", command=FAKE_REPL))
+    with pytest.raises(OSError, match="no space"):
+        if stage == "augment":
+            run_augment(make_wide_corpus(n=12), config, tmp_path / "aug", tactic=True)
+        else:
+            run_validate(write_bench(tmp_path / "bench.jsonl", 2), config, tmp_path / "val", k=2)
     assert procs and all(proc.poll() is not None for proc in procs)
 
 
