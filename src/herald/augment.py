@@ -17,14 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import datastore as ds
-from .errors import BlankAnswer, InvalidInput
-from .gateway import (
-    STRATEGY_MARKER,
-    STRATEGY_TEXT_MARKER,
-    Gateway,
-    Role,
-    normalize_text,
-)
+from .errors import InvalidInput
+from .gateway import STRATEGY_MARKER, STRATEGY_TEXT_MARKER, normalize_text
 from .records import CorpusIndex, DeclarationRecord, DeclKind, ProofState
 
 _ANON_MARKER = "✝"
@@ -315,23 +309,20 @@ def strategy_order(pair_id: str, seed: int) -> list[AugmentationStrategy]:
     return order
 
 
+def differs(pair, text: str) -> bool:
+    """Whether ``text`` differs from ``pair``'s informal text after
+    whitespace/case normalization: a variant that does not is dropped."""
+    return normalize_text(text) != normalize_text(pair.informal_text)
+
+
 def informal_variants(
-    pair, strategies: list[AugmentationStrategy], gateway: Gateway, role: Role
+    pair, strategies: list[AugmentationStrategy], answers: Sequence[str]
 ) -> VariantBatch:
-    """One gateway call per strategy, in order, up to the first output that
-    differs from the original after whitespace/case normalization, which is
-    kept; each identical output is dropped and counted.  A blank answer raises
-    :class:`BlankAnswer`: it is never cached, so the rerun asks again."""
-    if not pair.informal_text or not pair.formal_text:
-        raise InvalidInput(f"pair {pair.id} must carry both texts")
-    origin_norm = normalize_text(pair.informal_text)
-    for attempted, strategy in enumerate(strategies, 1):
-        prompt_text = strategy_prompt(strategy, pair.informal_text)
-        completion = gateway.submit_role(role, prompt_text).result()
-        text = completion.text.strip()
-        if not text:
-            raise BlankAnswer(f"blank answer for variant {strategy.tag()} of {pair.id}")
-        if normalize_text(text) != origin_norm:
+    """The variant kept from ``answers``, the stripped, non-blank answers to
+    ``strategies`` in order: the first that :func:`differs` is kept, and each
+    before it is dropped and counted."""
+    for attempted, (strategy, text) in enumerate(zip(strategies, answers), 1):
+        if differs(pair, text):
             variant = NLVariant(origin_pair_id=pair.id, strategy=strategy, informal_text=text)
             return VariantBatch(variants=(variant,), attempted=attempted, dropped=attempted - 1)
-    return VariantBatch(variants=(), attempted=len(strategies), dropped=len(strategies))
+    return VariantBatch(variants=(), attempted=len(answers), dropped=len(answers))

@@ -195,10 +195,10 @@ class Gateway:
 
     def submit_role(self, role: Role, prompt_text: str, sample_index: int = 0) -> Future:
         """Sample ``sample_index`` of ``prompt_text`` on the pool, without
-        waiting: a ``Future[Completion]`` that runs :meth:`complete`.
-
-        Pool threads never wait on other pool futures, so any number of
-        submissions is safe at any ``max_in_flight``.
+        waiting: a ``Future[Completion]`` that runs :meth:`complete`, which
+        every stage hands to its ``pipeline._OrderedDispatch``.  Pool threads
+        never wait on other pool futures, so any number of submissions is
+        safe at any ``max_in_flight``.
         """
         request = CompletionRequest(
             prompt_text=prompt_text,

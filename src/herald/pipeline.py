@@ -197,15 +197,16 @@ class _OrderedDispatch:
     thread as it returns, and appends a record only once every earlier one
     is on disk, so the files do not depend on ``max_in_flight`` and an
     interrupted run leaves a canonical prefix.  Each file is opened once, and
-    each line flushed as it is written, in canonical order.
+    each line flushed as it is written, in canonical order.  A stage that
+    writes its records whole after the run passes ``((), ())``.
 
-    On the first error, ``stopping`` turns true (``settle`` must then send
-    nothing more), queued requests are cancelled, running ones are drained
-    and settled, the prefix is flushed and the error is re-raised.
+    On the first error, queued requests are cancelled, the prefix is flushed
+    and the error is re-raised; nothing is settled after it.  A request
+    already running still lands in the completion log, since the gateway's
+    close waits for its pool, so a rerun takes it from the cache.
     """
 
     def __init__(self, order: Sequence[Hashable], on_disk: Container[Hashable]):
-        self.stopping = False
         self._order = order
         self._on_disk = on_disk
         self._cursor = 0
@@ -247,13 +248,8 @@ class _OrderedDispatch:
         except BaseException:
             # Keep every finished record that extends the canonical prefix,
             # then let the caller see the first error.
-            self.stopping = True
             for future in self._pending:
                 future.cancel()
-            futures.wait(self._pending)
-            for future, tag in self._pending.items():
-                if not future.cancelled() and future.exception() is None:
-                    settle(tag, future.result())
             self._flush()
             raise
         finally:
@@ -309,12 +305,12 @@ def run_informalize(
     Resume: the directory is claimed (:func:`_claim`); the level files and
     ``proofs.jsonl`` are the only record of progress (a torn final line is
     dropped), and missing records are redone.  A completion that finished
-    behind a gap is lost from the outputs but kept in the cache, so a rerun
-    does not pay for it again.  The manifest counts the finished tree, so a
-    resumed tree is a clean one.  ``dry_run`` makes the same first wave of
-    requests but writes each prompt to ``prompts/<name>.txt`` or
-    ``prompts/<name>.step<i>.txt`` instead of sending it; later prompts read
-    model answers, so it cannot write them.
+    behind a gap, or was still running at the first error, is lost from the
+    outputs but kept in the cache, so a rerun does not pay for it again.  The
+    manifest counts the finished tree, so a resumed tree is a clean one.
+    ``dry_run`` makes the same first wave of requests but writes each prompt
+    to ``prompts/<name>.txt`` or ``prompts/<name>.step<i>.txt`` instead of
+    sending it; later prompts read model answers, so it cannot write them.
     """
     # A dry run claims no directory, so the config may still change after it.
     _claim(out_dir, config, write=not dry_run)
@@ -427,14 +423,8 @@ def run_informalize(
         dispatch.finish(pair.id, path, ds.pair_line(pair))
 
     def settle(tag: tuple, completion: Completion) -> None:
-        """Record one completion; unless stopping, send the work it unblocks.
-
-        While stopping, a blank answer is dropped rather than raised, so the
-        first error is the one reported and the prefix is still written.
-        """
+        """Record one completion and send the work it unblocks."""
         kind, name, *rest = tag
-        if dispatch.stopping and not completion.text.strip():
-            return
         text = _answer_text(completion, f"{kind} {name}")
         subject = index.declarations[name]
         if kind == "statement":
@@ -450,8 +440,6 @@ def run_informalize(
                 )
             )
             translations[name] = text
-            if dispatch.stopping:
-                return
             for dependent in sorted(dependents[name]):
                 waiting[dependent] -= 1
                 if waiting[dependent] == 0 and dependent not in translations:
@@ -461,7 +449,7 @@ def run_informalize(
         elif kind == "step":
             texts = step_texts[name]
             texts[rest[0]] = text
-            if not dispatch.stopping and None not in texts:
+            if None not in texts:
                 del step_texts[name]
                 summary = prompts.summarize_steps_prompt(texts, proof_context(name), registry)
                 submit(summary.text, "summary", name)
@@ -516,12 +504,24 @@ def run_augment(
     """Tactic-aug statements, dedup-sampled, and informal variants: one seeded
     strategy per statement (:func:`augment.strategy_order`), the next on a drop,
     written in source order as ``{id}__var{j}``, ``j`` its index in
-    :func:`augment.all_strategies`.  Record files go through ``replace_atomic``,
-    so a kill can tear only the completion log, which a rerun reads back."""
+    :func:`augment.all_strategies`.  Every request is a future on one
+    :class:`_OrderedDispatch`, so ``max_in_flight`` bounds augment too.  Record
+    files are written whole after the run with ``replace_atomic``, so a kill
+    can tear only the completion log, which a rerun reads back."""
+    if informal and original_pairs is None:
+        raise InvalidInput("informal augmentation needs the original pairs")
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
+    sampled: list[aug.SynthesizedStatement] = []
+    texts: dict[int, str] = {}  # the answer for sampled[i]
+    source_pairs = [
+        p for p in original_pairs or () if p.record_type == "statement" and p.formal_text
+    ] if informal else []
+    orders = [aug.strategy_order(pair.id, config.dedup_seed) for pair in source_pairs]
+    answers: list[list[str]] = [[] for _ in source_pairs]  # per strategy asked, in order
     gateway = config.gateway(cache_dir=out_dir / "cache")
     backend = validate.cache_checks(config.backend.build(), out_dir / "cache") if tactic else None
+    dispatch = _OrderedDispatch((), ())
     try:
         if tactic:
             synthesized = aug.synthesize_for_index(index)
@@ -536,72 +536,82 @@ def run_augment(
                 out_dir / "synthesized.jsonl",
                 (json.dumps(asdict(stmt), ensure_ascii=False) + "\n" for stmt in valid),
             )
-
+            counts.update(
+                synthesized=len(synthesized),
+                compile_valid=len(valid),
+                compile_rejected=len(rejected),
+            )
             informalizer = config.role("informalizer")
             registry = _load_registry(config)
-            pairs = []
-            for stmt in sampled:
+        augmenter = config.role("augmenter") if informal else None
+
+        def ask_variant(position: int) -> None:
+            strategy = orders[position][len(answers[position])]
+            prompt_text = aug.strategy_prompt(strategy, source_pairs[position].informal_text)
+            dispatch.submit(gateway.submit_role(augmenter, prompt_text), ("variant", position))
+
+        def start() -> None:
+            for position, stmt in enumerate(sampled):
                 ctx = prompts.StatementContext(subject=stmt.record())
                 prompt = prompts.assemble_statement_prompt(ctx, registry)
-                completion = gateway.submit_role(informalizer, prompt.text).result()
-                informal_text = _answer_text(completion, f"statement {stmt.name}")
-                pairs.append(
-                    ds.NLFLPair(
-                        id=stmt.name,
-                        formal_text=stmt.formal_text,
-                        informal_text=informal_text,
-                        direction=ds.Direction.NL_TO_FL,
-                        provenance=ds.Provenance.TACTIC_AUG,
-                        source_name=stmt.origin,
-                    )
+                dispatch.submit(
+                    gateway.submit_role(informalizer, prompt.text), ("statement", position)
                 )
-            ds.write_pairs_atomic(pairs, out_dir / "tactic_aug.jsonl")
-            counts.update(
-                {
-                    "synthesized": len(synthesized),
-                    "compile_valid": len(valid),
-                    "compile_rejected": len(rejected),
-                    "tactic_aug_pairs": len(pairs),
-                }
-            )
+            for position in range(len(source_pairs)):
+                ask_variant(position)
 
-        if informal:
-            if original_pairs is None:
-                raise InvalidInput("informal augmentation needs the original pairs")
-            augmenter = config.role("augmenter")
-            strategies = aug.all_strategies()
-            variants: list[ds.NLFLPair] = []
-            attempted = dropped = 0
-            source_pairs = [
-                p for p in original_pairs if p.record_type == "statement" and p.formal_text
-            ]
-            for pair in source_pairs:
-                order = aug.strategy_order(pair.id, config.dedup_seed)
-                batch = aug.informal_variants(pair, order, gateway, augmenter)
-                attempted += batch.attempted
-                dropped += batch.dropped
-                for variant in batch.variants:
-                    variants.append(
-                        ds.NLFLPair(
-                            id=f"{pair.id}__var{strategies.index(variant.strategy)}",
-                            formal_text=pair.formal_text,
-                            informal_text=variant.informal_text,
-                            direction=ds.Direction.NL_TO_FL,
-                            provenance=ds.Provenance.INFORMAL_AUG,
-                            source_name=pair.source_name,
-                            level=pair.level,
-                        )
-                    )
-            ds.write_pairs_atomic(variants, out_dir / "informal_aug.jsonl")
-            counts.update(
-                {
-                    "variants_attempted": attempted,
-                    "variants_dropped": dropped,
-                    "informal_aug_pairs": len(variants),
-                }
-            )
+        def settle(tag: tuple, completion: Completion) -> None:
+            """Keep the answer; ask the next strategy when a variant is dropped."""
+            kind, position = tag
+            if kind == "statement":
+                texts[position] = _answer_text(completion, f"statement {sampled[position].name}")
+                return
+            pair, order, tried = source_pairs[position], orders[position], answers[position]
+            subject = f"variant {order[len(tried)].tag()} of {pair.id}"
+            tried.append(_answer_text(completion, subject))
+            if not aug.differs(pair, tried[-1]) and len(tried) < len(order):
+                ask_variant(position)
+
+        dispatch.run(start, settle)
     finally:
         _close_stage("augment", gateway, backend)
+
+    if tactic:
+        pairs = [
+            ds.NLFLPair(
+                id=stmt.name,
+                formal_text=stmt.formal_text,
+                informal_text=texts[position],
+                direction=ds.Direction.NL_TO_FL,
+                provenance=ds.Provenance.TACTIC_AUG,
+                source_name=stmt.origin,
+            )
+            for position, stmt in enumerate(sampled)
+        ]
+        ds.write_pairs_atomic(pairs, out_dir / "tactic_aug.jsonl")
+        counts["tactic_aug_pairs"] = len(pairs)
+    if informal:
+        strategies = aug.all_strategies()
+        batches = [aug.informal_variants(*job) for job in zip(source_pairs, orders, answers)]
+        variants = [
+            ds.NLFLPair(
+                id=f"{pair.id}__var{strategies.index(variant.strategy)}",
+                formal_text=pair.formal_text,
+                informal_text=variant.informal_text,
+                direction=ds.Direction.NL_TO_FL,
+                provenance=ds.Provenance.INFORMAL_AUG,
+                source_name=pair.source_name,
+                level=pair.level,
+            )
+            for pair, batch in zip(source_pairs, batches)
+            for variant in batch.variants
+        ]
+        ds.write_pairs_atomic(variants, out_dir / "informal_aug.jsonl")
+        counts.update(
+            variants_attempted=sum(batch.attempted for batch in batches),
+            variants_dropped=sum(batch.dropped for batch in batches),
+            informal_aug_pairs=len(variants),
+        )
 
     write_manifest(out_dir, "augment", config, counts)
     return counts
@@ -760,8 +770,6 @@ def run_validate(
             run.start()
 
     def settle(tag: tuple, completion: Completion) -> None:
-        if dispatch.stopping:
-            return  # the rerun takes these from the cache
         position, step = tag
         report = runs[position].settle(step, completion)
         if report is not None:

@@ -1,16 +1,19 @@
 """Tactic-state statement synthesis, compile filtering, dedup sampling,
-the four informal-variant strategies and the seeded strategy draw."""
+the four informal-variant strategies, the seeded strategy draw and
+augment's concurrent dispatch."""
 
 from __future__ import annotations
 
+import random
 import re
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
-from conftest import make_corpus
+from conftest import make_corpus, tree_digest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from herald.augment import (
     all_strategies,
     compile_filter,
     dedup_sample,
+    differs,
     extract_preamble,
     informal_variants,
     strategy_prompt,
@@ -37,6 +41,7 @@ from herald.gateway import (
     Gateway,
     GatewayConfig,
     MockAugmenter,
+    MockInformalizer,
     Role,
     _section_after,
 )
@@ -221,16 +226,25 @@ def pair(informal: str, pid: str = "p0") -> NLFLPair:
 
 
 class TestInformalVariants:
-    def _gateway(self):
-        return Gateway(GatewayConfig(max_in_flight=2))
-
     def _role(self):
         return Role(provider=MockAugmenter(), model_id="mock-augmenter")
 
+    def _variants(self, source, strategies, role=None):
+        """informal_variants over ``role``'s answers, asked in strategy order
+        up to the first that differs, as run_augment asks them."""
+        role = role or self._role()
+        answers = []
+        with Gateway(GatewayConfig(max_in_flight=2)) as gw:
+            for strategy in strategies:
+                prompt_text = strategy_prompt(strategy, source.informal_text)
+                answers.append(gw.submit_role(role, prompt_text).result().text.strip())
+                if differs(source, answers[-1]):
+                    break
+        return informal_variants(source, strategies, answers)
+
     def test_logical_equivalence_shape(self):
         strategy = AugmentationStrategy(StrategyKind.LOGICAL_EQUIVALENCE_REWRITING)
-        with self._gateway() as gw:
-            batch = informal_variants(pair("If A, then B."), [strategy], gw, self._role())
+        batch = self._variants(pair("If A, then B."), [strategy])
         [variant] = batch.variants
         assert variant.informal_text == "B holds given A."
         assert variant.strategy == strategy
@@ -240,16 +254,14 @@ class TestInformalVariants:
             "For given matrix $A$, there exists a matrix $B$, such that $A B = B A = I$."
         )
         strategy = AugmentationStrategy(StrategyKind.ABSTRACT_CONCEPT_SUBSTITUTION)
-        with self._gateway() as gw:
-            batch = informal_variants(pair(text), [strategy], gw, self._role())
+        batch = self._variants(pair(text), [strategy])
         [variant] = batch.variants
         assert "non-degenerate" in variant.informal_text
 
     def test_multilingual_mock_is_tagged_and_deterministic(self):
         strategy = AugmentationStrategy(StrategyKind.MULTI_LINGUISTIC_TRANSLATION, "zh")
-        with self._gateway() as gw:
-            one = informal_variants(pair("Groups are monoids."), [strategy], gw, self._role())
-            two = informal_variants(pair("Groups are monoids."), [strategy], gw, self._role())
+        one = self._variants(pair("Groups are monoids."), [strategy])
+        two = self._variants(pair("Groups are monoids."), [strategy])
         assert one.variants[0].informal_text == two.variants[0].informal_text
         assert one.variants[0].informal_text.startswith("[zh] ")
 
@@ -261,13 +273,9 @@ class TestInformalVariants:
                 return Completion(text=_section_after(request.prompt_text, STRATEGY_TEXT_MARKER))
 
         strategies = all_strategies()
-        with self._gateway() as gw:
-            batch = informal_variants(
-                pair("Unchanged text."),
-                strategies,
-                gw,
-                Role(provider=EchoProvider(), model_id="echo"),
-            )
+        batch = self._variants(
+            pair("Unchanged text."), strategies, Role(provider=EchoProvider(), model_id="echo")
+        )
         assert batch.attempted == len(strategies)
         assert batch.dropped == len(strategies)
         assert batch.variants == ()
@@ -276,11 +284,18 @@ class TestInformalVariants:
         # The walk stops at the first variant kept: the mock rewrites every
         # strategy, so the first is kept and the other five are never asked.
         strategies = all_strategies()
-        with self._gateway() as gw:
-            batch = informal_variants(pair("If A, then B."), strategies, gw, self._role())
+        batch = self._variants(pair("If A, then B."), strategies)
         assert batch.attempted == 1
         assert batch.attempted == len(batch.variants) + batch.dropped
         assert [variant.strategy for variant in batch.variants] == strategies[:1]
+
+    def test_first_answer_that_differs_is_kept(self):
+        # Whitespace and case do not make an answer differ.
+        strategies = all_strategies()
+        batch = informal_variants(pair("If A, then B."), strategies, ["if a,  then b.", "B if A."])
+        assert (batch.attempted, batch.dropped) == (2, 1)
+        [variant] = batch.variants
+        assert (variant.strategy, variant.informal_text) == (strategies[1], "B if A.")
 
     def test_strategy_validation(self):
         with pytest.raises(InvalidInput):
@@ -413,3 +428,68 @@ class TestStrategyDraw:
         kept = Counter(tag for _, tag in draw(tmp_path / "aug", statements(n)).kept)
         assert set(kept) == set(TAGS)
         assert all(n / 12 <= kept[tag] <= n / 4 for tag in TAGS), kept
+
+
+# --- augment's dispatch -----------------------------------------------------------
+
+
+class JitteredAugmenter(LoggingAugmenter):
+    """The logging augmenter with seeded, jittered latency per prompt, that
+    keeps the peak number of its calls in flight."""
+
+    def __init__(self, echo=(), jitter_s: float = 0.002):
+        super().__init__(echo)
+        self.jitter_s = jitter_s
+        self.in_flight = self.peak = 0
+
+    def generate(self, request, sample_index):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(random.Random(request.prompt_text).uniform(0, self.jitter_s))
+            return super().generate(request, sample_index)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class JitteredInformalizer(MockInformalizer):
+    def generate(self, request, sample_index):
+        time.sleep(random.Random(request.prompt_text).uniform(0, 0.002))
+        return super().generate(request, sample_index)
+
+
+@dataclass(frozen=True)
+class JitteredInformalizerRole(RoleConfig):
+    informalizer: JitteredInformalizer = field(default_factory=JitteredInformalizer)
+
+    def build(self, role_name):
+        return replace(super().build(role_name), provider=self.informalizer)
+
+
+def test_augment_keeps_up_to_max_in_flight_calls_in_flight(tmp_path):
+    augmenter = JitteredAugmenter(jitter_s=0.01)
+    config = PipelineConfig(roles={"augmenter": LoggingRole(augmenter=augmenter)},
+                            max_in_flight=4)
+    run_augment(CorpusIndex({}), config, tmp_path / "aug", tactic=False, informal=True,
+                original_pairs=statements(40))
+    assert 1 < augmenter.peak <= 4
+
+
+def test_augment_tree_does_not_depend_on_max_in_flight(tmp_path):
+    # Tactic statements and informal variants with drops, so some requests
+    # are sent by settle: the tree is the same however they interleave.
+    index, pairs = make_corpus(30), statements(30)
+    trees = []
+    for max_in_flight in (1, 8):
+        out = tmp_path / f"aug{max_in_flight}"
+        roles = {
+            "informalizer": JitteredInformalizerRole(),
+            "augmenter": LoggingRole(augmenter=JitteredAugmenter(echo={TRANSLATION})),
+        }
+        config = PipelineConfig(roles=roles, max_in_flight=max_in_flight)
+        counts = run_augment(index, config, out, tactic=True, informal=True, original_pairs=pairs)
+        assert counts["tactic_aug_pairs"] > 0 and counts["variants_dropped"] > 0
+        trees.append(tree_digest(out))
+    assert trees[0] == trees[1]

@@ -7,6 +7,7 @@ import os
 import random
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -221,10 +222,13 @@ class Scripted:
 
     blank_at = -1
     calls = 0
+    _lock = threading.Lock()  # augment's calls run on several pool threads
 
     def generate(self, request, sample_index):
-        Scripted.calls += 1
-        if Scripted.calls == Scripted.blank_at + 1:
+        with Scripted._lock:
+            Scripted.calls += 1
+            number = Scripted.calls
+        if number == Scripted.blank_at + 1:
             return Completion(text="   ")
         return super().generate(request, sample_index)
 
@@ -355,6 +359,21 @@ class TestAugmentMixValidateStats:
         tactic_pairs = read_pairs(augd / "tactic_aug.jsonl")
         assert tactic_pairs
         assert all(p.provenance.value == "tactic_aug" for p in tactic_pairs)
+
+    def test_informal_augment_without_pairs_exits_2_before_any_call(
+        self, tmp_path, export_file, mock_config, monkeypatch, capsys
+    ):
+        index = tmp_path / "index"
+        assert run("--out", str(index), "ingest", "--export", str(export_file)) == 0
+        monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "informalizer", ScriptedInformalizer)
+        monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "augmenter", ScriptedAugmenter)
+        monkeypatch.setattr(Scripted, "calls", 0)
+        out = tmp_path / "aug"
+        assert run("--config", str(mock_config), "--out", str(out), "augment", "--tactic",
+                   "--informal", "--index", str(index / "index.json")) == 2
+        assert "needs the original pairs" in capsys.readouterr().err
+        assert Scripted.calls == 0
+        assert [path for path in out.rglob("*") if path.is_file()] == []
 
     def test_full_chain(self, tmp_path):
         fixtures = write_shared_fixtures(tmp_path / "fixtures")

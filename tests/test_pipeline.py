@@ -333,29 +333,40 @@ class InterruptedInformalizer(RecordingInformalizer):
         return super().generate(request, sample_index)
 
 
-def test_blank_answer_drained_after_the_first_error_is_dropped(tmp_path):
-    # Three statements in flight: the third fails first; while the run
-    # drains, the first answers and the second answers blank.  The first
-    # error is the one raised, and the first statement is still written.
+def test_nothing_is_settled_after_the_first_error(tmp_path):
+    # Three statements in flight: the third fails first; after it, the first
+    # answers and the second answers blank.  The first error is the one
+    # raised and no record is written after it, but the first answer lands
+    # in the cache, so the rerun does not ask for it again.
     index = make_wide_corpus(n=8)
     first, second, third = depgraph.stratify(depgraph.build_graph(index)).levels[0][:3]
     failed = threading.Event()
 
+    def subject(prompt_text: str) -> str:
+        return prompt_text.rsplit("to translate:", 1)[-1].split()[1]
+
     class FailThenBlank(MockInformalizer):
         def generate(self, request, sample_index):
-            subject = request.prompt_text.rsplit("to translate:", 1)[-1].split()[1]
-            if subject == third:
+            if subject(request.prompt_text) == third:
                 failed.set()
                 raise ProviderError(self.name, "401 unauthorized")
             assert failed.wait(10)
             time.sleep(0.05)  # the failure reaches the dispatch first
-            if subject == second:
+            if subject(request.prompt_text) == second:
                 return Completion(text="  ")
             return super().generate(request, sample_index)
 
+    out = tmp_path / "inf"
     with pytest.raises(ProviderError, match="401"):
-        informalize(index, tmp_path / "inf", FailThenBlank(), max_in_flight=3)
-    assert [json.loads(line)["id"] for line in records(tmp_path / "inf")] == [first]
+        informalize(index, out, FailThenBlank(), max_in_flight=3)
+    assert records(out) == []
+
+    rerun = RecordingInformalizer()
+    informalize(index, out, rerun)
+    asked = {subject(rerun.prompts[key]) for key in rerun.calls}
+    assert first not in asked and {second, third} <= asked
+    informalize(index, tmp_path / "ref", RecordingInformalizer())
+    assert tree_digest(out) == tree_digest(tmp_path / "ref")
 
 
 @pytest.mark.parametrize("error", [BudgetExceeded, KeyboardInterrupt])
