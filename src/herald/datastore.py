@@ -169,8 +169,8 @@ class KeyedLog(Generic[T]):
     directory and the append handle made on the first.  :meth:`close`
     rewrites the file in key order with :func:`replace_atomic`, so a finished
     run leaves one sorted file whatever order the entries were added in.  One
-    writing process per output directory is assumed; callers on several
-    threads hold their own lock.
+    writing process per output directory is assumed, and one thread in it
+    adds; other threads may only :meth:`get`, a single dict lookup.
     """
 
     def __init__(

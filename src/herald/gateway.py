@@ -1,9 +1,10 @@
 """Provider-agnostic completion client with retries, caching, and mocks.
 
 Every request is one sample, which :meth:`Gateway.complete` answers from the
-cache or the provider.  The gateway owns the only mutable state in the
-pipeline (cache, counters) behind a lock, and the one pool, of
-``max_in_flight`` threads, that callers on any thread submit requests to.
+cache or the provider.  The gateway owns the pipeline's provider state: the
+one pool, of ``max_in_flight`` threads, that callers submit requests to, the
+counters, behind a lock, and the completion log.  Pool threads only read the
+log; the thread that settles answers appends them (:meth:`Gateway.append_paid`).
 
 Which hosted models back each pipeline role is configuration, not code:
 bind a provider + model id per role.  The mock providers below are test
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import queue
 import re
 import threading
 import time
@@ -172,6 +174,8 @@ class Gateway:
             Path(self.config.cache_dir) / "completions.jsonl",
             _completion, _completion_fields, "cache entry",
         )
+        # (key, completion) of each cacheable answer not yet in the log.
+        self._paid: queue.SimpleQueue = queue.SimpleQueue()
         self.stats = {
             "provider_calls": 0,
             "retries": 0,
@@ -180,11 +184,20 @@ class Gateway:
             "failed": 0,
         }
 
+    def append_paid(self) -> None:
+        """Append each answer paid for since the last call to the completion
+        log, one flushed line each.  Only the thread that submits and settles
+        calls this, before each settle, so no pool thread writes a file."""
+        while not self._paid.empty():
+            self._log.add(*self._paid.get())
+
     def close(self) -> None:
-        """Wait for the pool, then close and sort the completion log, so a
-        run that asks for nothing still sorts what a killed run left."""
+        """Wait for the pool, append what it paid for, then close and sort
+        the completion log, so an answer still running at an error is kept,
+        and a run that asks for nothing still sorts what a killed run left."""
         self._executor.shutdown(wait=True)
         if self._log is not None:
+            self.append_paid()
             self._log.close()
 
     def __enter__(self) -> "Gateway":
@@ -196,9 +209,10 @@ class Gateway:
     def submit_role(self, role: Role, prompt_text: str, sample_index: int = 0) -> Future:
         """Sample ``sample_index`` of ``prompt_text`` on the pool, without
         waiting: a ``Future[Completion]`` that runs :meth:`complete`, which
-        every stage hands to its ``pipeline._OrderedDispatch``.  Pool threads
-        never wait on other pool futures, so any number of submissions is
-        safe at any ``max_in_flight``.
+        every stage hands to its ``pipeline._OrderedDispatch``; the dispatch
+        appends the paid answer to the log before it settles the future.
+        Pool threads never wait on other pool futures, so any number of
+        submissions is safe at any ``max_in_flight``.
         """
         request = CompletionRequest(
             prompt_text=prompt_text,
@@ -214,16 +228,17 @@ class Gateway:
 
         A transient provider error is retried up to ``retry_limit`` times with
         exponential backoff; every call, retries included, counts against the
-        request budget.
+        request budget.  A paid answer is queued for :meth:`append_paid`, so
+        a twin sent before it is appended pays too.
         """
         key = None
         if self._log is not None:
             key = _cache_key(request, provider)
-            with self._lock:
-                cached = self._log.get(key)
-                if cached is not None:
+            cached = self._log.get(key)
+            if cached is not None:
+                with self._lock:
                     self.stats["cache_hits"] += 1
-                    return cached
+                return cached
 
         for attempt in range(self.config.retry_limit + 1):
             with self._lock:
@@ -248,13 +263,13 @@ class Gateway:
                 time.sleep(self.config.backoff_base_ms * (2**attempt) / 1000.0)
 
         # A truncated, failed or blank completion is not cached: a rerun asks again.
-        with self._lock:
-            if completion.finish_reason == FinishReason.LENGTH:
-                self.stats["truncated"] += 1
-            elif completion.finish_reason == FinishReason.ERROR:
-                self.stats["failed"] += 1
-            elif key is not None and completion.text.strip():
-                self._log.add(key, completion)
+        reason = completion.finish_reason
+        if reason == FinishReason.STOP:
+            if key is not None and completion.text.strip():
+                self._paid.put((key, completion))
+        else:
+            with self._lock:
+                self.stats["truncated" if reason == FinishReason.LENGTH else "failed"] += 1
         return completion
 
 

@@ -225,6 +225,7 @@ def serialize_index(index: CorpusIndex) -> str:
     """Render an index back to the export format with canonical ordering.
 
     ``parse_jixia_export(serialize_index(x))`` reproduces an equal index.
+    The JSON is compact, so ``json`` writes it with its C encoder.
     """
     decls = []
     for name in sorted(index.declarations):
@@ -264,7 +265,7 @@ def serialize_index(index: CorpusIndex) -> str:
         "proofs": proofs,
         "head_statements": {k: index.head_statements[k] for k in sorted(index.head_statements)},
     }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return json.dumps(doc, ensure_ascii=False) + "\n"
 
 
 # --- raw-source scanner -------------------------------------------------

@@ -194,11 +194,12 @@ class _OrderedDispatch:
     the keys an earlier run already wrote.  The stage sends requests with
     :meth:`submit` and hands finished records to :meth:`finish`.  :meth:`run`
     feeds each completion to ``settle(tag, completion)`` on the calling
-    thread as it returns, and appends a record only once every earlier one
-    is on disk, so the files do not depend on ``max_in_flight`` and an
-    interrupted run leaves a canonical prefix.  Each file is opened once, and
-    each line flushed as it is written, in canonical order.  A stage that
-    writes its records whole after the run passes ``((), ())``.
+    thread as it returns, after ``gateway`` appends what it paid for to the
+    completion log, and appends a record only once every earlier one is on
+    disk, so the files do not depend on ``max_in_flight`` and an interrupted
+    run leaves a canonical prefix.  Each file is opened once, and each line
+    flushed as it is written, in canonical order.  A stage that writes its
+    records whole after the run passes only the gateway.
 
     On the first error, queued requests are cancelled, the prefix is flushed
     and the error is re-raised; nothing is settled after it.  A request
@@ -206,7 +207,10 @@ class _OrderedDispatch:
     close waits for its pool, so a rerun takes it from the cache.
     """
 
-    def __init__(self, order: Sequence[Hashable], on_disk: Container[Hashable]):
+    def __init__(
+        self, gateway: Gateway, order: Sequence[Hashable] = (), on_disk: Container[Hashable] = ()
+    ):
+        self._gateway = gateway
         self._order = order
         self._on_disk = on_disk
         self._cursor = 0
@@ -243,6 +247,7 @@ class _OrderedDispatch:
             self._flush()
             while self._pending:
                 future = self._completed.get()
+                self._gateway.append_paid()
                 settle(self._pending.pop(future), future.result())
                 self._flush()
         except BaseException:
@@ -412,7 +417,7 @@ def run_informalize(
     informalizer = config.role("informalizer")
     gateway = config.gateway(cache_dir=out_dir / "cache")
     dispatch = _OrderedDispatch(
-        statement_order + [f"{name}::proof" for name in proof_names], existing
+        gateway, statement_order + [f"{name}::proof" for name in proof_names], existing
     )
 
     def finish(pair: ds.NLFLPair) -> None:
@@ -521,7 +526,7 @@ def run_augment(
     answers: list[list[str]] = [[] for _ in source_pairs]  # per strategy asked, in order
     gateway = config.gateway(cache_dir=out_dir / "cache")
     backend = validate.cache_checks(config.backend.build(), out_dir / "cache") if tactic else None
-    dispatch = _OrderedDispatch((), ())
+    dispatch = _OrderedDispatch(gateway)
     try:
         if tactic:
             synthesized = aug.synthesize_for_index(index)
@@ -740,7 +745,7 @@ def run_validate(
     written = _written_report_count(reports_path, items)
     backend = validate.cache_checks(config.backend.build(), out_dir / "cache")
     gateway = config.gateway(cache_dir=out_dir / "cache")
-    dispatch = _OrderedDispatch(range(len(items)), range(written))
+    dispatch = _OrderedDispatch(gateway, range(len(items)), range(written))
     todo = iter(range(written, len(items)))
     # Enough open items to keep the pool busy while some wait on a compile
     # check or a verdict; few enough that pending futures stay bounded by

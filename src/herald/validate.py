@@ -267,6 +267,8 @@ def nli_prompt(original_nl: str, back_nl: str) -> str:
 
 
 def back_translate(formal_text: str, gateway: Gateway, role: Role) -> str:
+    """The back-translation of ``formal_text``, waited for on one future; the
+    answer reaches the completion log at the gateway's close."""
     if not formal_text:
         raise InvalidInput("cannot back-translate empty formal text")
     completion = gateway.submit_role(role, back_translation_prompt(formal_text)).result()
@@ -298,7 +300,8 @@ def nli_check(original_nl: str, back_nl: str, gateway: Gateway, role: Role) -> N
     """Judge verdict from the constrained ACCEPT/REJECT token contract.
 
     Free prose without the token counts as a reject and is flagged so
-    callers can track parse failures.
+    callers can track parse failures.  The verdict is waited for on one
+    future, so it reaches the completion log at the gateway's close.
     """
     if not original_nl or not back_nl:
         raise InvalidInput("nli_check requires both texts non-empty")
@@ -527,7 +530,8 @@ def validate_item(
     candidate that passes everything; otherwise all compiling candidates go
     through back-translation and the judge.  The mode is recorded on the
     report.  This is :class:`ItemRun` for one item, waiting on its requests
-    in the order they were sent.
+    in the order they were sent; its answers reach the completion log at the
+    gateway's close.
     """
     sent: deque[tuple[Future, tuple]] = deque()
     run = ItemRun(

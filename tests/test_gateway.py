@@ -242,6 +242,7 @@ class TestCache:
             gw.complete(
                 CompletionRequest(prompt_text="p", max_output_tokens=tokens), MockChatProvider()
             )
+            gw.append_paid()  # as the dispatch does before it settles an answer
         gw.close()
         assert gw.stats["provider_calls"] == 2
         assert gw.stats["cache_hits"] == 1
@@ -254,6 +255,7 @@ class TestCache:
         req = CompletionRequest(prompt_text="p")
         for provider in (MockChatProvider(), OtherChat(), MockChatProvider()):
             gw.complete(req, provider)
+            gw.append_paid()
         gw.close()
         assert gw.stats["provider_calls"] == 2
         assert gw.stats["cache_hits"] == 1
@@ -273,7 +275,7 @@ class TestCache:
         cache = tmp_path / "cache"
         gw = Gateway(GatewayConfig(cache_dir=cache, max_in_flight=16))
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # first writes race on the pool threads
+        sys.setswitchinterval(1e-6)  # pool threads interleave; only this thread writes the log
         try:
             samples(gw, chat_role(), "p", 64)
             gw.complete(CompletionRequest(prompt_text="q"), MockChatProvider())
@@ -382,6 +384,7 @@ class TestCache:
         gw = Gateway(config)
         req = CompletionRequest(prompt_text="only once")
         gw.complete(req, MockChatProvider())
+        gw.append_paid()
         gw.complete(req, MockChatProvider())  # second time from cache
         gw.close()
         assert gw.stats["cache_hits"] == 1

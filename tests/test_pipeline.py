@@ -13,6 +13,7 @@ import shutil
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,7 +34,14 @@ from herald.gateway import (
     digest,
 )
 from herald.ingest import serialize_index
-from herald.pipeline import level_files, run_augment, run_informalize, run_validate
+from herald.pipeline import (
+    _OrderedDispatch,
+    level_files,
+    load_statement_pairs,
+    run_augment,
+    run_informalize,
+    run_validate,
+)
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind, ProofState, ProofStep
 from herald.validate import CompileOutcome, ReplBackend
 
@@ -771,3 +779,66 @@ def test_short_circuit_sends_no_back_translation_before_the_previous_verdict(tmp
                 assert verdicts == set(range(1, index, 2)), (log, index)
                 checked += 1
     assert checked == 4 * 4 + 4  # every odd candidate of a long item, the first of a short
+
+
+# --- the completion log belongs to the thread that runs the stage -------------
+
+
+def run_stages(root: Path, max_in_flight: int) -> None:
+    """informalize, augment (tactic and informal) and validate, with jittered
+    providers, at ``max_in_flight``."""
+    index = make_wide_corpus()
+    informalize(index, root / "inf", RecordingInformalizer(jitter_s=0.002),
+                max_in_flight=max_in_flight)
+    run_augment(index, PipelineConfig(max_in_flight=max_in_flight), root / "aug",
+                tactic=True, informal=True, original_pairs=load_statement_pairs(root / "inf"))
+    validate_run(write_bench(root / "bench.jsonl", 8), root / "val", jitter_s=0.002,
+                 max_in_flight=max_in_flight)
+
+
+def test_only_the_stage_thread_appends_to_the_completion_log(tmp_path, monkeypatch):
+    from herald.datastore import KeyedLog
+
+    appends = []
+    add = KeyedLog.add
+
+    def recording_add(log, key, value):
+        appends.append((log._path.relative_to(tmp_path).as_posix(), threading.get_ident()))
+        add(log, key, value)
+
+    monkeypatch.setattr(KeyedLog, "add", recording_add)
+    run_stages(tmp_path, max_in_flight=8)
+    assert {path for path, _ in appends} == {
+        f"{stage}/cache/completions.jsonl" for stage in ("inf", "aug", "val")
+    }
+    assert {thread for _, thread in appends} == {threading.get_ident()}
+
+
+def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkeypatch):
+    # What a kill can lose is bounded by this: every settled answer is on disk.
+    run = _OrderedDispatch.run
+    settled: Counter = Counter()
+
+    def checking_run(dispatch, start, settle):
+        log = dispatch._gateway.config.cache_dir / "completions.jsonl"
+
+        def checked_settle(tag, completion):
+            settled[completion.text] += 1
+            with open(log, encoding="utf-8") as fh:
+                on_disk = Counter(json.loads(line)["text"] for line in fh)
+            assert on_disk[completion.text] >= settled[completion.text], tag
+            settle(tag, completion)
+
+        run(dispatch, start, checked_settle)
+
+    monkeypatch.setattr(_OrderedDispatch, "run", checking_run)
+    run_stages(tmp_path, max_in_flight=8)
+    assert sum(settled.values()) > 100
+
+
+def test_stage_trees_are_identical_at_max_in_flight_1_2_and_8(tmp_path):
+    trees = []
+    for max_in_flight in (1, 2, 8):
+        run_stages(tmp_path / str(max_in_flight), max_in_flight)
+        trees.append(tree_digest(tmp_path / str(max_in_flight)))
+    assert trees[0] == trees[1] == trees[2]
