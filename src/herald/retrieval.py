@@ -7,10 +7,12 @@ store does once, at construction, everything that does not depend on the
 query: each example's norm, where the per-example checks of ``cosine`` (a
 dimension mismatch, a zero norm) would first fail, and its unit-normalised
 rows rounded to integers and packed one dimension per Python int, 64 bits
-per example.  A query then costs one bigint multiply-add per nonzero
-component of its own, for all examples at once; it keeps the top k on a
-heap and builds results only for the winners.  Tie-breaking by ascending id
-keeps retrieval reproducible across runs.
+per example.  A query then costs, for all examples at once, one bigint add
+per nonzero component of its own and one multiply per distinct rounded
+value of those components.  The k-th best of a strided sample bounds the
+selection from below, and one more bigint add-and-mask flags the few
+examples that can reach the top k: no step walks every example in Python.
+Tie-breaking by ascending id keeps retrieval reproducible across runs.
 """
 
 from __future__ import annotations
@@ -48,13 +50,24 @@ _SCREEN_MIN, _SCREEN_MAX = 2.0**-300, 2.0**300
 def _shifts(dim: int) -> tuple[int, int]:
     """Fixed-point shifts (S, T) of query and example components.
 
-    S + T = 63 - bit_length(dim), so dim·2^(S+T) < 2^63: a sum of dim
-    products of integers at most 2^S and 2^T in magnitude stays inside a
-    signed 64-bit field.  Splitting the bits evenly minimises the screen's
-    rounding error.
+    S + T = 62 - bit_length(dim), so dim·2^(S+T) < 2^62: a sum of dim
+    products of integers at most 2^S and 2^T in magnitude, biased by 2^62,
+    stays inside a 64-bit field and leaves its top bit clear for the
+    selection's add-and-mask.  Splitting the bits evenly minimises the
+    screen's rounding error.
     """
-    bits = 63 - dim.bit_length()
+    bits = 62 - dim.bit_length()
     return bits - bits // 2, bits // 2
+
+
+def _stride(n: int, k: int) -> int:
+    """Step of the selection's sample of about √(5kn) of n > k fields.
+
+    The sample holds ⌈n/stride⌉ >= isqrt(5kn) >= k fields, as 5kn > k².
+    It and the fields flagged from its k-th best, about k·stride, are
+    each walked once in Python; √(5kn) balances the two walks' costs.
+    """
+    return max(1, n // math.isqrt(5 * k * n))
 
 
 def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
@@ -150,7 +163,8 @@ class ExampleStore:
     def _pack_columns(self) -> None:
         """Column j is one int holding W_ij (see :func:`query_knn`) in a
         64-bit field per example i; each query's sum starts at ``_bias``,
-        2^63 in every field.
+        2^62 in every field; ``_ones`` and ``_top_bits`` hold 1 and 2^63 in
+        every field.
 
         |W_ij| <= 2^T, so W_ij + 2^T is packed and the offset subtracted
         back.  Ints and arrays convert in native byte order, so
@@ -169,10 +183,58 @@ class ExampleStore:
             - offset * ones
             for j in range(self._lead_dim)
         ]
-        self._bias = ones << 63
+        self._ones = ones
+        self._bias = ones << 62
+        self._top_bits = ones << 63
         # γ_12·2^(S+T), rounded up: the float part of the screen's bound.
         self._float_err = ((13 << (shift_s + shift_t)) >> 53) + 1
         self._half_units = (1 << (shift_s - 1)) + (1 << (shift_t - 1))
+
+    def _screen(self, q: tuple[float, ...], nq: float) -> tuple[int, int]:
+        """The packed fields 2^62 + X_i of query ``q`` (norm ``nq``), and E.
+
+        Columns whose P_j are equal are added up first, so a query costs a
+        bigint add per nonzero component and a multiply per distinct P_j.
+        """
+        scale = self._query_scale
+        groups: dict[int, int] = {}
+        m = 0
+        for x, column in zip(q, self._columns):
+            if x:
+                p = round(x / nq * scale)
+                groups[p] = groups[p] + column if p in groups else column
+                m += 1
+        screen = self._bias
+        for p, column in groups.items():
+            screen += p * column
+        err = (math.isqrt(m - 1) + 1) * self._half_units + 1 + (m + 3) // 4 + self._float_err
+        return screen, err
+
+    def _select(self, screen: int, err: int, k: int) -> list[int]:
+        """Ascending indices i with U_i >= U_(k) - 2E, U_i the fields of ``screen``.
+
+        A strided sample's k-th best field bounds U_(k) from below; one
+        add-and-mask flags every field at or above it less 2E, and the
+        exact k-th best and the filter are taken among those few.
+        """
+        n = len(self._examples)
+        fields = array("Q", screen.to_bytes(8 * n, sys.byteorder))
+        floor = heapq.nlargest(k, fields[:: _stride(n, k)])[-1] - 2 * err
+        # Bit 63 of a field of screen + 2^63 - floor is set iff the field
+        # is at least floor; 0 < floor and every field < 2^63, so no field
+        # carries into the next.  Field i's flag byte is one of bytes 8i to
+        # 8i + 7 in either byte order.
+        flags = ((screen + ((1 << 63) - floor) * self._ones) & self._top_bits).to_bytes(
+            8 * n, sys.byteorder
+        )
+        flagged = []
+        at = flags.find(0x80)
+        while at >= 0:
+            flagged.append(at >> 3)
+            at = flags.find(0x80, at + 8)
+        values = [fields[i] for i in flagged]
+        floor = heapq.nlargest(k, values)[-1] - 2 * err
+        return [i for i, z in zip(flagged, values) if z >= floor]
 
     def _check_query(self, n: int, nq: float) -> None:
         """Raise what cosine(query, example) raises first, scanning in store order.
@@ -237,20 +299,23 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
     ŵ_ij = fl(v_ij·fl(1/|v_i|)) once per store, the query's integers are
     P_j = round(p̂_j·2^S) and the store's W_ij = round(ŵ_ij·2^T), and
     example i screens as X_i = Σ_j P_j·W_ij.  The store's packed columns
-    make this one multiply-add per component for all examples at once; the
-    sum starts at 2^63 in every 64-bit field, and the fields are read back
-    as unsigned integers 2^63 + X_i, compared exactly.
+    make this one sum for all examples at once, and summing first the
+    columns whose P_j are equal leaves one bigint add per component and one
+    multiply per distinct P_j, an exact regrouping.  The sum starts at 2^62
+    in every 64-bit field, and the fields are read back as unsigned
+    integers U_i = 2^62 + X_i, compared exactly.
 
     Let a_j = q_j·v_ij/(|q|·|v_i|) over the computed norms and
     γ_i = i·u/(1 - i·u), u the unit roundoff.  Each computed norm is at
     least (1 - u)² of the exact one, so ‖p̂‖ <= 1 + γ_3, ‖ŵ_i‖ <= 1 + γ_4
     and, by Cauchy–Schwarz, Σ|a_j| <= 1 + γ_4.  As S, T <= 31 leaves
     2^S·γ_4 < 1/2, |P_j| <= 2^S and |W_ij| <= 2^T, so |X_i| <=
-    dim·2^(S+T) < 2^63 fits its field.
+    dim·2^(S+T) < 2^62 and every U_i lies in (0, 2^63).
     |X_i - 2^(S+T)·cosine| is at most E = E_q + E_f:
 
     * Quantisation.  P_j·W_ij - 2^(S+T)·p̂_j·ŵ_ij = 2^S·p̂_j·β + 2^T·ŵ_ij·α
-      + α·β with |α|, |β| <= 1/2, so over m components the error is at most
+      + α·β with |α|, |β| <= 1/2, so over the m nonzero components (m
+      counts components, not distinct P_j) the error is at most
       2^(S-1)·Σ|p̂_j| + 2^(T-1)·Σ|ŵ_ij| + m/4, and Σ|p̂_j|, Σ|ŵ_ij| are at
       most √m·(1 + γ_4).  E_q = ⌈√m⌉·(2^(S-1) + 2^(T-1)) + 1 + ⌈m/4⌉; the
       1 covers the γ_4 share, as ⌈√m⌉·2^max(S,T) < 2^34.
@@ -259,9 +324,23 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
       differ by at most (γ_3 + γ_4)(1 + γ_4) <= γ_11; a unit more for
       underflow gives E_f = ⌈γ_12·2^(S+T)⌉.
 
-    An example screened below the k-th best screen by more than 2E scores
-    below k others and cannot be returned.  Every step past p̂ and ŵ is
-    exact integer arithmetic, so no summation order enters the bound.
+    An example screened below the k-th best field U_(k) by more than 2E
+    scores below k others and cannot be returned, so the rescored set is
+    C = {i : U_i >= U_(k) - 2E}.  Every step past p̂ and ŵ is exact integer
+    arithmetic, so no summation order enters the bound.
+
+    Selection.  A strided sample of about √(5kn) of the n fields (see
+    :func:`_stride`) holds at least k of them, and its k-th best v is at
+    most U_(k), as the k-th best of any subset is.  So with F = v - 2E,
+    the flagged set {i : U_i >= F} holds C and the k best fields; U_(k) is
+    its k-th best, and filtering it by U_(k) - 2E gives C exactly.
+
+    F > 0: by the quantisation step |X_i| <= 2^(S+T)·‖p̂‖·‖ŵ_i‖ + E_q <=
+    2^61·(1 + γ_7) + E_q, and E < 2^35 for dim < 2^36, so every U_i
+    exceeds 2^60 > 2E.  Adding 2^63 - F < 2^63 to each U_i < 2^63 thus
+    carries out of no field and sets a field's top bit exactly where
+    U_i >= F; one bigint add-and-mask flags them all, read off with
+    ``bytes.find``.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -275,17 +354,7 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
 
     candidates: Iterable[int] = range(store.count)
     if store.count > k and store._columns is not None and _SCREEN_MIN < nq < _SCREEN_MAX:
-        scale = store._query_scale
-        screen = store._bias
-        m = 0
-        for x, column in zip(q, store._columns):
-            if x:
-                screen += round(x / nq * scale) * column
-                m += 1
-        fields = array("Q", screen.to_bytes(8 * store.count, sys.byteorder))
-        err = (math.isqrt(m - 1) + 1) * store._half_units + 1 + (m + 3) // 4 + store._float_err
-        floor = heapq.nlargest(k, fields)[-1] - 2 * err
-        candidates = [i for i, z in enumerate(fields) if z >= floor]
+        candidates = store._select(*store._screen(q, nq), k)
 
     examples, norms = store._examples, store._norms
     keyed = (
@@ -376,6 +445,8 @@ class HashEmbeddingProvider:
     def __init__(self, dim: int = 64, seed: int = 0, max_ngram: int = 3):
         if dim < 1:
             raise InvalidInput(f"dim must be >= 1, got {dim}")
+        if max_ngram < 1:
+            raise InvalidInput(f"max_ngram must be >= 1, got {max_ngram}")
         self.name = f"hash-{dim}-s{seed}"
         self.dim = dim
         self.seed = seed
@@ -384,16 +455,18 @@ class HashEmbeddingProvider:
     def embed_text(self, text: str) -> EmbeddingVector:
         if not text:
             raise InvalidInput("cannot embed empty text")
-        tokens = text.split() or [text]
-        buckets = [0.0] * self.dim
+        tokens = [token.encode("utf-8") for token in text.split() or [text]]
+        dim = self.dim
+        buckets = [0.0] * dim
         for n in range(1, self.max_ngram + 1):
-            for i in range(len(tokens) - n + 1):
-                gram = " ".join(tokens[i : i + n])
-                h = hashlib.blake2b(
-                    f"{self.seed}\x00{n}\x00{gram}".encode("utf-8"), digest_size=8
-                ).digest()
-                buckets[int.from_bytes(h, "big") % self.dim] += 1.0
-        norm = math.sqrt(math.fsum(x * x for x in buckets))
+            # blake2b streams, so hashing a gram onto a copy of this state
+            # gives the digest of f"{seed}\0{n}\0{gram}" hashed whole.
+            prefix = hashlib.blake2b(f"{self.seed}\x00{n}\x00".encode("utf-8"), digest_size=8)
+            for gram in map(b" ".join, zip(*(tokens[i:] for i in range(n)))):
+                h = prefix.copy()
+                h.update(gram)
+                buckets[int.from_bytes(h.digest(), "big") % dim] += 1.0
+        norm = math.sqrt(_dot(buckets, buckets))
         return EmbeddingVector(tuple(x / norm for x in buckets))
 
 

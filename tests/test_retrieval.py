@@ -3,13 +3,18 @@ equivalence for queries, and round-trip persistence."""
 
 from __future__ import annotations
 
+import hashlib
+import heapq
+import math
 import os
 import random
 import subprocess
 import sys
+from array import array
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import write_shared_fixtures
@@ -433,6 +438,11 @@ def sorted_cosine_oracle(examples, query, k):
     ]
 
 
+def unpack(screen, count):
+    """The 64-bit fields of a packed screen, in example order."""
+    return list(array("Q", screen.to_bytes(8 * count, sys.byteorder)))
+
+
 def hits(store, query, k):
     return [(h.score.hex(), h.example.id) for h in query_knn(store, query, k=k)]
 
@@ -449,7 +459,7 @@ class TestIntegerScreenEdges:
         # components share one magnitude, so every P_j is nonzero and as
         # large as all of them can be at once.
         s, t = retrieval._shifts(dim)
-        assert dim << (s + t) < 1 << 63 <= (dim + 1) << (s + t)
+        assert dim << (s + t) < 1 << 62 <= (dim + 1) << (s + t)
         assert sum(retrieval._shifts(dim + 1)) == s + t - 1
         rng = random.Random(dim)
         rows = []
@@ -463,12 +473,21 @@ class TestIntegerScreenEdges:
         query = vec(*(rng.choice([-magnitude, magnitude]) for _ in range(dim)))
         for k in (1, 5):
             assert hits(store, query, k) == sorted_cosine_oracle(examples, query, k)
+        # The selection's add-and-mask carries out of no field: for every
+        # floor from the least field less 2E up to the largest field, each
+        # field of the sum is the field plus 2^63 - floor.
+        screen, err = store._screen(query.values, query.norm())
+        fields = unpack(screen, len(examples))
+        for floor in (min(fields) - 2 * err, *fields):
+            assert floor > 0
+            total = screen + ((1 << 63) - floor) * store._ones
+            assert unpack(total, len(examples)) == [z + (1 << 63) - floor for z in fields]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_near_ties_finer_than_the_screen(self, seed):
         # Rows that differ from one base row by up to 2^-30 of each
         # component, as much as the screen rounds at these dims (S and T
-        # are 29 to 31), so the screen ranks them in an order of its own.
+        # are 28 to 30), so the screen ranks them in an order of its own.
         # Without the margin 2E the true best is often not rescored.
         rng = random.Random(seed)
         dim = rng.randint(2, 16)
@@ -513,6 +532,159 @@ class TestIntegerScreenEdges:
         assert hits(index_examples(examples), query, k) == sorted_cosine_oracle(
             examples, query, k
         )
+
+
+def gaussian_store(count, dim, seed):
+    rng = random.Random(seed)
+    return [example(i, [rng.gauss(0, 1) for _ in range(dim)]) for i in range(count)]
+
+
+def near_ties(count, dim, seed):
+    """Rows within 2^-30 of each component of one of two base rows, finer
+    than the screen resolves."""
+    rng = random.Random(seed)
+    bases = [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(2)]
+    return [
+        example(i, [x * (1 + rng.uniform(-1, 1) * 2.0**-30) for x in rng.choice(bases)])
+        for i in range(count)
+    ]
+
+
+def hashed_queries(count, seed, dim=64):
+    """Embeddings of signature-like texts, as informalize queries the store."""
+    rng = random.Random(seed)
+    provider = HashEmbeddingProvider(dim=dim)
+    vocabulary = [f"x{i}" for i in range(150)] + ["∀", ":", "=", "→", "+", "*", "(", ")"]
+    return [
+        embed(" ".join(rng.choice(vocabulary) for _ in range(rng.randint(6, 16))), provider)
+        for _ in range(count)
+    ]
+
+
+class TestSelection:
+    """The sample-bounded selection rescores exactly {i : U_i >= U_(k) - 2E}
+    of the screen's fields U_i, and returns what sorted cosines give."""
+
+    @staticmethod
+    def check(monkeypatch, examples, query, k):
+        store = index_examples(examples)
+        q, nq = query.values, query.norm()
+        screen, err = store._screen(q, nq)
+        # The grouped screen is the plain sum of P_j times column j.
+        scale = store._query_scale
+        assert screen == store._bias + sum(
+            round(x / nq * scale) * column for x, column in zip(q, store._columns)
+        )
+        fields = unpack(screen, len(examples))
+        kth = sorted(fields, reverse=True)[k - 1]
+        wanted = [i for i, z in enumerate(fields) if z >= kth - 2 * err]
+        rescored = []
+        exact_dot = retrieval._dot
+
+        def recording_dot(u, v):
+            if u is not v:  # the query's own norm is _dot(q, q)
+                rescored.append(id(v))
+            return exact_dot(u, v)
+
+        monkeypatch.setattr(retrieval, "_dot", recording_dot)
+        got = hits(store, query, k)
+        monkeypatch.setattr(retrieval, "_dot", exact_dot)
+        values = [ex.embedding.values for ex in store.examples]
+        assert sorted(rescored) == sorted(id(values[i]) for i in wanted)
+        assert got == sorted_cosine_oracle(examples, query, k)
+        return wanted
+
+    def test_error_bound_counts_components_not_groups(self):
+        # E grows with the m nonzero components of the query, however few
+        # distinct P_j the grouped screen multiplies them by.
+        store = index_examples(gaussian_store(50, 26, 26))
+        one_value = vec(*[1.0] * 26)
+        distinct = vec(*(1.0 + j / 26 for j in range(26)))
+        single = vec(*[1.0] + [0.0] * 25)
+        _, err_one_value = store._screen(one_value.values, one_value.norm())
+        _, err_distinct = store._screen(distinct.values, distinct.norm())
+        _, err_single = store._screen(single.values, single.norm())
+        assert err_one_value == err_distinct > err_single
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_store_one_larger_than_k(self, monkeypatch, k):
+        # The sample is the whole store, so its k-th best is U_(k) itself
+        # and only the margin 2E keeps the near ties.
+        for examples in (gaussian_store(k + 1, 12, k), near_ties(k + 1, 12, k)):
+            for query in hashed_queries(10, k, dim=12):
+                self.check(monkeypatch, examples, query, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 25, 60])
+    def test_sample_is_never_shorter_than_k(self, k):
+        for count in range(k + 1, 60 * k + 200):
+            assert len(range(0, count, retrieval._stride(count, k))) >= k, count
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_every_field_equal(self, monkeypatch, k):
+        # Ties span the sample, so every example is flagged and rescored.
+        examples = [example(i, [0.5, -2.0, 1.0, 3.0]) for i in range(300)]
+        random.Random(k).shuffle(examples)
+        wanted = self.check(monkeypatch, examples, vec(1.0, 0.25, -3.0, 0.5), k)
+        assert len(wanted) == len(examples)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_floor_below_zero_cosine(self, monkeypatch, k):
+        # Positive rows against an all-negative query: every cosine, and so
+        # the floor, lies below the screen's zero of 2^62.
+        rng = random.Random(k)
+        examples = [example(i, [abs(rng.gauss(0, 1)) for _ in range(16)]) for i in range(400)]
+        query = vec(*(-abs(rng.gauss(0, 1)) for _ in range(16)))
+        store = index_examples(examples)
+        screen, _ = store._screen(query.values, query.norm())
+        assert max(unpack(screen, len(examples))) < 1 << 62
+        self.check(monkeypatch, examples, query, k)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_duplicated_rows(self, monkeypatch, k):
+        rng = random.Random(k)
+        pool = [[rng.gauss(0, 1) for _ in range(32)] for _ in range(15)]
+        examples = [example(i, rng.choice(pool)) for i in range(600)]
+        for query in hashed_queries(10, k, dim=32):
+            self.check(monkeypatch, examples, query, k)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_near_duplicated_rows(self, monkeypatch, k):
+        # Fields within 2E of each other but not equal, in a store large
+        # enough to be sampled.
+        examples = near_ties(600, 16, k)
+        for query in hashed_queries(10, k, dim=16):
+            self.check(monkeypatch, examples, query, k)
+
+    def test_hashed_queries_on_a_gaussian_store(self, monkeypatch):
+        examples = gaussian_store(700, 64, 7)
+        for k in (1, 4):
+            for query in hashed_queries(15, k):
+                self.check(monkeypatch, examples, query, k)
+
+    def test_no_python_pass_over_the_whole_store(self, monkeypatch):
+        # Guard against a per-example Python pass: no heapq call made by a
+        # screened query sees an iterable as long as the 5000-example store.
+        examples = gaussian_store(5000, 64, 5000)
+        store = index_examples(examples)
+        longest = []
+
+        def measured(select):
+            def wrapper(k, iterable, *args, **kwargs):
+                items = list(iterable)
+                longest.append(len(items))
+                return select(k, items, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            retrieval,
+            "heapq",
+            SimpleNamespace(nlargest=measured(heapq.nlargest), nsmallest=measured(heapq.nsmallest)),
+        )
+        for k in (1, 4, 16):
+            for query in hashed_queries(10, k):
+                assert len(query_knn(store, query, k)) == k
+        assert longest and max(longest) < len(examples) // 4, max(longest)
 
 
 def test_herald_never_imports_numpy(tmp_path):
@@ -567,6 +739,37 @@ class TestEmbed:
     def test_empty_text_rejected(self):
         with pytest.raises(InvalidInput):
             embed("", HashEmbeddingProvider())
+
+    @pytest.mark.parametrize("max_ngram", [0, -1])
+    def test_max_ngram_below_one_rejected(self, max_ngram):
+        with pytest.raises(InvalidInput, match="max_ngram"):
+            HashEmbeddingProvider(max_ngram=max_ngram)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.text(min_size=1), st.text(" \t\n\r\x0b\x0c\x1c\x85\xa0\u3000", min_size=1)),
+        st.integers(0, 3),
+        st.sampled_from([1, 7, 64, 1000]),
+        st.integers(1, 4),
+    )
+    def test_embedding_matches_hashing_each_gram_whole(self, text, seed, dim, max_ngram):
+        # The reference hashes f"{seed}\0{n}\0{gram}" from scratch per gram;
+        # the provider continues a per-n prefix state, which blake2b's
+        # streaming makes the same digest.
+        tokens = text.split() or [text]
+        buckets = [0.0] * dim
+        for n in range(1, max_ngram + 1):
+            for i in range(len(tokens) - n + 1):
+                gram = " ".join(tokens[i : i + n])
+                h = hashlib.blake2b(
+                    f"{seed}\x00{n}\x00{gram}".encode("utf-8"), digest_size=8
+                ).digest()
+                buckets[int.from_bytes(h, "big") % dim] += 1.0
+        norm = math.sqrt(math.fsum(x * x for x in buckets))
+        provider = HashEmbeddingProvider(dim=dim, seed=seed, max_ngram=max_ngram)
+        assert [x.hex() for x in provider.embed_text(text).values] == [
+            (x / norm).hex() for x in buckets
+        ]
 
     def test_provider_failure_surfaces_without_partial_writes(self, tmp_path):
         class OutageProvider:
