@@ -20,6 +20,7 @@ from . import datastore as ds
 from .errors import InvalidInput
 from .gateway import STRATEGY_MARKER, STRATEGY_TEXT_MARKER, normalize_text
 from .records import CorpusIndex, DeclarationRecord, DeclKind, ProofState
+from .validate import DEFAULT_TIMEOUT_MS
 
 _ANON_MARKER = "✝"
 _INSTANCE_NAME_RE = re.compile(r"inst(✝.*|\d*)$")
@@ -144,7 +145,7 @@ def synthesize_for_index(index: CorpusIndex) -> list[SynthesizedStatement]:
 
 
 def compile_filter(
-    candidates: list[SynthesizedStatement], backend, timeout_ms: int = 60000
+    candidates: list[SynthesizedStatement], backend, timeout_ms: int = DEFAULT_TIMEOUT_MS
 ) -> tuple[list[SynthesizedStatement], list[RejectedStatement]]:
     """Partition candidates by whether they elaborate (with the sorry body)."""
     valid: list[SynthesizedStatement] = []

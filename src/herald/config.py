@@ -17,7 +17,8 @@ Key set (all optional unless noted):
 
 An unknown key anywhere (a top-level section, a path, a role, a role field,
 a knob or a backend field) is a :class:`SchemaError` naming its JSON path,
-so a misspelled or retired key fails loudly instead of being ignored.
+so a misspelled or retired key fails loudly instead of being ignored; so is
+a knob whose JSON type is not one of its ``_KNOB_TYPES``.
 
 ``max_in_flight`` is the one concurrency knob: every provider call goes
 through the gateway pool.
@@ -48,7 +49,7 @@ from .gateway import (
     MockNliJudge,
     Role,
 )
-from .validate import MockCompilerBackend, ReplBackend
+from .validate import DEFAULT_HEADER, DEFAULT_TIMEOUT_MS, MockCompilerBackend, ReplBackend
 
 _MOCKS_BY_ROLE = {
     "informalizer": MockInformalizer,
@@ -134,10 +135,10 @@ class PipelineConfig:
     pass_k: int = 32
     dedup_seed: int = 0
     mix_seed: int = 0
-    compile_timeout_ms: int = 60000
+    compile_timeout_ms: int = DEFAULT_TIMEOUT_MS
     ratio: tuple[int, int, int] = (1, 2, 1)
     dirmix: tuple[int, int, int] = (2, 2, 1)
-    header_prelude: str = "import Mathlib\n"
+    header_prelude: str = DEFAULT_HEADER
     neighbor_limit: int = 5
     max_prompt_chars: int | None = None
     short_circuit: bool = True
@@ -151,6 +152,8 @@ class PipelineConfig:
             raise InvalidInput(f"pass_k must be in [1, {SAMPLE_CAP}], got {self.pass_k}")
         if self.retrieval_k < 1:
             raise InvalidInput(f"retrieval_k must be >= 1, got {self.retrieval_k}")
+        if self.compile_timeout_ms < 1:
+            raise InvalidInput(f"compile_timeout_ms must be >= 1, got {self.compile_timeout_ms}")
         for name in _PATH_KEYS:
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
@@ -221,6 +224,16 @@ def _spelled(name: str, value):
     return str(value) if isinstance(value, Path) else value
 
 
+# A knob's JSON types: its default's as a config file spells it, or for a
+# limit an integer or null.  ``type``, unlike ``isinstance``, tells bool from int.
+_KNOB_TYPES = {
+    name: (int, type(None)) if name in ("max_prompt_chars", "request_budget")
+    else (type(_spelled(name, getattr(PipelineConfig(), name))),)
+    for name in _KNOBS - {"backend"}
+}
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean", type(None): "null"}
+
+
 def _changed(obj, default, names) -> dict:
     """The fields ``names`` of ``obj`` that differ from ``default``'s in type
     or value, spelled as a config file spells them."""
@@ -271,6 +284,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     backend_doc = _object(
         knobs.pop("backend", {}), "$.knobs.backend", _BACKEND_FIELDS, "backend field"
     )
+    for name, value in knobs.items():
+        if type(value) not in _KNOB_TYPES[name]:
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in _KNOB_TYPES[name])
+            raise SchemaError(f"must be {expected}, got {json.dumps(value)}", f"$.knobs.{name}")
 
     def path_or_none(key: str) -> Path | None:
         value = paths.get(key)

@@ -280,7 +280,7 @@ def _retrieval_context(config: PipelineConfig):
     if config.example_store is None:
         return None, None
     store = retrieval.load_store(config.example_store)
-    if store.count == 0 or store.dim is None:
+    if store.count == 0:
         return None, None
     provider = retrieval.HashEmbeddingProvider(dim=store.dim)
     return store, provider
@@ -317,11 +317,12 @@ def run_informalize(
     to ``prompts/<name>.txt`` or ``prompts/<name>.step<i>.txt`` instead of
     sending it; later prompts read model answers, so it cannot write them.
     """
-    # A dry run claims no directory, so the config may still change after it.
-    _claim(out_dir, config, write=not dry_run)
     registry = _load_registry(config)
     notes = prompts.load_tactic_notes(config.tactic_notes)
     store, embed_provider = _retrieval_context(config)
+    # The inputs are read first, so a malformed one leaves no claim behind; a
+    # dry run claims no directory, so the config may still change after it.
+    _claim(out_dir, config, write=not dry_run)
 
     graph = depgraph.build_graph(index)
     assignment = depgraph.stratify(graph)
@@ -671,11 +672,12 @@ def run_mix(
 
 
 def _benchmark_item(obj: dict) -> dict:
-    return {
-        "id": str(obj["id"]),
-        "informal_text": obj["informal_text"],
-        "header": obj.get("header"),
-    }
+    text, header = obj["informal_text"], obj.get("header")
+    if not isinstance(text, str) or not text:
+        raise InvalidInput(f"informal_text must be a non-empty string, got {text!r}")
+    if header is not None and not isinstance(header, str):
+        raise InvalidInput(f"header must be a string or null, got {header!r}")
+    return {"id": str(obj["id"]), "informal_text": text, "header": header}
 
 
 def load_benchmark(path: Path) -> list[dict]:

@@ -4,14 +4,15 @@ A query screens the whole store in fixed-point integers, then scores the few
 examples that can reach the top k with the same compensated dot product as
 :func:`cosine`, so a retrieved score equals ``cosine`` bit for bit.  The
 store does once, at construction, everything that does not depend on the
-query: each example's norm, where the per-example checks of ``cosine`` (a
-dimension mismatch, a zero norm) would first fail, and its unit-normalised
-rows rounded to integers and packed one dimension per Python int, 64 bits
-per example.  A query then costs, for all examples at once, one bigint add
-per nonzero component of its own and one multiply per distinct rounded
-value of those components.  The k-th best of a strided sample bounds the
-selection from below, and one more bigint add-and-mask flags the few
-examples that can reach the top k: no step walks every example in Python.
+query: it rejects a repeated id, a row of another dimension and a zero row,
+so no query meets a row :func:`cosine` would refuse, and it takes each
+example's norm and packs its unit-normalised row, rounded to integers, one
+dimension per Python int, 64 bits per example.  A query then costs, for
+all examples at once, one bigint add per nonzero component of its own and
+one multiply per distinct rounded value of those components.  The k-th best
+of a strided sample bounds the selection from below, and one more bigint
+add-and-mask flags the few examples that can reach the top k: no step walks
+every example in Python.
 Tie-breaking by ascending id keeps retrieval reproducible across runs.
 """
 
@@ -130,34 +131,31 @@ def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
 class ExampleStore:
     """Immutable collection of annotated examples; concurrent queries are safe.
 
-    Construction scores nothing: a zero-norm or odd-dimension example is an
-    error only when a query reaches it, as with :func:`cosine`.  It records
-    where that happens instead, so a query checks once, not per example.
-    Where every example can be screened (one dim, every norm inside the
-    screened range), it also packs the screen's columns.
+    Construction checks every row once, in store order: a repeated id raises
+    :class:`DuplicateId`, a row whose dimension differs from the first row's
+    :class:`DimensionMismatch` and a zero row :class:`ZeroVector`, so a query
+    need check only its own vector.  Where every norm lies inside the
+    screened range, construction also packs the screen's columns.
     """
 
-    def __init__(self, examples: list[AnnotatedExample], dim: int | None):
+    def __init__(self, examples: list[AnnotatedExample]):
         self._examples = list(examples)
-        self._dim = dim
         self._values = [ex.embedding.values for ex in self._examples]
         self._norms = [ex.embedding.norm() for ex in self._examples]
-        # The first example's dim, the index of the first whose dim differs
-        # from it, and of the first with a zero norm; count where none does.
-        lengths = [len(v) for v in self._values]
-        self._lead_dim = lengths[0] if lengths else None
-        self._odd_dim_at = next(
-            (i for i, d in enumerate(lengths) if d != lengths[0]), len(lengths)
-        )
-        self._zero_norm_at = next(
-            (i for i, nv in enumerate(self._norms) if nv == 0.0), len(self._norms)
-        )
+        self._dim = len(self._values[0]) if self._values else None
+        seen: set[str] = set()
+        for ex, values, nv in zip(self._examples, self._values, self._norms):
+            if ex.id in seen:
+                raise DuplicateId(f"example id {ex.id!r} appears twice")
+            seen.add(ex.id)
+            if len(values) != self._dim:
+                raise DimensionMismatch(
+                    f"example {ex.id!r} has dim {len(values)}, store has {self._dim}"
+                )
+            if nv == 0.0:
+                raise ZeroVector(f"example {ex.id!r} has a zero embedding")
         self._columns: list[int] | None = None
-        if (
-            lengths
-            and self._odd_dim_at == len(lengths)
-            and all(_SCREEN_MIN < nv < _SCREEN_MAX for nv in self._norms)
-        ):
+        if self._values and all(_SCREEN_MIN < nv < _SCREEN_MAX for nv in self._norms):
             self._pack_columns()
 
     def _pack_columns(self) -> None:
@@ -170,7 +168,7 @@ class ExampleStore:
         back.  Ints and arrays convert in native byte order, so
         ``array("Q")`` reads the fields back in example order.
         """
-        shift_s, shift_t = _shifts(self._lead_dim)
+        shift_s, shift_t = _shifts(self._dim)
         self._query_scale = float(1 << shift_s)
         scale, offset = float(1 << shift_t), 1 << shift_t
         rows = [(v, 1.0 / nv) for v, nv in zip(self._values, self._norms)]
@@ -181,7 +179,7 @@ class ExampleStore:
                 sys.byteorder,
             )
             - offset * ones
-            for j in range(self._lead_dim)
+            for j in range(self._dim)
         ]
         self._ones = ones
         self._bias = ones << 62
@@ -236,20 +234,6 @@ class ExampleStore:
         floor = heapq.nlargest(k, values)[-1] - 2 * err
         return [i for i, z in zip(flagged, values) if z >= floor]
 
-    def _check_query(self, n: int, nq: float) -> None:
-        """Raise what cosine(query, example) raises first, scanning in store order.
-
-        ``n`` and ``nq`` are the query's dim and norm.  At each example the
-        dimension is checked before the norms, and a zero-norm query fails
-        at the first example.
-        """
-        odd = 0 if n != self._lead_dim else self._odd_dim_at
-        zero = 0 if nq == 0.0 else self._zero_norm_at
-        if odd <= zero and odd < len(self._values):
-            raise DimensionMismatch(f"dims {n} vs {len(self._values[odd])}")
-        if zero < len(self._values):
-            raise ZeroVector("cosine undefined for zero vector")
-
     @property
     def count(self) -> int:
         return len(self._examples)
@@ -265,24 +249,12 @@ class ExampleStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExampleStore):
             return NotImplemented
-        return self._dim == other._dim and self._examples == other._examples
+        return self._examples == other._examples
 
 
 def index_examples(examples: list[AnnotatedExample]) -> ExampleStore:
-    """Build a store, checking id uniqueness and dimension consistency."""
-    seen: set[str] = set()
-    dim: int | None = None
-    for ex in examples:
-        if ex.id in seen:
-            raise DuplicateId(ex.id)
-        seen.add(ex.id)
-        if dim is None:
-            dim = ex.embedding.dim
-        elif ex.embedding.dim != dim:
-            raise DimensionMismatch(
-                f"example {ex.id} has dim {ex.embedding.dim}, store has {dim}"
-            )
-    return ExampleStore(examples, dim)
+    """The store of ``examples``; :class:`ExampleStore` checks them."""
+    return ExampleStore(examples)
 
 
 def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[ScoredExample]:
@@ -346,11 +318,12 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
         raise InvalidInput(f"k must be >= 1, got {k}")
     if store.count == 0:
         return []
-    if store.dim is not None and query.dim != store.dim:
+    if query.dim != store.dim:
         raise DimensionMismatch(f"query dim {query.dim} vs store dim {store.dim}")
     q = query.values
     nq = query.norm()
-    store._check_query(len(q), nq)
+    if nq == 0.0:
+        raise ZeroVector("cosine undefined for zero vector")
 
     candidates: Iterable[int] = range(store.count)
     if store.count > k and store._columns is not None and _SCREEN_MIN < nq < _SCREEN_MAX:
@@ -416,9 +389,12 @@ def load_store(directory: str | Path) -> ExampleStore:
         raise SchemaError(
             f"unsupported store schema_version {meta.get('schema_version')!r}", str(meta_path)
         )
-    store = index_examples(
-        list(read_jsonl(directory / "examples.jsonl", _example_from_dict, "example record"))
-    )
+    examples_path = directory / "examples.jsonl"
+    examples = list(read_jsonl(examples_path, _example_from_dict, "example record"))
+    try:
+        store = ExampleStore(examples)
+    except (DuplicateId, DimensionMismatch, ZeroVector) as exc:
+        raise SchemaError(f"bad example store: {exc}", str(examples_path)) from exc
     if meta.get("count") != store.count:
         raise SchemaError(f"meta count {meta.get('count')} != {store.count} records",
                           str(meta_path))

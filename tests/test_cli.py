@@ -703,3 +703,72 @@ class TestBadInputExits2:
         assert run("--out", str(out), "validate", "--bench", str(bench), "--k", k) == 2
         assert f"k must be in [1, 256], got {k}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [(), ("--dry-run",)], ids=["run", "dry_run"])
+    @pytest.mark.parametrize("edit", [
+        lambda row: {**row, "id": "ex0"},
+        lambda row: {**row, "embedding": row["embedding"][:-1]},
+        lambda row: {**row, "embedding": [0.0] * len(row["embedding"])},
+    ], ids=["duplicate_id", "odd_dim", "zero_row"])
+    def test_malformed_example_store_exits_2_before_the_claim(
+        self, tmp_path, monkeypatch, capsys, edit, dry_run
+    ):
+        fixtures = write_shared_fixtures(tmp_path / "fixtures")
+        examples = tmp_path / "fixtures" / "store" / "examples.jsonl"
+        rows = [json.loads(line) for line in examples.read_text(encoding="utf-8").splitlines()]
+        rows[2] = edit(rows[2])
+        examples.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        index = tmp_path / "index"
+        assert run("--out", str(index), "ingest", "--export", str(fixtures["export"])) == 0
+        monkeypatch.setitem(config_module._MOCKS_BY_ROLE, "informalizer", ScriptedInformalizer)
+        monkeypatch.setattr(Scripted, "calls", 0)
+        out = tmp_path / "inf"
+        capsys.readouterr()
+        assert run("--config", str(fixtures["config"]), "--out", str(out), "informalize",
+                   "--index", str(index / "index.json"), *dry_run) == 2
+        assert f"error: {examples}: bad example store: " in capsys.readouterr().err
+        assert Scripted.calls == 0
+        assert not (out / "config_digest.txt").exists()
+
+    @pytest.mark.parametrize("stage, knobs, message", [
+        ("informalize", {"max_in_flight": "2"}, '$.knobs.max_in_flight: must be an integer'),
+        ("informalize", {"request_budget": "5"}, "$.knobs.request_budget: must be an integer"
+                                                 " or null"),
+        ("informalize", {"neighbor_limit": "5"}, "$.knobs.neighbor_limit: must be an integer"),
+        ("informalize", {"max_prompt_chars": "900"}, "$.knobs.max_prompt_chars: must be"),
+        ("informalize", {"retrieval_k": True}, "$.knobs.retrieval_k: must be an integer"),
+        ("augment", {"dedup_seed": "7"}, "$.knobs.dedup_seed: must be an integer"),
+        ("validate", {"header_prelude": 5}, "$.knobs.header_prelude: must be a string"),
+        ("validate", {"short_circuit": 0}, "$.knobs.short_circuit: must be a boolean"),
+        ("validate", {"compile_timeout_ms": 0}, "compile_timeout_ms must be >= 1, got 0"),
+        ("validate", {"compile_timeout_ms": -5, "backend": {"kind": "repl", "command": FAKE_REPL}},
+         "compile_timeout_ms must be >= 1, got -5"),
+    ])
+    def test_bad_knob_exits_2_before_the_claim(self, tmp_path, export_file, capsys,
+                                               stage, knobs, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"knobs": knobs}), encoding="utf-8")
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "b0", "informal_text": "p holds."}\n', encoding="utf-8")
+        inputs = {"informalize": ["--index", str(export_file)],
+                  "augment": ["--index", str(export_file), "--tactic"],
+                  "validate": ["--bench", str(bench)]}
+        out = tmp_path / "out"
+        assert run("--config", str(config), "--out", str(out), stage, *inputs[stage]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ({"id": "b1", "informal_text": 5}, "informal_text must be a non-empty string, got 5"),
+        ({"id": "b1", "informal_text": ""}, "informal_text must be a non-empty string"),
+        ({"id": "b1", "informal_text": "q.", "header": 5}, "header must be a string or null"),
+    ])
+    def test_bad_bench_row_exits_2_naming_its_line(self, tmp_path, capsys, row, message):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text('{"id": "b0", "informal_text": "p holds."}\n' + json.dumps(row) + "\n",
+                         encoding="utf-8")
+        out = tmp_path / "val"
+        assert run("--out", str(out), "validate", "--bench", str(bench)) == 2
+        err = capsys.readouterr().err
+        assert f"{bench}: line 2: bad benchmark record: {message}" in err
+        assert not out.exists()

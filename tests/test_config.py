@@ -60,6 +60,11 @@ class TestLoadConfig:
         with pytest.raises(InvalidInput, match=f"pass_k must be in \\[1, {SAMPLE_CAP}\\]"):
             PipelineConfig(pass_k=SAMPLE_CAP + 1)
 
+    def test_limits_may_be_null(self, tmp_path):
+        knobs = {"max_prompt_chars": None, "request_budget": None}
+        config = load_config(write_config(tmp_path, {"knobs": knobs}))
+        assert config.max_prompt_chars is config.request_budget is None
+
     def test_retrieval_k_range(self, tmp_path):
         with pytest.raises(InvalidInput):
             load_config(write_config(tmp_path, {"knobs": {"retrieval_k": 0}}))
@@ -100,7 +105,11 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("doc", [{"knobs": ["pass_k"]}, {"knobs": {"ratio": 5}},
                                      {"knobs": {"backend": None}}, {"paths": []},
-                                     {"roles": []}, {"roles": {"translator": "gpt"}}])
+                                     {"roles": []}, {"roles": {"translator": "gpt"}},
+                                     {"knobs": {"pass_k": 2.0}}, {"knobs": {"mix_seed": False}},
+                                     {"knobs": {"ratio": [1, 2, 1]}},
+                                     {"knobs": {"header_prelude": None}},
+                                     {"knobs": {"max_prompt_chars": True}}])
     def test_malformed_value_rejected(self, tmp_path, doc):
         with pytest.raises(SchemaError):
             load_config(write_config(tmp_path, doc))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import math
 import os
 import random
@@ -68,6 +69,24 @@ def example(i: int, values, formal: str | None = None) -> AnnotatedExample:
         formal_text=formal or f"theorem t{i} : x{i} = x{i}",
         informal_text=f"statement {i} holds",
         embedding=vec(*values),
+    )
+
+
+def write_rows(directory: Path, examples: list[AnnotatedExample]) -> None:
+    """A store's files holding ``examples`` as given, unchecked."""
+    dim = len(examples[0].embedding.values)
+    (directory / "meta.json").write_text(
+        json.dumps({"schema_version": "1", "dim": dim, "count": len(examples)}),
+        encoding="utf-8",
+    )
+    (directory / "examples.jsonl").write_text(
+        "".join(
+            json.dumps({"id": ex.id, "formal_text": ex.formal_text,
+                        "informal_text": ex.informal_text,
+                        "embedding": list(ex.embedding.values)}) + "\n"
+            for ex in examples
+        ),
+        encoding="utf-8",
     )
 
 
@@ -141,6 +160,32 @@ class TestStore:
         with pytest.raises(DimensionMismatch):
             index_examples([example(1, [1, 0]), example(2, [0, 1, 2])])
 
+    @pytest.mark.parametrize("rows, raised, culprit", [
+        ([[1, 0], [1, 0, 0], [0, 0]], DimensionMismatch, "ex0001"),
+        ([[1, 0], [0, 0], [1, 0, 0]], ZeroVector, "ex0001"),
+        ([[1, 0, 0], [1, 0]], DimensionMismatch, "ex0001"),
+        ([[0, 0], [1, 0, 0]], ZeroVector, "ex0000"),
+    ], ids=["odd_dim_before_zero_norm", "zero_norm_before_odd_dim",
+            "the_first_row_sets_the_dim", "zero_first_row"])
+    def test_first_malformed_row_decides_the_error(self, rows, raised, culprit):
+        with pytest.raises(raised, match=culprit):
+            ExampleStore([example(i, row) for i, row in enumerate(rows)])
+
+    def test_duplicate_id_is_checked_before_the_row(self):
+        with pytest.raises(DuplicateId, match="ex0001"):
+            ExampleStore([example(1, [1, 0]), example(1, [0, 0, 0])])
+
+    @pytest.mark.parametrize("rows, ids, raised", [
+        ([[1, 0], [0, 1]], [1, 1], DuplicateId),
+        ([[1, 0], [1, 0, 0]], [0, 1], DimensionMismatch),
+        ([[1, 0], [0, 0]], [0, 1], ZeroVector),
+    ], ids=["duplicate_id", "odd_dim", "zero_norm"])
+    def test_malformed_store_is_a_schema_error_at_load(self, tmp_path, rows, ids, raised):
+        write_rows(tmp_path, [example(i, row) for i, row in zip(ids, rows)])
+        with pytest.raises(SchemaError, match="examples.jsonl: .*'ex0001'") as err:
+            load_store(tmp_path)
+        assert isinstance(err.value.__cause__, raised)
+
     def test_round_trip(self, tmp_path):
         rng = random.Random(5)
         examples = [
@@ -170,7 +215,7 @@ class TestStore:
             st.floats(allow_nan=False, allow_infinity=False, width=64),
             min_size=2,
             max_size=8,
-        ),
+        ).filter(lambda values: vec(*values).norm() > 0.0),  # a store holds no zero row
         st.text(min_size=1, max_size=30).filter(str.strip),
     )
     def test_round_trip_preserves_every_component(self, values, text):
@@ -230,13 +275,6 @@ class TestQueryKnn:
         with pytest.raises(DimensionMismatch):
             query_knn(store, vec(1, 0, 0), k=1)
 
-    def test_zero_norm_example_raises_at_query_time(self, tmp_path):
-        examples = [example(1, [1, 0]), example(2, [0, 0]), example(3, [0, 1])]
-        save_store(index_examples(examples), tmp_path / "store")
-        store = load_store(tmp_path / "store")  # loading does not score anything
-        with pytest.raises(ZeroVector):
-            query_knn(store, vec(1, 1), k=1)
-
     def test_zero_norm_query_raises(self):
         store = index_examples([example(1, [1, 0])])
         with pytest.raises(ZeroVector):
@@ -250,7 +288,7 @@ class TestQueryKnn:
         directions = [[1, 0, 0], [2, -1, 0.5], [-1, 1, 1], [0, 0, -3]]
         examples = [example(i, rng.choice(directions)) for i in range(12)]
         rng.shuffle(examples)
-        store = ExampleStore(examples, dim=3)
+        store = index_examples(examples)
         query = vec(1.0, -0.5, 0.25)
         got = query_knn(store, query, k=k)
         oracle = sorted(
@@ -344,23 +382,6 @@ class TestQueryKnn:
         assert [(h.score.hex(), h.example.id) for h in got] == [
             (score.hex(), i) for score, i in oracle
         ]
-
-    @pytest.mark.parametrize("rows, query, raised", [
-        ([[1, 0], [1, 0, 0], [0, 0]], [1, 1], DimensionMismatch),
-        ([[1, 0], [0, 0], [1, 0, 0]], [1, 1], ZeroVector),
-        ([[1, 0, 0], [1, 0]], [0, 0], DimensionMismatch),
-        ([[1, 0], [1, 0, 0]], [0, 0], ZeroVector),
-        ([[1, 0, 0], [1, 0]], [1, 1], DimensionMismatch),
-    ], ids=["odd_dim_before_zero_norm", "zero_norm_before_odd_dim",
-            "zero_query_odd_first_example", "zero_query_even_first_example",
-            "query_dim_differs_from_the_first_example"])
-    def test_first_failing_example_decides_the_error(self, rows, query, raised):
-        # A store built directly skips index_examples' dimension check, so
-        # the query reports whatever a scan of cosine(query, example) in
-        # store order would hit first.
-        store = ExampleStore([example(i, row) for i, row in enumerate(rows)], dim=None)
-        with pytest.raises(raised):
-            query_knn(store, vec(*query), k=1)
 
     def test_screen_rescores_a_few_examples_per_query(self, monkeypatch):
         # Deterministic guard on the screen's pruning: a 500 x 64 Gaussian
