@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
@@ -109,13 +110,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = load_config(args.config) if args.config else PipelineConfig()
-        if args.seed is not None:
-            config.dedup_seed = config.mix_seed = args.seed
-        if getattr(args, "dedup_seed", None) is not None:  # wins over --seed
-            config.dedup_seed = args.dedup_seed
-        for key in ("ratio", "dirmix"):
-            if getattr(args, key, None) is not None:
-                setattr(config, key, parse_ratio(getattr(args, key)))
+        flag = vars(args).get  # a subcommand's flag, or None
+        dedup_seed = flag("dedup_seed")
+        flags = {"dedup_seed": args.seed if dedup_seed is None else dedup_seed,  # wins over --seed
+                 "mix_seed": args.seed, "request_budget": flag("budget"), "pass_k": flag("k"),
+                 **{key: parse_ratio(flag(key)) for key in ("ratio", "dirmix")
+                    if flag(key) is not None}}
+        # replace() checks the config with the flags set, before any stage writes.
+        config = replace(config, **{key: value for key, value in flags.items() if value is not None})
         out_dir = args.out or config.output_dir
 
         if args.command == "ingest":
@@ -136,8 +138,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"{len(assignment.levels)} levels -> {out_dir / 'levels.json'}")
 
         elif args.command == "informalize":
-            if args.budget is not None:
-                config.request_budget = args.budget
             index = pipeline.load_index(args.index)
             counts = pipeline.run_informalize(index, config, out_dir, dry_run=args.dry_run)
             print(f"informalize: {counts}")
@@ -174,9 +174,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"(counts={manifest.counts}, directions={manifest.direction_counts})")
 
         elif args.command == "validate":
-            summary = pipeline.run_validate(
-                args.bench, config, out_dir, k=args.k, dataset_name=args.name
-            )
+            summary = pipeline.run_validate(args.bench, config, out_dir, dataset_name=args.name)
             print(summary_table(summary))
 
         elif args.command == "stats":

@@ -1,27 +1,29 @@
 """Pipeline configuration: one JSON file, flags override individual keys.
 
-Key set (all optional unless noted):
+Key set (all optional) and JSON types:
 
 * ``paths``: corpus_export, source_dir, template_registry, tactic_notes,
-  example_store, general_data, output_dir.
+  example_store, general_data (a string, or null for none), output_dir (a
+  string).
 * ``roles``: informalizer / translator / back_translator / nli_judge /
-  augmenter, each ``{"provider": "mock" | "http", "model_id": ...,
-  "base_url": ..., "temperature": ...}``.  HTTP providers read their key
+  augmenter, each ``{"provider": "mock" | "http", "model_id": a string or
+  null, "base_url": a string or null, "temperature": a number (an integer
+  too), "max_output_tokens": an integer}``.  HTTP providers read their key
   from ``HERALD_API_KEY_<ROLE>``.
-* ``knobs``: retrieval_k, pass_k, dedup_seed, mix_seed,
-  compile_timeout_ms, ratio ("a:b:c"), dirmix ("x:y:z"), header_prelude,
-  neighbor_limit, max_prompt_chars, short_circuit, max_in_flight,
-  retry_limit, backoff_base_ms, request_budget, backend
-  (``{"kind": "mock"|"repl", "default_ok": ..., "command": [...]}``).
-  A knob left out takes the :class:`PipelineConfig` default.
+* ``knobs``: integers retrieval_k, pass_k, dedup_seed, mix_seed,
+  compile_timeout_ms, neighbor_limit, max_in_flight, retry_limit and
+  backoff_base_ms; max_prompt_chars and request_budget (an integer or null);
+  strings ratio ("a:b:c"), dirmix ("x:y:z") and header_prelude; the boolean
+  short_circuit; and backend (``{"kind": "mock" | "repl", "default_ok": a
+  boolean, "command": a list of strings}``).  A knob left out takes the
+  :class:`PipelineConfig` default.
 
-An unknown key anywhere (a top-level section, a path, a role, a role field,
-a knob or a backend field) is a :class:`SchemaError` naming its JSON path,
-so a misspelled or retired key fails loudly instead of being ignored; so is
-a knob whose JSON type is not one of its ``_KNOB_TYPES``.
-
-``max_in_flight`` is the one concurrency knob: every provider call goes
-through the gateway pool.
+An unknown key or a value of another type (:data:`_FIELD_TYPES`) anywhere is
+a :class:`SchemaError` naming its JSON path, and a value out of range an
+:class:`InvalidInput` naming it: both exit 2.  Every stage runs
+:meth:`PipelineConfig.check` before it writes anything, since flags and code
+may set fields after the file is read.  ``max_in_flight`` is the one
+concurrency knob: every provider call goes through the gateway pool.
 
 :attr:`PipelineConfig.config_digest` covers the config a stage runs with,
 whether it came from a file, from flags or from code: it hashes the document
@@ -37,18 +39,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import InvalidInput, SchemaError
-from .gateway import (
-    SAMPLE_CAP,
-    Gateway,
-    GatewayConfig,
-    HttpChatProvider,
-    MockAugmenter,
-    MockBackTranslator,
-    MockChatProvider,
-    MockInformalizer,
-    MockNliJudge,
-    Role,
-)
+from .gateway import (SAMPLE_CAP, Gateway, GatewayConfig, HttpChatProvider, MockAugmenter,
+                      MockBackTranslator, MockChatProvider, MockInformalizer, MockNliJudge, Role)
 from .validate import DEFAULT_HEADER, DEFAULT_TIMEOUT_MS, MockCompilerBackend, ReplBackend
 
 _MOCKS_BY_ROLE = {
@@ -76,16 +68,12 @@ class RoleConfig:
             provider = _MOCKS_BY_ROLE[role_name]()
         elif self.provider == "http":
             if not self.base_url:
-                raise InvalidInput(f"role {role_name}: http provider needs base_url")
+                raise InvalidInput(f"$.roles.{role_name}.base_url must be set for an http provider")
             provider = HttpChatProvider(self.base_url, role_name)
         else:
-            raise InvalidInput(f"role {role_name}: unknown provider {self.provider!r}")
-        return Role(
-            provider=provider,
-            model_id=model_id,
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
-        )
+            raise InvalidInput(f'$.roles.{role_name}.provider must be "mock" or "http", '
+                               f"got {json.dumps(self.provider)}")
+        return Role(provider, model_id, self.temperature, self.max_output_tokens)
 
 
 @dataclass(frozen=True)
@@ -99,9 +87,10 @@ class BackendConfig:
             return MockCompilerBackend(default_ok=self.default_ok)
         if self.kind == "repl":
             if not self.command:
-                raise InvalidInput("repl backend needs a command")
+                raise InvalidInput("$.knobs.backend.command must be set for a repl backend")
             return ReplBackend(self.command)
-        raise InvalidInput(f"unknown backend kind {self.kind!r}")
+        raise InvalidInput(f'$.knobs.backend.kind must be "mock" or "repl", '
+                           f"got {json.dumps(self.kind)}")
 
 
 def parse_ratio(text: str) -> tuple[int, int, int]:
@@ -147,33 +136,46 @@ class PipelineConfig:
     backoff_base_ms: int = 50
     request_budget: int | None = None
 
-    def __post_init__(self):
+    def check(self) -> None:
+        """Raise for any field a stage cannot run with, whether it came from a
+        file, a flag or code: a value of another JSON type than its
+        :data:`_FIELD_TYPES` is a :class:`SchemaError`, one out of range, a
+        missing path, or a role or backend that does not build (no process
+        starts) an :class:`InvalidInput`, each naming its JSON path.  Only
+        :class:`RoleConfig`'s own fields of a role count, whatever its class.
+        Each stage calls this before it writes anything."""
+        sections = [("$.paths", self, _PATHS), ("$.knobs", self, _KNOBS - {"backend"}),
+                    ("$.knobs.backend", self.backend, _BACKEND_FIELDS),
+                    *((f"$.roles.{name}", role, _ROLE_FIELDS) for name, role in self.roles.items())]
+        _check_types((where, {name: _spelled(name, getattr(obj, name)) for name in names})
+                     for where, obj, names in sections)
         if not 1 <= self.pass_k <= SAMPLE_CAP:
-            raise InvalidInput(f"pass_k must be in [1, {SAMPLE_CAP}], got {self.pass_k}")
-        if self.retrieval_k < 1:
-            raise InvalidInput(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.compile_timeout_ms < 1:
-            raise InvalidInput(f"compile_timeout_ms must be >= 1, got {self.compile_timeout_ms}")
+            raise InvalidInput(f"$.knobs.pass_k must be in [1, {SAMPLE_CAP}], got {self.pass_k}")
+        for name in ("retrieval_k", "compile_timeout_ms", "neighbor_limit", "max_prompt_chars"):
+            if (value := getattr(self, name)) is not None and value < 1:
+                raise InvalidInput(f"$.knobs.{name} must be >= 1, got {value}")
         for name in _PATH_KEYS:
-            value = getattr(self, name)
-            if value is not None and not Path(value).exists():
-                raise InvalidInput(f"configured path {name}={value} does not exist")
+            if (value := getattr(self, name)) is not None and not Path(value).exists():
+                raise InvalidInput(f"$.paths.{name} names {value}, which does not exist")
+        self._gateway_config()
+        for name in ROLE_NAMES:
+            self.role(name)
+        self.backend.build()
+
+    __post_init__ = check
 
     def role(self, name: str) -> Role:
         if name not in _MOCKS_BY_ROLE:
             raise InvalidInput(f"unknown role {name!r}")
         return self.roles.get(name, RoleConfig()).build(name)
 
+    def _gateway_config(self, cache_dir: Path | None = None) -> GatewayConfig:
+        """The operational knobs, which :class:`GatewayConfig` checks itself."""
+        return GatewayConfig(cache_dir=cache_dir,
+                             **{name: getattr(self, name) for name in _OPERATIONAL_KNOBS})
+
     def gateway(self, cache_dir: Path | None = None) -> Gateway:
-        return Gateway(
-            GatewayConfig(
-                max_in_flight=self.max_in_flight,
-                retry_limit=self.retry_limit,
-                backoff_base_ms=self.backoff_base_ms,
-                cache_dir=cache_dir,
-                request_budget=self.request_budget,
-            )
-        )
+        return Gateway(self._gateway_config(cache_dir))
 
     @property
     def config_digest(self) -> str:
@@ -218,20 +220,38 @@ _OPERATIONAL_KNOBS = frozenset({"max_in_flight", "retry_limit", "backoff_base_ms
 
 def _spelled(name: str, value):
     """Field ``name``'s ``value`` as a config file spells it: a ratio as
-    ``"a:b:c"``, a path as a string."""
-    if name in ("ratio", "dirmix"):
-        return ":".join(map(str, value))
+    ``"a:b:c"``, a path as a string, a command as a list."""
+    if isinstance(value, tuple):
+        return ":".join(map(str, value)) if name in ("ratio", "dirmix") else list(value)
     return str(value) if isinstance(value, Path) else value
 
 
-# A knob's JSON types: its default's as a config file spells it, or for a
-# limit an integer or null.  ``type``, unlike ``isinstance``, tells bool from int.
-_KNOB_TYPES = {
-    name: (int, type(None)) if name in ("max_prompt_chars", "request_budget")
-    else (type(_spelled(name, getattr(PipelineConfig(), name))),)
-    for name in _KNOBS - {"backend"}
+# Every field's JSON types: its default's as a config file spells it, an
+# integer too for a number, or for a field that defaults to None, null or the
+# type its annotation names.  ``type``, unlike ``isinstance``, tells bool from int.
+_OR_NULL = {"Path | None": str, "str | None": str, "int | None": int}
+_FIELD_TYPES = {
+    f.name: (_OR_NULL[f.type], type(None)) if f.default is None
+    else (float, int) if type(f.default) is float
+    else (type(_spelled(f.name, f.default)),)
+    for cls in (PipelineConfig, RoleConfig, BackendConfig) for f in fields(cls)
+    if f.name not in ("roles", "backend")  # sections, checked field by field
 }
-_JSON_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean", type(None): "null"}
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+                    list: "a list of strings", type(None): "null"}
+
+
+def _check_types(sections) -> None:
+    """Each value in ``sections``, pairs of a JSON path and the fields there as
+    a config file spells them, must be of one of its field's JSON types."""
+    for where, section in sections:
+        for name, value in section.items():
+            types = _FIELD_TYPES[name]
+            if type(value) not in types or type(value) is list and not all(
+                    type(item) is str for item in value):
+                expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+                raise SchemaError(f"must be {expected}, got {json.dumps(value, default=repr)}",
+                                  f"{where}.{name}")
 
 
 def _changed(obj, default, names) -> dict:
@@ -275,38 +295,19 @@ def load_config(path: str | Path) -> PipelineConfig:
     _object(doc, "$", _SECTIONS, "section")
     paths = _object(doc.get("paths", {}), "$.paths", _PATHS, "path")
     knobs = _object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob")
-    roles = {
-        name: RoleConfig(**_object(fields_doc, f"$.roles.{name}", _ROLE_FIELDS, "role field"))
-        for name, fields_doc in _object(
-            doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role"
-        ).items()
-    }
-    backend_doc = _object(
-        knobs.pop("backend", {}), "$.knobs.backend", _BACKEND_FIELDS, "backend field"
-    )
-    for name, value in knobs.items():
-        if type(value) not in _KNOB_TYPES[name]:
-            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in _KNOB_TYPES[name])
-            raise SchemaError(f"must be {expected}, got {json.dumps(value)}", f"$.knobs.{name}")
-
-    def path_or_none(key: str) -> Path | None:
-        value = paths.get(key)
-        return Path(value) if value else None
-
-    try:
-        for key in ("ratio", "dirmix"):
-            if key in knobs:
-                knobs[key] = parse_ratio(knobs[key])
-        if "command" in backend_doc:
-            backend_doc["command"] = tuple(backend_doc["command"] or ())
-        return PipelineConfig(
-            **{key: path_or_none(key) for key in _PATH_KEYS},
-            output_dir=Path(paths.get("output_dir", "out")),
-            roles=roles,
-            backend=BackendConfig(**backend_doc),
-            **knobs,
-        )
-    except InvalidInput:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad config value: {exc}", str(path)) from exc
+    backend = _object(knobs.pop("backend", {}), "$.knobs.backend", _BACKEND_FIELDS, "backend field")
+    roles = _object(doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role")
+    for name, role in roles.items():
+        _object(role, f"$.roles.{name}", _ROLE_FIELDS, "role field")
+    # Every value is checked as written, before any is converted.
+    _check_types([("$.paths", paths), ("$.knobs", knobs), ("$.knobs.backend", backend),
+                  *((f"$.roles.{name}", role) for name, role in roles.items())])
+    for key in ("ratio", "dirmix"):
+        if key in knobs:
+            knobs[key] = parse_ratio(knobs[key])
+    if "command" in backend:
+        backend["command"] = tuple(backend["command"])
+    paths = {key: Path(value) if value or key == "output_dir" else None
+             for key, value in paths.items()}
+    return PipelineConfig(**paths, **knobs, backend=BackendConfig(**backend),
+                          roles={name: RoleConfig(**role) for name, role in roles.items()})

@@ -62,7 +62,7 @@ def _claim(out_dir: Path, config: PipelineConfig, write: bool = True) -> None:
                 f"current config is {config.config_digest[:12]}; refusing to resume"
             )
     elif write:
-        digest_file.write_text(config.config_digest + "\n", encoding="utf-8")
+        ds.replace_atomic(digest_file, [config.config_digest + "\n"])
 
 
 def _close_stage(
@@ -112,6 +112,7 @@ def load_index(path: Path) -> CorpusIndex:
 
 
 def run_ingest(config: PipelineConfig, out_dir: Path) -> CorpusIndex:
+    config.check()
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.corpus_export is not None:
         index = load_index(config.corpus_export)
@@ -162,6 +163,7 @@ def ingest_source_tree(source_dir: Path) -> CorpusIndex:
 def run_stratify(
     index: CorpusIndex, config: PipelineConfig, out_dir: Path, emit_dot: Path | None = None
 ) -> depgraph.LevelAssignment:
+    config.check()
     out_dir.mkdir(parents=True, exist_ok=True)
     graph = depgraph.build_graph(index)
     assignment = depgraph.stratify(graph)
@@ -317,11 +319,12 @@ def run_informalize(
     to ``prompts/<name>.txt`` or ``prompts/<name>.step<i>.txt`` instead of
     sending it; later prompts read model answers, so it cannot write them.
     """
+    config.check()
     registry = _load_registry(config)
     notes = prompts.load_tactic_notes(config.tactic_notes)
     store, embed_provider = _retrieval_context(config)
-    # The inputs are read first, so a malformed one leaves no claim behind; a
-    # dry run claims no directory, so the config may still change after it.
+    # The config and inputs are read first, so a malformed one leaves no claim
+    # behind; a dry run claims no directory, so the config may change after it.
     _claim(out_dir, config, write=not dry_run)
 
     graph = depgraph.build_graph(index)
@@ -514,6 +517,7 @@ def run_augment(
     :class:`_OrderedDispatch`, so ``max_in_flight`` bounds augment too.  Record
     files are written whole after the run with ``replace_atomic``, so a kill
     can tear only the completion log, which a rerun reads back."""
+    config.check()
     if informal and original_pairs is None:
         raise InvalidInput("informal augmentation needs the original pairs")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -651,6 +655,7 @@ def run_mix(
     out_dir: Path,
     total: int,
 ) -> ds.MixManifest:
+    config.check()
     out_dir.mkdir(parents=True, exist_ok=True)
     records, manifest = ds.mix(
         original,
@@ -731,8 +736,8 @@ def run_validate(
     candidate is checked twice.  ``summary.json`` and the manifest are built
     from the whole file.
     """
-    if k is not None:
-        config = replace(config, pass_k=k)  # which bounds k by SAMPLE_CAP
+    config = config if k is None else replace(config, pass_k=k)
+    config.check()
     k = config.pass_k
     items = load_benchmark(bench_path)
     if not items:

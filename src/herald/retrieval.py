@@ -83,9 +83,9 @@ class EmbeddingVector:
     def __post_init__(self):
         if not self.values:
             raise InvalidInput("embedding must have dim >= 1")
-        for x in self.values:
-            if not math.isfinite(x):
-                raise InvalidInput(f"non-finite embedding component: {x}")
+        if not all(map(math.isfinite, self.values)):
+            bad = next(x for x in self.values if not math.isfinite(x))
+            raise InvalidInput(f"non-finite embedding component: {bad}")
 
     @property
     def dim(self) -> int:
@@ -366,12 +366,8 @@ def save_store(store: ExampleStore, directory: str | Path) -> None:
 
 
 def _example_from_dict(obj: dict) -> AnnotatedExample:
-    return AnnotatedExample(
-        id=obj["id"],
-        formal_text=obj["formal_text"],
-        informal_text=obj["informal_text"],
-        embedding=EmbeddingVector(tuple(float(x) for x in obj["embedding"])),
-    )
+    return AnnotatedExample(obj["id"], obj["formal_text"], obj["informal_text"],
+                            EmbeddingVector(tuple(map(float, obj["embedding"]))))
 
 
 def load_store(directory: str | Path) -> ExampleStore:

@@ -694,6 +694,7 @@ class TestBadInputExits2:
     def test_bad_ratio_flag(self, tmp_path, pairs_file, capsys, flag, value):
         assert self.mix(tmp_path, pairs_file, flag, value) == 2
         assert repr(value) in capsys.readouterr().err
+        assert not (tmp_path / "mix").exists()
 
     @pytest.mark.parametrize("k", ["0", "257"])
     def test_k_out_of_range(self, tmp_path, capsys, k):
@@ -772,3 +773,88 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert f"{bench}: line 2: bad benchmark record: {message}" in err
         assert not out.exists()
+
+
+# --- one config check before any write -----------------------------------------
+
+
+def stage_argv(tmp_path: Path, export_file: Path, stage: str) -> list[str]:
+    """``stage`` and its input flags, on ``export_file`` or a one-item bench."""
+    bench = tmp_path / "bench.jsonl"
+    bench.write_text('{"id": "b0", "informal_text": "p holds."}\n', encoding="utf-8")
+    return {
+        "ingest": ["ingest", "--export", str(export_file)],
+        "stratify": ["stratify", "--index", str(export_file)],
+        "informalize": ["informalize", "--index", str(export_file)],
+        "augment": ["augment", "--index", str(export_file), "--tactic"],
+        "mix": ["mix", *mix_inputs(tmp_path)],
+        "validate": ["validate", "--bench", str(bench)],
+    }[stage]
+
+
+def exit_code(*argv: str) -> int:
+    """:func:`run`, or the code of the ``SystemExit`` by which argparse refuses a flag."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_refused_before_any_write(code: int, err: str, out: Path, names: str) -> None:
+    assert code == 2, err
+    assert "error: " in err and names in err, err
+    assert "Traceback" not in err
+    assert not out.exists(), sorted(out.rglob("*"))
+
+
+STAGES = ["ingest", "stratify", "informalize", "augment", "mix", "validate"]
+# One bad value per section, for every stage; then three that a stage's own
+# run reaches late: a string boolean, a command string and a misspelled provider.
+SECTION_MISTAKES = [
+    ("path", {"paths": {"corpus_export": 5}}, "$.paths.corpus_export"),
+    ("role_field", {"roles": {"translator": {"temperature": "hot"}}},
+     "$.roles.translator.temperature"),
+    ("knob", {"knobs": {"neighbor_limit": 0}}, "$.knobs.neighbor_limit"),
+    ("backend_field", {"knobs": {"backend": {"kind": "lean"}}}, "$.knobs.backend.kind"),
+]
+CONFIG_MISTAKES = [
+    pytest.param(stage, doc, where, id=f"{name}-{stage}")
+    for name, doc, where in SECTION_MISTAKES for stage in STAGES
+] + [
+    pytest.param("validate", {"knobs": {"backend": {"default_ok": "false"}}},
+                 "$.knobs.backend.default_ok", id="default_ok"),
+    pytest.param("validate", {"knobs": {"backend": {"kind": "repl", "command": "lean --run"}}},
+                 "$.knobs.backend.command", id="command"),
+    pytest.param("informalize", {"roles": {"informalizer": {"provider": "htp"}}},
+                 "$.roles.informalizer.provider", id="provider"),
+]
+
+
+@pytest.mark.parametrize("stage, doc, where", CONFIG_MISTAKES)
+def test_a_config_mistake_exits_2_before_any_write_and_the_fixed_config_runs(
+    tmp_path, export_file, capsys, stage, doc, where
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = stage_argv(tmp_path, export_file, stage)
+    code = run("--config", str(config), "--out", str(out), *argv)
+    assert_refused_before_any_write(code, capsys.readouterr().err, out, f"error: {where}")
+    config.write_text("{}", encoding="utf-8")
+    assert run("--config", str(config), "--out", str(out), *argv) == 0
+
+
+# --k, --ratio and --dirmix: TestBadInputExits2.
+@pytest.mark.parametrize("stage, flags, names", [
+    ("informalize", ["--budget", "-1"], "request_budget must be >= 0, got -1"),
+    ("augment", ["--dedup-seed", "x"], "argument --dedup-seed: invalid int value: 'x'"),
+    ("ingest", ["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+], ids=["budget", "dedup_seed", "seed"])
+def test_a_bad_flag_value_exits_2_before_any_stage_writes(tmp_path, export_file, capsys,
+                                                          stage, flags, names):
+    out = tmp_path / "out"
+    argv = stage_argv(tmp_path, export_file, stage)
+    # --seed is a flag of the command, the others of their stage.
+    argv = [*flags, *argv] if flags[0] == "--seed" else [*argv, *flags]
+    code = exit_code("--out", str(out), *argv)
+    assert_refused_before_any_write(code, capsys.readouterr().err, out, names)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import pytest
 
+from herald import config as config_module
 from herald.config import BackendConfig, PipelineConfig, RoleConfig, load_config
 from herald.errors import InvalidInput, ProviderError, SchemaError
 from herald.gateway import SAMPLE_CAP, CompletionRequest, FinishReason, HttpChatProvider
@@ -114,6 +115,35 @@ class TestLoadConfig:
         with pytest.raises(SchemaError):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("doc, where, expected", [
+        ({"paths": {"corpus_export": 5}}, "$.paths.corpus_export", "a string or null"),
+        ({"paths": {"output_dir": None}}, "$.paths.output_dir", "a string"),
+        ({"roles": {"translator": {"temperature": "hot"}}}, "$.roles.translator.temperature",
+         "a number or an integer"),
+        ({"roles": {"nli_judge": {"temperature": True}}}, "$.roles.nli_judge.temperature",
+         "a number or an integer"),
+        ({"roles": {"augmenter": {"max_output_tokens": 64.0}}},
+         "$.roles.augmenter.max_output_tokens", "an integer"),
+        ({"roles": {"translator": {"model_id": 7}}}, "$.roles.translator.model_id",
+         "a string or null"),
+        ({"knobs": {"backend": {"default_ok": "false"}}}, "$.knobs.backend.default_ok",
+         "a boolean"),
+        ({"knobs": {"backend": {"command": "lean --run"}}}, "$.knobs.backend.command",
+         "a list of strings"),
+        ({"knobs": {"backend": {"command": ["lean", 5]}}}, "$.knobs.backend.command",
+         "a list of strings"),
+        ({"knobs": {"backend": {"command": None}}}, "$.knobs.backend.command",
+         "a list of strings"),
+    ])
+    def test_a_wrongly_typed_value_in_any_section_is_named(self, tmp_path, doc, where, expected):
+        with pytest.raises(SchemaError, match=f"must be {expected}, got ") as err:
+            load_config(write_config(tmp_path, doc))
+        assert err.value.path == where
+
+    def test_an_integer_temperature_loads_as_written(self, tmp_path):
+        config = load_config(write_config(tmp_path, {"roles": {"translator": {"temperature": 1}}}))
+        assert config.role("translator").temperature == 1
+
     def test_unknown_knob_exits_2(self, tmp_path, capsys):
         from herald import cli
 
@@ -134,12 +164,8 @@ class TestLoadConfig:
         assert {key: getattr(config, key) for key in knobs} == expected
 
     def test_readme_example_loads(self, tmp_path):
-        # The README's example names every knob; its paths are placeholders.
-        text = README.read_text(encoding="utf-8")
-        block = re.search(r"## Configuration.*?```json\n(.*?)\n```", text, re.S).group(1)
-        doc = json.loads(block)
-        del doc["paths"]
-        config = load_config(write_config(tmp_path, doc))
+        doc = readme_config_doc()
+        config = readme_without_paths(tmp_path)
         assert config.pass_k == doc["knobs"]["pass_k"]
         assert set(config.roles) == set(doc["roles"])
 
@@ -228,6 +254,112 @@ class TestConfigDigest:
         canonical = json.dumps({"knobs": {}, "paths": {"general_data": str(tmp_path)}},
                                separators=(",", ":"))
         assert written.config_digest == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def readme_config_doc() -> dict:
+    """The README's example config, which names every knob."""
+    text = README.read_text(encoding="utf-8")
+    return json.loads(re.search(r"## Configuration.*?```json\n(.*?)\n```", text, re.S).group(1))
+
+
+@dataclass(frozen=True)
+class MeteredRole(RoleConfig):
+    """A role subclass with fields of its own, as a benchmark harness adds."""
+
+    latency_ms: float = 15.0
+    meter: object = field(default_factory=object, compare=False)
+
+
+def readme_without_paths(tmp_path) -> PipelineConfig:
+    doc = readme_config_doc()
+    del doc["paths"]  # placeholders, which do not exist
+    return load_config(write_config(tmp_path, doc))
+
+
+# The digests of configs that every loader so far accepted: each must keep its
+# digest, or the output directories claimed under it would refuse to resume.
+PINNED_DIGESTS = [
+    (readme_without_paths, "e609b383279d8608383c3ca47002326ed6e45f01bb5aa241a64cbf7a41c6371c"),
+    (lambda tmp_path: load_config(write_config(tmp_path, {})),
+     "05ccb9227d1386e0d63101296167228da86a63239bba08f41a7eee84e9c4ddd5"),
+    (lambda tmp_path: load_config(write_config(tmp_path, {"paths": {"source_dir": ""}})),
+     "05ccb9227d1386e0d63101296167228da86a63239bba08f41a7eee84e9c4ddd5"),
+    (lambda tmp_path: load_config(
+        write_config(tmp_path, {"roles": {"translator": {"temperature": 1}}})),
+     "6d65cd5b52a406b9a5a2e46867b39b923d2fa10cb0fc71c79854ac5b24b2279a"),
+    (lambda tmp_path: PipelineConfig(
+        roles={"translator": MeteredRole(temperature=0.5, latency_ms=3.0)}),
+     "2a0628e74739f5531813094522d47e3ea84b4f3684f1b3037abe25368ab24d94"),
+    (lambda tmp_path: load_config(write_config(
+        tmp_path, {"knobs": {"backend": {"kind": "repl", "command": ["lean", "--run"]}}})),
+     "fbfe8e40ddfc38ac085c6726e6ac8f94097efe47beadb9622a6e0812465da9f3"),
+    (lambda tmp_path: load_config(
+        write_config(tmp_path, {"knobs": {"backend": {"default_ok": False}}})),
+     "100cd68958e50db46e26b8e3fb2807de01b4f3eaf0b2d372c41807971441f840"),
+]
+
+
+@pytest.mark.parametrize("make, digest", PINNED_DIGESTS, ids=[
+    "readme", "empty", "empty_path", "integer_temperature", "role_subclass", "backend_command",
+    "default_ok"])
+def test_config_digest_is_pinned(tmp_path, make, digest):
+    assert make(tmp_path).config_digest == digest
+
+
+class TestCheck:
+    def test_the_type_table_covers_every_field(self):
+        names = {f.name for owner in OTHER_VALUES for f in fields(owner)}
+        assert set(config_module._FIELD_TYPES) == names - {"roles", "backend"}
+
+    @pytest.mark.parametrize("owner, name", [
+        pytest.param(owner, f.name, id=f"{owner.__name__}.{f.name}")
+        for owner in OTHER_VALUES for f in fields(owner) if f.name not in ("roles", "backend")
+    ])
+    def test_a_wrongly_typed_value_set_in_code_is_named(self, owner, name):
+        config = PipelineConfig()
+        if owner is RoleConfig:
+            config.roles = {"translator": RoleConfig(**{name: {}})}
+            where = f"$.roles.translator.{name}"
+        elif owner is BackendConfig:
+            config.backend = BackendConfig(**{name: {}})
+            where = f"$.knobs.backend.{name}"
+        else:
+            setattr(config, name, {})
+            section = "paths" if isinstance(OTHER_VALUES[owner][name], Path) else "knobs"
+            where = f"$.{section}.{name}"
+        with pytest.raises(SchemaError) as err:
+            config.check()
+        assert err.value.path == where
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("neighbor_limit", 0, "$.knobs.neighbor_limit must be >= 1, got 0"),
+        ("max_prompt_chars", 0, "$.knobs.max_prompt_chars must be >= 1, got 0"),
+        ("retrieval_k", 0, "$.knobs.retrieval_k must be >= 1, got 0"),
+        ("request_budget", -1, "request_budget must be >= 0, got -1"),
+        ("max_in_flight", 0, "max_in_flight must be >= 1"),
+        ("roles", {"augmenter": RoleConfig(provider="http")},
+         "$.roles.augmenter.base_url must be set for an http provider"),
+        ("backend", BackendConfig(kind="repl"),
+         "$.knobs.backend.command must be set for a repl backend"),
+    ])
+    def test_a_value_out_of_range_set_in_code_is_named(self, name, value, message):
+        config = PipelineConfig()
+        setattr(config, name, value)
+        with pytest.raises(InvalidInput) as err:
+            config.check()
+        assert message in str(err.value)
+
+    def test_a_role_subclass_is_checked_on_the_role_fields_only(self):
+        PipelineConfig(roles={"translator": MeteredRole(latency_ms="not a number")}).check()
+        with pytest.raises(SchemaError) as err:
+            PipelineConfig(roles={"translator": MeteredRole(temperature="hot")})
+        assert err.value.path == "$.roles.translator.temperature"
+
+    def test_a_repl_backend_is_built_without_starting_its_process(self, tmp_path):
+        marker = tmp_path / "started"
+        command = ("sh", "-c", f"touch {marker}")
+        PipelineConfig(backend=BackendConfig(kind="repl", command=command)).check()
+        assert not marker.exists()
 
 
 class TestRoleAndBackendBuilding:

@@ -3,7 +3,9 @@ backend lifetime."""
 
 from __future__ import annotations
 
+import builtins
 import errno
+import io
 import json
 import logging
 import os
@@ -40,6 +42,9 @@ from herald.pipeline import (
     load_statement_pairs,
     run_augment,
     run_informalize,
+    run_ingest,
+    run_mix,
+    run_stratify,
     run_validate,
 )
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind, ProofState, ProofStep
@@ -842,3 +847,84 @@ def test_stage_trees_are_identical_at_max_in_flight_1_2_and_8(tmp_path):
         run_stages(tmp_path / str(max_in_flight), max_in_flight)
         trees.append(tree_digest(tmp_path / str(max_in_flight)))
     assert trees[0] == trees[1] == trees[2]
+
+
+# --- the config check and the claim ------------------------------------------------
+
+
+@pytest.mark.parametrize("stage", ["ingest", "stratify", "informalize", "augment", "mix",
+                                   "validate"])
+@pytest.mark.parametrize("name, value, message", [
+    ("backend", BackendConfig(kind="lean"), '$.knobs.backend.kind must be "mock" or "repl"'),
+    ("request_budget", -1, "request_budget must be >= 0, got -1"),
+    ("roles", {"informalizer": RoleConfig(temperature="hot")},
+     "$.roles.informalizer.temperature: must be a number"),
+], ids=["backend_kind", "request_budget", "role_temperature"])
+def test_every_stage_checks_a_field_set_in_code_before_it_writes(tmp_path, stage, name,
+                                                                 value, message):
+    config = PipelineConfig()
+    setattr(config, name, value)  # as a harness sets a field after construction
+    index, out = make_corpus(4), tmp_path / "out"
+    bench = tmp_path / "bench.jsonl"
+    bench.write_text('{"id": "b0", "informal_text": "p holds."}\n', encoding="utf-8")
+    runs = {
+        "ingest": lambda: run_ingest(config, out),
+        "stratify": lambda: run_stratify(index, config, out),
+        "informalize": lambda: run_informalize(index, config, out),
+        "augment": lambda: run_augment(index, config, out),
+        "mix": lambda: run_mix([], [], [], [], config, out, total=1),
+        "validate": lambda: run_validate(bench, config, out),
+    }
+    with pytest.raises((InvalidInput, SchemaError)) as err:
+        runs[stage]()
+    assert message in str(err.value)
+    assert not out.exists()
+
+
+class Killed(BaseException):
+    """A kill, as far as the code under test can tell: it runs no further."""
+
+
+class CutAfterFirstBytes:
+    """A file opened for writing whose first write keeps five characters, then dies."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, text):
+        self.handle.write(text[:5])
+        self.handle.flush()
+        raise Killed
+
+    def writelines(self, lines):
+        self.write("".join(lines))
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def test_a_claim_killed_after_its_first_bytes_claims_nothing(tmp_path, monkeypatch):
+    index = make_corpus(4)
+    run_informalize(index, PipelineConfig(), tmp_path / "clean")
+    real_open = io.open
+
+    def cut_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).stem == "config_digest":
+            return CutAfterFirstBytes(handle)
+        return handle
+
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "open", cut_open)
+        patch.setattr(builtins, "open", cut_open)
+        with pytest.raises(Killed):
+            run_informalize(index, PipelineConfig(), out)
+    run_informalize(index, PipelineConfig(), out)
+    assert tree_digest(out) == tree_digest(tmp_path / "clean")
