@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         dedup_seed = flag("dedup_seed")
         flags = {"dedup_seed": args.seed if dedup_seed is None else dedup_seed,  # wins over --seed
                  "mix_seed": args.seed, "request_budget": flag("budget"), "pass_k": flag("k"),
-                 **{key: parse_ratio(flag(key)) for key in ("ratio", "dirmix")
+                 **{key: parse_ratio(flag(key), f"--{key}") for key in ("ratio", "dirmix")
                     if flag(key) is not None}}
         # replace() checks the config with the flags set, before any stage writes.
         config = replace(config, **{key: value for key, value in flags.items() if value is not None})

@@ -18,12 +18,14 @@ Key set (all optional) and JSON types:
   boolean, "command": a list of strings}``).  A knob left out takes the
   :class:`PipelineConfig` default.
 
-An unknown key or a value of another type (:data:`_FIELD_TYPES`) anywhere is
-a :class:`SchemaError` naming its JSON path, and a value out of range an
-:class:`InvalidInput` naming it: both exit 2.  Every stage runs
-:meth:`PipelineConfig.check` before it writes anything, since flags and code
-may set fields after the file is read.  ``max_in_flight`` is the one
-concurrency knob: every provider call goes through the gateway pool.
+An unknown key or a value of another type (:data:`_FIELD_TYPES`, checked by
+:func:`herald.datastore.check_shape`) anywhere is a :class:`SchemaError`
+naming its JSON path, and a value out of range (:data:`_MINIMUM`, and
+``pass_k`` in [1, 256]) an :class:`InvalidInput` naming it: both exit 2.
+Every stage runs :meth:`PipelineConfig.check` before it writes anything,
+since flags and code may set fields after the file is read.
+``max_in_flight`` is the one concurrency knob: every provider call goes
+through the gateway pool.
 
 :attr:`PipelineConfig.config_digest` covers the config a stage runs with,
 whether it came from a file, from flags or from code: it hashes the document
@@ -38,6 +40,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .datastore import check_shape, parse_json
 from .errors import InvalidInput, SchemaError
 from .gateway import (SAMPLE_CAP, Gateway, GatewayConfig, HttpChatProvider, MockAugmenter,
                       MockBackTranslator, MockChatProvider, MockInformalizer, MockNliJudge, Role)
@@ -93,14 +96,15 @@ class BackendConfig:
                            f"got {json.dumps(self.kind)}")
 
 
-def parse_ratio(text: str) -> tuple[int, int, int]:
-    """``a:b:c`` with three positive integers, from the config file or a flag."""
+def parse_ratio(text: str, where: str) -> tuple[int, int, int]:
+    """``a:b:c`` with three positive integers, from the config file or a flag;
+    ``where`` names it in an error (``$.knobs.dirmix``, ``--dirmix``)."""
     try:
         values = tuple(int(p) for p in text.split(":"))
     except ValueError:
-        raise InvalidInput(f"ratio must look like 1:2:1, got {text!r}") from None
+        raise InvalidInput(f"{where} must look like 1:2:1, got {text!r}") from None
     if len(values) != 3 or any(v < 1 for v in values):
-        raise InvalidInput(f"ratio needs 3 positive components, got {text!r}")
+        raise InvalidInput(f"{where} needs 3 positive components, got {text!r}")
     return values
 
 
@@ -139,25 +143,25 @@ class PipelineConfig:
     def check(self) -> None:
         """Raise for any field a stage cannot run with, whether it came from a
         file, a flag or code: a value of another JSON type than its
-        :data:`_FIELD_TYPES` is a :class:`SchemaError`, one out of range, a
-        missing path, or a role or backend that does not build (no process
-        starts) an :class:`InvalidInput`, each naming its JSON path.  Only
-        :class:`RoleConfig`'s own fields of a role count, whatever its class.
-        Each stage calls this before it writes anything."""
+        :data:`_FIELD_TYPES` is a :class:`SchemaError`, one below its
+        :data:`_MINIMUM`, a missing path, or a role or backend that does not
+        build (no process starts) an :class:`InvalidInput`, each naming its
+        JSON path.  Only :class:`RoleConfig`'s own fields of a role count,
+        whatever its class.  Each stage calls this before it writes anything."""
         sections = [("$.paths", self, _PATHS), ("$.knobs", self, _KNOBS - {"backend"}),
                     ("$.knobs.backend", self.backend, _BACKEND_FIELDS),
                     *((f"$.roles.{name}", role, _ROLE_FIELDS) for name, role in self.roles.items())]
-        _check_types((where, {name: _spelled(name, getattr(obj, name)) for name in names})
-                     for where, obj, names in sections)
+        for where, obj, names in sections:
+            section = {name: _spelled(name, getattr(obj, name)) for name in sorted(names)}
+            check_shape(section, {name: _FIELD_TYPES[name] for name in section}, where)
+            for name, value in section.items():
+                if name in _MINIMUM and value is not None and value < _MINIMUM[name]:
+                    raise InvalidInput(f"{where}.{name} must be >= {_MINIMUM[name]}, got {value}")
         if not 1 <= self.pass_k <= SAMPLE_CAP:
             raise InvalidInput(f"$.knobs.pass_k must be in [1, {SAMPLE_CAP}], got {self.pass_k}")
-        for name in ("retrieval_k", "compile_timeout_ms", "neighbor_limit", "max_prompt_chars"):
-            if (value := getattr(self, name)) is not None and value < 1:
-                raise InvalidInput(f"$.knobs.{name} must be >= 1, got {value}")
         for name in _PATH_KEYS:
             if (value := getattr(self, name)) is not None and not Path(value).exists():
                 raise InvalidInput(f"$.paths.{name} names {value}, which does not exist")
-        self._gateway_config()
         for name in ROLE_NAMES:
             self.role(name)
         self.backend.build()
@@ -169,13 +173,9 @@ class PipelineConfig:
             raise InvalidInput(f"unknown role {name!r}")
         return self.roles.get(name, RoleConfig()).build(name)
 
-    def _gateway_config(self, cache_dir: Path | None = None) -> GatewayConfig:
-        """The operational knobs, which :class:`GatewayConfig` checks itself."""
-        return GatewayConfig(cache_dir=cache_dir,
-                             **{name: getattr(self, name) for name in _OPERATIONAL_KNOBS})
-
     def gateway(self, cache_dir: Path | None = None) -> Gateway:
-        return Gateway(self._gateway_config(cache_dir))
+        return Gateway(GatewayConfig(cache_dir=cache_dir,
+                                     **{name: getattr(self, name) for name in _OPERATIONAL_KNOBS}))
 
     @property
     def config_digest(self) -> str:
@@ -226,32 +226,23 @@ def _spelled(name: str, value):
     return str(value) if isinstance(value, Path) else value
 
 
-# Every field's JSON types: its default's as a config file spells it, an
-# integer too for a number, or for a field that defaults to None, null or the
-# type its annotation names.  ``type``, unlike ``isinstance``, tells bool from int.
+# Every field's shape: its default's type as a config file spells it, an
+# integer too for a number, a list of strings for the one list, ``command``, or
+# for a field that defaults to None, null or the type its annotation names.
 _OR_NULL = {"Path | None": str, "str | None": str, "int | None": int}
 _FIELD_TYPES = {
     f.name: (_OR_NULL[f.type], type(None)) if f.default is None
     else (float, int) if type(f.default) is float
-    else (type(_spelled(f.name, f.default)),)
+    else [str] if f.name == "command"
+    else type(_spelled(f.name, f.default))
     for cls in (PipelineConfig, RoleConfig, BackendConfig) for f in fields(cls)
     if f.name not in ("roles", "backend")  # sections, checked field by field
 }
-_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
-                    list: "a list of strings", type(None): "null"}
-
-
-def _check_types(sections) -> None:
-    """Each value in ``sections``, pairs of a JSON path and the fields there as
-    a config file spells them, must be of one of its field's JSON types."""
-    for where, section in sections:
-        for name, value in section.items():
-            types = _FIELD_TYPES[name]
-            if type(value) not in types or type(value) is list and not all(
-                    type(item) is str for item in value):
-                expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
-                raise SchemaError(f"must be {expected}, got {json.dumps(value, default=repr)}",
-                                  f"{where}.{name}")
+# The least value of each bounded field that is set (pass_k is checked on its
+# own).  A budget of 0 is valid: the run is answered from the cache alone.
+_MINIMUM = {"retrieval_k": 1, "compile_timeout_ms": 1, "neighbor_limit": 1,
+            "max_prompt_chars": 1, "max_in_flight": 1, "retry_limit": 0, "backoff_base_ms": 0,
+            "request_budget": 0, "temperature": 0, "max_output_tokens": 1}
 
 
 def _changed(obj, default, names) -> dict:
@@ -267,12 +258,14 @@ def _changed(obj, default, names) -> dict:
 
 
 def _object(value, where: str, allowed: frozenset[str], what: str) -> dict:
-    """``value``, which must be a JSON object whose keys are all in ``allowed``."""
-    if not isinstance(value, dict):
-        raise SchemaError("must be a JSON object", where)
+    """``value``, which must be a JSON object whose keys are all in ``allowed``
+    and whose values fit their :data:`_FIELD_TYPES` shape, or are objects
+    (a section, a role, the backend)."""
+    check_shape(value, dict, where)
     for key in value:
         if key not in allowed:
             raise SchemaError(f"unknown {what} {key!r}", f"{where}.{key}")
+    check_shape(value, {key: _FIELD_TYPES.get(key, dict) for key in value}, where)
     return value
 
 
@@ -284,27 +277,16 @@ def load_config(path: str | Path) -> PipelineConfig:
     order, whitespace, keys set to their default and empty sections do not
     count).
     """
-    raw = Path(path).read_bytes()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}", str(path)) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("config must be a JSON object", str(path))
-
-    _object(doc, "$", _SECTIONS, "section")
+    doc = _object(parse_json(Path(path).read_bytes(), str(path)), "$", _SECTIONS, "section")
     paths = _object(doc.get("paths", {}), "$.paths", _PATHS, "path")
     knobs = _object(doc.get("knobs", {}), "$.knobs", _KNOBS, "knob")
     backend = _object(knobs.pop("backend", {}), "$.knobs.backend", _BACKEND_FIELDS, "backend field")
     roles = _object(doc.get("roles", {}), "$.roles", frozenset(ROLE_NAMES), "role")
     for name, role in roles.items():
         _object(role, f"$.roles.{name}", _ROLE_FIELDS, "role field")
-    # Every value is checked as written, before any is converted.
-    _check_types([("$.paths", paths), ("$.knobs", knobs), ("$.knobs.backend", backend),
-                  *((f"$.roles.{name}", role) for name, role in roles.items())])
     for key in ("ratio", "dirmix"):
         if key in knobs:
-            knobs[key] = parse_ratio(knobs[key])
+            knobs[key] = parse_ratio(knobs[key], f"$.knobs.{key}")
     if "command" in backend:
         backend["command"] = tuple(backend["command"])
     paths = {key: Path(value) if value or key == "output_dir" else None

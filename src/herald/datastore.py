@@ -4,7 +4,10 @@ Every record file herald reads, resumes or rewrites is JSONL, one record per
 line.  This module holds the one reader (:func:`read_jsonl`), the torn-line
 rule for resumable files (:func:`drop_torn_tail`), the one atomic replace
 (:func:`replace_atomic`) and the one keyed cache log (:class:`KeyedLog`);
-pairs are written with fields in fixed order.
+pairs are written with fields in fixed order.  Every JSON document herald
+reads (the corpus export, the config, the template registry, the tactic
+notes) is decoded by :func:`parse_json` and type-checked by
+:func:`check_shape`.
 Mixtures realize the configured provenance ratio (default 1:2:1 over
 original, tactic-augmented, informal-augmented pairs) and direction ratio
 (default 2:2:1 over NL->FL, FL->NL, general instruction data) with
@@ -141,19 +144,95 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> Itera
     """``parse(json.loads(line))`` for each line of ``path``, lazily; blank
     lines are skipped.
 
-    A line that is not JSON, or that ``parse`` fails on for a missing key, a
-    wrong type or a rejected value, is a :class:`SchemaError` ``bad {what}``
-    located at ``{path}: line {n}``.
+    A line that is not UTF-8 JSON, or that ``parse`` fails on for a missing
+    key, a wrong type or a rejected value, is a :class:`SchemaError` ``bad
+    {what}`` located at ``{path}: line {n}``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = parse(json.loads(line))
+                record = parse(json.loads(line.decode("utf-8")))
             except (KeyError, TypeError, ValueError, InvalidInput) as exc:
                 raise SchemaError(f"bad {what}: {exc}", f"{path}: line {lineno}") from exc
             yield record
+
+
+def parse_json(raw: bytes | str, where: str = "$"):
+    """``raw`` as one JSON document, bytes read as UTF-8; what does not decode
+    is a :class:`SchemaError` at ``where``."""
+    try:
+        return json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"not UTF-8 JSON: {exc}", where) from None
+
+
+def check_shape(value, shape, where: str = "$") -> None:
+    """Raise a :class:`SchemaError` at the JSON path (below ``where``) of the
+    first node of the decoded JSON ``value`` that does not fit ``shape``,
+    building the path only then.  A shape is
+
+    * a type or a tuple of types, one of which is the node's exact ``type()``
+      (a boolean is no integer; a number written either way is ``(float, int)``);
+    * ``[shape]``: a list of that shape, named at the list for a type;
+    * ``[type, type, ...]``: a list of exactly those types, one per item;
+    * ``{key: shape, ...}``: an object holding each key, its value of that
+      key's shape; keys the shape does not name are not checked;
+    * ``{str: shape}``: an object whose every value is of that shape.
+
+    Messages read ``must be an integer, got "2"`` or ``must be a string, but
+    is missing``.
+    """
+    misfit = _misfit(value, shape)
+    if misfit is not None:
+        raise SchemaError(misfit[1], where + misfit[0])
+
+
+def _misfit(value, shape) -> tuple[str, str] | None:
+    """None when ``value`` fits ``shape``; else the path from ``value`` down
+    to the first misfit, and its message."""
+    if type(shape) is list and type(value) is list:
+        item = shape[0]
+        if len(shape) > 1:
+            if list(map(type, value)) == shape:
+                return None
+        elif type(item) is type or type(item) is tuple:
+            if set(item if type(item) is tuple else (item,)).issuperset(map(type, value)):
+                return None
+        else:
+            for i, element in enumerate(value):
+                if misfit := _misfit(element, item):
+                    return f"[{i}]{misfit[0]}", misfit[1]
+            return None
+    elif type(shape) is dict and type(value) is dict:
+        for key, item in ((k, shape[str]) for k in value) if str in shape else shape.items():
+            if key not in value:
+                return f".{key}", f"must be {_describe(item)}, but is missing"
+            element = value[key]
+            if type(element) is not item and (misfit := _misfit(element, item)):
+                return (f"[{key!r}]" if str in shape else f".{key}") + misfit[0], misfit[1]
+        return None
+    elif type(value) is shape or type(shape) is tuple and type(value) in shape:
+        return None
+    got = json.dumps(value, default=repr)
+    return "", f"must be {_describe(shape)}, got {got if len(got) <= 80 else got[:77] + '...'}"
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+               type(None): "null", list: "a list", dict: "an object"}
+
+
+def _describe(shape, many: bool = False) -> str:
+    """``shape`` in words, as a plural noun if ``many`` (``lists of strings``)."""
+    if type(shape) is tuple:
+        return " or ".join(_describe(t, many) for t in shape)
+    if type(shape) is list and len(shape) > 1:
+        return f"[{', '.join(map(_describe, shape))}]"
+    if type(shape) is list:
+        return ("lists of " if many else "a list of ") + _describe(shape[0], True)
+    name = _TYPE_NAMES[dict if type(shape) is dict else shape]
+    return name.split()[-1] + "s" if many else name
 
 
 class KeyedLog(Generic[T]):

@@ -3,7 +3,9 @@
 Two entry points feed the pipeline:
 
 * :func:`parse_jixia_export` consumes the versioned JSON export documented in
-  the README (schema_version "1") and is the production path.
+  the README (schema_version "1") and is the production path.  Its format is
+  stated once, as the shape ``_EXPORT`` for :func:`herald.datastore.check_shape`;
+  what a shape cannot say is checked as the records are built.
 * :func:`scan_declarations` is a best-effort regex scanner over raw Lean 4
   source for fixture-scale use when no analyzer export exists.  It does not
   elaborate anything: dependencies are left empty and term-mode proof bodies
@@ -18,9 +20,9 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from io import IOBase
-from typing import Any, Iterator
+from typing import Iterator
 
+from .datastore import check_shape, parse_json
 from .errors import DuplicateDeclaration, InvalidInput, SchemaError, UnknownDeclaration
 from .records import (
     PROVABLE_KINDS,
@@ -35,17 +37,15 @@ from .records import (
 
 SCHEMA_VERSION = "1"
 
-_DECL_FIELDS = {
-    "full_name",
-    "kind",
-    "signature",
-    "docstring",
-    "namespace_path",
-    "file_path",
-    "line_span",
-    "dependencies",
-    "is_tactic_proof",
-}
+_STATE = {"hypotheses": [[str, str]], "goals": [str]}
+_STEP = {"tactic_text": str, "state_before": _STATE, "state_after": _STATE}
+# A declaration holds exactly these fields; a step or a state may hold more,
+# which real exports carry and the parser ignores.
+_DECLARATION = {"full_name": str, "kind": str, "signature": str, "docstring": (str, type(None)),
+                "namespace_path": [str], "file_path": str, "line_span": [int, int],
+                "dependencies": [str], "is_tactic_proof": bool}
+_EXPORT = {"declarations": [_DECLARATION], "proofs": {str: [_STEP]}, "head_statements": {str: str}}
+_KINDS = {kind.value: kind for kind in DeclKind}
 
 
 def strip_docstring_markup(text: str) -> str:
@@ -60,152 +60,60 @@ def strip_docstring_markup(text: str) -> str:
     return body.strip()
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise SchemaError(f"missing required field '{key}'", path)
-    return obj[key]
-
-
-def _expect(value: Any, kind: type, path: str) -> Any:
-    if not isinstance(value, kind):
-        raise SchemaError(f"expected {kind.__name__}, got {type(value).__name__}", path)
-    return value
-
-
-def _parse_state(obj: Any, path: str) -> ProofState:
-    _expect(obj, dict, path)
-    hyps_raw = _expect(_require(obj, "hypotheses", path), list, f"{path}.hypotheses")
-    hyps = []
-    for i, pair in enumerate(hyps_raw):
-        _expect(pair, list, f"{path}.hypotheses[{i}]")
-        if len(pair) != 2:
-            raise SchemaError("hypothesis must be a [name, type] pair", f"{path}.hypotheses[{i}]")
-        hyps.append((_expect(pair[0], str, f"{path}.hypotheses[{i}][0]"),
-                     _expect(pair[1], str, f"{path}.hypotheses[{i}][1]")))
-    goals_raw = _expect(_require(obj, "goals", path), list, f"{path}.goals")
-    goals = tuple(_expect(g, str, f"{path}.goals[{i}]") for i, g in enumerate(goals_raw))
-    try:
-        return ProofState(hypotheses=tuple(hyps), goals=goals)
-    except InvalidInput as exc:
-        raise SchemaError(str(exc), path) from exc
-
-
-def _parse_declaration(obj: Any, path: str) -> DeclarationRecord:
-    _expect(obj, dict, path)
-    unknown = set(obj) - _DECL_FIELDS
-    if unknown:
-        raise SchemaError(f"unknown field(s): {sorted(unknown)}", path)
-
-    full_name = _expect(_require(obj, "full_name", path), str, f"{path}.full_name")
-    kind_raw = _expect(_require(obj, "kind", path), str, f"{path}.kind")
-    try:
-        kind = DeclKind(kind_raw)
-    except ValueError:
-        raise SchemaError(f"unknown declaration kind '{kind_raw}'", f"{path}.kind") from None
-
-    docstring = obj.get("docstring")
-    if docstring is not None:
-        docstring = strip_docstring_markup(_expect(docstring, str, f"{path}.docstring"))
-
-    ns_raw = _expect(_require(obj, "namespace_path", path), list, f"{path}.namespace_path")
-    namespace_path = tuple(
-        _expect(p, str, f"{path}.namespace_path[{i}]") for i, p in enumerate(ns_raw)
-    )
-
-    span_raw = _expect(_require(obj, "line_span", path), list, f"{path}.line_span")
-    if len(span_raw) != 2 or not all(isinstance(v, int) for v in span_raw):
-        raise SchemaError("line_span must be a [start, end] pair of ints", f"{path}.line_span")
-
-    deps_raw = _expect(_require(obj, "dependencies", path), list, f"{path}.dependencies")
-    deps = frozenset(
-        _expect(d, str, f"{path}.dependencies[{i}]") for i, d in enumerate(deps_raw)
-    )
-
-    try:
-        return DeclarationRecord(
-            full_name=full_name,
-            kind=kind,
-            signature=_expect(_require(obj, "signature", path), str, f"{path}.signature"),
-            docstring=docstring,
-            namespace_path=namespace_path,
-            file_path=_expect(_require(obj, "file_path", path), str, f"{path}.file_path"),
-            line_span=(span_raw[0], span_raw[1]),
-            dependencies=deps,
-            is_tactic_proof=_expect(
-                _require(obj, "is_tactic_proof", path), bool, f"{path}.is_tactic_proof"
-            ),
-        )
-    except InvalidInput as exc:
-        raise SchemaError(str(exc), path) from exc
-
-
-def parse_jixia_export(raw: bytes | str | IOBase) -> CorpusIndex:
+def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
     """Load a schema-version-1 corpus export into a :class:`CorpusIndex`.
 
-    Dependencies pointing outside the export are kept on the record and
-    reported in ``index.warnings`` rather than rejected: partial exports are
-    the common case at fixture scale.
+    A malformed export is a :class:`SchemaError` at the JSON path (below
+    ``where``) of the node at fault.  Dependencies pointing outside the
+    export are kept on the record and reported in ``index.warnings`` rather
+    than rejected: partial exports are the common case at fixture scale.
     """
-    if isinstance(raw, IOBase):
-        raw = raw.read()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+    doc = parse_json(raw, where)
+    check_shape(doc, dict, where)
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}",
+                          f"{where}.schema_version")
+    doc = {"proofs": {}, "head_statements": {}, **doc}
+    check_shape(doc, _EXPORT, where)
 
-    _expect(doc, dict, "$")
-    version = _require(doc, "schema_version", "$")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {version!r}", "$.schema_version")
-
-    decls_raw = _expect(_require(doc, "declarations", "$"), list, "$.declarations")
     declarations: dict[str, DeclarationRecord] = {}
-    for i, obj in enumerate(decls_raw):
-        rec = _parse_declaration(obj, f"$.declarations[{i}]")
+    for i, obj in enumerate(doc["declarations"]):
+        if len(obj) > len(_DECLARATION):
+            unknown = sorted(obj.keys() - _DECLARATION.keys())
+            raise SchemaError(f"unknown field(s): {unknown}", f"{where}.declarations[{i}]")
+        kind = _KINDS.get(obj["kind"])
+        if kind is None:
+            raise SchemaError(f"unknown declaration kind {obj['kind']!r}",
+                              f"{where}.declarations[{i}].kind")
+        docstring = obj["docstring"]
+        try:
+            rec = DeclarationRecord(
+                obj["full_name"], kind, obj["signature"],
+                None if docstring is None else strip_docstring_markup(docstring),
+                tuple(obj["namespace_path"]), obj["file_path"], tuple(obj["line_span"]),
+                frozenset(obj["dependencies"]), obj["is_tactic_proof"],
+            )
+        except InvalidInput as exc:
+            raise SchemaError(str(exc), f"{where}.declarations[{i}]") from exc
         if rec.full_name in declarations:
             raise DuplicateDeclaration(rec.full_name)
         declarations[rec.full_name] = rec
 
-    proofs_raw = _expect(doc.get("proofs", {}), dict, "$.proofs")
     proofs: dict[str, tuple[ProofStep, ...]] = {}
-    for name, steps_raw in proofs_raw.items():
-        path = f"$.proofs[{name!r}]"
-        if name not in declarations:
-            raise SchemaError("proof for undeclared name", path)
-        if declarations[name].kind not in PROVABLE_KINDS:
-            raise SchemaError(
-                f"proof attached to kind '{declarations[name].kind.value}'", path
-            )
-        _expect(steps_raw, list, path)
-        steps = []
-        for j, step_obj in enumerate(steps_raw):
-            spath = f"{path}[{j}]"
-            _expect(step_obj, dict, spath)
+    for name, steps in doc["proofs"].items():
+        decl = declarations.get(name)
+        if decl is None or decl.kind not in PROVABLE_KINDS:
+            raise SchemaError("proof for undeclared name" if decl is None
+                              else f"proof attached to kind '{decl.kind.value}'",
+                              f"{where}.proofs[{name!r}]")
+        built = []
+        for j, step in enumerate(steps):
             try:
-                step = ProofStep(
-                    tactic_text=_expect(
-                        _require(step_obj, "tactic_text", spath), str, f"{spath}.tactic_text"
-                    ),
-                    state_before=_parse_state(
-                        _require(step_obj, "state_before", spath), f"{spath}.state_before"
-                    ),
-                    state_after=_parse_state(
-                        _require(step_obj, "state_after", spath), f"{spath}.state_after"
-                    ),
-                    step_index=j,
-                )
+                built.append(ProofStep(step["tactic_text"], _state(step["state_before"]),
+                                       _state(step["state_after"]), j))
             except InvalidInput as exc:
-                raise SchemaError(str(exc), spath) from exc
-            steps.append(step)
-        proofs[name] = tuple(steps)
-
-    heads_raw = _expect(doc.get("head_statements", {}), dict, "$.head_statements")
-    head_statements = {
-        _expect(k, str, "$.head_statements"): _expect(v, str, f"$.head_statements[{k!r}]")
-        for k, v in heads_raw.items()
-    }
+                raise _step_error(step, f"{where}.proofs[{name!r}][{j}]", exc) from exc
+        proofs[name] = tuple(built)
 
     warnings = []
     for name in sorted(declarations):
@@ -213,12 +121,21 @@ def parse_jixia_export(raw: bytes | str | IOBase) -> CorpusIndex:
             if dep not in declarations:
                 warnings.append(f"unresolved dependency '{dep}' of '{name}'")
 
-    return CorpusIndex(
-        declarations=declarations,
-        proofs=proofs,
-        head_statements=head_statements,
-        warnings=tuple(warnings),
-    )
+    return CorpusIndex(declarations, proofs, doc["head_statements"], tuple(warnings))
+
+
+def _state(obj: dict) -> ProofState:
+    return ProofState(tuple(map(tuple, obj["hypotheses"])), tuple(obj["goals"]))
+
+
+def _step_error(step: dict, where: str, exc: InvalidInput) -> SchemaError:
+    """``exc``, raised building the step ``step`` at ``where``, at the node it
+    comes from: a state that repeats a hypothesis name, or else the tactic."""
+    for side in ("state_before", "state_after"):
+        hypotheses = step[side]["hypotheses"]
+        if len({name for name, _ in hypotheses}) < len(hypotheses):
+            return SchemaError(str(exc), f"{where}.{side}.hypotheses")
+    return SchemaError(str(exc), f"{where}.tactic_text")
 
 
 def serialize_index(index: CorpusIndex) -> str:

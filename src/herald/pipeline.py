@@ -105,7 +105,8 @@ def level_files(directory: Path) -> list[Path]:
 
 
 def load_index(path: Path) -> CorpusIndex:
-    return ingest.parse_jixia_export(Path(path).read_bytes())
+    """The corpus export or ``index.json`` at ``path``; an error names the file."""
+    return ingest.parse_jixia_export(Path(path).read_bytes(), f"{path}: $")
 
 
 # --- ingest ----------------------------------------------------------------
@@ -113,13 +114,13 @@ def load_index(path: Path) -> CorpusIndex:
 
 def run_ingest(config: PipelineConfig, out_dir: Path) -> CorpusIndex:
     config.check()
-    out_dir.mkdir(parents=True, exist_ok=True)
     if config.corpus_export is not None:
         index = load_index(config.corpus_export)
     elif config.source_dir is not None:
         index = ingest_source_tree(config.source_dir)
     else:
         raise InvalidInput("ingest needs either a corpus export or a source directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "index.json").write_text(ingest.serialize_index(index), encoding="utf-8")
     for warning in index.warnings:
         logger.warning("%s", warning)

@@ -8,12 +8,12 @@ not code.  Assembly is pure: equal contexts produce byte-identical prompts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable
 
+from .datastore import check_shape, parse_json
 from .errors import InvalidInput, LengthMismatch, MissingField, NoTemplate, SchemaError
 from .records import DeclarationRecord, DeclKind, NeighborSet, ProofStep
 from .retrieval import ScoredExample
@@ -125,44 +125,42 @@ class TemplateRegistry:
         raise NoTemplate(f"no template for '{kind}' and registry has no default")
 
     @classmethod
-    def from_json(cls, text: str) -> "TemplateRegistry":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"registry is not valid JSON: {exc}") from exc
-        if doc.get("schema_version") != REGISTRY_SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported registry schema_version {doc.get('schema_version')!r}",
-                "$.schema_version",
-            )
+    def from_json(cls, raw: str | bytes, where: str = "$") -> "TemplateRegistry":
+        """A registry from its JSON text; a malformed one is a
+        :class:`SchemaError` at the JSON path (below ``where``) of its first
+        misfit.  An optional field left out takes its default."""
+        doc = parse_json(raw, where)
+        check_shape(doc, dict, where)
+        if (version := doc.get("schema_version")) != REGISTRY_SCHEMA_VERSION:
+            raise SchemaError(f"unsupported registry schema_version {version!r}",
+                              f"{where}.schema_version")
+        doc = {"templates": [], "default": None, **doc}
+        check_shape(doc, {"templates": [dict], "default": (str, type(None))}, where)
         templates = []
-        for i, tobj in enumerate(doc.get("templates", [])):
+        for i, tobj in enumerate(doc["templates"]):
+            at = f"{where}.templates[{i}]"
+            tobj = {"principles": [], **tobj}
+            check_shape(tobj, _TEMPLATE, at)
+            segments = [{"text": "", "name": "", "label": "", "required": False, **seg}
+                        for seg in tobj["segments"]]
+            check_shape(segments, [_SEGMENT], f"{at}.segments")
             try:
-                segments = tuple(
-                    Segment(
-                        kind=seg["kind"],
-                        text=seg.get("text", ""),
-                        name=seg.get("name", ""),
-                        label=seg.get("label", ""),
-                        required=seg.get("required", False),
-                    )
-                    for seg in tobj["segments"]
-                )
-                templates.append(
-                    PromptTemplate(
-                        id=tobj["id"],
-                        applies_to=frozenset(tobj["applies_to"]),
-                        segments=segments,
-                        principles=tuple(tobj.get("principles", [])),
-                    )
-                )
-            except (KeyError, TypeError, InvalidInput) as exc:
-                raise SchemaError(str(exc), f"$.templates[{i}]") from exc
-        return cls(templates, doc.get("default"))
+                templates.append(PromptTemplate(
+                    tobj["id"], frozenset(tobj["applies_to"]),
+                    tuple(Segment(*(seg[key] for key in _SEGMENT)) for seg in segments),
+                    tuple(tobj["principles"])))
+            except InvalidInput as exc:
+                raise SchemaError(str(exc), at) from exc
+        return cls(templates, doc["default"])
 
     @classmethod
     def from_path(cls, path: str | Path) -> "TemplateRegistry":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(Path(path).read_bytes(), f"{path}: $")
+
+
+# Segment's fields in order.
+_SEGMENT = {"kind": str, "text": str, "name": str, "label": str, "required": bool}
+_TEMPLATE = {"id": str, "applies_to": [str], "segments": [dict], "principles": [str]}
 
 
 def default_registry() -> TemplateRegistry:
@@ -172,17 +170,13 @@ def default_registry() -> TemplateRegistry:
 
 
 def load_tactic_notes(path: str | Path | None = None) -> dict[str, str]:
-    """Tactic-name -> explanation map; bundled seed file when no path given."""
-    if path is None:
-        source = resources.files("herald").joinpath("data/tactic_notes.json")
-    else:
-        source = Path(path)
-    try:
-        notes = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"tactic notes are not valid JSON: {exc}", str(source)) from exc
-    if not isinstance(notes, dict):
-        raise SchemaError("tactic notes must be a JSON object", str(source))
+    """Tactic-name -> explanation map; bundled seed file when no path given.
+    A file that is not a JSON object of strings is a :class:`SchemaError`
+    naming it."""
+    source = (resources.files("herald").joinpath("data/tactic_notes.json") if path is None
+              else Path(path))
+    notes = parse_json(source.read_bytes(), str(source))
+    check_shape(notes, {str: str}, f"{source}: $")
     return notes
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .datastore import read_jsonl
+from .datastore import check_shape, parse_json, read_jsonl
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -374,13 +374,10 @@ def load_store(directory: str | Path) -> ExampleStore:
     directory = Path(directory)
     meta_path = directory / "meta.json"
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = parse_json(meta_path.read_bytes(), str(meta_path))
     except FileNotFoundError:
         raise SchemaError("store meta.json not found", str(directory)) from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"store meta is not valid JSON: {exc}", str(meta_path)) from exc
-    if not isinstance(meta, dict):
-        raise SchemaError("store meta must be a JSON object", str(meta_path))
+    check_shape(meta, dict, f"{meta_path}: $")
     if meta.get("schema_version") != STORE_SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported store schema_version {meta.get('schema_version')!r}", str(meta_path)

@@ -231,6 +231,26 @@ def script_benchmark_backend(backend, items, translator, header: str) -> None:
             backend.script(compose_source(f"plausible_but_wrong_claim_{i}", header), True)
 
 
+# --- a valid export to break ------------------------------------------------
+
+
+def one_proof_export() -> dict:
+    """A valid export: theorem ``A`` with a one-step proof over two
+    hypotheses, definition ``B`` on ``A``, and one head statement."""
+    def decl(name, kind, deps):
+        return {"full_name": name, "kind": kind, "signature": f"{name} : True",
+                "docstring": None, "namespace_path": [], "file_path": "T.lean",
+                "line_span": [1, 2], "dependencies": deps, "is_tactic_proof": kind == "theorem"}
+
+    hypotheses = [["p", "Prop"], ["q", "Prop"]]
+    step = {"tactic_text": "intro h",
+            "state_before": {"hypotheses": hypotheses, "goals": ["p → p"]},
+            "state_after": {"hypotheses": [*hypotheses, ["h", "p"]], "goals": ["p"]}}
+    return {"schema_version": "1",
+            "declarations": [decl("A", "theorem", []), decl("B", "definition", ["A"])],
+            "proofs": {"A": [step]}, "head_statements": {"T.lean": "import Mathlib"}}
+
+
 # --- end-to-end pipeline driver ----------------------------------------------
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from conftest import (
     make_corpus,
+    one_proof_export,
     run_full_pipeline,
     tree_digest,
     write_shared_fixtures,
@@ -827,6 +828,18 @@ CONFIG_MISTAKES = [
                  "$.knobs.backend.command", id="command"),
     pytest.param("informalize", {"roles": {"informalizer": {"provider": "htp"}}},
                  "$.roles.informalizer.provider", id="provider"),
+    # Ranges that a provider call, a gateway or a mixture would check late.
+    pytest.param("validate", {"roles": {"translator": {"temperature": -3}}},
+                 "$.roles.translator.temperature must be >= 0, got -3", id="temperature"),
+    pytest.param("validate", {"roles": {"translator": {"max_output_tokens": 0}}},
+                 "$.roles.translator.max_output_tokens must be >= 1, got 0",
+                 id="max_output_tokens"),
+    pytest.param("informalize", {"knobs": {"request_budget": -1}},
+                 "$.knobs.request_budget must be >= 0, got -1", id="request_budget"),
+    pytest.param("augment", {"knobs": {"max_in_flight": 0}},
+                 "$.knobs.max_in_flight must be >= 1, got 0", id="max_in_flight"),
+    pytest.param("mix", {"knobs": {"dirmix": "1:2"}},
+                 "$.knobs.dirmix needs 3 positive components, got '1:2'", id="dirmix"),
 ]
 
 
@@ -849,7 +862,9 @@ def test_a_config_mistake_exits_2_before_any_write_and_the_fixed_config_runs(
     ("informalize", ["--budget", "-1"], "request_budget must be >= 0, got -1"),
     ("augment", ["--dedup-seed", "x"], "argument --dedup-seed: invalid int value: 'x'"),
     ("ingest", ["--seed", "x"], "argument --seed: invalid int value: 'x'"),
-], ids=["budget", "dedup_seed", "seed"])
+    ("mix", ["--dirmix", "1:2"], "--dirmix needs 3 positive components, got '1:2'"),
+    ("mix", ["--ratio", "1:x:1"], "--ratio must look like 1:2:1, got '1:x:1'"),
+], ids=["budget", "dedup_seed", "seed", "dirmix", "ratio"])
 def test_a_bad_flag_value_exits_2_before_any_stage_writes(tmp_path, export_file, capsys,
                                                           stage, flags, names):
     out = tmp_path / "out"
@@ -858,3 +873,131 @@ def test_a_bad_flag_value_exits_2_before_any_stage_writes(tmp_path, export_file,
     argv = [*flags, *argv] if flags[0] == "--seed" else [*argv, *flags]
     code = exit_code("--out", str(out), *argv)
     assert_refused_before_any_write(code, capsys.readouterr().err, out, names)
+
+
+# --- malformed documents ----------------------------------------------------------
+
+
+def edit_at(path, value):
+    """An edit of an export that sets the value at ``path``; ``...`` deletes it."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value is ...:
+            del doc[last]
+        else:
+            doc[last] = value
+    return edit
+
+
+STEP = ("proofs", "A", 0)
+# A value of another JSON type for each declaration field.
+WRONG_TYPE = {"full_name": 5, "kind": 5, "signature": None, "docstring": 5,
+              "namespace_path": "Mathlib", "file_path": ["T.lean"], "line_span": [1, True],
+              "dependencies": [5], "is_tactic_proof": 1}
+EXPORT_FAULTS = [
+    *(pytest.param(edit_at(("declarations", 0, field), ...), f"$.declarations[0].{field}",
+                   id=f"missing-{field}")
+      for field in WRONG_TYPE),
+    *(pytest.param(edit_at(("declarations", 0, field), value), f"$.declarations[0].{field}",
+                   id=f"type-{field}")
+      for field, value in WRONG_TYPE.items()),
+    pytest.param(edit_at((*STEP, "tactic_text"), ...), "$.proofs['A'][0].tactic_text",
+                 id="missing-tactic_text"),
+    pytest.param(edit_at((*STEP, "tactic_text"), ["intro"]), "$.proofs['A'][0].tactic_text",
+                 id="type-tactic_text"),
+    pytest.param(edit_at((*STEP, "state_before", "hypotheses"), ...),
+                 "$.proofs['A'][0].state_before.hypotheses", id="missing-hypotheses"),
+    pytest.param(edit_at((*STEP, "state_before", "hypotheses"), {"p": "Prop"}),
+                 "$.proofs['A'][0].state_before.hypotheses", id="type-hypotheses"),
+    pytest.param(edit_at((*STEP, "state_after", "goals"), ...),
+                 "$.proofs['A'][0].state_after.goals", id="missing-goals"),
+    pytest.param(edit_at((*STEP, "state_after", "goals"), [["p"]]),
+                 "$.proofs['A'][0].state_after.goals", id="type-goals"),
+    pytest.param(edit_at(("head_statements", "T.lean"), 5), "$.head_statements['T.lean']",
+                 id="type-head_statement"),
+    pytest.param(edit_at(("declarations", 0, "surprise"), 1), "$.declarations[0]",
+                 id="unknown-field"),
+    pytest.param(edit_at(("declarations", 0, "kind"), "axiom"), "$.declarations[0].kind",
+                 id="bad-kind"),
+    pytest.param(edit_at(("declarations", 0, "line_span"), [1, 2, 3]),
+                 "$.declarations[0].line_span", id="three-item-line_span"),
+    pytest.param(edit_at((*STEP, "state_before", "hypotheses", 1), ["q", "Prop", "extra"]),
+                 "$.proofs['A'][0].state_before.hypotheses[1]", id="hypothesis-not-a-pair"),
+    pytest.param(edit_at((*STEP, "state_after", "hypotheses", 2), ["p", "Prop"]),
+                 "$.proofs['A'][0].state_after.hypotheses", id="repeated-hypothesis"),
+    pytest.param(edit_at((*STEP, "tactic_text"), ""), "$.proofs['A'][0].tactic_text",
+                 id="empty-tactic_text"),
+    pytest.param(edit_at(("proofs", "C"), []), "$.proofs['C']", id="proof-on-undeclared"),
+    pytest.param(edit_at(("proofs", "B"), []), "$.proofs['B']", id="proof-on-definition"),
+]
+
+
+@pytest.mark.parametrize("edit, where", EXPORT_FAULTS)
+def test_an_export_fault_exits_2_naming_its_json_path(tmp_path, capsys, edit, where):
+    doc = one_proof_export()
+    export = tmp_path / "export.json"
+    export.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("--out", str(tmp_path / "ok"), "ingest", "--export", str(export)) == 0
+    edit(doc)
+    export.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run("--out", str(out), "ingest", "--export", str(export))
+    assert_refused_before_any_write(code, capsys.readouterr().err, out,
+                                    f"error: {export}: {where}: ")
+
+
+def informalize_with(tmp_path: Path, export_file: Path, **paths: Path) -> int:
+    """Exit code of ``informalize`` on ``export_file`` with ``paths`` in the config."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {k: str(v) for k, v in paths.items()}}),
+                      encoding="utf-8")
+    return run("--config", str(config), "--out", str(tmp_path / "out"), "informalize",
+               "--index", str(export_file))
+
+
+SEGMENT = {"kind": "placeholder", "name": "subject_signature", "required": True}
+
+
+@pytest.mark.parametrize("key, doc, where", [
+    ("template_registry", [], "$"),
+    ("template_registry",
+     {"schema_version": "1", "templates": [{"id": "t", "applies_to": ["proof"],
+                                            "segments": [SEGMENT, {"kind": "literal",
+                                                                   "text": 5}]}]},
+     "$.templates[0].segments[1].text"),
+    ("template_registry",
+     {"schema_version": "1", "templates": [{"id": "t", "applies_to": ["proof"],
+                                            "segments": [5]}]},
+     "$.templates[0].segments"),
+    ("tactic_notes", {"intro": "Introduces a hypothesis.", "simp": 5}, "$['simp']"),
+], ids=["registry_list", "literal_text", "segment_not_object", "notes_value"])
+def test_a_malformed_registry_or_notes_exits_2_naming_the_file_before_the_claim(
+    tmp_path, export_file, capsys, key, doc, where
+):
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = informalize_with(tmp_path, export_file, **{key: path})
+    assert_refused_before_any_write(code, capsys.readouterr().err, tmp_path / "out",
+                                    f"error: {path}: {where}: ")
+
+
+@pytest.mark.parametrize("command", ["ingest", "config", "validate", "stats",
+                                     "template_registry", "tactic_notes"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, export_file, capsys, command):
+    bad = tmp_path / "latin1.json"
+    line = json.dumps({"id": "b0", "informal_text": "Satz über Gruppen."}, ensure_ascii=False)
+    bad.write_bytes(line.encode("latin-1") + b"\n")
+    out = tmp_path / "out"
+    if command in ("template_registry", "tactic_notes"):
+        code = informalize_with(tmp_path, export_file, **{command: bad})
+    else:
+        code = run(*{"ingest": ["--out", str(out), "ingest", "--export", str(bad)],
+                     "config": ["--config", str(bad), "--out", str(out), "stats",
+                                "--data", str(export_file)],
+                     "validate": ["--out", str(out), "validate", "--bench", str(bad)],
+                     "stats": ["--out", str(out), "stats", "--data", str(bad)]}[command])
+    line_no = ": line 1" if command in ("validate", "stats") else ""
+    assert_refused_before_any_write(code, capsys.readouterr().err, out,
+                                    f"error: {bad}{line_no}: ")

@@ -339,6 +339,11 @@ class TestCheck:
         ("max_in_flight", 0, "max_in_flight must be >= 1"),
         ("roles", {"augmenter": RoleConfig(provider="http")},
          "$.roles.augmenter.base_url must be set for an http provider"),
+        ("roles", {"translator": RoleConfig(temperature=-3)},
+         "$.roles.translator.temperature must be >= 0, got -3"),
+        ("roles", {"translator": RoleConfig(max_output_tokens=0)},
+         "$.roles.translator.max_output_tokens must be >= 1, got 0"),
+        ("backoff_base_ms", -1, "$.knobs.backoff_base_ms must be >= 0, got -1"),
         ("backend", BackendConfig(kind="repl"),
          "$.knobs.backend.command must be set for a repl backend"),
     ])
