@@ -7,7 +7,7 @@ rule for resumable files (:func:`drop_torn_tail`), the one atomic replace
 pairs are written with fields in fixed order.  Every JSON document herald
 reads (the corpus export, the config, the template registry, the tactic
 notes) is decoded by :func:`parse_json` and type-checked by
-:func:`check_shape`.
+:func:`check_shape`, as is each record row by its reader.
 Mixtures realize the configured provenance ratio (default 1:2:1 over
 original, tactic-augmented, informal-augmented pairs) and direction ratio
 (default 2:2:1 over NL->FL, FL->NL, general instruction data) with
@@ -45,7 +45,7 @@ class Provenance(str, Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NLFLPair:
     """One aligned record; ``direction`` is None only for general
     instruction data, which has no formal side."""
@@ -86,16 +86,26 @@ def pair_to_dict(pair: NLFLPair) -> dict:
     }
 
 
+_PAIR = {"id": str, "formal_text": str, "informal_text": str, "direction": (str, type(None)),
+         "provenance": str, "source_name": (str, type(None)), "level": (int, type(None)),
+         "record_type": str}
+# The value a pair row's left-out field takes.
+_PAIR_DEFAULTS = {"formal_text": "", "direction": None, "source_name": None, "level": None,
+                  "record_type": "statement"}
+
+
 def pair_from_dict(obj: dict) -> NLFLPair:
+    obj = {**_PAIR_DEFAULTS, **obj}
+    check_shape(obj, _PAIR)
     return NLFLPair(
         id=obj["id"],
-        formal_text=obj.get("formal_text", ""),
+        formal_text=obj["formal_text"],
         informal_text=obj["informal_text"],
-        direction=Direction(obj["direction"]) if obj.get("direction") else None,
+        direction=Direction(obj["direction"]) if obj["direction"] else None,
         provenance=Provenance(obj["provenance"]),
-        source_name=obj.get("source_name"),
-        level=obj.get("level"),
-        record_type=obj.get("record_type", "statement"),
+        source_name=obj["source_name"],
+        level=obj["level"],
+        record_type=obj["record_type"],
     )
 
 
@@ -148,13 +158,18 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> Itera
     key, a wrong type or a rejected value, is a :class:`SchemaError` ``bad
     {what}`` located at ``{path}: line {n}``.
     """
+    return _read_lines(path, lambda line: parse(json.loads(line)), what)
+
+
+def _read_lines(path: str | Path, parse: Callable[[str], T], what: str) -> Iterator[T]:
+    """:func:`read_jsonl` with ``parse`` given each line's text, newline included."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = parse(json.loads(line.decode("utf-8")))
-            except (KeyError, TypeError, ValueError, InvalidInput) as exc:
+                record = parse(line.decode("utf-8"))
+            except (KeyError, TypeError, ValueError, InvalidInput, SchemaError) as exc:
                 raise SchemaError(f"bad {what}: {exc}", f"{path}: line {lineno}") from exc
             yield record
 
@@ -240,51 +255,60 @@ class KeyedLog(Generic[T]):
     cache of something paid for (``cache/completions.jsonl``,
     ``cache/checks.jsonl``).
 
-    Read once, on construction, into a dict, so a hit never touches the disk;
-    a torn final line is dropped as for every resumable record file, and a
-    malformed line is a :class:`SchemaError` naming it.  ``parse`` turns an
-    entry's object into its value and ``fields`` a value back into the
-    entry's other keys.  Each new entry is appended as one flushed line, the
+    Read once, on construction, into a dict of each entry's line, so a hit
+    never touches the disk; every entry is parsed then, so a malformed line
+    is a :class:`SchemaError` naming it before anything is paid for, and a
+    torn final line is dropped as for every resumable record file.  ``parse``
+    turns an entry's object into its value, on each hit of :meth:`get`, and
+    ``fields`` a value back into the entry's other keys, once, at
+    :meth:`add`.  Each new entry is appended as one flushed line, the
     directory and the append handle made on the first.  :meth:`close`
-    rewrites the file in key order with :func:`replace_atomic`, so a finished
-    run leaves one sorted file whatever order the entries were added in.  One
-    writing process per output directory is assumed, and one thread in it
-    adds; other threads may only :meth:`get`, a single dict lookup.
+    rewrites the file with the lines in key order with
+    :func:`replace_atomic`, so a finished run leaves one sorted file whatever
+    order the entries were added in.  One writing process per output
+    directory is assumed, and one thread in it adds; other threads may only
+    :meth:`get`, a dict lookup and the parse of one line.
     """
 
     def __init__(
         self, path: Path, parse: Callable[[dict], T], fields: Callable[[T], dict], what: str
     ):
         self._path = path
+        self._parse = parse
         self._fields = fields
-        self._entries: dict[str, T] = {}
+        self._lines: dict[str, str] = {}
         self._handle: TextIO | None = None
         if path.exists():
             drop_torn_tail(path)
-            self._entries = dict(read_jsonl(path, lambda obj: (obj["key"], parse(obj)), what))
+            self._lines = dict(_read_lines(path, self._entry, what))
+
+    def _entry(self, line: str) -> tuple[str, str]:
+        """The key of the entry on ``line``, and the line; parsing checks it."""
+        obj = json.loads(line)
+        self._parse(obj)
+        return obj["key"], line
 
     def get(self, key: str) -> T | None:
-        return self._entries.get(key)
+        line = self._lines.get(key)
+        return None if line is None else self._parse(json.loads(line))
 
     def add(self, key: str, value: T) -> None:
-        self._entries[key] = value
+        line = json.dumps({"key": key, **self._fields(value)}, ensure_ascii=False,
+                          sort_keys=True) + "\n"
+        self._lines[key] = line
         if self._handle is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self._path, "a", encoding="utf-8")
-        self._handle.write(self._line(key, value))
+        self._handle.write(line)
         self._handle.flush()
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        if self._entries:
-            entries = self._entries
-            replace_atomic(self._path, (self._line(key, entries[key]) for key in sorted(entries)))
-
-    def _line(self, key: str, value: T) -> str:
-        return json.dumps({"key": key, **self._fields(value)}, ensure_ascii=False,
-                          sort_keys=True) + "\n"
+        if self._lines:
+            lines = self._lines
+            replace_atomic(self._path, (lines[key] for key in sorted(lines)))
 
 
 def read_pairs(path: str | Path) -> list[NLFLPair]:

@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import ClassVar, Mapping, Protocol
 
-from .datastore import KeyedLog
+from .datastore import KeyedLog, check_shape
 from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
 
 # Section markers used by prompt builders; the mocks parse them back out.
@@ -58,7 +58,7 @@ class FinishReason(str, Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Completion:
     text: str
     finish_reason: FinishReason = FinishReason.STOP
@@ -69,7 +69,7 @@ class Completion:
             raise InvalidInput("error completions must carry empty text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRequest:
     """One sample of ``prompt_text``: the one numbered ``sample_index``."""
 
@@ -126,7 +126,11 @@ class Role:
     max_output_tokens: int = 2048
 
 
+_COMPLETION = {"key": str, "text": str, "finish_reason": str, "provider_meta": dict}
+
+
 def _completion(obj: dict) -> Completion:
+    check_shape(obj, _COMPLETION)
     return Completion(
         text=obj["text"],
         finish_reason=FinishReason(obj["finish_reason"]),

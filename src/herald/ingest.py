@@ -46,6 +46,8 @@ _DECLARATION = {"full_name": str, "kind": str, "signature": str, "docstring": (s
                 "dependencies": [str], "is_tactic_proof": bool}
 _EXPORT = {"declarations": [_DECLARATION], "proofs": {str: [_STEP]}, "head_statements": {str: str}}
 _KINDS = {kind.value: kind for kind in DeclKind}
+# ``json.dumps(..., ensure_ascii=False)`` builds an encoder per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def strip_docstring_markup(text: str) -> str:
@@ -67,6 +69,10 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
     ``where``) of the node at fault.  Dependencies pointing outside the
     export are kept on the record and reported in ``index.warnings`` rather
     than rejected: partial exports are the common case at fixture scale.
+    Each decoded declaration and proof is dropped as soon as its records are
+    built, so the records and the decoded document are never both held
+    whole, and a value the export repeats (a file path, a namespace, a name
+    that dependencies cite, a proof state) is held once.
     """
     doc = parse_json(raw, where)
     check_shape(doc, dict, where)
@@ -76,8 +82,15 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
     doc = {"proofs": {}, "head_statements": {}, **doc}
     check_shape(doc, _EXPORT, where)
 
+    objs, steps_by_name = doc.pop("declarations"), doc.pop("proofs")
+    shared: dict = {}
+
+    def once(value):
+        return shared.setdefault(value, value)
+
     declarations: dict[str, DeclarationRecord] = {}
-    for i, obj in enumerate(doc["declarations"]):
+    for i in range(len(objs)):
+        obj, objs[i] = objs[i], None
         if len(obj) > len(_DECLARATION):
             unknown = sorted(obj.keys() - _DECLARATION.keys())
             raise SchemaError(f"unknown field(s): {unknown}", f"{where}.declarations[{i}]")
@@ -88,10 +101,11 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
         docstring = obj["docstring"]
         try:
             rec = DeclarationRecord(
-                obj["full_name"], kind, obj["signature"],
+                once(obj["full_name"]), kind, obj["signature"],
                 None if docstring is None else strip_docstring_markup(docstring),
-                tuple(obj["namespace_path"]), obj["file_path"], tuple(obj["line_span"]),
-                frozenset(obj["dependencies"]), obj["is_tactic_proof"],
+                once(tuple(obj["namespace_path"])), once(obj["file_path"]),
+                tuple(obj["line_span"]), frozenset(map(once, obj["dependencies"])),
+                obj["is_tactic_proof"],
             )
         except InvalidInput as exc:
             raise SchemaError(str(exc), f"{where}.declarations[{i}]") from exc
@@ -100,7 +114,8 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
         declarations[rec.full_name] = rec
 
     proofs: dict[str, tuple[ProofStep, ...]] = {}
-    for name, steps in doc["proofs"].items():
+    for name in list(steps_by_name):
+        steps = steps_by_name.pop(name)
         decl = declarations.get(name)
         if decl is None or decl.kind not in PROVABLE_KINDS:
             raise SchemaError("proof for undeclared name" if decl is None
@@ -109,8 +124,8 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
         built = []
         for j, step in enumerate(steps):
             try:
-                built.append(ProofStep(step["tactic_text"], _state(step["state_before"]),
-                                       _state(step["state_after"]), j))
+                built.append(ProofStep(step["tactic_text"], once(_state(step["state_before"])),
+                                       once(_state(step["state_after"])), j))
             except InvalidInput as exc:
                 raise _step_error(step, f"{where}.proofs[{name!r}][{j}]", exc) from exc
         proofs[name] = tuple(built)
@@ -142,27 +157,29 @@ def serialize_index(index: CorpusIndex) -> str:
     """Render an index back to the export format with canonical ordering.
 
     ``parse_jixia_export(serialize_index(x))`` reproduces an equal index.
-    The JSON is compact, so ``json`` writes it with its C encoder.
+    Each declaration and each proof is encoded on its own, by ``json``'s C
+    encoder, and the pieces are joined once, so no document tree is built
+    beside the index; the text is the one ``json.dumps`` gives the whole
+    document.
     """
-    decls = []
-    for name in sorted(index.declarations):
+    encode = _ENCODER.encode
+    parts = [f'{{"schema_version": {encode(SCHEMA_VERSION)}, "declarations": [']
+    for i, name in enumerate(sorted(index.declarations)):
         rec = index.declarations[name]
-        decls.append(
-            {
-                "full_name": rec.full_name,
-                "kind": rec.kind.value,
-                "signature": rec.signature,
-                "docstring": rec.docstring,
-                "namespace_path": list(rec.namespace_path),
-                "file_path": rec.file_path,
-                "line_span": list(rec.line_span),
-                "dependencies": sorted(rec.dependencies),
-                "is_tactic_proof": rec.is_tactic_proof,
-            }
-        )
-    proofs = {}
-    for name in sorted(index.proofs):
-        proofs[name] = [
+        parts += (", " if i else "", encode({
+            "full_name": rec.full_name,
+            "kind": rec.kind.value,
+            "signature": rec.signature,
+            "docstring": rec.docstring,
+            "namespace_path": list(rec.namespace_path),
+            "file_path": rec.file_path,
+            "line_span": list(rec.line_span),
+            "dependencies": sorted(rec.dependencies),
+            "is_tactic_proof": rec.is_tactic_proof,
+        }))
+    parts.append('], "proofs": {')
+    for i, name in enumerate(sorted(index.proofs)):
+        parts += (", " if i else "", encode(name), ": ", encode([
             {
                 "tactic_text": step.tactic_text,
                 "state_before": {
@@ -175,14 +192,10 @@ def serialize_index(index: CorpusIndex) -> str:
                 },
             }
             for step in index.proofs[name]
-        ]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "declarations": decls,
-        "proofs": proofs,
-        "head_statements": {k: index.head_statements[k] for k in sorted(index.head_statements)},
-    }
-    return json.dumps(doc, ensure_ascii=False) + "\n"
+        ]))
+    heads = {k: index.head_statements[k] for k in sorted(index.head_statements)}
+    parts.append(f'}}, "head_statements": {encode(heads)}}}\n')
+    return "".join(parts)
 
 
 # --- raw-source scanner -------------------------------------------------

@@ -13,7 +13,7 @@ import json
 import logging
 import queue
 from concurrent import futures
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Container, Hashable, Sequence, TextIO
 
@@ -55,7 +55,7 @@ def _claim(out_dir: Path, config: PipelineConfig, write: bool = True) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     digest_file = out_dir / "config_digest.txt"
     if digest_file.exists():
-        previous = digest_file.read_text(encoding="utf-8").strip()
+        previous = _read_text(digest_file).strip()
         if previous != config.config_digest:
             raise InvalidInput(
                 f"{out_dir} was produced with config digest {previous[:12]}, "
@@ -63,6 +63,14 @@ def _claim(out_dir: Path, config: PipelineConfig, write: bool = True) -> None:
             )
     elif write:
         ds.replace_atomic(digest_file, [config.config_digest + "\n"])
+
+
+def _read_text(path: Path) -> str:
+    """The text of ``path``; bytes that are not UTF-8 are a :class:`SchemaError` naming it."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8: {exc}", str(path)) from None
 
 
 def _close_stage(
@@ -144,7 +152,7 @@ def ingest_source_tree(source_dir: Path) -> CorpusIndex:
     diagnostics = []
     for path in sorted(Path(source_dir).rglob("*.lean")):
         rel = path.relative_to(source_dir).as_posix()
-        result = ingest.scan_declarations(path.read_text(encoding="utf-8"), file_path=rel)
+        result = ingest.scan_declarations(_read_text(path), file_path=rel)
         diagnostics.extend(f"{rel}: {d}" for d in result.diagnostics)
         if result.head_statement:
             head_statements[rel] = result.head_statement
@@ -545,7 +553,11 @@ def run_augment(
 
             ds.replace_atomic(
                 out_dir / "synthesized.jsonl",
-                (json.dumps(asdict(stmt), ensure_ascii=False) + "\n" for stmt in valid),
+                (json.dumps({"name": stmt.name, "formal_text": stmt.formal_text,
+                             "origin": stmt.origin, "origin_step": stmt.origin_step,
+                             "goal_index": stmt.goal_index,
+                             "context_preamble": stmt.context_preamble},
+                            ensure_ascii=False) + "\n" for stmt in valid),
             )
             counts.update(
                 synthesized=len(synthesized),
@@ -632,6 +644,7 @@ def run_augment(
 
 
 def _general_pair(obj: dict) -> ds.NLFLPair:
+    ds.check_shape(obj, {"id": str, "text": str})
     return ds.NLFLPair(
         id=obj["id"],
         formal_text="",

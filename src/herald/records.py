@@ -33,7 +33,7 @@ class DeclKind(str, Enum):
 PROVABLE_KINDS = frozenset({DeclKind.THEOREM, DeclKind.INSTANCE})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofState:
     """Hypotheses and goals at one point in a tactic proof.
 
@@ -50,7 +50,7 @@ class ProofState:
             raise InvalidInput(f"duplicate hypothesis name in state: {names}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     """One tactic invocation with the states around it."""
 
@@ -66,7 +66,7 @@ class ProofStep:
             raise InvalidInput("empty tactic_text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeclarationRecord:
     """One Lean declaration as extracted from corpus metadata."""
 

@@ -131,32 +131,60 @@ def cosine(u: EmbeddingVector, v: EmbeddingVector) -> float:
 class ExampleStore:
     """Immutable collection of annotated examples; concurrent queries are safe.
 
-    Construction checks every row once, in store order: a repeated id raises
-    :class:`DuplicateId`, a row whose dimension differs from the first row's
-    :class:`DimensionMismatch` and a zero row :class:`ZeroVector`, so a query
-    need check only its own vector.  Where every norm lies inside the
-    screened range, construction also packs the screen's columns.
+    ``examples`` is consumed once, so a lazy iterator (as :func:`load_store`
+    passes) is never held whole.  The store keeps each example's id and
+    texts, its norm, and its embedding components in one ``array("d")``,
+    row after row, 8 bytes a component; :attr:`examples` and the results of
+    :func:`query_knn` build their :class:`AnnotatedExample` from these on
+    demand.  Construction checks every row once, in store order: a repeated
+    id raises :class:`DuplicateId`, a row whose dimension differs from the
+    first row's :class:`DimensionMismatch` and a zero row
+    :class:`ZeroVector`, so a query need check only its own vector.  Where
+    every norm lies inside the screened range, construction also packs the
+    screen's columns.
     """
 
-    def __init__(self, examples: list[AnnotatedExample]):
-        self._examples = list(examples)
-        self._values = [ex.embedding.values for ex in self._examples]
-        self._norms = [ex.embedding.norm() for ex in self._examples]
-        self._dim = len(self._values[0]) if self._values else None
+    def __init__(self, examples: Iterable[AnnotatedExample]):
+        self._ids: list[str] = []
+        self._formal: list[str] = []
+        self._informal: list[str] = []
+        self._components = array("d")
+        self._norms = array("d")
+        self._dim: int | None = None
         seen: set[str] = set()
-        for ex, values, nv in zip(self._examples, self._values, self._norms):
+        for ex in examples:
+            values = ex.embedding.values
             if ex.id in seen:
                 raise DuplicateId(f"example id {ex.id!r} appears twice")
             seen.add(ex.id)
-            if len(values) != self._dim:
+            if self._dim is None:
+                self._dim = len(values)
+            elif len(values) != self._dim:
                 raise DimensionMismatch(
                     f"example {ex.id!r} has dim {len(values)}, store has {self._dim}"
                 )
+            nv = ex.embedding.norm()
             if nv == 0.0:
                 raise ZeroVector(f"example {ex.id!r} has a zero embedding")
+            self._ids.append(ex.id)
+            self._formal.append(ex.formal_text)
+            self._informal.append(ex.informal_text)
+            self._components.extend(values)
+            self._norms.append(nv)
         self._columns: list[int] | None = None
-        if self._values and all(_SCREEN_MIN < nv < _SCREEN_MAX for nv in self._norms):
+        if self._ids and all(_SCREEN_MIN < nv < _SCREEN_MAX for nv in self._norms):
             self._pack_columns()
+
+    def _row(self, i: int) -> tuple[float, ...]:
+        """Example ``i``'s embedding components."""
+        return tuple(self._components[i * self._dim:(i + 1) * self._dim])
+
+    def _example(self, i: int, values: tuple[float, ...] | None = None) -> AnnotatedExample:
+        """Example ``i``, given its :meth:`_row` as ``values`` or not.  Construction
+        checked the row, so its vector is made without checking it again."""
+        vector = object.__new__(EmbeddingVector)
+        object.__setattr__(vector, "values", self._row(i) if values is None else values)
+        return AnnotatedExample(self._ids[i], self._formal[i], self._informal[i], vector)
 
     def _pack_columns(self) -> None:
         """Column j is one int holding W_ij (see :func:`query_knn`) in a
@@ -171,15 +199,17 @@ class ExampleStore:
         shift_s, shift_t = _shifts(self._dim)
         self._query_scale = float(1 << shift_s)
         scale, offset = float(1 << shift_t), 1 << shift_t
-        rows = [(v, 1.0 / nv) for v, nv in zip(self._values, self._norms)]
-        ones = int.from_bytes(array("Q", [1]).tobytes() * len(rows), sys.byteorder)
+        inverses = [1.0 / nv for nv in self._norms]
+        ones = int.from_bytes(array("Q", [1]).tobytes() * len(inverses), sys.byteorder)
+        components, dim = self._components, self._dim
         self._columns = [
             int.from_bytes(
-                array("Q", [round(v[j] * r * scale) + offset for v, r in rows]).tobytes(),
+                array("Q", [round(v * r * scale) + offset
+                            for v, r in zip(components[j::dim], inverses)]).tobytes(),
                 sys.byteorder,
             )
             - offset * ones
-            for j in range(self._dim)
+            for j in range(dim)
         ]
         self._ones = ones
         self._bias = ones << 62
@@ -215,7 +245,7 @@ class ExampleStore:
         add-and-mask flags every field at or above it less 2E, and the
         exact k-th best and the filter are taken among those few.
         """
-        n = len(self._examples)
+        n = self.count
         fields = array("Q", screen.to_bytes(8 * n, sys.byteorder))
         floor = heapq.nlargest(k, fields[:: _stride(n, k)])[-1] - 2 * err
         # Bit 63 of a field of screen + 2^63 - floor is set iff the field
@@ -236,7 +266,7 @@ class ExampleStore:
 
     @property
     def count(self) -> int:
-        return len(self._examples)
+        return len(self._ids)
 
     @property
     def dim(self) -> int | None:
@@ -244,12 +274,13 @@ class ExampleStore:
 
     @property
     def examples(self) -> list[AnnotatedExample]:
-        return list(self._examples)
+        return [self._example(i) for i in range(self.count)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExampleStore):
             return NotImplemented
-        return self._examples == other._examples
+        return (self._ids, self._formal, self._informal, self._components) == (
+            other._ids, other._formal, other._informal, other._components)
 
 
 def index_examples(examples: list[AnnotatedExample]) -> ExampleStore:
@@ -329,13 +360,12 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
     if store.count > k and store._columns is not None and _SCREEN_MIN < nq < _SCREEN_MAX:
         candidates = store._select(*store._screen(q, nq), k)
 
-    examples, norms = store._examples, store._norms
-    keyed = (
-        (-(_dot(q, examples[i].embedding.values) / (nq * norms[i])), examples[i].id, i)
-        for i in candidates
-    )
+    ids, norms = store._ids, store._norms
+    rows = zip(candidates, map(store._row, candidates))
+    keyed = ((-(_dot(q, values) / (nq * norms[i])), ids[i], i, values) for i, values in rows)
     return [
-        ScoredExample(examples[i], -neg_score) for neg_score, _, i in heapq.nsmallest(k, keyed)
+        ScoredExample(store._example(i, values), -neg_score)
+        for neg_score, _, i, values in heapq.nsmallest(k, keyed)
     ]
 
 
@@ -350,7 +380,7 @@ def save_store(store: ExampleStore, directory: str | Path) -> None:
     }
     (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     with open(directory / "examples.jsonl", "w", encoding="utf-8") as fh:
-        for ex in store.examples:
+        for ex in map(store._example, range(store.count)):
             fh.write(
                 json.dumps(
                     {
@@ -365,9 +395,14 @@ def save_store(store: ExampleStore, directory: str | Path) -> None:
             )
 
 
+_EXAMPLE = {"id": str, "formal_text": str, "informal_text": str, "embedding": list}
+
+
 def _example_from_dict(obj: dict) -> AnnotatedExample:
+    """A store row; its components are numbers, as ``array("d")`` converts them."""
+    check_shape(obj, _EXAMPLE)
     return AnnotatedExample(obj["id"], obj["formal_text"], obj["informal_text"],
-                            EmbeddingVector(tuple(map(float, obj["embedding"]))))
+                            EmbeddingVector(tuple(array("d", obj["embedding"]))))
 
 
 def load_store(directory: str | Path) -> ExampleStore:
@@ -383,9 +418,8 @@ def load_store(directory: str | Path) -> ExampleStore:
             f"unsupported store schema_version {meta.get('schema_version')!r}", str(meta_path)
         )
     examples_path = directory / "examples.jsonl"
-    examples = list(read_jsonl(examples_path, _example_from_dict, "example record"))
     try:
-        store = ExampleStore(examples)
+        store = ExampleStore(read_jsonl(examples_path, _example_from_dict, "example record"))
     except (DuplicateId, DimensionMismatch, ZeroVector) as exc:
         raise SchemaError(f"bad example store: {exc}", str(examples_path)) from exc
     if meta.get("count") != store.count:

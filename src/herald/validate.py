@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from .datastore import KeyedLog, read_jsonl
+from .datastore import KeyedLog, check_shape, read_jsonl
 from .errors import BackendUnavailable, InvalidInput, MixedK
 from .gateway import (
     BACK_TRANSLATE_MARKER,
@@ -166,11 +166,12 @@ class ReplBackend:
             )
 
 
+_OUTCOME = {"key": str, "ok": bool, "diagnostics": list}
+
+
 def _outcome(obj: dict) -> CompileOutcome:
-    ok, diagnostics = obj["ok"], obj["diagnostics"]
-    if not isinstance(ok, bool) or not isinstance(diagnostics, list):
-        raise TypeError("ok must be a boolean and diagnostics a list")
-    return CompileOutcome(ok, tuple(str(d) for d in diagnostics))
+    check_shape(obj, _OUTCOME)
+    return CompileOutcome(obj["ok"], tuple(str(d) for d in obj["diagnostics"]))
 
 
 def _outcome_fields(outcome: CompileOutcome) -> dict:
@@ -633,7 +634,15 @@ def report_line(report: ValidationReport) -> str:
     return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True) + "\n"
 
 
+_CANDIDATE = {"candidate_text": str, "compile": str, "compile_diagnostic": (str, type(None)),
+              "back_translation": (str, type(None)), "nli": str, "final": bool,
+              "nli_parse_failure": bool}
+_REPORT = {"item_id": str, "k": int, "success": bool, "short_circuit": bool,
+           "candidates": [_CANDIDATE]}
+
+
 def report_from_dict(obj: dict) -> ValidationReport:
+    check_shape(obj, _REPORT)
     return ValidationReport(
         item_id=obj["item_id"],
         k=obj["k"],

@@ -983,10 +983,11 @@ def test_a_malformed_registry_or_notes_exits_2_naming_the_file_before_the_claim(
                                     f"error: {path}: {where}: ")
 
 
-@pytest.mark.parametrize("command", ["ingest", "config", "validate", "stats",
+@pytest.mark.parametrize("command", ["ingest", "source", "config", "validate", "stats",
                                      "template_registry", "tactic_notes"])
 def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, export_file, capsys, command):
-    bad = tmp_path / "latin1.json"
+    bad = tmp_path / ("lean/Latin1.lean" if command == "source" else "latin1.json")
+    bad.parent.mkdir(exist_ok=True)
     line = json.dumps({"id": "b0", "informal_text": "Satz über Gruppen."}, ensure_ascii=False)
     bad.write_bytes(line.encode("latin-1") + b"\n")
     out = tmp_path / "out"
@@ -994,6 +995,7 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, export_file, capsys
         code = informalize_with(tmp_path, export_file, **{command: bad})
     else:
         code = run(*{"ingest": ["--out", str(out), "ingest", "--export", str(bad)],
+                     "source": ["--out", str(out), "ingest", "--from-source", str(bad.parent)],
                      "config": ["--config", str(bad), "--out", str(out), "stats",
                                 "--data", str(export_file)],
                      "validate": ["--out", str(out), "validate", "--bench", str(bad)],
@@ -1001,3 +1003,15 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, export_file, capsys
     line_no = ": line 1" if command in ("validate", "stats") else ""
     assert_refused_before_any_write(code, capsys.readouterr().err, out,
                                     f"error: {bad}{line_no}: ")
+
+
+def test_a_config_digest_that_is_not_utf8_exits_2_naming_it(tmp_path, export_file, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    digest = out / "config_digest.txt"
+    digest.write_bytes(b"\xff\xfe\n")
+    code = run("--out", str(out), "informalize", "--index", str(export_file))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"error: {digest}: not UTF-8" in err and "Traceback" not in err, err
+    assert list(out.iterdir()) == [digest]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -396,7 +397,23 @@ READERS = {
 }
 
 # The rejected line is each reader's own (the fourth entry above).
-BAD_LINES = {"not json": "{broken", "missing key": json.dumps({"id": "x"}), "rejected": None}
+BAD_LINES = {"not json": "{broken", "not an object": "[1, 2]",
+             "missing key": json.dumps({"id": "x"}), "rejected": None}
+
+# A record of each reader with one field of the wrong type, and what the
+# error names.
+MISTYPED = {
+    "pairs": ({"id": "x", "informal_text": 5, "provenance": "original"}, "$.informal_text"),
+    "reports": ({"item_id": 5, "k": 1, "success": False, "candidates": [],
+                 "short_circuit": True}, "$.item_id"),
+    "benchmark": ({"id": "b", "informal_text": 5}, "informal_text"),
+    "general": ({"id": "g", "text": 5}, "$.text"),
+    "cache log": ({"key": "x", "text": 5, "finish_reason": "stop", "provider_meta": {}},
+                  "$.text"),
+    "check log": ({"key": 5, "ok": True, "diagnostics": []}, "$.key"),
+    "example store": ({"id": "x", "formal_text": "f", "informal_text": "i",
+                       "embedding": [1.0, "0.5"]}, "must be real number"),
+}
 
 
 class TestRecordReaders:
@@ -420,5 +437,15 @@ class TestRecordReaders:
         line = BAD_LINES[bad] or json.dumps(rejected)
         path.write_text(f"{json.dumps(good(0))}\n\n{line}\n", encoding="utf-8")
         with pytest.raises(SchemaError) as exc:
+            read(path)
+        assert exc.value.path == f"{path}: line 3"
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_mistyped_field_names_file_line_and_field(self, tmp_path, reader):
+        name, read, good, _ = READERS[reader]
+        row, named = MISTYPED[reader]
+        path = tmp_path / name
+        path.write_text(f"{json.dumps(good(0))}\n\n{json.dumps(row)}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(named)) as exc:
             read(path)
         assert exc.value.path == f"{path}: line 3"

@@ -145,6 +145,7 @@ class TestParseExport:
         index = make_corpus(30)
         text = serialize_index(index)
         assert parse_jixia_export(text) == index
+        assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n"
 
     def test_round_trip_on_dite_fixture(self):
         index = parse_jixia_export((DATA / "dite_export.json").read_bytes())
@@ -181,8 +182,10 @@ def _exports(draw):
 @given(_exports())
 def test_parser_total_over_schema(export_text):
     index = parse_jixia_export(export_text)
-    # canonical round-trip
-    assert parse_jixia_export(serialize_index(index)) == index
+    # canonical round-trip, in the text json.dumps gives the whole document
+    text = serialize_index(index)
+    assert parse_jixia_export(text) == index
+    assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n"
 
 
 class TestScanner:

@@ -599,19 +599,28 @@ class TestSelection:
         fields = unpack(screen, len(examples))
         kth = sorted(fields, reverse=True)[k - 1]
         wanted = [i for i, z in enumerate(fields) if z >= kth - 2 * err]
+        # Each row the store hands out is tagged with its index, so the
+        # rows _dot scores are recorded by index.
         rescored = []
-        exact_dot = retrieval._dot
+        exact_dot, exact_row = retrieval._dot, ExampleStore._row
+        rows = {}
+
+        def tagged_row(self, i):
+            row = exact_row(self, i)
+            rows[id(row)] = (i, row)  # holding the row keeps its id unique
+            return row
 
         def recording_dot(u, v):
             if u is not v:  # the query's own norm is _dot(q, q)
-                rescored.append(id(v))
+                rescored.append(rows[id(v)][0])
             return exact_dot(u, v)
 
+        monkeypatch.setattr(ExampleStore, "_row", tagged_row)
         monkeypatch.setattr(retrieval, "_dot", recording_dot)
         got = hits(store, query, k)
         monkeypatch.setattr(retrieval, "_dot", exact_dot)
-        values = [ex.embedding.values for ex in store.examples]
-        assert sorted(rescored) == sorted(id(values[i]) for i in wanted)
+        monkeypatch.setattr(ExampleStore, "_row", exact_row)
+        assert sorted(rescored) == wanted
         assert got == sorted_cosine_oracle(examples, query, k)
         return wanted
 
