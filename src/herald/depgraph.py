@@ -4,8 +4,8 @@ Levels follow the longest prerequisite chain: a declaration sits one level
 above the highest of its prerequisites, so every level depends only on
 strictly lower levels.  Levels fix the order in which translations are
 written.  Translation itself does not wait for a whole level: a declaration
-is dispatched as soon as its own prerequisites are translated, with
-``max_in_flight`` requests in flight.  :func:`schedule` chunks the levels
+is ready as soon as its own prerequisites are translated, and the
+pipeline's one dispatch window sends it.  :func:`schedule` chunks the levels
 into a flat topological order for callers that want fixed-size batches;
 the pipeline does not use it.
 """

@@ -214,9 +214,9 @@ class Gateway:
         """Sample ``sample_index`` of ``prompt_text`` on the pool, without
         waiting: a ``Future[Completion]`` that runs :meth:`complete`, which
         every stage hands to its ``pipeline._OrderedDispatch``; the dispatch
-        appends the paid answer to the log before it settles the future.
-        Pool threads never wait on other pool futures, so any number of
-        submissions is safe at any ``max_in_flight``.
+        appends the paid answer to the log before it settles the future, and
+        its one window bounds how many are pending.  Pool threads never wait
+        on other pool futures, so no submission can deadlock the pool.
         """
         request = CompletionRequest(
             prompt_text=prompt_text,

@@ -46,6 +46,7 @@ _DECLARATION = {"full_name": str, "kind": str, "signature": str, "docstring": (s
                 "dependencies": [str], "is_tactic_proof": bool}
 _EXPORT = {"declarations": [_DECLARATION], "proofs": {str: [_STEP]}, "head_statements": {str: str}}
 _KINDS = {kind.value: kind for kind in DeclKind}
+_NO_DEPENDENCIES: frozenset[str] = frozenset()  # shared by every record that has none
 # ``json.dumps(..., ensure_ascii=False)`` builds an encoder per call.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -104,7 +105,8 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
                 once(obj["full_name"]), kind, obj["signature"],
                 None if docstring is None else strip_docstring_markup(docstring),
                 once(tuple(obj["namespace_path"])), once(obj["file_path"]),
-                tuple(obj["line_span"]), frozenset(map(once, obj["dependencies"])),
+                tuple(obj["line_span"]),
+                frozenset(map(once, obj["dependencies"])) or _NO_DEPENDENCIES,
                 obj["is_tactic_proof"],
             )
         except InvalidInput as exc:
@@ -388,7 +390,7 @@ def scan_declarations(lean_source: str, file_path: str = "<source>") -> ScanResu
                         namespace_path=ns,
                         file_path=file_path,
                         line_span=(start_line, max(start_line, end_line)),
-                        dependencies=frozenset(),
+                        dependencies=_NO_DEPENDENCIES,
                         is_tactic_proof=tactic,
                     )
                 )

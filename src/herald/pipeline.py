@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import logging
 import queue
+from collections import deque
 from concurrent import futures
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Container, Hashable, Sequence, TextIO
 
@@ -199,21 +201,24 @@ def run_stratify(
 
 
 class _OrderedDispatch:
-    """Gateway futures in; records appended to their JSONL files in canonical order.
+    """Deferred units in; records appended to their JSONL files in canonical order.
 
-    ``order`` lists every record key in canonical order and ``on_disk`` holds
-    the keys an earlier run already wrote.  The stage sends requests with
-    :meth:`submit` and hands finished records to :meth:`finish`.  :meth:`run`
-    feeds each completion to ``settle(tag, completion)`` on the calling
-    thread as it returns, after ``gateway`` appends what it paid for to the
-    completion log, and appends a record only once every earlier one is on
-    disk, so the files do not depend on ``max_in_flight`` and an interrupted
-    run leaves a canonical prefix.  Each file is opened once, and each line
-    flushed as it is written, in canonical order.  A stage that writes its
-    records whole after the run passes only the gateway.
+    A *unit*, handed to ``defer``, builds its prompts and sends their
+    futures with :meth:`submit`.  :meth:`run` calls the units in the order
+    deferred, each only while fewer than ``8 * max_in_flight`` futures are
+    pending, and feeds each completion to ``settle(tag, completion)`` on the
+    calling thread once ``gateway`` has logged what it paid for.  A
+    follow-up request that ``settle`` makes replaces the future it settles
+    and is submitted directly; work that settling makes ready is deferred.
+    So pending futures and built prompts stay within the window plus the
+    largest unit, not the corpus.  ``order`` lists every record key in
+    canonical order and ``on_disk`` the keys an earlier run wrote; a record
+    handed to :meth:`finish` is appended, and flushed, once every earlier
+    one is on disk, so the files do not depend on ``max_in_flight`` and an
+    interrupted run leaves a canonical prefix.
 
-    On the first error, queued requests are cancelled, the prefix is flushed
-    and the error is re-raised; nothing is settled after it.  A request
+    On the first error, queued requests are cancelled, deferred units are
+    dropped, the prefix is flushed and the error is re-raised.  A request
     already running still lands in the completion log, since the gateway's
     close waits for its pool, so a rerun takes it from the cache.
     """
@@ -229,6 +234,10 @@ class _OrderedDispatch:
         self._handles: dict[Path, TextIO] = {}
         self._pending: dict[futures.Future, object] = {}
         self._completed: queue.SimpleQueue = queue.SimpleQueue()
+        self._deferred: deque[Callable[[], None]] = deque()
+        self.defer = self._deferred.append
+        # Deep enough to keep the pool busy while this thread runs compile checks.
+        self._window = 8 * gateway.config.max_in_flight
 
     def submit(self, future: futures.Future, tag: object) -> None:
         self._pending[future] = tag
@@ -251,16 +260,18 @@ class _OrderedDispatch:
                 return
             self._cursor += 1
 
-    def run(self, start: Callable[[], None], settle: Callable[[object, Completion], None]) -> None:
-        """``start()`` sends the first requests; returns once none is pending."""
+    def run(self, settle: Callable[[object, Completion], None]) -> None:
+        """Returns once no unit is deferred and no future is pending."""
         try:
-            start()
-            self._flush()
-            while self._pending:
+            while True:
+                while self._deferred and len(self._pending) < self._window:
+                    self._deferred.popleft()()
+                self._flush()
+                if not self._pending:
+                    return
                 future = self._completed.get()
                 self._gateway.append_paid()
                 settle(self._pending.pop(future), future.result())
-                self._flush()
         except BaseException:
             # Keep every finished record that extends the canonical prefix,
             # then let the caller see the first error.
@@ -305,18 +316,15 @@ def run_informalize(
 ) -> dict[str, int]:
     """Statement and stepwise proof translation in dependency order.
 
-    Dispatch: a statement is sent as soon as each of its prerequisites has a
-    translation (Kahn's ready set over the dependency graph).  Its prompt
-    reads only those translations, so every prompt is the one a
-    level-by-level pass would build.  A proof's step prompts are sent once
-    its statement translation lands, and its summary once every step is
-    back.  All provider calls go through the gateway pool, so
-    ``max_in_flight`` is the one concurrency knob.
-
-    Reorder buffer (:class:`_OrderedDispatch`): records are written in
-    canonical order (statements level by level, then proofs by name), so the
-    output tree does not depend on ``max_in_flight`` and an interrupted run
-    leaves a canonical prefix.
+    Dispatch (:class:`_OrderedDispatch`): a statement is deferred as one unit
+    as soon as each of its prerequisites has a translation (Kahn's ready set
+    over the dependency graph).  Its prompt reads only those translations,
+    so every prompt is the one a level-by-level pass would build, whenever
+    the window sends it.  A proof's steps are one unit, deferred once its
+    statement translation lands, and its summary is sent once every step is
+    back.  Records are written in canonical order (statements level by
+    level, then proofs by name), so the output tree does not depend on
+    ``max_in_flight`` and an interrupted run leaves a canonical prefix.
 
     Resume: the directory is claimed (:func:`_claim`); the level files and
     ``proofs.jsonl`` are the only record of progress (a torn final line is
@@ -399,6 +407,9 @@ def run_informalize(
         else:
             dispatch.submit(gateway.submit_role(informalizer, prompt_text), tag)
 
+    def send_statement(name: str) -> None:
+        submit(statement_prompt(name), "statement", name)
+
     def send_proof(name: str) -> None:
         if f"{name}::proof" in existing:
             return
@@ -408,23 +419,19 @@ def run_informalize(
             step_prompt = prompts.assemble_step_prompt(ctx, step_index, registry)
             submit(step_prompt.text, "step", name, step_index)
 
-    def start() -> None:
-        for name in statement_order:
-            if waiting[name] == 0 and name not in translations:
-                submit(statement_prompt(name), "statement", name)
-        for name in proof_names:
-            if name in translations:
-                send_proof(name)
-
     counts = {
         "statements": len(statement_order),
         "proofs": len(proof_names),
         "levels": len(assignment.levels),
         "dry_run": dry_run,
     }
+    first_wave = [partial(send_statement, name) for name in statement_order
+                  if waiting[name] == 0 and name not in translations]
+    first_wave += [partial(send_proof, name) for name in proof_names if name in translations]
     if dry_run:
         (out_dir / "prompts").mkdir(exist_ok=True)
-        start()
+        for unit in first_wave:
+            unit()
         return counts
 
     informalizer = config.role("informalizer")
@@ -432,6 +439,8 @@ def run_informalize(
     dispatch = _OrderedDispatch(
         gateway, statement_order + [f"{name}::proof" for name in proof_names], existing
     )
+    for unit in first_wave:
+        dispatch.defer(unit)
 
     def finish(pair: ds.NLFLPair) -> None:
         is_statement = pair.record_type == "statement"
@@ -441,7 +450,7 @@ def run_informalize(
         dispatch.finish(pair.id, path, ds.pair_line(pair))
 
     def settle(tag: tuple, completion: Completion) -> None:
-        """Record one completion and send the work it unblocks."""
+        """Record one completion; send its follow-up, defer the work it unblocks."""
         kind, name, *rest = tag
         text = _answer_text(completion, f"{kind} {name}")
         subject = index.declarations[name]
@@ -461,9 +470,9 @@ def run_informalize(
             for dependent in sorted(dependents[name]):
                 waiting[dependent] -= 1
                 if waiting[dependent] == 0 and dependent not in translations:
-                    submit(statement_prompt(dependent), "statement", dependent)
+                    dispatch.defer(partial(send_statement, dependent))
             if name in has_proof:
-                send_proof(name)
+                dispatch.defer(partial(send_proof, name))
         elif kind == "step":
             texts = step_texts[name]
             texts[rest[0]] = text
@@ -489,7 +498,7 @@ def run_informalize(
             )
 
     try:
-        dispatch.run(start, settle)
+        dispatch.run(settle)
     finally:
         _close_stage("informalize", gateway)
 
@@ -522,10 +531,10 @@ def run_augment(
     """Tactic-aug statements, dedup-sampled, and informal variants: one seeded
     strategy per statement (:func:`augment.strategy_order`), the next on a drop,
     written in source order as ``{id}__var{j}``, ``j`` its index in
-    :func:`augment.all_strategies`.  Every request is a future on one
-    :class:`_OrderedDispatch`, so ``max_in_flight`` bounds augment too.  Record
-    files are written whole after the run with ``replace_atomic``, so a kill
-    can tear only the completion log, which a rerun reads back."""
+    :func:`augment.all_strategies`.  Each sampled statement and each first
+    variant is a unit of one :class:`_OrderedDispatch`.  Record files are
+    written whole after the run with ``replace_atomic``, so a kill can tear
+    only the completion log, which a rerun reads back."""
     config.check()
     if informal and original_pairs is None:
         raise InvalidInput("informal augmentation needs the original pairs")
@@ -573,15 +582,15 @@ def run_augment(
             prompt_text = aug.strategy_prompt(strategy, source_pairs[position].informal_text)
             dispatch.submit(gateway.submit_role(augmenter, prompt_text), ("variant", position))
 
-        def start() -> None:
-            for position, stmt in enumerate(sampled):
-                ctx = prompts.StatementContext(subject=stmt.record())
-                prompt = prompts.assemble_statement_prompt(ctx, registry)
-                dispatch.submit(
-                    gateway.submit_role(informalizer, prompt.text), ("statement", position)
-                )
-            for position in range(len(source_pairs)):
-                ask_variant(position)
+        def ask_statement(position: int) -> None:
+            ctx = prompts.StatementContext(subject=sampled[position].record())
+            prompt = prompts.assemble_statement_prompt(ctx, registry)
+            dispatch.submit(gateway.submit_role(informalizer, prompt.text), ("statement", position))
+
+        for position in range(len(sampled)):
+            dispatch.defer(partial(ask_statement, position))
+        for position in range(len(source_pairs)):
+            dispatch.defer(partial(ask_variant, position))
 
         def settle(tag: tuple, completion: Completion) -> None:
             """Keep the answer; ask the next strategy when a variant is dropped."""
@@ -595,7 +604,7 @@ def run_augment(
             if not aug.differs(pair, tried[-1]) and len(tried) < len(order):
                 ask_variant(position)
 
-        dispatch.run(start, settle)
+        dispatch.run(settle)
     finally:
         _close_stage("augment", gateway, backend)
 
@@ -733,10 +742,12 @@ def run_validate(
 ) -> validate.BenchmarkSummary:
     """pass@k over a benchmark, streamed to ``reports.jsonl`` in benchmark order.
 
-    Dispatch: items are opened in benchmark order, at most
-    ``4 * max_in_flight`` unfinished at a time, each a
-    :class:`validate.ItemRun` whose requests all go through the gateway pool;
-    compile checks run on this thread as candidates come up.  Items run
+    Dispatch: each item is a unit of :class:`_OrderedDispatch`, opened in
+    benchmark order when its window has room, as a :class:`validate.ItemRun`
+    whose requests all go through the gateway pool; compile checks run on
+    this thread as candidates come up.  An open item holds at most k
+    futures; without ``short_circuit``, a late sample can send several
+    back-translations at once, past the window plus one item.  Items run
     concurrently, and each report is appended as soon as every earlier one
     is on disk, so ``reports.jsonl`` does not depend on ``max_in_flight``.
 
@@ -767,33 +778,19 @@ def run_validate(
     backend = validate.cache_checks(config.backend.build(), out_dir / "cache")
     gateway = config.gateway(cache_dir=out_dir / "cache")
     dispatch = _OrderedDispatch(gateway, range(len(items)), range(written))
-    todo = iter(range(written, len(items)))
-    # Enough open items to keep the pool busy while some wait on a compile
-    # check or a verdict; few enough that pending futures stay bounded by
-    # max_in_flight and k, not by the benchmark's size.
-    window = 4 * config.max_in_flight
     runs: dict[int, validate.ItemRun] = {}  # the unfinished items, by position
 
-    def open_items() -> None:
-        while len(runs) < window:
-            position = next(todo, None)
-            if position is None:
-                return
-            item = items[position]
-            run = validate.ItemRun(
-                item["informal_text"],
-                k,
-                roles,
-                backend,
-                gateway,
-                lambda future, tag, key=position: dispatch.submit(future, (key, tag)),
-                item_id=item["id"],
-                header=item["header"] if item["header"] is not None else config.header_prelude,
-                timeout_ms=config.compile_timeout_ms,
-                short_circuit=config.short_circuit,
-            )
-            runs[position] = run
-            run.start()
+    def open_item(position: int) -> None:
+        item = items[position]
+        run = runs[position] = validate.ItemRun(
+            item["informal_text"], k, roles, backend, gateway,
+            lambda future, tag: dispatch.submit(future, (position, tag)),
+            item_id=item["id"],
+            header=item["header"] if item["header"] is not None else config.header_prelude,
+            timeout_ms=config.compile_timeout_ms,
+            short_circuit=config.short_circuit,
+        )
+        run.start()
 
     def settle(tag: tuple, completion: Completion) -> None:
         position, step = tag
@@ -801,10 +798,11 @@ def run_validate(
         if report is not None:
             del runs[position]
             dispatch.finish(position, reports_path, validate.report_line(report))
-            open_items()
 
+    for position in range(written, len(items)):
+        dispatch.defer(partial(open_item, position))
     try:
-        dispatch.run(open_items, settle)
+        dispatch.run(settle)
     finally:
         _close_stage("validate", gateway, backend)
     summary = validate.summarize(

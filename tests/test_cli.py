@@ -19,7 +19,7 @@ from conftest import (
     write_shared_fixtures,
 )
 
-from herald import cli
+from herald import cli, depgraph
 from herald import config as config_module
 from herald.datastore import read_pairs
 from herald.gateway import Completion, MockAugmenter, MockInformalizer
@@ -153,6 +153,35 @@ class TestInformalize:
         assert list((inf / "prompts").glob("*.txt"))
         assert not list(inf.glob("statements_level_*.jsonl"))
         assert not (inf / "proofs.jsonl").exists()
+
+    def test_dry_run_writes_exactly_the_first_wave(self, tmp_path, export_file, mock_config):
+        out = self._setup(tmp_path, export_file, mock_config)
+        index = make_corpus(12)
+        levels = depgraph.stratify(depgraph.build_graph(index)).levels
+        inf = tmp_path / "inf"
+        dry_run = ("--config", str(mock_config), "--out", str(inf),
+                   "informalize", "--index", str(out / "index.json"), "--dry-run")
+        assert run(*dry_run) == 0
+        written = {path.name for path in (inf / "prompts").iterdir()}
+        assert written == {f"{name}.txt" for name in levels[0]}  # no step prompt
+
+        # Statements below level 4 translated, no proof yet: the dry run
+        # writes level 4's prompts and the step prompts of their proofs.
+        shutil.rmtree(inf)
+        assert run(*dry_run[:-1]) == 0
+        (inf / "proofs.jsonl").unlink()
+        for level in range(4, len(levels)):
+            (inf / f"statements_level_{level}.jsonl").unlink()
+        assert run(*dry_run) == 0
+        translated = {name for level in levels[:4] for name in level}
+        steps = {
+            f"{name}.step{i}.txt"
+            for name in index.tactic_proof_names() if name in translated
+            for i in range(len(index.proofs[name]))
+        }
+        assert steps
+        written = {path.name for path in (inf / "prompts").iterdir()}
+        assert written == {f"{name}.txt" for name in levels[4]} | steps
 
     def test_budget_exhaustion_then_resume(self, tmp_path, export_file, mock_config, capsys):
         out = self._setup(tmp_path, export_file, mock_config)

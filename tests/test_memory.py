@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 
-from conftest import make_corpus
+from conftest import make_corpus, make_wide_corpus
 
 from herald.ingest import parse_jixia_export, serialize_index
 from herald.retrieval import (
@@ -54,3 +54,10 @@ def test_a_parsed_export_keeps_under_1450_bytes_per_declaration():
     index, kept = kept_bytes(lambda: parse_jixia_export(text))
     assert len(index.declarations) == COUNT and index.proofs
     assert kept / COUNT < 1450, kept / COUNT
+
+
+def test_declarations_without_dependencies_share_one_empty_set():
+    index = parse_jixia_export(serialize_index(make_wide_corpus()))
+    empty = [rec.dependencies for rec in index.declarations.values() if not rec.dependencies]
+    assert len(empty) > 1
+    assert all(deps is empty[0] for deps in empty)

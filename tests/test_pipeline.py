@@ -24,7 +24,7 @@ from conftest import cache_keys, make_corpus, make_wide_corpus, tree_digest
 
 from herald import cli, depgraph, validate
 from herald.config import BackendConfig, PipelineConfig, RoleConfig
-from herald.datastore import read_pairs
+from herald.datastore import Direction, NLFLPair, Provenance, read_pairs
 from herald.errors import BudgetExceeded, InvalidInput, ProviderError, SchemaError
 from herald.gateway import (
     Completion,
@@ -585,7 +585,21 @@ def test_validate_tree_does_not_depend_on_max_in_flight(tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_validate_opens_items_concurrently_within_its_window(tmp_path, monkeypatch):
+def watch_pending(monkeypatch) -> list[int]:
+    """Patch the dispatch to keep, in the returned list's one entry, the peak
+    number of futures it has pending."""
+    peak = [0]
+    submit = _OrderedDispatch.submit
+
+    def counting_submit(dispatch, future, tag):
+        submit(dispatch, future, tag)
+        peak[0] = max(peak[0], len(dispatch._pending))
+
+    monkeypatch.setattr(_OrderedDispatch, "submit", counting_submit)
+    return peak
+
+
+def test_validate_opens_items_concurrently_within_the_dispatch_window(tmp_path, monkeypatch):
     open_now, peak = set(), [0]
     start, settle = validate.ItemRun.start, validate.ItemRun.settle
 
@@ -602,9 +616,58 @@ def test_validate_opens_items_concurrently_within_its_window(tmp_path, monkeypat
 
     monkeypatch.setattr(validate.ItemRun, "start", counting_start)
     monkeypatch.setattr(validate.ItemRun, "settle", counting_settle)
-    validate_run(write_bench(tmp_path / "bench.jsonl", 24), tmp_path / "val", max_in_flight=2)
-    assert peak[0] == 8  # 4 * max_in_flight
+    pending = watch_pending(monkeypatch)
+    validate_run(write_bench(tmp_path / "bench.jsonl", 24), tmp_path / "val", k=6,
+                 max_in_flight=2)
+    assert peak[0] > 1
+    window = 8 * 2  # 8 * max_in_flight
+    assert window <= pending[0] <= window + 6 - 1  # an item's k samples go out together
     assert not open_now
+
+
+def flat_corpus(n: int) -> CorpusIndex:
+    """``n`` level-0 declarations, every tenth a theorem with a three-step
+    proof, and ``n // 100`` level-1 declarations that each cite two of them."""
+    declarations, proofs = {}, {}
+    state = ProofState(hypotheses=(), goals=("G",))
+    for i in range(n + n // 100):
+        name = f"Flat.d{i}"
+        deps = frozenset({f"Flat.d{i - n}", f"Flat.d{i - n + 1}"}) if i >= n else frozenset()
+        has_proof = i < n and i % 10 == 0
+        declarations[name] = DeclarationRecord(
+            name, DeclKind.THEOREM, f"theorem d{i} : P{i}", None, ("Flat",), "Flat.lean",
+            (i + 1, i + 1), deps, has_proof,
+        )
+        if has_proof:
+            proofs[name] = tuple(ProofStep(f"tac{j}", state, state, j) for j in range(3))
+    return CorpusIndex(declarations, proofs=proofs)
+
+
+def run_stage_of_5000_units(stage: str, out: Path) -> int:
+    """Run ``stage`` on 5000 units at ``max_in_flight`` 2 with zero-latency
+    mocks; the size of its largest unit."""
+    config = PipelineConfig(max_in_flight=2)
+    if stage == "informalize":
+        index = flat_corpus(5000)
+        assert len(depgraph.stratify(depgraph.build_graph(index)).levels[0]) == 5000
+        run_informalize(index, config, out)
+        return 3  # a proof's steps
+    if stage == "augment":
+        pairs = [NLFLPair(id=f"s{i}", formal_text=f"theorem s{i} : True",
+                          informal_text=f"Statement {i} holds.", direction=Direction.NL_TO_FL,
+                          provenance=Provenance.ORIGINAL) for i in range(5000)]
+        run_augment(CorpusIndex({}), config, out, tactic=False, informal=True,
+                    original_pairs=pairs)
+        return 1  # a first variant
+    validate_run(write_bench(out.parent / "bench.jsonl", 5000), out, k=1, max_in_flight=2)
+    return 1  # an item's k samples
+
+
+@pytest.mark.parametrize("stage", ["informalize", "augment", "validate"])
+def test_pending_futures_stay_within_the_window_plus_one_unit(tmp_path, monkeypatch, stage):
+    pending = watch_pending(monkeypatch)
+    largest_unit = run_stage_of_5000_units(stage, tmp_path / stage)
+    assert 0 < pending[0] <= 8 * 2 + largest_unit - 1  # 8 * max_in_flight, plus one unit
 
 
 def test_validate_budget_cut_then_rerun_pays_the_rest_once(tmp_path):
@@ -824,7 +887,7 @@ def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkey
     run = _OrderedDispatch.run
     settled: Counter = Counter()
 
-    def checking_run(dispatch, start, settle):
+    def checking_run(dispatch, settle):
         log = dispatch._gateway.config.cache_dir / "completions.jsonl"
 
         def checked_settle(tag, completion):
@@ -834,7 +897,7 @@ def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkey
             assert on_disk[completion.text] >= settled[completion.text], tag
             settle(tag, completion)
 
-        run(dispatch, start, checked_settle)
+        run(dispatch, checked_settle)
 
     monkeypatch.setattr(_OrderedDispatch, "run", checking_run)
     run_stages(tmp_path, max_in_flight=8)
