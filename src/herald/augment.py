@@ -12,7 +12,6 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -211,101 +210,53 @@ def dedup_sample(augmented: list, n_original: int, seed: int) -> list:
 # --- informal variants ----------------------------------------------------
 
 
-class StrategyKind(str, Enum):
-    LOGICAL_EQUIVALENCE_REWRITING = "logical_equivalence_rewriting"
-    ABSTRACT_CONCEPT_SUBSTITUTION = "abstract_concept_substitution"
-    OMISSION_OF_IMPLICIT_CONDITION = "omission_of_implicit_condition"
-    MULTI_LINGUISTIC_TRANSLATION = "multi_linguistic_translation"
-
-
-VARIANT_LANGUAGES = ("zh", "fr", "ru")
-
-_STRATEGY_INSTRUCTIONS = {
-    StrategyKind.LOGICAL_EQUIVALENCE_REWRITING: (
-        "Rewrite the statement as a logically equivalent natural-language statement "
-        "with a different sentence structure. For example, 'If A, then B' may become "
-        "'B holds given A'. Do not change the mathematical content."
-    ),
-    StrategyKind.ABSTRACT_CONCEPT_SUBSTITUTION: (
-        "Restate the statement using a more abstract or higher-level mathematical "
-        "concept when one captures it exactly. For example, the existence of a "
-        "two-sided inverse matrix may be stated as the matrix being non-degenerate."
-    ),
-    StrategyKind.OMISSION_OF_IMPLICIT_CONDITION: (
-        "Restate the statement the way a textbook would, omitting conditions a "
-        "reader infers from context or convention. Keep the core claim intact."
-    ),
-    StrategyKind.MULTI_LINGUISTIC_TRANSLATION: (
-        "Translate the statement into the requested language, keeping formulas in LaTeX."
-    ),
-}
-
-
-@dataclass(frozen=True)
-class AugmentationStrategy:
-    kind: StrategyKind
-    lang: str | None = None
-
-    def __post_init__(self):
-        if self.kind == StrategyKind.MULTI_LINGUISTIC_TRANSLATION:
-            if self.lang not in VARIANT_LANGUAGES:
-                raise InvalidInput(
-                    f"translation strategy requires lang in {VARIANT_LANGUAGES}, got {self.lang!r}"
-                )
-        elif self.lang is not None:
-            raise InvalidInput(f"strategy {self.kind.value} takes no language")
-
-    def tag(self) -> str:
-        return self.kind.value if self.lang is None else f"{self.kind.value} {self.lang}"
-
-
-def all_strategies() -> list[AugmentationStrategy]:
-    """The four families, with one variant per supported language."""
-    out = [
-        AugmentationStrategy(StrategyKind.LOGICAL_EQUIVALENCE_REWRITING),
-        AugmentationStrategy(StrategyKind.ABSTRACT_CONCEPT_SUBSTITUTION),
-        AugmentationStrategy(StrategyKind.OMISSION_OF_IMPLICIT_CONDITION),
-    ]
-    out.extend(
-        AugmentationStrategy(StrategyKind.MULTI_LINGUISTIC_TRANSLATION, lang)
-        for lang in VARIANT_LANGUAGES
-    )
-    return out
-
-
-@dataclass(frozen=True)
-class NLVariant:
-    origin_pair_id: str
-    strategy: AugmentationStrategy
-    informal_text: str
-
-    def __post_init__(self):
-        if not self.informal_text:
-            raise InvalidInput("variant text must be non-empty")
+# The four strategy families, translation once per language, as (tag,
+# instruction) in a fixed order: a kept variant is named by its index here.
+_TRANSLATE = "Translate the statement into the requested language, keeping formulas in LaTeX."
+STRATEGIES = (
+    ("logical_equivalence_rewriting",
+     "Rewrite the statement as a logically equivalent natural-language statement "
+     "with a different sentence structure. For example, 'If A, then B' may become "
+     "'B holds given A'. Do not change the mathematical content."),
+    ("abstract_concept_substitution",
+     "Restate the statement using a more abstract or higher-level mathematical "
+     "concept when one captures it exactly. For example, the existence of a "
+     "two-sided inverse matrix may be stated as the matrix being non-degenerate."),
+    ("omission_of_implicit_condition",
+     "Restate the statement the way a textbook would, omitting conditions a "
+     "reader infers from context or convention. Keep the core claim intact."),
+    ("multi_linguistic_translation zh", _TRANSLATE),
+    ("multi_linguistic_translation fr", _TRANSLATE),
+    ("multi_linguistic_translation ru", _TRANSLATE),
+)
 
 
 @dataclass(frozen=True)
 class VariantBatch:
-    """The variant kept, if any, plus bookkeeping: attempted == kept + dropped."""
+    """The variant kept, if any, as (strategy index, text), plus bookkeeping:
+    attempted == kept + dropped."""
 
-    variants: tuple[NLVariant, ...]
+    variants: tuple[tuple[int, str], ...]
     attempted: int
     dropped: int
 
 
-def strategy_prompt(strategy: AugmentationStrategy, informal_text: str) -> str:
+def strategy_prompt(strategy: int, informal_text: str) -> str:
+    """The prompt asking for strategy ``STRATEGIES[strategy]`` of ``informal_text``."""
+    tag, instruction = STRATEGIES[strategy]
     return (
         "You rephrase natural-language mathematical statements.\n\n"
-        f"{_STRATEGY_INSTRUCTIONS[strategy.kind]}\n\n"
-        f"{STRATEGY_MARKER} {strategy.tag()}\n"
+        f"{instruction}\n\n"
+        f"{STRATEGY_MARKER} {tag}\n"
         f"{STRATEGY_TEXT_MARKER}\n{informal_text}\n"
     )
 
 
-def strategy_order(pair_id: str, seed: int) -> list[AugmentationStrategy]:
-    """:func:`all_strategies` shuffled by ``seed`` and ``pair_id`` alone: a
-    string seed, so neither ``PYTHONHASHSEED`` nor the other statements count."""
-    order = all_strategies()
+def strategy_order(pair_id: str, seed: int) -> list[int]:
+    """The indices of :data:`STRATEGIES` shuffled by ``seed`` and ``pair_id``
+    alone: a string seed, so neither ``PYTHONHASHSEED`` nor the other
+    statements count."""
+    order = list(range(len(STRATEGIES)))
     random.Random(f"{seed}:{pair_id}").shuffle(order)
     return order
 
@@ -316,14 +267,11 @@ def differs(pair, text: str) -> bool:
     return normalize_text(text) != normalize_text(pair.informal_text)
 
 
-def informal_variants(
-    pair, strategies: list[AugmentationStrategy], answers: Sequence[str]
-) -> VariantBatch:
+def informal_variants(pair, order: Sequence[int], answers: Sequence[str]) -> VariantBatch:
     """The variant kept from ``answers``, the stripped, non-blank answers to
-    ``strategies`` in order: the first that :func:`differs` is kept, and each
-    before it is dropped and counted."""
-    for attempted, (strategy, text) in enumerate(zip(strategies, answers), 1):
+    the strategies of ``order`` in turn: the first that :func:`differs` is
+    kept, and each before it is dropped and counted."""
+    for attempted, (strategy, text) in enumerate(zip(order, answers), 1):
         if differs(pair, text):
-            variant = NLVariant(origin_pair_id=pair.id, strategy=strategy, informal_text=text)
-            return VariantBatch(variants=(variant,), attempted=attempted, dropped=attempted - 1)
-    return VariantBatch(variants=(), attempted=len(answers), dropped=len(answers))
+            return VariantBatch(((strategy, text),), attempted, attempted - 1)
+    return VariantBatch((), len(answers), len(answers))

@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Generic, Iterable, Iterator, TextIO, TypeVar
@@ -344,17 +344,7 @@ class MixManifest:
     scaled_down: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "counts": self.counts,
-                "direction_counts": self.direction_counts,
-                "seed": self.seed,
-                "ratio_spec": self.ratio_spec,
-                "total": self.total,
-                "scaled_down": self.scaled_down,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _sample_ordered(pool: list[NLFLPair], count: int, rng: random.Random) -> list[NLFLPair]:

@@ -5,9 +5,7 @@ above the highest of its prerequisites, so every level depends only on
 strictly lower levels.  Levels fix the order in which translations are
 written.  Translation itself does not wait for a whole level: a declaration
 is ready as soon as its own prerequisites are translated, and the
-pipeline's one dispatch window sends it.  :func:`schedule` chunks the levels
-into a flat topological order for callers that want fixed-size batches;
-the pipeline does not use it.
+pipeline's one dispatch window sends it.
 """
 
 from __future__ import annotations
@@ -153,21 +151,6 @@ def stratify(graph: DepGraph) -> LevelAssignment:
     else:
         levels = ()
     return LevelAssignment(level_of=level_of, levels=levels)
-
-
-def schedule(assignment: LevelAssignment, batch_size: int) -> list[list[str]]:
-    """Chunk each level (in lexicographic order) into batches of <= batch_size.
-
-    All names of level i precede all names of level i+1, so concatenating
-    the batches yields a topological order.
-    """
-    if batch_size < 1:
-        raise InvalidInput(f"batch_size must be >= 1, got {batch_size}")
-    batches = []
-    for names in assignment.levels:
-        for i in range(0, len(names), batch_size):
-            batches.append(list(names[i : i + batch_size]))
-    return batches
 
 
 def to_dot(graph: DepGraph) -> str:

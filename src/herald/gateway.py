@@ -397,19 +397,15 @@ class MockAugmenter:
 
 
 class HttpChatProvider:
-    """OpenAI-compatible chat endpoint; auth from HERALD_API_KEY_<ROLE>."""
+    """OpenAI-compatible chat endpoint; auth from HERALD_API_KEY_<ROLE>; a
+    request that takes more than ``TIMEOUT_S`` seconds is a transient error."""
 
-    def __init__(
-        self,
-        base_url: str,
-        role_name: str,
-        timeout_s: float = 120.0,
-        session=None,
-    ):
+    TIMEOUT_S = 120.0
+
+    def __init__(self, base_url: str, role_name: str, session=None):
         self.name = f"http:{role_name}"
         self.base_url = base_url.rstrip("/")
         self.role_name = role_name
-        self.timeout_s = timeout_s
         if session is None:
             import requests
 
@@ -438,7 +434,7 @@ class HttpChatProvider:
                 f"{self.base_url}/chat/completions",
                 json=payload,
                 headers={"Authorization": f"Bearer {self._api_key()}"},
-                timeout=self.timeout_s,
+                timeout=self.TIMEOUT_S,
             )
         except requests.RequestException as exc:
             raise ProviderError(self.name, str(exc), transient=True) from exc

@@ -159,16 +159,23 @@ def serialize_index(index: CorpusIndex) -> str:
     """Render an index back to the export format with canonical ordering.
 
     ``parse_jixia_export(serialize_index(x))`` reproduces an equal index.
+    """
+    return "".join(index_pieces(index))
+
+
+def index_pieces(index: CorpusIndex) -> Iterator[str]:
+    """The text of :func:`serialize_index` in pieces, for writing to a file.
+
     Each declaration and each proof is encoded on its own, by ``json``'s C
-    encoder, and the pieces are joined once, so no document tree is built
-    beside the index; the text is the one ``json.dumps`` gives the whole
-    document.
+    encoder, so no document tree is built beside the index; joined, the
+    pieces are the text ``json.dumps`` gives the whole document.
     """
     encode = _ENCODER.encode
-    parts = [f'{{"schema_version": {encode(SCHEMA_VERSION)}, "declarations": [']
+    yield f'{{"schema_version": {encode(SCHEMA_VERSION)}, "declarations": ['
     for i, name in enumerate(sorted(index.declarations)):
         rec = index.declarations[name]
-        parts += (", " if i else "", encode({
+        yield ", " if i else ""
+        yield encode({
             "full_name": rec.full_name,
             "kind": rec.kind.value,
             "signature": rec.signature,
@@ -178,10 +185,11 @@ def serialize_index(index: CorpusIndex) -> str:
             "line_span": list(rec.line_span),
             "dependencies": sorted(rec.dependencies),
             "is_tactic_proof": rec.is_tactic_proof,
-        }))
-    parts.append('], "proofs": {')
+        })
+    yield '], "proofs": {'
     for i, name in enumerate(sorted(index.proofs)):
-        parts += (", " if i else "", encode(name), ": ", encode([
+        yield f"{', ' if i else ''}{encode(name)}: "
+        yield encode([
             {
                 "tactic_text": step.tactic_text,
                 "state_before": {
@@ -194,10 +202,9 @@ def serialize_index(index: CorpusIndex) -> str:
                 },
             }
             for step in index.proofs[name]
-        ]))
+        ])
     heads = {k: index.head_statements[k] for k in sorted(index.head_statements)}
-    parts.append(f'}}, "head_statements": {encode(heads)}}}\n')
-    return "".join(parts)
+    yield f'}}, "head_statements": {encode(heads)}}}\n'
 
 
 # --- raw-source scanner -------------------------------------------------

@@ -131,7 +131,7 @@ def run_ingest(config: PipelineConfig, out_dir: Path) -> CorpusIndex:
     else:
         raise InvalidInput("ingest needs either a corpus export or a source directory")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "index.json").write_text(ingest.serialize_index(index), encoding="utf-8")
+    ds.replace_atomic(out_dir / "index.json", ingest.index_pieces(index))
     for warning in index.warnings:
         logger.warning("%s", warning)
     write_manifest(
@@ -530,8 +530,8 @@ def run_augment(
 ) -> dict[str, int]:
     """Tactic-aug statements, dedup-sampled, and informal variants: one seeded
     strategy per statement (:func:`augment.strategy_order`), the next on a drop,
-    written in source order as ``{id}__var{j}``, ``j`` its index in
-    :func:`augment.all_strategies`.  Each sampled statement and each first
+    written in source order as ``{id}__var{j}``, ``j`` the kept strategy's
+    index in :data:`augment.STRATEGIES`.  Each sampled statement and each first
     variant is a unit of one :class:`_OrderedDispatch`.  Record files are
     written whole after the run with ``replace_atomic``, so a kill can tear
     only the completion log, which a rerun reads back."""
@@ -599,7 +599,7 @@ def run_augment(
                 texts[position] = _answer_text(completion, f"statement {sampled[position].name}")
                 return
             pair, order, tried = source_pairs[position], orders[position], answers[position]
-            subject = f"variant {order[len(tried)].tag()} of {pair.id}"
+            subject = f"variant {aug.STRATEGIES[order[len(tried)]][0]} of {pair.id}"
             tried.append(_answer_text(completion, subject))
             if not aug.differs(pair, tried[-1]) and len(tried) < len(order):
                 ask_variant(position)
@@ -623,20 +623,19 @@ def run_augment(
         ds.write_pairs_atomic(pairs, out_dir / "tactic_aug.jsonl")
         counts["tactic_aug_pairs"] = len(pairs)
     if informal:
-        strategies = aug.all_strategies()
         batches = [aug.informal_variants(*job) for job in zip(source_pairs, orders, answers)]
         variants = [
             ds.NLFLPair(
-                id=f"{pair.id}__var{strategies.index(variant.strategy)}",
+                id=f"{pair.id}__var{j}",
                 formal_text=pair.formal_text,
-                informal_text=variant.informal_text,
+                informal_text=text,
                 direction=ds.Direction.NL_TO_FL,
                 provenance=ds.Provenance.INFORMAL_AUG,
                 source_name=pair.source_name,
                 level=pair.level,
             )
             for pair, batch in zip(source_pairs, batches)
-            for variant in batch.variants
+            for j, text in batch.variants
         ]
         ds.write_pairs_atomic(variants, out_dir / "informal_aug.jsonl")
         counts.update(
@@ -699,13 +698,17 @@ def run_mix(
 # --- validate ---------------------------------------------------------------------
 
 
+_BENCH_ITEM = {"informal_text": str, "header": (str, type(None))}
+
+
 def _benchmark_item(obj: dict) -> dict:
-    text, header = obj["informal_text"], obj.get("header")
-    if not isinstance(text, str) or not text:
-        raise InvalidInput(f"informal_text must be a non-empty string, got {text!r}")
-    if header is not None and not isinstance(header, str):
-        raise InvalidInput(f"header must be a string or null, got {header!r}")
-    return {"id": str(obj["id"]), "informal_text": text, "header": header}
+    """A benchmark row: ``id`` is any JSON value, stringified, and a left-out
+    ``header`` is null."""
+    obj = {"header": None, **obj}
+    ds.check_shape(obj, _BENCH_ITEM)
+    if not obj["informal_text"]:
+        raise SchemaError('must be a non-empty string, got ""', "$.informal_text")
+    return {"id": str(obj["id"]), "informal_text": obj["informal_text"], "header": obj["header"]}
 
 
 def load_benchmark(path: Path) -> list[dict]:

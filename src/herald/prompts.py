@@ -295,29 +295,25 @@ def assemble_statement_prompt(
     return rendered
 
 
-def assemble_proof_prompt(ctx: ProofContext, registry: TemplateRegistry) -> RenderedPrompt:
-    """Render the stepwise proof prompt: every step with its states and note."""
-    template = registry.select("proof")
-    contents = {
+def _proof_prompt(ctx: ProofContext, steps: tuple[ProofStep, ...],
+                  registry: TemplateRegistry) -> RenderedPrompt:
+    return _render(registry.select("proof"), {
         "formal_statement": ctx.formal_statement,
         "informal_statement": ctx.informal_statement,
-        "steps": _render_steps(ctx.steps, ctx.tactic_notes),
-    }
-    return _render(template, contents)
+        "steps": _render_steps(steps, ctx.tactic_notes),
+    })
+
+
+def assemble_proof_prompt(ctx: ProofContext, registry: TemplateRegistry) -> RenderedPrompt:
+    """Render the stepwise proof prompt: every step with its states and note."""
+    return _proof_prompt(ctx, ctx.steps, registry)
 
 
 def assemble_step_prompt(
     ctx: ProofContext, step_index: int, registry: TemplateRegistry
 ) -> RenderedPrompt:
     """Prompt for translating a single proof step in context."""
-    template = registry.select("proof")
-    step = ctx.steps[step_index]
-    contents = {
-        "formal_statement": ctx.formal_statement,
-        "informal_statement": ctx.informal_statement,
-        "steps": _render_steps((step,), ctx.tactic_notes),
-    }
-    return _render(template, contents)
+    return _proof_prompt(ctx, (ctx.steps[step_index],), registry)
 
 
 def summarize_steps_prompt(

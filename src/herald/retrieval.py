@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 import operator
 import sys
@@ -283,11 +282,6 @@ class ExampleStore:
             other._ids, other._formal, other._informal, other._components)
 
 
-def index_examples(examples: list[AnnotatedExample]) -> ExampleStore:
-    """The store of ``examples``; :class:`ExampleStore` checks them."""
-    return ExampleStore(examples)
-
-
 def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[ScoredExample]:
     """Exactly min(k, count) results by descending score, ties by ascending id.
 
@@ -369,32 +363,6 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
     ]
 
 
-def save_store(store: ExampleStore, directory: str | Path) -> None:
-    """Persist as meta.json + examples.jsonl under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "schema_version": STORE_SCHEMA_VERSION,
-        "dim": store.dim,
-        "count": store.count,
-    }
-    (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
-    with open(directory / "examples.jsonl", "w", encoding="utf-8") as fh:
-        for ex in map(store._example, range(store.count)):
-            fh.write(
-                json.dumps(
-                    {
-                        "id": ex.id,
-                        "formal_text": ex.formal_text,
-                        "informal_text": ex.informal_text,
-                        "embedding": list(ex.embedding.values),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
 _EXAMPLE = {"id": str, "formal_text": str, "informal_text": str, "embedding": list}
 
 
@@ -439,21 +407,18 @@ class EmbeddingProvider(Protocol):
 
 
 class HashEmbeddingProvider:
-    """Deterministic offline embedder: token n-grams hashed into buckets.
+    """Deterministic offline embedder: token 1- to 3-grams hashed into
+    buckets, with the hash seeded by 0 (the ``s0`` of its name).
 
     Not a semantic model; it exists so the retrieval path is exercisable
     without network access.  Same text always embeds identically.
     """
 
-    def __init__(self, dim: int = 64, seed: int = 0, max_ngram: int = 3):
+    def __init__(self, dim: int = 64):
         if dim < 1:
             raise InvalidInput(f"dim must be >= 1, got {dim}")
-        if max_ngram < 1:
-            raise InvalidInput(f"max_ngram must be >= 1, got {max_ngram}")
-        self.name = f"hash-{dim}-s{seed}"
+        self.name = f"hash-{dim}-s0"
         self.dim = dim
-        self.seed = seed
-        self.max_ngram = max_ngram
 
     def embed_text(self, text: str) -> EmbeddingVector:
         if not text:
@@ -461,10 +426,10 @@ class HashEmbeddingProvider:
         tokens = [token.encode("utf-8") for token in text.split() or [text]]
         dim = self.dim
         buckets = [0.0] * dim
-        for n in range(1, self.max_ngram + 1):
+        for n in (1, 2, 3):
             # blake2b streams, so hashing a gram onto a copy of this state
-            # gives the digest of f"{seed}\0{n}\0{gram}" hashed whole.
-            prefix = hashlib.blake2b(f"{self.seed}\x00{n}\x00".encode("utf-8"), digest_size=8)
+            # gives the digest of f"0\0{n}\0{gram}" hashed whole.
+            prefix = hashlib.blake2b(f"0\x00{n}\x00".encode("utf-8"), digest_size=8)
             for gram in map(b" ".join, zip(*(tokens[i:] for i in range(n)))):
                 h = prefix.copy()
                 h.update(gram)

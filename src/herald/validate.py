@@ -19,7 +19,7 @@ import subprocess
 import threading
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
@@ -63,8 +63,8 @@ class MockCompilerBackend:
         self.default_ok = default_ok
         self._outcomes: dict[str, CompileOutcome] = {}
 
-    def script(self, source: str, ok: bool, diagnostics: Sequence[str] = ()) -> None:
-        self._outcomes[digest(source)] = CompileOutcome(ok, tuple(diagnostics))
+    def script(self, source: str, ok: bool) -> None:
+        self._outcomes[digest(source)] = CompileOutcome(ok)
 
     def check(self, source: str, timeout_ms: int) -> CompileOutcome:
         outcome = self._outcomes.get(digest(source))
@@ -118,7 +118,7 @@ class ReplBackend:
             for line in proc.stdout:
                 responses.put(line)
 
-    def _stop(self) -> None:
+    def close(self) -> None:
         if self._proc is not None:
             self._proc.kill()
             self._proc.wait()
@@ -127,9 +127,6 @@ class ReplBackend:
             except BrokenPipeError:
                 pass  # a line the dead process never read; nothing to deliver
             self._proc = None
-
-    def close(self) -> None:
-        self._stop()
 
     def check(self, source: str, timeout_ms: int) -> CompileOutcome:
         with self._lock:
@@ -144,20 +141,20 @@ class ReplBackend:
                 )
                 self._proc.stdin.flush()
             except (OSError, ValueError) as exc:
-                self._stop()
+                self.close()
                 raise BackendUnavailable(f"backend pipe broken: {exc}") from exc
             try:
                 line = self._responses.get(timeout=timeout_ms / 1000.0)
             except queue.Empty:
-                self._stop()
+                self.close()
                 return CompileOutcome(False, TIMEOUT)
             try:
                 resp = json.loads(line)
             except json.JSONDecodeError as exc:
-                self._stop()
+                self.close()
                 raise BackendUnavailable(f"malformed backend response: {exc}") from exc
             if resp.get("id") != req_id:
-                self._stop()
+                self.close()
                 raise BackendUnavailable(
                     f"backend answered id {resp.get('id')}, expected {req_id}"
                 )
@@ -232,13 +229,6 @@ def compose_source(statement_text: str, header: str = DEFAULT_HEADER) -> str:
     if not header.endswith("\n"):
         header += "\n"
     return header + statement_text
-
-
-def compile_check(
-    statement_text: str, backend: CompilerBackend, timeout_ms: int = DEFAULT_TIMEOUT_MS
-) -> CompileOutcome:
-    """Pass iff elaboration reports no errors within the timeout."""
-    return backend.check(statement_text, timeout_ms)
 
 
 def translation_prompt(informal: str) -> str:
@@ -377,7 +367,7 @@ def _evaluate_candidate(
             nli=NliStatus.SKIPPED,
             final=False,
         )
-    outcome = compile_check(compose_source(text, header), backend, timeout_ms)
+    outcome = backend.check(compose_source(text, header), timeout_ms)
     diagnostic = "; ".join(outcome.diagnostics) or "compile failed"
     return CandidateResult(
         candidate_text=text,
@@ -522,7 +512,6 @@ def validate_item(
     *,
     item_id: str = "",
     header: str = DEFAULT_HEADER,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
     short_circuit: bool = True,
 ) -> ValidationReport:
     """Sample k candidate formalizations and pipeline each through the checks.
@@ -537,7 +526,7 @@ def validate_item(
     sent: deque[tuple[Future, tuple]] = deque()
     run = ItemRun(
         informal, k, roles, backend, gateway, lambda future, tag: sent.append((future, tag)),
-        item_id=item_id, header=header, timeout_ms=timeout_ms, short_circuit=short_circuit,
+        item_id=item_id, header=header, short_circuit=short_circuit,
     )
     try:
         run.start()
@@ -608,30 +597,10 @@ def summary_table(summary: BenchmarkSummary) -> str:
     )
 
 
-def report_to_dict(report: ValidationReport) -> dict:
-    return {
-        "item_id": report.item_id,
-        "k": report.k,
-        "success": report.success,
-        "short_circuit": report.short_circuit,
-        "candidates": [
-            {
-                "candidate_text": c.candidate_text,
-                "compile": c.compile.value,
-                "compile_diagnostic": c.compile_diagnostic,
-                "back_translation": c.back_translation,
-                "nli": c.nli.value,
-                "final": c.final,
-                "nli_parse_failure": c.nli_parse_failure,
-            }
-            for c in report.candidates
-        ],
-    }
-
-
 def report_line(report: ValidationReport) -> str:
-    """One ``reports.jsonl`` line, newline included."""
-    return json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=True) + "\n"
+    """One ``reports.jsonl`` line, newline included: the report's fields and
+    each candidate's, keys sorted (the shape :func:`report_from_dict` reads)."""
+    return json.dumps(asdict(report), ensure_ascii=False, sort_keys=True) + "\n"
 
 
 _CANDIDATE = {"candidate_text": str, "compile": str, "compile_diagnostic": (str, type(None)),

@@ -1,6 +1,8 @@
 """Shared fixtures: a deterministic synthetic corpus, DAG generators with
-independent level oracles, scripted validation roles, and an end-to-end
-pipeline driver used by both the CLI tests and the acceptance suite."""
+independent level oracles, scripted validation roles, an end-to-end
+pipeline driver used by both the CLI tests and the acceptance suite, and
+helpers that only the tests need (writing an exemplar store, batching
+levels into a topological order, one compile check)."""
 
 from __future__ import annotations
 
@@ -13,15 +15,18 @@ from pathlib import Path
 import pytest
 
 from herald import cli
+from herald.depgraph import LevelAssignment
+from herald.errors import InvalidInput
 from herald.gateway import TRANSLATE_MARKER, Completion, CompletionRequest
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind, ProofState, ProofStep
 from herald.retrieval import (
+    STORE_SCHEMA_VERSION,
     AnnotatedExample,
     EmbeddingVector,
+    ExampleStore,
     HashEmbeddingProvider,
-    index_examples,
-    save_store,
 )
+from herald.validate import DEFAULT_TIMEOUT_MS, CompileOutcome
 
 _FILES = ("Alg/Group.lean", "Alg/Ring.lean", "Top/Basic.lean")
 _NAMESPACES = (("Alg", "Group"), ("Alg", "Ring"), ("Top",))
@@ -34,6 +39,41 @@ _SPECIAL_KINDS = {
     7: DeclKind.INSTANCE,
     21: DeclKind.INSTANCE,
 }
+
+
+def save_store(store: ExampleStore, directory: str | Path) -> None:
+    """Persist as meta.json + examples.jsonl under ``directory``, the layout
+    ``retrieval.load_store`` reads."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    meta = {"schema_version": STORE_SCHEMA_VERSION, "dim": store.dim, "count": store.count}
+    (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    with open(directory / "examples.jsonl", "w", encoding="utf-8") as fh:
+        for ex in store.examples:
+            row = {"id": ex.id, "formal_text": ex.formal_text, "informal_text": ex.informal_text,
+                   "embedding": list(ex.embedding.values)}
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def schedule(assignment: LevelAssignment, batch_size: int) -> list[list[str]]:
+    """Chunk each level (in lexicographic order) into batches of <= batch_size.
+
+    All names of level i precede all names of level i+1, so concatenating
+    the batches yields a topological order.
+    """
+    if batch_size < 1:
+        raise InvalidInput(f"batch_size must be >= 1, got {batch_size}")
+    batches = []
+    for names in assignment.levels:
+        for i in range(0, len(names), batch_size):
+            batches.append(list(names[i : i + batch_size]))
+    return batches
+
+
+def compile_check(statement_text: str, backend, timeout_ms: int = DEFAULT_TIMEOUT_MS
+                  ) -> CompileOutcome:
+    """``backend.check``: pass iff elaboration reports no errors within the timeout."""
+    return backend.check(statement_text, timeout_ms)
 
 
 def corpus_name(i: int) -> str:
@@ -291,7 +331,7 @@ def write_shared_fixtures(root: Path) -> dict[str, Path]:
         for i in range(5)
     ]
     store_dir = root / "store"
-    save_store(index_examples(examples), store_dir)
+    save_store(ExampleStore(examples), store_dir)
 
     general = root / "general.jsonl"
     general.write_text(

@@ -15,10 +15,12 @@ import pytest
 from conftest import (
     ScriptedTranslator,
     benchmark_items,
+    compile_check,
     make_corpus,
     oracle_levels,
     random_dag,
     run_full_pipeline,
+    schedule,
     script_benchmark_backend,
     tree_digest,
     write_shared_fixtures,
@@ -26,16 +28,16 @@ from conftest import (
 
 from herald.augment import dedup_sample, synthesize_from_state, synthesize_for_index
 from herald.datastore import Provenance, mix, split_by_ratio, write_pairs_atomic
-from herald.depgraph import DepGraph, schedule, stratify
+from herald.depgraph import DepGraph, stratify
 from herald.gateway import Gateway, GatewayConfig, MockBackTranslator, MockNliJudge, Role
 from herald.ingest import scan_declarations
 from herald.records import DeclKind, ProofState
-from herald.retrieval import AnnotatedExample, EmbeddingVector, cosine, index_examples, query_knn
+from herald.retrieval import AnnotatedExample, EmbeddingVector, cosine, query_knn
+from herald.retrieval import ExampleStore as index_examples
 from herald.validate import (
     MockCompilerBackend,
     ReplBackend,
     Roles,
-    compile_check,
     compose_source,
     summarize,
     validate_item,

@@ -18,14 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herald.augment import (
-    AugmentationStrategy,
-    StrategyKind,
-    all_strategies,
+    STRATEGIES,
     compile_filter,
     dedup_sample,
     differs,
     extract_preamble,
     informal_variants,
+    strategy_order,
     strategy_prompt,
     synthesize_for_index,
     synthesize_from_state,
@@ -49,6 +48,8 @@ from herald.ingest import scan_declarations
 from herald.pipeline import run_augment
 from herald.records import CorpusIndex, DeclKind, ProofState
 from herald.validate import MockCompilerBackend
+
+TAGS = [tag for tag, _ in STRATEGIES]
 
 RUNNING_EXAMPLE_STATE = ProofState(
     hypotheses=(("p", "Prop"), ("q", "Prop"), ("r", "Prop"), ("h", "p ∧ q ∧ r")),
@@ -229,41 +230,41 @@ class TestInformalVariants:
     def _role(self):
         return Role(provider=MockAugmenter(), model_id="mock-augmenter")
 
-    def _variants(self, source, strategies, role=None):
+    def _variants(self, source, order, role=None):
         """informal_variants over ``role``'s answers, asked in strategy order
         up to the first that differs, as run_augment asks them."""
         role = role or self._role()
         answers = []
         with Gateway(GatewayConfig(max_in_flight=2)) as gw:
-            for strategy in strategies:
+            for strategy in order:
                 prompt_text = strategy_prompt(strategy, source.informal_text)
                 answers.append(gw.submit_role(role, prompt_text).result().text.strip())
                 if differs(source, answers[-1]):
                     break
-        return informal_variants(source, strategies, answers)
+        return informal_variants(source, order, answers)
 
     def test_logical_equivalence_shape(self):
-        strategy = AugmentationStrategy(StrategyKind.LOGICAL_EQUIVALENCE_REWRITING)
+        strategy = TAGS.index("logical_equivalence_rewriting")
         batch = self._variants(pair("If A, then B."), [strategy])
-        [variant] = batch.variants
-        assert variant.informal_text == "B holds given A."
-        assert variant.strategy == strategy
+        [(kept, text)] = batch.variants
+        assert text == "B holds given A."
+        assert kept == strategy
 
     def test_abstract_concept_substitution(self):
         text = (
             "For given matrix $A$, there exists a matrix $B$, such that $A B = B A = I$."
         )
-        strategy = AugmentationStrategy(StrategyKind.ABSTRACT_CONCEPT_SUBSTITUTION)
+        strategy = TAGS.index("abstract_concept_substitution")
         batch = self._variants(pair(text), [strategy])
-        [variant] = batch.variants
-        assert "non-degenerate" in variant.informal_text
+        [(_, variant_text)] = batch.variants
+        assert "non-degenerate" in variant_text
 
     def test_multilingual_mock_is_tagged_and_deterministic(self):
-        strategy = AugmentationStrategy(StrategyKind.MULTI_LINGUISTIC_TRANSLATION, "zh")
+        strategy = TAGS.index("multi_linguistic_translation zh")
         one = self._variants(pair("Groups are monoids."), [strategy])
         two = self._variants(pair("Groups are monoids."), [strategy])
-        assert one.variants[0].informal_text == two.variants[0].informal_text
-        assert one.variants[0].informal_text.startswith("[zh] ")
+        assert one.variants[0][1] == two.variants[0][1]
+        assert one.variants[0][1].startswith("[zh] ")
 
     def test_identity_outputs_dropped_and_counted(self):
         class EchoProvider:
@@ -272,54 +273,67 @@ class TestInformalVariants:
             def generate(self, request, sample_index):
                 return Completion(text=_section_after(request.prompt_text, STRATEGY_TEXT_MARKER))
 
-        strategies = all_strategies()
+        order = list(range(len(STRATEGIES)))
         batch = self._variants(
-            pair("Unchanged text."), strategies, Role(provider=EchoProvider(), model_id="echo")
+            pair("Unchanged text."), order, Role(provider=EchoProvider(), model_id="echo")
         )
-        assert batch.attempted == len(strategies)
-        assert batch.dropped == len(strategies)
+        assert batch.attempted == len(order)
+        assert batch.dropped == len(order)
         assert batch.variants == ()
 
     def test_counts_conserved(self):
         # The walk stops at the first variant kept: the mock rewrites every
         # strategy, so the first is kept and the other five are never asked.
-        strategies = all_strategies()
-        batch = self._variants(pair("If A, then B."), strategies)
+        order = list(range(len(STRATEGIES)))
+        batch = self._variants(pair("If A, then B."), order)
         assert batch.attempted == 1
         assert batch.attempted == len(batch.variants) + batch.dropped
-        assert [variant.strategy for variant in batch.variants] == strategies[:1]
+        assert [kept for kept, _ in batch.variants] == order[:1]
 
     def test_first_answer_that_differs_is_kept(self):
         # Whitespace and case do not make an answer differ.
-        strategies = all_strategies()
-        batch = informal_variants(pair("If A, then B."), strategies, ["if a,  then b.", "B if A."])
+        order = list(range(len(STRATEGIES)))
+        batch = informal_variants(pair("If A, then B."), order, ["if a,  then b.", "B if A."])
         assert (batch.attempted, batch.dropped) == (2, 1)
         [variant] = batch.variants
-        assert (variant.strategy, variant.informal_text) == (strategies[1], "B if A.")
-
-    def test_strategy_validation(self):
-        with pytest.raises(InvalidInput):
-            AugmentationStrategy(StrategyKind.MULTI_LINGUISTIC_TRANSLATION, "de")
-        with pytest.raises(InvalidInput):
-            AugmentationStrategy(StrategyKind.LOGICAL_EQUIVALENCE_REWRITING, "zh")
+        assert variant == (order[1], "B if A.")
 
     def test_exactly_four_families_three_languages(self):
-        assert len(StrategyKind) == 4
-        strategies = all_strategies()
-        translation = [s for s in strategies if s.lang is not None]
-        assert sorted(s.lang for s in translation) == ["fr", "ru", "zh"]
+        assert len({tag.split()[0] for tag in TAGS}) == 4
+        translation = [tag.split()[1] for tag in TAGS if len(tag.split()) > 1]
+        assert sorted(translation) == ["fr", "ru", "zh"]
 
     def test_prompt_carries_strategy_tag(self):
-        strategy = AugmentationStrategy(StrategyKind.MULTI_LINGUISTIC_TRANSLATION, "ru")
-        text = strategy_prompt(strategy, "Some claim.")
+        text = strategy_prompt(TAGS.index("multi_linguistic_translation ru"), "Some claim.")
         assert "multi_linguistic_translation ru" in text
         assert "Some claim." in text
 
 
+def test_the_six_strategies_in_their_fixed_order():
+    # A kept variant is named by its index in this order (``{id}__var{j}``),
+    # so the order is part of every informal_aug.jsonl.
+    assert TAGS == [
+        "logical_equivalence_rewriting",
+        "abstract_concept_substitution",
+        "omission_of_implicit_condition",
+        "multi_linguistic_translation zh",
+        "multi_linguistic_translation fr",
+        "multi_linguistic_translation ru",
+    ]
+
+
+@pytest.mark.parametrize("pair_id, seed, order", [
+    ("s0", 0, [1, 2, 4, 3, 5, 0]),
+    ("Alg.Group.item07", 17, [5, 3, 1, 2, 4, 0]),
+    ("thm_x__proof", 123456789, [1, 5, 0, 4, 2, 3]),
+])
+def test_strategy_order_is_a_fixed_seeded_permutation(pair_id, seed, order):
+    assert strategy_order(pair_id, seed) == order
+
+
 # --- the strategy draw, through run_augment -------------------------------------
 
-TAGS = [strategy.tag() for strategy in all_strategies()]
-TRANSLATION = StrategyKind.MULTI_LINGUISTIC_TRANSLATION.value
+TRANSLATION = "multi_linguistic_translation"
 
 
 class LoggingAugmenter(MockAugmenter):
@@ -403,7 +417,7 @@ class TestStrategyDraw:
     def test_an_echoed_family_is_skipped_for_the_next_strategy_in_order(self, tmp_path):
         pairs = statements(30)
         # Every strategy echoed: each statement is asked all six, in its order.
-        full = draw(tmp_path / "all", pairs, echo={kind.value for kind in StrategyKind})
+        full = draw(tmp_path / "all", pairs, echo={tag.split()[0] for tag in TAGS})
         assert full.kept == [] and full.counts["variants_dropped"] == 6 * len(pairs)
         assert all(sorted(tags) == sorted(TAGS) for tags in full.asked.values())
 

@@ -790,9 +790,10 @@ class TestBadInputExits2:
         assert not out.exists()
 
     @pytest.mark.parametrize("row, message", [
-        ({"id": "b1", "informal_text": 5}, "informal_text must be a non-empty string, got 5"),
-        ({"id": "b1", "informal_text": ""}, "informal_text must be a non-empty string"),
-        ({"id": "b1", "informal_text": "q.", "header": 5}, "header must be a string or null"),
+        ({"id": "b1", "informal_text": 5}, "$.informal_text: must be a string, got 5"),
+        ({"id": "b1", "informal_text": ""}, '$.informal_text: must be a non-empty string, got ""'),
+        ({"id": "b1", "informal_text": "q.", "header": 5},
+         "$.header: must be a string or null, got 5"),
     ])
     def test_bad_bench_row_exits_2_naming_its_line(self, tmp_path, capsys, row, message):
         bench = tmp_path / "bench.jsonl"

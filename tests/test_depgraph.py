@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import corpus_name, make_corpus, oracle_levels, random_dag
+from conftest import corpus_name, make_corpus, oracle_levels, random_dag, schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from herald.depgraph import (
     DepGraph,
     build_graph,
     check_acyclic,
-    schedule,
     stratify,
     to_dot,
 )

@@ -1,0 +1,48 @@
+"""The layout of ``src/herald``: every module-level function and class is
+called by herald itself or by the benchmark harness, not by the tests alone."""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "herald"
+
+# The oracle the tests compare ``query_knn`` against.
+ALLOWED = {"retrieval.cosine"}
+
+
+def _references(tree: ast.AST, strings: bool = False) -> Counter:
+    """The names, attributes and (if ``strings``) string constants in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def test_every_src_name_has_a_caller():
+    # The harness wraps some names by their string (perfbench/spans.py).
+    harness = Counter()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        harness += _references(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    in_src = sum(map(_references, modules.values()), Counter())
+    uncalled = [
+        f"{module}.{definition.name}"
+        for module, tree in modules.items()
+        for definition in tree.body
+        if isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        # A reference inside its own definition (recursion) is no caller.
+        and in_src[definition.name] == _references(definition)[definition.name]
+        and not harness[definition.name]
+        and f"{module}.{definition.name}" not in ALLOWED
+    ]
+    assert uncalled == []

@@ -13,16 +13,10 @@ from __future__ import annotations
 import random
 import tracemalloc
 
-from conftest import make_corpus, make_wide_corpus
+from conftest import make_corpus, make_wide_corpus, save_store
 
 from herald.ingest import parse_jixia_export, serialize_index
-from herald.retrieval import (
-    AnnotatedExample,
-    EmbeddingVector,
-    index_examples,
-    load_store,
-    save_store,
-)
+from herald.retrieval import AnnotatedExample, EmbeddingVector, ExampleStore, load_store
 
 COUNT = 2000
 
@@ -39,7 +33,7 @@ def kept_bytes(load):
 
 def test_a_loaded_store_keeps_under_1700_bytes_per_64_dim_example(tmp_path):
     rng = random.Random(0)
-    save_store(index_examples([
+    save_store(ExampleStore([
         AnnotatedExample(f"ex{i:05d}", f"theorem t{i} : a{i} = a{i}", f"Statement {i} holds.",
                          EmbeddingVector(tuple(rng.gauss(0, 1) for _ in range(64))))
         for i in range(COUNT)

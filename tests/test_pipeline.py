@@ -991,3 +991,29 @@ def test_a_claim_killed_after_its_first_bytes_claims_nothing(tmp_path, monkeypat
             run_informalize(index, PipelineConfig(), out)
     run_informalize(index, PipelineConfig(), out)
     assert tree_digest(out) == tree_digest(tmp_path / "clean")
+
+
+def test_an_ingest_killed_mid_write_keeps_the_previous_index(tmp_path, monkeypatch):
+    export, out = tmp_path / "corpus.json", tmp_path / "out"
+    export.write_text(serialize_index(make_corpus(4)), encoding="utf-8")
+    config = PipelineConfig(corpus_export=export)
+    run_ingest(config, out)
+    before = (out / "index.json").read_bytes()
+    assert before == serialize_index(make_corpus(4)).encode("utf-8")
+    export.write_text(serialize_index(make_corpus(8)), encoding="utf-8")
+    real_open = io.open
+
+    def cut_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).stem == "index":
+            return CutAfterFirstBytes(handle)
+        return handle
+
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "open", cut_open)
+        patch.setattr(builtins, "open", cut_open)
+        with pytest.raises(Killed):
+            run_ingest(config, out)
+    assert (out / "index.json").read_bytes() == before
+    run_ingest(config, out)
+    assert (out / "index.json").read_bytes() == serialize_index(make_corpus(8)).encode("utf-8")

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import write_shared_fixtures
+from conftest import save_store, write_shared_fixtures
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,10 +38,8 @@ from herald.retrieval import (
     HashEmbeddingProvider,
     cosine,
     embed,
-    index_examples,
     load_store,
     query_knn,
-    save_store,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -141,24 +139,24 @@ class TestCosine:
 
 class TestStore:
     def test_empty_store_is_valid(self):
-        store = index_examples([])
+        store = ExampleStore([])
         assert store.count == 0
         assert query_knn(store, vec(1, 0), k=3) == []
 
     def test_thousand_examples(self):
         rng = random.Random(1)
         examples = [example(i, [rng.gauss(0, 1) for _ in range(64)]) for i in range(1000)]
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         assert store.count == 1000
         assert store.dim == 64
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateId):
-            index_examples([example(1, [1, 0]), example(1, [0, 1])])
+            ExampleStore([example(1, [1, 0]), example(1, [0, 1])])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            index_examples([example(1, [1, 0]), example(2, [0, 1, 2])])
+            ExampleStore([example(1, [1, 0]), example(2, [0, 1, 2])])
 
     @pytest.mark.parametrize("rows, raised, culprit", [
         ([[1, 0], [1, 0, 0], [0, 0]], DimensionMismatch, "ex0001"),
@@ -192,7 +190,7 @@ class TestStore:
             example(i, [rng.uniform(-2, 2) for _ in range(8)], formal=f"∀ x, f{i} x = {i}")
             for i in range(25)
         ]
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         save_store(store, tmp_path / "store")
         reopened = load_store(tmp_path / "store")
         assert reopened == store
@@ -200,7 +198,7 @@ class TestStore:
 
     def test_meta_dim_is_checked_only_against_records(self, tmp_path):
         store_dir = tmp_path / "store"
-        save_store(index_examples([example(1, [1, 0, 2])]), store_dir)
+        save_store(ExampleStore([example(1, [1, 0, 2])]), store_dir)
         meta = store_dir / "meta.json"
         meta.write_text('{"schema_version": "1", "dim": 4, "count": 1}\n', encoding="utf-8")
         with pytest.raises(SchemaError, match="meta.json: meta dim 4"):
@@ -225,7 +223,7 @@ class TestStore:
             id="only", formal_text=text, informal_text=text, embedding=vec(*values)
         )
         with tempfile.TemporaryDirectory() as tmp:
-            save_store(index_examples([ex]), tmp)
+            save_store(ExampleStore([ex]), tmp)
             [reloaded] = load_store(tmp).examples
         assert reloaded.embedding.values == ex.embedding.values
         assert reloaded.formal_text == text
@@ -234,12 +232,12 @@ class TestStore:
 
 class TestQueryKnn:
     def test_store_of_one(self):
-        store = index_examples([example(1, [0.2, 0.9])])
+        store = ExampleStore([example(1, [0.2, 0.9])])
         [hit] = query_knn(store, vec(1, 1), k=5)
         assert hit.example.id == "ex0001"
 
     def test_exact_match_scores_one(self):
-        store = index_examples([example(1, [3, 4]), example(2, [-1, 2])])
+        store = ExampleStore([example(1, [3, 4]), example(2, [-1, 2])])
         [hit] = query_knn(store, vec(3, 4), k=1)
         assert hit.example.id == "ex0001"
         assert hit.score == pytest.approx(1.0, abs=1e-9)
@@ -247,7 +245,7 @@ class TestQueryKnn:
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(99)
         examples = [example(i, [rng.gauss(0, 1) for _ in range(16)]) for i in range(200)]
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         query = vec(*(rng.gauss(0, 1) for _ in range(16)))
         got = query_knn(store, query, k=10)
         # oracle: brute-force full scan and sort with the tie rule
@@ -262,21 +260,21 @@ class TestQueryKnn:
             AnnotatedExample(id=i, formal_text="t", informal_text="s", embedding=vec(1, 0))
             for i in ("b", "a", "c")
         ]
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         hits = query_knn(store, vec(2, 0), k=3)
         assert [h.example.id for h in hits] == ["a", "b", "c"]
 
     def test_k_larger_than_store(self):
-        store = index_examples([example(i, [i + 1, 1]) for i in range(3)])
+        store = ExampleStore([example(i, [i + 1, 1]) for i in range(3)])
         assert len(query_knn(store, vec(1, 1), k=50)) == 3
 
     def test_dim_mismatch(self):
-        store = index_examples([example(1, [1, 0])])
+        store = ExampleStore([example(1, [1, 0])])
         with pytest.raises(DimensionMismatch):
             query_knn(store, vec(1, 0, 0), k=1)
 
     def test_zero_norm_query_raises(self):
-        store = index_examples([example(1, [1, 0])])
+        store = ExampleStore([example(1, [1, 0])])
         with pytest.raises(ZeroVector):
             query_knn(store, vec(0, 0), k=1)
 
@@ -288,7 +286,7 @@ class TestQueryKnn:
         directions = [[1, 0, 0], [2, -1, 0.5], [-1, 1, 1], [0, 0, -3]]
         examples = [example(i, rng.choice(directions)) for i in range(12)]
         rng.shuffle(examples)
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         query = vec(1.0, -0.5, 0.25)
         got = query_knn(store, query, k=k)
         oracle = sorted(
@@ -307,7 +305,7 @@ class TestQueryKnn:
             for i, values in (("a", (1.0, tiny, tiny)), ("b", (tiny, tiny, 1.0)),
                               ("c", (0.0, 1.0, 0.0)))
         ]
-        [hit] = query_knn(index_examples(examples), vec(1, 1, 1), k=1)
+        [hit] = query_knn(ExampleStore(examples), vec(1, 1, 1), k=1)
         assert hit.example.id == "a"
         assert hit.score == cosine(vec(1, 1, 1), examples[0].embedding)
 
@@ -324,7 +322,7 @@ class TestQueryKnn:
                               ("c", (0.0, 1.0, 0.0, 0.0)))
         ]
         query = vec(1, 1, 1, 1)
-        [hit] = query_knn(index_examples(examples), query, k=1)
+        [hit] = query_knn(ExampleStore(examples), query, k=1)
         assert hit.example.id == "a"
         assert hit.score == cosine(query, examples[0].embedding) == cosine(
             query, examples[1].embedding
@@ -335,7 +333,7 @@ class TestQueryKnn:
         rng = random.Random(4)
         examples = [example(i, [scale * rng.gauss(0, 1) for _ in range(8)]) for i in range(30)]
         query = vec(*(scale * rng.gauss(0, 1) for _ in range(8)))
-        got = query_knn(index_examples(examples), query, k=5)
+        got = query_knn(ExampleStore(examples), query, k=5)
         oracle = sorted(
             ((cosine(query, ex.embedding), ex.id) for ex in examples),
             key=lambda t: (-t[0], t[1]),
@@ -374,7 +372,7 @@ class TestQueryKnn:
         query = vec(*vector(zeros))
         k = data.draw(st.sampled_from([1, 3, len(examples)]), label="k")
 
-        got = query_knn(index_examples(examples), query, k=k)
+        got = query_knn(ExampleStore(examples), query, k=k)
         oracle = sorted(
             ((cosine(query, ex.embedding), ex.id) for ex in examples),
             key=lambda t: (-t[0], t[1]),
@@ -388,7 +386,7 @@ class TestQueryKnn:
         # store queried with hashed signatures at k = 1.  Scoring every
         # example exactly would rescore 500 per query.
         rng = random.Random(500)
-        store = index_examples(
+        store = ExampleStore(
             [example(i, [rng.gauss(0, 1) for _ in range(64)]) for i in range(500)]
         )
         provider = HashEmbeddingProvider(dim=64)
@@ -412,7 +410,7 @@ class TestQueryKnn:
         # The same guard on a store ten times larger: scoring every example
         # exactly would rescore 5000 per query.
         rng = random.Random(5000)
-        store = index_examples(
+        store = ExampleStore(
             [example(i, [rng.gauss(0, 1) for _ in range(64)]) for i in range(5000)]
         )
         provider = HashEmbeddingProvider(dim=64)
@@ -440,7 +438,7 @@ class TestQueryKnn:
         examples = [
             example(i, [rng.gauss(0, 1) or 0.1 for _ in range(dim)]) for i in range(20)
         ]
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         query = [rng.gauss(0, 1) for _ in range(dim)]
         if all(abs(x) < 1e-12 for x in query):
             query[0] = 1.0
@@ -489,7 +487,7 @@ class TestIntegerScreenEdges:
             row[rng.randrange(dim)] = rng.choice([-1.0, 1.0]) * rng.choice([0.5, 3.0, 1e-3])
             rows.append(row)
         examples = [example(i, row) for i, row in enumerate(rows)]
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         magnitude = rng.choice([0.25, 7.0])
         query = vec(*(rng.choice([-magnitude, magnitude]) for _ in range(dim)))
         for k in (1, 5):
@@ -517,7 +515,7 @@ class TestIntegerScreenEdges:
         rows += [[rng.gauss(0, 1) for _ in range(dim)] for _ in range(20)]
         examples = [example(i, row) for i, row in enumerate(rows)]
         rng.shuffle(examples)
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         for _ in range(20):
             query = vec(*(x + rng.gauss(0, 0.5) for x in base))
             for k in (1, 3):
@@ -527,7 +525,7 @@ class TestIntegerScreenEdges:
         rng = random.Random(21)
         examples = [example(i, [rng.gauss(0, 1) for _ in range(16)]) for i in range(200)]
         query = vec(*(-abs(rng.gauss(0, 1)) for _ in range(16)))
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         for k in (1, 4):
             assert hits(store, query, k) == sorted_cosine_oracle(examples, query, k)
 
@@ -540,7 +538,7 @@ class TestIntegerScreenEdges:
         ]
         examples = [ex for ex in examples if any(ex.embedding.values)]
         query = vec(*(sign * 3.0 if j == 5 else 0.0 for j in range(8)))
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         for k in (1, 7):
             assert hits(store, query, k) == sorted_cosine_oracle(examples, query, k)
 
@@ -550,7 +548,7 @@ class TestIntegerScreenEdges:
         examples = [example(i, [rng.gauss(0, 1) for _ in range(12)]) for i in range(30)]
         query = vec(*(rng.gauss(0, 1) for _ in range(12)))
         k = len(examples) + extra
-        assert hits(index_examples(examples), query, k) == sorted_cosine_oracle(
+        assert hits(ExampleStore(examples), query, k) == sorted_cosine_oracle(
             examples, query, k
         )
 
@@ -588,7 +586,7 @@ class TestSelection:
 
     @staticmethod
     def check(monkeypatch, examples, query, k):
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         q, nq = query.values, query.norm()
         screen, err = store._screen(q, nq)
         # The grouped screen is the plain sum of P_j times column j.
@@ -627,7 +625,7 @@ class TestSelection:
     def test_error_bound_counts_components_not_groups(self):
         # E grows with the m nonzero components of the query, however few
         # distinct P_j the grouped screen multiplies them by.
-        store = index_examples(gaussian_store(50, 26, 26))
+        store = ExampleStore(gaussian_store(50, 26, 26))
         one_value = vec(*[1.0] * 26)
         distinct = vec(*(1.0 + j / 26 for j in range(26)))
         single = vec(*[1.0] + [0.0] * 25)
@@ -664,7 +662,7 @@ class TestSelection:
         rng = random.Random(k)
         examples = [example(i, [abs(rng.gauss(0, 1)) for _ in range(16)]) for i in range(400)]
         query = vec(*(-abs(rng.gauss(0, 1)) for _ in range(16)))
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         screen, _ = store._screen(query.values, query.norm())
         assert max(unpack(screen, len(examples))) < 1 << 62
         self.check(monkeypatch, examples, query, k)
@@ -695,7 +693,7 @@ class TestSelection:
         # Guard against a per-example Python pass: no heapq call made by a
         # screened query sees an iterable as long as the 5000-example store.
         examples = gaussian_store(5000, 64, 5000)
-        store = index_examples(examples)
+        store = ExampleStore(examples)
         longest = []
 
         def measured(select):
@@ -750,7 +748,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
 
 class TestEmbed:
     def test_mock_provider_is_deterministic(self):
-        provider = HashEmbeddingProvider(dim=64, seed=3)
+        provider = HashEmbeddingProvider(dim=64)
         a = embed("the quick brown theorem", provider)
         b = embed("the quick brown theorem", provider)
         assert a == b
@@ -760,43 +758,31 @@ class TestEmbed:
         for text in ("x", "a longer text with several tokens", "∀ ε > 0"):
             assert embed(text, provider).norm() == pytest.approx(1.0, abs=1e-9)
 
-    def test_different_seeds_differ(self):
-        text = "same text"
-        assert embed(text, HashEmbeddingProvider(dim=32, seed=0)) != embed(
-            text, HashEmbeddingProvider(dim=32, seed=1)
-        )
-
     def test_empty_text_rejected(self):
         with pytest.raises(InvalidInput):
             embed("", HashEmbeddingProvider())
 
-    @pytest.mark.parametrize("max_ngram", [0, -1])
-    def test_max_ngram_below_one_rejected(self, max_ngram):
-        with pytest.raises(InvalidInput, match="max_ngram"):
-            HashEmbeddingProvider(max_ngram=max_ngram)
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(st.text(min_size=1), st.text(" \t\n\r\x0b\x0c\x1c\x85\xa0\u3000", min_size=1)),
-        st.integers(0, 3),
         st.sampled_from([1, 7, 64, 1000]),
-        st.integers(1, 4),
     )
-    def test_embedding_matches_hashing_each_gram_whole(self, text, seed, dim, max_ngram):
-        # The reference hashes f"{seed}\0{n}\0{gram}" from scratch per gram;
-        # the provider continues a per-n prefix state, which blake2b's
-        # streaming makes the same digest.
+    def test_embedding_matches_hashing_each_gram_whole(self, text, dim):
+        # The reference hashes f"0\0{n}\0{gram}" (seed 0, 1- to 3-grams) from
+        # scratch per gram; the provider continues a per-n prefix state,
+        # which blake2b's streaming makes the same digest.
         tokens = text.split() or [text]
         buckets = [0.0] * dim
-        for n in range(1, max_ngram + 1):
+        for n in (1, 2, 3):
             for i in range(len(tokens) - n + 1):
                 gram = " ".join(tokens[i : i + n])
                 h = hashlib.blake2b(
-                    f"{seed}\x00{n}\x00{gram}".encode("utf-8"), digest_size=8
+                    f"0\x00{n}\x00{gram}".encode("utf-8"), digest_size=8
                 ).digest()
                 buckets[int.from_bytes(h, "big") % dim] += 1.0
         norm = math.sqrt(math.fsum(x * x for x in buckets))
-        provider = HashEmbeddingProvider(dim=dim, seed=seed, max_ngram=max_ngram)
+        provider = HashEmbeddingProvider(dim=dim)
+        assert provider.name == f"hash-{dim}-s0"
         assert [x.hex() for x in provider.embed_text(text).values] == [
             (x / norm).hex() for x in buckets
         ]
@@ -820,6 +806,6 @@ class TestEmbed:
         with pytest.raises(ProviderError) as exc:
             for i, text in enumerate(texts):
                 examples.append(example(i, embed(text, provider).values))
-            save_store(index_examples(examples), store_dir)
+            save_store(ExampleStore(examples), store_dir)
         assert "remote-down" in str(exc.value)
         assert not store_dir.exists()

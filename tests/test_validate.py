@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import ScriptedTranslator, benchmark_items, script_benchmark_backend
+from conftest import ScriptedTranslator, benchmark_items, compile_check, script_benchmark_backend
 
 from herald.errors import BackendUnavailable, InvalidInput, MixedK
 from herald.gateway import (
@@ -33,7 +33,6 @@ from herald.validate import (
     ValidationReport,
     back_translate,
     cache_checks,
-    compile_check,
     compose_source,
     nli_check,
     read_reports,
