@@ -199,23 +199,27 @@ def run_stratify(
 
 # --- informalize -------------------------------------------------------------
 
+# Futures pending per ``max_in_flight`` slot.  At 8, validate's last serial
+# judge chains opened late and ran nearly alone; 24 to 64 time the same.
+DISPATCH_WINDOW = 32
+
 
 class _OrderedDispatch:
     """Deferred units in; records appended to their JSONL files in canonical order.
 
     A *unit*, handed to ``defer``, builds its prompts and sends their
     futures with :meth:`submit`.  :meth:`run` calls the units in the order
-    deferred, each only while fewer than ``8 * max_in_flight`` futures are
-    pending, and feeds each completion to ``settle(tag, completion)`` on the
-    calling thread once ``gateway`` has logged what it paid for.  A
-    follow-up request that ``settle`` makes replaces the future it settles
-    and is submitted directly; work that settling makes ready is deferred.
-    So pending futures and built prompts stay within the window plus the
-    largest unit, not the corpus.  ``order`` lists every record key in
-    canonical order and ``on_disk`` the keys an earlier run wrote; a record
-    handed to :meth:`finish` is appended, and flushed, once every earlier
-    one is on disk, so the files do not depend on ``max_in_flight`` and an
-    interrupted run leaves a canonical prefix.
+    deferred, each only while fewer than ``DISPATCH_WINDOW * max_in_flight``
+    futures are pending, and feeds each completion to ``settle(tag,
+    completion)`` on the calling thread once ``gateway`` has logged what it
+    paid for.  A follow-up request that ``settle`` makes replaces the future
+    it settles and is submitted directly; work that settling makes ready is
+    deferred.  So pending futures and built prompts stay within the window
+    plus the largest unit, not the corpus.  ``order`` lists every record key
+    in canonical order and ``on_disk`` the keys an earlier run wrote; a
+    record handed to :meth:`finish` is appended, and flushed, once every
+    earlier one is on disk, so the files do not depend on ``max_in_flight``
+    and an interrupted run leaves a canonical prefix.
 
     On the first error, queued requests are cancelled, deferred units are
     dropped, the prefix is flushed and the error is re-raised.  A request
@@ -236,8 +240,7 @@ class _OrderedDispatch:
         self._completed: queue.SimpleQueue = queue.SimpleQueue()
         self._deferred: deque[Callable[[], None]] = deque()
         self.defer = self._deferred.append
-        # Deep enough to keep the pool busy while this thread runs compile checks.
-        self._window = 8 * gateway.config.max_in_flight
+        self._window = DISPATCH_WINDOW * gateway.config.max_in_flight
 
     def submit(self, future: futures.Future, tag: object) -> None:
         self._pending[future] = tag
@@ -712,7 +715,19 @@ def _benchmark_item(obj: dict) -> dict:
 
 
 def load_benchmark(path: Path) -> list[dict]:
-    return list(ds.read_jsonl(path, _benchmark_item, "benchmark record"))
+    """The benchmark's rows; a row whose stringified id repeats an earlier
+    one's is a :class:`SchemaError` at its line, naming the first."""
+    items = list(ds.read_jsonl(path, _benchmark_item, "benchmark record"))
+    first: dict[str, int] = {}
+    for row, item in enumerate(items):
+        if first.setdefault(item["id"], row) != row:
+            with open(path, "rb") as fh:  # the rows' line numbers, blank lines skipped
+                lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
+            raise SchemaError(
+                f"bad benchmark record: id {item['id']!r} repeats line {lines[first[item['id']]]}",
+                f"{path}: line {lines[row]}",
+            )
+    return items
 
 
 def _written_report_count(path: Path, items: list[dict]) -> int:
@@ -749,10 +764,10 @@ def run_validate(
     benchmark order when its window has room, as a :class:`validate.ItemRun`
     whose requests all go through the gateway pool; compile checks run on
     this thread as candidates come up.  An open item holds at most k
-    futures; without ``short_circuit``, a late sample can send several
-    back-translations at once, past the window plus one item.  Items run
-    concurrently, and each report is appended as soon as every earlier one
-    is on disk, so ``reports.jsonl`` does not depend on ``max_in_flight``.
+    futures, so at most the window plus k - 1 are pending (without
+    ``short_circuit``, a late sample can send several back-translations past
+    that).  Items run concurrently; a report is appended once every earlier
+    one is on disk, so ``reports.jsonl`` does not depend on ``max_in_flight``.
 
     Resume: the directory is claimed (:func:`_claim`) with ``pass_k`` set to
     ``k``.  ``reports.jsonl`` is the only record of progress.  It must hold

@@ -805,6 +805,20 @@ class TestBadInputExits2:
         assert f"{bench}: line 2: bad benchmark record: {message}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ids, message", [
+        (["b0", "b1", "b0"], "line 4: bad benchmark record: id 'b0' repeats line 1"),
+        ([None, "b1", "None"], "line 4: bad benchmark record: id 'None' repeats line 1"),
+        ([7, "7"], "line 3: bad benchmark record: id '7' repeats line 1"),
+    ])
+    def test_repeated_bench_id_exits_2_naming_both_lines(self, tmp_path, capsys, ids, message):
+        bench = tmp_path / "bench.jsonl"
+        rows = [json.dumps({"id": i, "informal_text": f"p{n} holds."}) for n, i in enumerate(ids)]
+        bench.write_text(rows[0] + "\n\n" + "\n".join(rows[1:]) + "\n", encoding="utf-8")
+        out = tmp_path / "val"
+        assert run("--out", str(out), "validate", "--bench", str(bench)) == 2
+        assert f"{bench}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # --- one config check before any write -----------------------------------------
 
