@@ -150,25 +150,34 @@ def drop_torn_tail(path: Path) -> None:
         os.truncate(path, keep)
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str) -> Iterator[T]:
+def read_jsonl(path: str | Path, parse: Callable[[dict], T], what: str,
+               unique: Callable[[T], str] | None = None) -> Iterator[T]:
     """``parse(json.loads(line))`` for each line of ``path``, lazily; blank
     lines are skipped.
 
     A line that is not UTF-8 JSON, or that ``parse`` fails on for a missing
     key, a wrong type or a rejected value, is a :class:`SchemaError` ``bad
-    {what}`` located at ``{path}: line {n}``.
+    {what}`` located at ``{path}: line {n}``.  So is a record whose
+    ``unique(record)``, a name such as ``id 'x'``, an earlier line's record
+    had: ``bad {what}: id 'x' repeats line {m}``.
     """
-    return _read_lines(path, lambda line: parse(json.loads(line)), what)
+    return _read_lines(path, lambda line: parse(json.loads(line)), what, unique)
 
 
-def _read_lines(path: str | Path, parse: Callable[[str], T], what: str) -> Iterator[T]:
+def _read_lines(path: str | Path, parse: Callable[[str], T], what: str,
+                unique: Callable[[T], str] | None = None) -> Iterator[T]:
     """:func:`read_jsonl` with ``parse`` given each line's text, newline included."""
+    first: dict[str, int] = {}  # line of each name ``unique`` gave
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = parse(line.decode("utf-8"))
+                if unique is not None:
+                    name = unique(record)
+                    if first.setdefault(name, lineno) != lineno:
+                        raise ValueError(f"{name} repeats line {first[name]}")
             except (KeyError, TypeError, ValueError, InvalidInput, SchemaError) as exc:
                 raise SchemaError(f"bad {what}: {exc}", f"{path}: line {lineno}") from exc
             yield record

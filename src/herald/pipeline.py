@@ -201,7 +201,9 @@ def run_stratify(
 
 # Futures pending per ``max_in_flight`` slot.  At 8, validate's last serial
 # judge chains opened late and ran nearly alone; 24 to 64 time the same.
-DISPATCH_WINDOW = 32
+# Under a request budget it stays 8: the pool answers in the order sent, so a
+# deeper window spends the budget opening units, and a cut keeps no record.
+DISPATCH_WINDOW, BUDGET_WINDOW = 32, 8
 
 
 class _OrderedDispatch:
@@ -210,16 +212,17 @@ class _OrderedDispatch:
     A *unit*, handed to ``defer``, builds its prompts and sends their
     futures with :meth:`submit`.  :meth:`run` calls the units in the order
     deferred, each only while fewer than ``DISPATCH_WINDOW * max_in_flight``
-    futures are pending, and feeds each completion to ``settle(tag,
-    completion)`` on the calling thread once ``gateway`` has logged what it
-    paid for.  A follow-up request that ``settle`` makes replaces the future
-    it settles and is submitted directly; work that settling makes ready is
-    deferred.  So pending futures and built prompts stay within the window
-    plus the largest unit, not the corpus.  ``order`` lists every record key
-    in canonical order and ``on_disk`` the keys an earlier run wrote; a
-    record handed to :meth:`finish` is appended, and flushed, once every
-    earlier one is on disk, so the files do not depend on ``max_in_flight``
-    and an interrupted run leaves a canonical prefix.
+    futures (``BUDGET_WINDOW * max_in_flight`` under a request budget) are
+    pending, and feeds each completion to ``settle(tag, completion)`` on the
+    calling thread once ``gateway`` has logged what it paid for.  A
+    follow-up request that ``settle`` makes replaces the future it settles
+    and is submitted directly; work that settling makes ready is deferred.
+    So pending futures and built prompts stay within the window plus the
+    largest unit, not the corpus.  ``order`` lists every record key in
+    canonical order and ``on_disk`` the keys an earlier run wrote; a record
+    handed to :meth:`finish` is appended, and flushed, once every earlier
+    one is on disk, so the files do not depend on ``max_in_flight`` and an
+    interrupted run leaves a canonical prefix.
 
     On the first error, queued requests are cancelled, deferred units are
     dropped, the prefix is flushed and the error is re-raised.  A request
@@ -240,7 +243,8 @@ class _OrderedDispatch:
         self._completed: queue.SimpleQueue = queue.SimpleQueue()
         self._deferred: deque[Callable[[], None]] = deque()
         self.defer = self._deferred.append
-        self._window = DISPATCH_WINDOW * gateway.config.max_in_flight
+        depth = DISPATCH_WINDOW if gateway.config.request_budget is None else BUDGET_WINDOW
+        self._window = depth * gateway.config.max_in_flight
 
     def submit(self, future: futures.Future, tag: object) -> None:
         self._pending[future] = tag
@@ -717,17 +721,8 @@ def _benchmark_item(obj: dict) -> dict:
 def load_benchmark(path: Path) -> list[dict]:
     """The benchmark's rows; a row whose stringified id repeats an earlier
     one's is a :class:`SchemaError` at its line, naming the first."""
-    items = list(ds.read_jsonl(path, _benchmark_item, "benchmark record"))
-    first: dict[str, int] = {}
-    for row, item in enumerate(items):
-        if first.setdefault(item["id"], row) != row:
-            with open(path, "rb") as fh:  # the rows' line numbers, blank lines skipped
-                lines = [n for n, line in enumerate(fh, start=1) if line.strip()]
-            raise SchemaError(
-                f"bad benchmark record: id {item['id']!r} repeats line {lines[first[item['id']]]}",
-                f"{path}: line {lines[row]}",
-            )
-    return items
+    return list(ds.read_jsonl(path, _benchmark_item, "benchmark record",
+                              unique=lambda item: f"id {item['id']!r}"))
 
 
 def _written_report_count(path: Path, items: list[dict]) -> int:

@@ -37,6 +37,7 @@ from herald.gateway import (
 )
 from herald.ingest import serialize_index
 from herald.pipeline import (
+    BUDGET_WINDOW,
     DISPATCH_WINDOW,
     _OrderedDispatch,
     level_files,
@@ -600,7 +601,10 @@ def watch_pending(monkeypatch) -> list[int]:
     return peak
 
 
-def test_validate_opens_items_concurrently_within_the_dispatch_window(tmp_path, monkeypatch):
+@pytest.mark.parametrize("request_budget, depth", [(None, DISPATCH_WINDOW), (1000, BUDGET_WINDOW)],
+                         ids=["unbudgeted", "budgeted"])
+def test_validate_opens_items_concurrently_within_the_dispatch_window(
+        tmp_path, monkeypatch, request_budget, depth):
     open_now, peak = set(), [0]
     start, settle = validate.ItemRun.start, validate.ItemRun.settle
 
@@ -619,9 +623,9 @@ def test_validate_opens_items_concurrently_within_the_dispatch_window(tmp_path, 
     monkeypatch.setattr(validate.ItemRun, "settle", counting_settle)
     pending = watch_pending(monkeypatch)
     validate_run(write_bench(tmp_path / "bench.jsonl", 24), tmp_path / "val", k=6,
-                 max_in_flight=2)
+                 max_in_flight=2, request_budget=request_budget)
     assert peak[0] > 1
-    window = DISPATCH_WINDOW * 2  # W = DISPATCH_WINDOW * max_in_flight
+    window = depth * 2  # W = depth * max_in_flight
     assert window <= pending[0] <= window + 6 - 1  # an item's k samples go out together
     assert not open_now
 
@@ -674,9 +678,9 @@ def test_pending_futures_stay_within_the_window_plus_one_unit(tmp_path, monkeypa
 
 @pytest.mark.parametrize("max_in_flight", [2, 8])
 def test_validate_budget_cut_then_rerun_pays_the_rest_once(tmp_path, max_in_flight):
-    """The window holds 11 of the 12 items' samples at 2 and all of them at
-    8, so the cut lands before most follow-ups and may leave no report: the
-    rerun takes what the cut run paid for from the cache."""
+    """At 2 the budget's shallow window lets the cut keep a prefix of the
+    reports.  At 8 the window holds 11 of the 12 items' samples, so the cut
+    lands before any verdict: the rerun takes what it paid for from the cache."""
     bench = write_bench(tmp_path / "bench.jsonl", 12)
     cold = []
     validate_run(bench, tmp_path / "ref", cold, max_in_flight=max_in_flight)
@@ -688,8 +692,11 @@ def test_validate_budget_cut_then_rerun_pays_the_rest_once(tmp_path, max_in_flig
         validate_run(bench, out, first, jitter_s=0.002, max_in_flight=max_in_flight,
                      request_budget=70)
     reports = out / "reports.jsonl"
-    written = reports.read_bytes() if reports.exists() else b""
-    assert len(written) < len((tmp_path / "ref" / "reports.jsonl").read_bytes())
+    if max_in_flight == 2:
+        written = reports.read_bytes()
+        assert 0 < len(written) < len((tmp_path / "ref" / "reports.jsonl").read_bytes())
+    else:
+        written = reports.read_bytes() if reports.exists() else b""
     assert written == (tmp_path / "ref" / "reports.jsonl").read_bytes()[: len(written)]
     validate_run(bench, out, second, jitter_s=0.002, max_in_flight=max_in_flight)
     assert len(calls(first)) == 70
