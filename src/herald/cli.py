@@ -1,9 +1,9 @@
 """Operator entry point wiring the pipeline stages into subcommands.
 
 Exit codes: 0 success; 2 malformed input or configuration (schema errors,
-bad flags); 3 provider exhaustion or spent request budget (rerun the same
-command to resume); 4 backend or pipeline failures (compiler backend down,
-dependency cycles, I/O).
+bad flags, an input path that is missing or a directory); 3 provider
+exhaustion or spent request budget (rerun the same command to resume); 4
+backend or pipeline failures (compiler backend down, dependency cycles, I/O).
 """
 
 from __future__ import annotations
@@ -187,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
 
         return EXIT_OK
 
-    except (SchemaError, DuplicateDeclaration, InvalidInput, FileNotFoundError) as exc:
+    except (SchemaError, DuplicateDeclaration, InvalidInput, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:

@@ -25,7 +25,8 @@ naming its JSON path, and a value out of range (:data:`_MINIMUM`, and
 Every stage runs :meth:`PipelineConfig.check` before it writes anything,
 since flags and code may set fields after the file is read.
 ``max_in_flight`` is the one concurrency knob: every provider call goes
-through the gateway pool.
+through the pool of ``Gateway(config, out_dir)``, which reads it and the
+other operational knobs from this config and checks none of them itself.
 
 :attr:`PipelineConfig.config_digest` covers the config a stage runs with,
 whether it came from a file, from flags or from code: it hashes the document
@@ -42,8 +43,8 @@ from pathlib import Path
 
 from .datastore import check_shape, parse_json
 from .errors import InvalidInput, SchemaError
-from .gateway import (SAMPLE_CAP, Gateway, GatewayConfig, HttpChatProvider, MockAugmenter,
-                      MockBackTranslator, MockChatProvider, MockInformalizer, MockNliJudge, Role)
+from .gateway import (SAMPLE_CAP, HttpChatProvider, MockAugmenter, MockBackTranslator,
+                      MockChatProvider, MockInformalizer, MockNliJudge, Role)
 from .validate import DEFAULT_HEADER, DEFAULT_TIMEOUT_MS, MockCompilerBackend, ReplBackend
 
 _MOCKS_BY_ROLE = {
@@ -172,10 +173,6 @@ class PipelineConfig:
         if name not in _MOCKS_BY_ROLE:
             raise InvalidInput(f"unknown role {name!r}")
         return self.roles.get(name, RoleConfig()).build(name)
-
-    def gateway(self, cache_dir: Path | None = None) -> Gateway:
-        return Gateway(GatewayConfig(cache_dir=cache_dir,
-                                     **{name: getattr(self, name) for name in _OPERATIONAL_KNOBS}))
 
     @property
     def config_digest(self) -> str:

@@ -1,10 +1,11 @@
 """Provider-agnostic completion client with retries, caching, and mocks.
 
 Every request is one sample, which :meth:`Gateway.complete` answers from the
-cache or the provider.  The gateway owns the pipeline's provider state: the
-one pool, of ``max_in_flight`` threads, that callers submit requests to, the
-counters, behind a lock, and the completion log.  Pool threads only read the
-log; the thread that settles answers appends them (:meth:`Gateway.append_paid`).
+cache or the provider.  A stage's ``Gateway(config, out_dir)`` owns its
+provider state: the one pool, of ``max_in_flight`` threads, that callers
+submit requests to, the counters, behind a lock, and the completion log in
+``out_dir/cache``, placed here alone.  Pool threads only read the log; the
+thread that settles answers appends them (:meth:`Gateway.append_paid`).
 
 Which hosted models back each pipeline role is configuration, not code:
 bind a provider + model id per role.  The mock providers below are test
@@ -25,10 +26,13 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import ClassVar, Mapping, Protocol
+from typing import TYPE_CHECKING, ClassVar, Mapping, Protocol
 
 from .datastore import KeyedLog, check_shape
 from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import PipelineConfig
 
 # Section markers used by prompt builders; the mocks parse them back out.
 TRANSLATE_MARKER = "INFORMAL STATEMENT:"
@@ -92,24 +96,6 @@ class CompletionRequest:
             raise InvalidInput("max_output_tokens must be >= 1")
 
 
-@dataclass(frozen=True)
-class GatewayConfig:
-    max_in_flight: int = 8
-    retry_limit: int = 3
-    backoff_base_ms: int = 50
-    cache_dir: Path | None = None
-    request_budget: int | None = None
-
-    def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise InvalidInput("max_in_flight must be >= 1")
-        # A budget of 0 is valid: the run is answered from the cache alone.
-        for name in ("retry_limit", "backoff_base_ms", "request_budget"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise InvalidInput(f"{name} must be >= 0, got {value}")
-
-
 class CompletionProvider(Protocol):
     name: str
 
@@ -162,22 +148,23 @@ def _cache_key(request: CompletionRequest, provider: CompletionProvider) -> str:
 class Gateway:
     """Answers one-sample requests through a pool of ``max_in_flight`` threads.
 
-    ``stats`` counts provider calls (retries included), retries, cache hits,
-    and the truncated (``length``) and failed (``error``) completions the
-    provider returned.
+    It reads its knobs from ``config``, a checked :class:`PipelineConfig`,
+    and keeps its log in ``cache_dir``, always ``out_dir/cache``.  ``stats``
+    counts provider calls (retries included), retries, cache hits, and the
+    truncated (``length``) and failed (``error``) completions the provider
+    returned.
     """
 
-    def __init__(self, config: GatewayConfig | None = None):
-        self.config = config or GatewayConfig()
+    def __init__(self, config: PipelineConfig, out_dir: Path):
+        self.config = config
+        self.cache_dir = Path(out_dir) / "cache"
         # Starts no thread until the first submit.
-        self._executor = ThreadPoolExecutor(max_workers=self.config.max_in_flight)
+        self._executor = ThreadPoolExecutor(max_workers=config.max_in_flight)
         self._lock = threading.Lock()
         # ``cache/completions.jsonl``, one entry per sample paid for, read
         # now, so a malformed cache fails before any call is paid for.
-        self._log = None if self.config.cache_dir is None else KeyedLog(
-            Path(self.config.cache_dir) / "completions.jsonl",
-            _completion, _completion_fields, "cache entry",
-        )
+        self._log = KeyedLog(self.cache_dir / "completions.jsonl",
+                             _completion, _completion_fields, "cache entry")
         # (key, completion) of each cacheable answer not yet in the log.
         self._paid: queue.SimpleQueue = queue.SimpleQueue()
         self.stats = {
@@ -200,9 +187,8 @@ class Gateway:
         the completion log, so an answer still running at an error is kept,
         and a run that asks for nothing still sorts what a killed run left."""
         self._executor.shutdown(wait=True)
-        if self._log is not None:
-            self.append_paid()
-            self._log.close()
+        self.append_paid()
+        self._log.close()
 
     def __enter__(self) -> "Gateway":
         return self
@@ -235,14 +221,12 @@ class Gateway:
         request budget.  A paid answer is queued for :meth:`append_paid`, so
         a twin sent before it is appended pays too.
         """
-        key = None
-        if self._log is not None:
-            key = _cache_key(request, provider)
-            cached = self._log.get(key)
-            if cached is not None:
-                with self._lock:
-                    self.stats["cache_hits"] += 1
-                return cached
+        key = _cache_key(request, provider)
+        cached = self._log.get(key)
+        if cached is not None:
+            with self._lock:
+                self.stats["cache_hits"] += 1
+            return cached
 
         for attempt in range(self.config.retry_limit + 1):
             with self._lock:
@@ -269,7 +253,7 @@ class Gateway:
         # A truncated, failed or blank completion is not cached: a rerun asks again.
         reason = completion.finish_reason
         if reason == FinishReason.STOP:
-            if key is not None and completion.text.strip():
+            if completion.text.strip():
                 self._paid.put((key, completion))
         else:
             with self._lock:

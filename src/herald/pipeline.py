@@ -175,9 +175,9 @@ def run_stratify(
     index: CorpusIndex, config: PipelineConfig, out_dir: Path, emit_dot: Path | None = None
 ) -> depgraph.LevelAssignment:
     config.check()
-    out_dir.mkdir(parents=True, exist_ok=True)
     graph = depgraph.build_graph(index)
     assignment = depgraph.stratify(graph)
+    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "level_of": {n: assignment.level_of[n] for n in sorted(assignment.level_of)},
         "levels": [list(level) for level in assignment.levels],
@@ -347,12 +347,11 @@ def run_informalize(
     registry = _load_registry(config)
     notes = prompts.load_tactic_notes(config.tactic_notes)
     store, embed_provider = _retrieval_context(config)
-    # The config and inputs are read first, so a malformed one leaves no claim
-    # behind; a dry run claims no directory, so the config may change after it.
-    _claim(out_dir, config, write=not dry_run)
-
     graph = depgraph.build_graph(index)
     assignment = depgraph.stratify(graph)
+    # Inputs are read and stratified first, so a malformed one or a cycle
+    # leaves no claim; a dry run claims nothing, so the config may change after.
+    _claim(out_dir, config, write=not dry_run)
     statement_order = [name for level in assignment.levels for name in level]
     proof_names = index.tactic_proof_names()
 
@@ -442,7 +441,7 @@ def run_informalize(
         return counts
 
     informalizer = config.role("informalizer")
-    gateway = config.gateway(cache_dir=out_dir / "cache")
+    gateway = Gateway(config, out_dir)
     dispatch = _OrderedDispatch(
         gateway, statement_order + [f"{name}::proof" for name in proof_names], existing
     )
@@ -554,8 +553,8 @@ def run_augment(
     ] if informal else []
     orders = [aug.strategy_order(pair.id, config.dedup_seed) for pair in source_pairs]
     answers: list[list[str]] = [[] for _ in source_pairs]  # per strategy asked, in order
-    gateway = config.gateway(cache_dir=out_dir / "cache")
-    backend = validate.cache_checks(config.backend.build(), out_dir / "cache") if tactic else None
+    gateway = Gateway(config, out_dir)
+    backend = validate.cache_checks(config.backend.build(), gateway.cache_dir) if tactic else None
     dispatch = _OrderedDispatch(gateway)
     try:
         if tactic:
@@ -788,8 +787,8 @@ def run_validate(
     _claim(out_dir, config)
     reports_path = out_dir / "reports.jsonl"
     written = _written_report_count(reports_path, items)
-    backend = validate.cache_checks(config.backend.build(), out_dir / "cache")
-    gateway = config.gateway(cache_dir=out_dir / "cache")
+    gateway = Gateway(config, out_dir)
+    backend = validate.cache_checks(config.backend.build(), gateway.cache_dir)
     dispatch = _OrderedDispatch(gateway, range(len(items)), range(written))
     runs: dict[int, validate.ItemRun] = {}  # the unfinished items, by position
 

@@ -27,9 +27,10 @@ from conftest import (
 )
 
 from herald.augment import dedup_sample, synthesize_from_state, synthesize_for_index
+from herald.config import PipelineConfig
 from herald.datastore import Provenance, mix, split_by_ratio, write_pairs_atomic
 from herald.depgraph import DepGraph, stratify
-from herald.gateway import Gateway, GatewayConfig, MockBackTranslator, MockNliJudge, Role
+from herald.gateway import Gateway, MockBackTranslator, MockNliJudge, Role
 from herald.ingest import scan_declarations
 from herald.records import DeclKind, ProofState
 from herald.retrieval import AnnotatedExample, EmbeddingVector, cosine, query_knn
@@ -189,7 +190,7 @@ def test_dedup_sampling():
     )
 
 
-def test_pass_at_k_semantics():
+def test_pass_at_k_semantics(tmp_path):
     items = benchmark_items(20)
     translator = ScriptedTranslator(n_passing=13, k_span=128)
     roles = Roles(
@@ -200,7 +201,7 @@ def test_pass_at_k_semantics():
     backend = MockCompilerBackend(default_ok=False)
     script_benchmark_backend(backend, items, translator, header="import Mathlib\n")
     reports = []
-    with Gateway(GatewayConfig(max_in_flight=16)) as gw:
+    with Gateway(PipelineConfig(max_in_flight=16), tmp_path) as gw:
         for item in items:
             reports.append(
                 validate_item(

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 import re
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -38,7 +39,6 @@ from herald.gateway import (
     STRATEGY_TEXT_MARKER,
     Completion,
     Gateway,
-    GatewayConfig,
     MockAugmenter,
     MockInformalizer,
     Role,
@@ -235,7 +235,9 @@ class TestInformalVariants:
         up to the first that differs, as run_augment asks them."""
         role = role or self._role()
         answers = []
-        with Gateway(GatewayConfig(max_in_flight=2)) as gw:
+        # A fresh cache per call, so a second call asks the role again.
+        with (tempfile.TemporaryDirectory() as out,
+              Gateway(PipelineConfig(max_in_flight=2), out) as gw):
             for strategy in order:
                 prompt_text = strategy_prompt(strategy, source.informal_text)
                 answers.append(gw.submit_role(role, prompt_text).result().text.strip())

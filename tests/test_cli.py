@@ -1059,3 +1059,32 @@ def test_a_config_digest_that_is_not_utf8_exits_2_naming_it(tmp_path, export_fil
     assert code == 2, err
     assert f"error: {digest}: not UTF-8" in err and "Traceback" not in err, err
     assert list(out.iterdir()) == [digest]
+
+
+@pytest.mark.parametrize("command", ["stratify", "informalize"])
+def test_a_dependency_cycle_exits_4_before_the_output_directory_is_made(
+    tmp_path, capsys, command
+):
+    doc = one_proof_export()
+    doc["declarations"][0]["dependencies"] = ["B"]  # A and B now cite each other
+    cyclic = tmp_path / "cyc.json"
+    cyclic.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run("--out", str(out), command, "--index", str(cyclic))
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert "error: " in err and "Traceback" not in err, err
+    assert not out.exists(), sorted(out.rglob("*"))
+
+
+@pytest.mark.parametrize("flag", ["--config", "--bench", "--index", "--data"])
+def test_an_input_that_is_a_directory_exits_2(tmp_path, export_file, capsys, flag):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    argv = {"--config": ["--config", str(folder), "--out", str(out), "stats",
+                         "--data", str(export_file)],
+            "--bench": ["--out", str(out), "validate", "--bench", str(folder)],
+            "--index": ["--out", str(out), "informalize", "--index", str(folder)],
+            "--data": ["--out", str(out), "stats", "--data", str(folder)]}[flag]
+    assert_refused_before_any_write(run(*argv), capsys.readouterr().err, out, str(folder))

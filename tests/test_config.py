@@ -344,6 +344,7 @@ class TestCheck:
         ("roles", {"translator": RoleConfig(max_output_tokens=0)},
          "$.roles.translator.max_output_tokens must be >= 1, got 0"),
         ("backoff_base_ms", -1, "$.knobs.backoff_base_ms must be >= 0, got -1"),
+        ("retry_limit", -1, "$.knobs.retry_limit must be >= 0, got -1"),
         ("backend", BackendConfig(kind="repl"),
          "$.knobs.backend.command must be set for a repl backend"),
     ])

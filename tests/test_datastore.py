@@ -23,8 +23,9 @@ from herald.datastore import (
     stats_to_json,
     write_pairs_atomic,
 )
+from herald.config import PipelineConfig
 from herald.errors import EmptyPool, InvalidInput, SchemaError
-from herald.gateway import Gateway, GatewayConfig
+from herald.gateway import Gateway
 from herald.pipeline import load_benchmark, load_general_pairs
 from herald.retrieval import STORE_SCHEMA_VERSION, load_store
 from herald.validate import CachedChecks, ReplBackend, read_reports
@@ -341,8 +342,9 @@ def _read_check_log(path):
 
 
 def _read_cache(path):
-    # Closing a gateway reads its log and rewrites what it read, sorted.
-    Gateway(GatewayConfig(cache_dir=path.parent)).close()
+    # Closing a gateway reads its log, ``<out>/cache/completions.jsonl``, and
+    # rewrites what it read, sorted.
+    Gateway(PipelineConfig(), path.parent.parent).close()
     return len(path.read_text(encoding="utf-8").splitlines())
 
 
@@ -376,7 +378,7 @@ READERS = {
         {"id": "x", "text": ""},
     ),
     "cache log": (
-        "completions.jsonl",
+        "cache/completions.jsonl",
         _read_cache,
         lambda i: {"key": f"k{i}", "text": "t", "finish_reason": "stop", "provider_meta": {}},
         {"key": "x", "text": "t", "finish_reason": "error", "provider_meta": {}},
@@ -424,6 +426,7 @@ class TestRecordReaders:
     def test_blank_lines_skipped(self, tmp_path, reader):
         name, read, good, _ = READERS[reader]
         path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
         path.write_text(f"{json.dumps(good(0))}\n\n{json.dumps(good(1))}\n", encoding="utf-8")
         assert read(path) == 2
 
@@ -434,6 +437,7 @@ class TestRecordReaders:
     def test_bad_line_names_file_and_line(self, tmp_path, reader, bad):
         name, read, good, rejected = READERS[reader]
         path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
         line = BAD_LINES[bad] or json.dumps(rejected)
         path.write_text(f"{json.dumps(good(0))}\n\n{line}\n", encoding="utf-8")
         with pytest.raises(SchemaError) as exc:
@@ -445,6 +449,7 @@ class TestRecordReaders:
         name, read, good, _ = READERS[reader]
         row, named = MISTYPED[reader]
         path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
         path.write_text(f"{json.dumps(good(0))}\n\n{json.dumps(row)}\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=re.escape(named)) as exc:
             read(path)

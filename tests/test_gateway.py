@@ -9,6 +9,7 @@ import threading
 import pytest
 from conftest import cache_keys
 
+from herald.config import PipelineConfig
 from herald.errors import (
     BudgetExceeded,
     InvalidInput,
@@ -24,7 +25,6 @@ from herald.gateway import (
     CompletionRequest,
     FinishReason,
     Gateway,
-    GatewayConfig,
     MockAugmenter,
     MockBackTranslator,
     MockChatProvider,
@@ -105,8 +105,8 @@ class TestDigest:
 
 
 class TestComplete:
-    def test_mock_determinism(self):
-        gw = Gateway(GatewayConfig(max_in_flight=4))
+    def test_mock_determinism(self, tmp_path):
+        gw = Gateway(PipelineConfig(max_in_flight=4), tmp_path)
         first = [c.text for c in samples(gw, chat_role(), "translate this", 3)]
         second = [c.text for c in samples(gw, chat_role(), "translate this", 3)]
         gw.close()
@@ -114,8 +114,8 @@ class TestComplete:
         assert len(first) == 3
         assert len(set(first)) == 3  # samples differ by index
 
-    def test_sample_index_reaches_the_provider(self):
-        gw = Gateway()
+    def test_sample_index_reaches_the_provider(self, tmp_path):
+        gw = Gateway(PipelineConfig(), tmp_path)
         for i in (0, 5):
             completion = gw.complete(CompletionRequest(prompt_text="x", sample_index=i),
                                      MockChatProvider())
@@ -123,20 +123,20 @@ class TestComplete:
         with pytest.raises(InvalidInput):
             CompletionRequest(prompt_text="x", sample_index=-1)
 
-    def test_retry_then_success(self):
-        gw = Gateway(GatewayConfig(retry_limit=3, backoff_base_ms=1))
+    def test_retry_then_success(self, tmp_path):
+        gw = Gateway(PipelineConfig(retry_limit=3, backoff_base_ms=1), tmp_path)
         provider = FlakyProvider(failures=2)
         completion = gw.complete(CompletionRequest(prompt_text="x"), provider)
         assert "ok" in completion.text
         assert gw.stats["retries"] == 2
 
-    def test_retries_exhausted(self):
-        gw = Gateway(GatewayConfig(retry_limit=2, backoff_base_ms=1))
+    def test_retries_exhausted(self, tmp_path):
+        gw = Gateway(PipelineConfig(retry_limit=2, backoff_base_ms=1), tmp_path)
         with pytest.raises(ProviderExhausted):
             gw.complete(CompletionRequest(prompt_text="x"), FlakyProvider(failures=10))
         assert gw.stats["provider_calls"] == 3  # initial try + 2 retries
 
-    def test_fatal_error_not_retried(self):
+    def test_fatal_error_not_retried(self, tmp_path):
         class Fatal:
             name = "fatal"
             calls = 0
@@ -145,23 +145,23 @@ class TestComplete:
                 Fatal.calls += 1
                 raise ProviderError(self.name, "400 bad request", transient=False)
 
-        gw = Gateway(GatewayConfig(retry_limit=5, backoff_base_ms=1))
+        gw = Gateway(PipelineConfig(retry_limit=5, backoff_base_ms=1), tmp_path)
         with pytest.raises(ProviderError):
             gw.complete(CompletionRequest(prompt_text="x"), Fatal())
         assert Fatal.calls == 1
 
-    def test_128_samples_bounded_concurrency(self):
+    def test_128_samples_bounded_concurrency(self, tmp_path):
         provider = InstrumentedProvider()
-        gw = Gateway(GatewayConfig(max_in_flight=8))
+        gw = Gateway(PipelineConfig(max_in_flight=8), tmp_path)
         completions = samples(gw, chat_role(provider), "q", 128)
         gw.close()
         assert len(completions) == 128
         assert [c.text for c in completions] == [f"sample {i}" for i in range(128)]
         assert provider.max_live <= 8
 
-    def test_stress_in_flight_cap(self):
+    def test_stress_in_flight_cap(self, tmp_path):
         provider = InstrumentedProvider()
-        gw = Gateway(GatewayConfig(max_in_flight=4))
+        gw = Gateway(PipelineConfig(max_in_flight=4), tmp_path)
         results: dict[int, list[Completion]] = {}
         errors: list[Exception] = []
 
@@ -184,8 +184,8 @@ class TestComplete:
         assert all(len(batch) == 10 for batch in results.values())
         assert provider.max_live <= 4
 
-    def test_submit_never_waits_on_the_gateway_lock(self):
-        gw = Gateway()
+    def test_submit_never_waits_on_the_gateway_lock(self, tmp_path):
+        gw = Gateway(PipelineConfig(), tmp_path)
         submitted: list = []
         submitter = threading.Thread(
             target=lambda: submitted.append(gw.submit_role(chat_role(), "p"))
@@ -200,8 +200,8 @@ class TestComplete:
             submitter.join(timeout=10)
             gw.close()
 
-    def test_budget_guard(self):
-        gw = Gateway(GatewayConfig(request_budget=2))
+    def test_budget_guard(self, tmp_path):
+        gw = Gateway(PipelineConfig(request_budget=2), tmp_path)
         gw.complete(CompletionRequest(prompt_text="a"), MockChatProvider())
         gw.complete(CompletionRequest(prompt_text="b"), MockChatProvider())
         with pytest.raises(BudgetExceeded):
@@ -210,8 +210,8 @@ class TestComplete:
 
 class TestCache:
     def test_cache_hit_is_byte_identical(self, tmp_path):
-        config = GatewayConfig(cache_dir=tmp_path / "cache")
-        gw1 = Gateway(config)
+        config = PipelineConfig()
+        gw1 = Gateway(config, tmp_path)
         first = samples(gw1, chat_role(), "cached?", 2)
         gw1.close()
 
@@ -221,7 +221,7 @@ class TestCache:
             def generate(self, request, sample_index):
                 raise AssertionError("cache should have answered")
 
-        gw2 = Gateway(config)
+        gw2 = Gateway(config, tmp_path)
         second = samples(gw2, chat_role(Exploding()), "cached?", 2)
         gw2.close()
         assert [c.text for c in first] == [c.text for c in second]
@@ -229,15 +229,15 @@ class TestCache:
         assert gw2.stats["provider_calls"] == 0
 
     def test_cache_distinguishes_temperature(self, tmp_path):
-        config = GatewayConfig(cache_dir=tmp_path / "cache")
-        gw = Gateway(config)
+        config = PipelineConfig()
+        gw = Gateway(config, tmp_path)
         gw.complete(CompletionRequest(prompt_text="p", temperature=0.0), MockChatProvider())
         gw.complete(CompletionRequest(prompt_text="p", temperature=1.0), MockChatProvider())
         gw.close()
         assert gw.stats["provider_calls"] == 2
 
     def test_cache_distinguishes_max_output_tokens(self, tmp_path):
-        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        gw = Gateway(PipelineConfig(), tmp_path)
         for tokens in (256, 2048, 256):
             gw.complete(
                 CompletionRequest(prompt_text="p", max_output_tokens=tokens), MockChatProvider()
@@ -251,7 +251,7 @@ class TestCache:
         class OtherChat(MockChatProvider):
             name = "other-chat"
 
-        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        gw = Gateway(PipelineConfig(), tmp_path)
         req = CompletionRequest(prompt_text="p")
         for provider in (MockChatProvider(), OtherChat(), MockChatProvider()):
             gw.complete(req, provider)
@@ -273,7 +273,7 @@ class TestCache:
 
         monkeypatch.setattr(pathlib.Path, "mkdir", counting_mkdir)
         cache = tmp_path / "cache"
-        gw = Gateway(GatewayConfig(cache_dir=cache, max_in_flight=16))
+        gw = Gateway(PipelineConfig(max_in_flight=16), tmp_path)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # pool threads interleave; only this thread writes the log
         try:
@@ -293,7 +293,7 @@ class TestCache:
             def generate(self, request, sample_index):
                 raise ProviderError(self.name, "401 unauthorized")
 
-        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        gw = Gateway(PipelineConfig(), tmp_path)
         with pytest.raises(ProviderError):
             gw.complete(CompletionRequest(prompt_text="p"), Fatal())
         gw.close()
@@ -308,7 +308,7 @@ class TestCache:
                 text = "" if reason == FinishReason.ERROR else "theorem t : 1 ="
                 return Completion(text=text, finish_reason=reason)
 
-        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        gw = Gateway(PipelineConfig(), tmp_path)
         req = CompletionRequest(prompt_text="p")
         for _ in range(2):
             assert gw.complete(req, Cut()).finish_reason == reason
@@ -325,7 +325,7 @@ class TestCache:
             def generate(self, request, sample_index):
                 return Completion(text=text)
 
-        gw = Gateway(GatewayConfig(cache_dir=tmp_path / "cache"))
+        gw = Gateway(PipelineConfig(), tmp_path)
         req = CompletionRequest(prompt_text="p")
         for _ in range(2):
             assert gw.complete(req, Blank()).text == text
@@ -334,7 +334,7 @@ class TestCache:
         assert gw.stats["cache_hits"] == 0
         assert not (tmp_path / "cache").exists()
 
-    def test_truncated_and_failed_completions_are_counted(self):
+    def test_truncated_and_failed_completions_are_counted(self, tmp_path):
         class Mixed:
             name = "mixed"
 
@@ -345,14 +345,14 @@ class TestCache:
                     return Completion(text="", finish_reason=FinishReason.ERROR)
                 return Completion(text="ok")
 
-        with Gateway() as gw:
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             samples(gw, chat_role(Mixed()), "p", 7)
         assert gw.stats == {"provider_calls": 7, "retries": 0, "cache_hits": 0,
                             "truncated": 2, "failed": 2}
 
     def test_submitted_sample_shares_the_key_of_its_index(self, tmp_path):
-        config = GatewayConfig(cache_dir=tmp_path / "cache")
-        with Gateway(config) as gw:
+        config = PipelineConfig()
+        with Gateway(config, tmp_path) as gw:
             batch = [gw.complete(CompletionRequest(prompt_text="p", sample_index=i),
                                  MockChatProvider()) for i in range(3)]
 
@@ -364,7 +364,7 @@ class TestCache:
 
         role = Role(provider=Exploding(), model_id="mock", temperature=1.0,
                     max_output_tokens=2048)
-        with Gateway(config) as gw:
+        with Gateway(config, tmp_path) as gw:
             single = [gw.submit_role(role, "p", sample_index=i).result() for i in range(3)]
         assert single == batch
         assert gw.stats["cache_hits"] == 3
@@ -373,15 +373,15 @@ class TestCache:
         # Completion logs written by earlier versions must keep answering.
         role = Role(provider=MockChatProvider(), model_id="m", temperature=0.5,
                     max_output_tokens=64)
-        with Gateway(GatewayConfig(cache_dir=tmp_path / "cache")) as gw:
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             gw.submit_role(role, "pinned prompt", sample_index=3).result(timeout=10)
         assert cache_keys(tmp_path / "cache") == [
             "75f83d4c37049d29f269921ebdcbc2e5c67b47252dc916ba426087233420bbf2"
         ]
 
     def test_cache_hits_do_not_consume_budget(self, tmp_path):
-        config = GatewayConfig(cache_dir=tmp_path / "cache", request_budget=1)
-        gw = Gateway(config)
+        config = PipelineConfig(request_budget=1)
+        gw = Gateway(config, tmp_path)
         req = CompletionRequest(prompt_text="only once")
         gw.complete(req, MockChatProvider())
         gw.append_paid()
@@ -390,7 +390,7 @@ class TestCache:
         assert gw.stats["cache_hits"] == 1
 
         # A budget of 0 is valid: the run is answered from the cache alone.
-        with Gateway(GatewayConfig(cache_dir=tmp_path / "cache", request_budget=0)) as gw:
+        with Gateway(PipelineConfig(request_budget=0), tmp_path) as gw:
             gw.complete(req, MockChatProvider())
             with pytest.raises(BudgetExceeded):
                 gw.complete(CompletionRequest(prompt_text="never asked"), MockChatProvider())
@@ -402,13 +402,7 @@ class TestCache:
         cache.mkdir()
         (cache / "completions.jsonl").write_text('{"key\n{"key": "k"}\n', encoding="utf-8")
         with pytest.raises(SchemaError, match="line 1"):
-            Gateway(GatewayConfig(cache_dir=cache))
-
-    @pytest.mark.parametrize("knob", ["max_in_flight", "retry_limit", "backoff_base_ms",
-                                      "request_budget"])
-    def test_negative_knob_rejected(self, knob):
-        with pytest.raises(InvalidInput, match=knob):
-            GatewayConfig(**{knob: -1})
+            Gateway(PipelineConfig(), tmp_path)
 
 
 class TestMockProviders:

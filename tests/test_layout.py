@@ -1,5 +1,6 @@
-"""The layout of ``src/herald``: every module-level function and class is
-called by herald itself or by the benchmark harness, not by the tests alone."""
+"""The layout of ``src/herald``: every module-level function and class, and
+every method of those classes but the dunders, is called by herald itself or
+by the benchmark harness, not by the tests alone."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "herald"
 
-# The oracle the tests compare ``query_knn`` against.
-ALLOWED = {"retrieval.cosine"}
+# The oracle the tests compare ``query_knn`` against, and the one test hook:
+# the mock checker's scripted answers.
+ALLOWED = {"retrieval.cosine", "validate.MockCompilerBackend.script"}
 
 
 def _references(tree: ast.AST, strings: bool = False) -> Counter:
@@ -27,6 +29,20 @@ def _references(tree: ast.AST, strings: bool = False) -> Counter:
     return found
 
 
+def _definitions(module: str, tree: ast.Module):
+    """(dotted name, node) of each module-level function and class and of
+    each method of those classes, dunders left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*defs, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, defs) and not (method.name.startswith("__")
+                                                     and method.name.endswith("__")):
+                    yield f"{module}.{node.name}.{method.name}", method
+
+
 def test_every_src_name_has_a_caller():
     # The harness wraps some names by their string (perfbench/spans.py).
     harness = Counter()
@@ -36,13 +52,12 @@ def test_every_src_name_has_a_caller():
                for path in sorted(SRC.glob("*.py"))}
     in_src = sum(map(_references, modules.values()), Counter())
     uncalled = [
-        f"{module}.{definition.name}"
+        name
         for module, tree in modules.items()
-        for definition in tree.body
-        if isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for name, definition in _definitions(module, tree)
         # A reference inside its own definition (recursion) is no caller.
-        and in_src[definition.name] == _references(definition)[definition.name]
+        if in_src[definition.name] == _references(definition)[definition.name]
         and not harness[definition.name]
-        and f"{module}.{definition.name}" not in ALLOWED
+        and name not in ALLOWED
     ]
     assert uncalled == []

@@ -903,7 +903,7 @@ def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkey
     settled: Counter = Counter()
 
     def checking_run(dispatch, settle):
-        log = dispatch._gateway.config.cache_dir / "completions.jsonl"
+        log = dispatch._gateway.cache_dir / "completions.jsonl"
 
         def checked_settle(tag, completion):
             settled[completion.text] += 1

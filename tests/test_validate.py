@@ -6,15 +6,16 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from conftest import ScriptedTranslator, benchmark_items, compile_check, script_benchmark_backend
 
+from herald.config import PipelineConfig
 from herald.errors import BackendUnavailable, InvalidInput, MixedK
 from herald.gateway import (
     Gateway,
-    GatewayConfig,
     MockBackTranslator,
     MockNliJudge,
     Role,
@@ -225,29 +226,29 @@ class TestCachedChecks:
 
 
 class TestSteps:
-    def test_back_translate_normal_form(self):
-        with Gateway(GatewayConfig()) as gw:
+    def test_back_translate_normal_form(self, tmp_path):
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             role = Role(provider=MockBackTranslator(), model_id="bt")
             assert back_translate("Theorem T :  A = B", gw, role) == "theorem t : a = b"
 
-    def test_back_translate_empty_rejected(self):
-        with Gateway(GatewayConfig()) as gw:
+    def test_back_translate_empty_rejected(self, tmp_path):
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             with pytest.raises(InvalidInput):
                 back_translate("", gw, Role(provider=MockBackTranslator(), model_id="bt"))
 
-    def test_nli_identical_accepts(self):
-        with Gateway(GatewayConfig()) as gw:
+    def test_nli_identical_accepts(self, tmp_path):
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             role = Role(provider=MockNliJudge(), model_id="nli")
             outcome = nli_check("p holds", "p holds", gw, role)
         assert outcome.verdict == NliStatus.ACCEPT
         assert not outcome.parse_failure
 
-    def test_nli_disjoint_rejects(self):
-        with Gateway(GatewayConfig()) as gw:
+    def test_nli_disjoint_rejects(self, tmp_path):
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             role = Role(provider=MockNliJudge(), model_id="nli")
             assert nli_check("alpha", "omega", gw, role).verdict == NliStatus.REJECT
 
-    def test_nli_free_prose_rejects_with_flag(self):
+    def test_nli_free_prose_rejects_with_flag(self, tmp_path):
         class ProseJudge:
             name = "prose"
 
@@ -256,7 +257,7 @@ class TestSteps:
 
                 return Completion(text="Well, the statements look fairly similar to me.")
 
-        with Gateway(GatewayConfig()) as gw:
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             outcome = nli_check("a", "b", gw, Role(provider=ProseJudge(), model_id="p"))
         assert outcome.verdict == NliStatus.REJECT
         assert outcome.parse_failure
@@ -295,7 +296,8 @@ def _validate(items, k, *, short_circuit=True, n_passing=13):
     backend = MockCompilerBackend(default_ok=False)
     script_benchmark_backend(backend, items, translator, header="import Mathlib\n")
     reports = []
-    with Gateway(GatewayConfig(max_in_flight=8)) as gw:
+    # A fresh cache per call, so a second call pays for its answers again.
+    with tempfile.TemporaryDirectory() as out, Gateway(PipelineConfig(max_in_flight=8), out) as gw:
         for item in items:
             reports.append(
                 validate_item(
@@ -362,29 +364,29 @@ class TestValidateItem:
         judged = [c for c in report.candidates if c.compile == CompileStatus.PASS]
         assert any(c.nli == NliStatus.REJECT for c in judged)
 
-    def test_backend_unavailable_aborts(self):
+    def test_backend_unavailable_aborts(self, tmp_path):
         class DownBackend:
             def check(self, source, timeout_ms):
                 raise BackendUnavailable("lost")
 
         roles, _ = mock_roles()
-        with Gateway(GatewayConfig()) as gw:
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             with pytest.raises(BackendUnavailable):
                 validate_item("statement 0 asserts.", 1, roles, DownBackend(), gw)
 
-    def test_bad_k(self):
+    def test_bad_k(self, tmp_path):
         roles, _ = mock_roles()
-        with Gateway(GatewayConfig()) as gw:
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             with pytest.raises(InvalidInput):
                 validate_item("x", 0, roles, MockCompilerBackend(), gw)
 
-    def test_per_item_header_reaches_the_backend(self):
+    def test_per_item_header_reaches_the_backend(self, tmp_path):
         informal = "statement 0 asserts the property."
         custom = "import Std\nset_option maxHeartbeats 400000\n"
         roles, _ = mock_roles()
         backend = MockCompilerBackend(default_ok=False)
         backend.script(compose_source(informal, custom), True)
-        with Gateway(GatewayConfig()) as gw:
+        with Gateway(PipelineConfig(), tmp_path) as gw:
             with_custom = validate_item(
                 informal, 1, roles, backend, gw, item_id="h", header=custom
             )
