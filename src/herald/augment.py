@@ -36,10 +36,6 @@ class SynthesizedStatement:
     goal_index: int
     context_preamble: str = ""
 
-    def __post_init__(self):
-        if not self.formal_text.endswith("by sorry"):
-            raise InvalidInput("synthesized statements must end with 'by sorry'")
-
     def record(self) -> DeclarationRecord:
         """The statement as a theorem whose signature is everything before
         its ``:= by sorry`` body, for the statement prompt."""

@@ -3,7 +3,8 @@
 Exit codes: 0 success; 2 malformed input or configuration (schema errors,
 bad flags, an input path that is missing or a directory); 3 provider
 exhaustion or spent request budget (rerun the same command to resume); 4
-backend or pipeline failures (compiler backend down, dependency cycles, I/O).
+backend or pipeline failures (compiler backend down, a provider or REPL reply
+of the wrong shape, dependency cycles, I/O).
 """
 
 from __future__ import annotations

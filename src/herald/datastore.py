@@ -6,8 +6,8 @@ rule for resumable files (:func:`drop_torn_tail`), the one atomic replace
 (:func:`replace_atomic`) and the one keyed cache log (:class:`KeyedLog`);
 pairs are written with fields in fixed order.  Every JSON document herald
 reads (the corpus export, the config, the template registry, the tactic
-notes) is decoded by :func:`parse_json` and type-checked by
-:func:`check_shape`, as is each record row by its reader.
+notes, each provider and REPL reply) is decoded by :func:`parse_json` and
+type-checked by :func:`check_shape`, as is each record row by its reader.
 Mixtures realize the configured provenance ratio (default 1:2:1 over
 original, tactic-augmented, informal-augmented pairs) and direction ratio
 (default 2:2:1 over NL->FL, FL->NL, general instruction data) with

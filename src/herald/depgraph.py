@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CycleError, CyclicInput, InvalidInput
+from .errors import CycleError, CyclicInput
 from .records import CorpusIndex
 
 
@@ -23,13 +23,6 @@ class DepGraph:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
     unresolved_count: int = 0
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise InvalidInput(f"self-edge on {u}")
-            if u not in self.nodes or v not in self.nodes:
-                raise InvalidInput(f"edge ({u}, {v}) has endpoint outside nodes")
 
     def prerequisites(self) -> dict[str, list[str]]:
         preds: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -50,14 +43,6 @@ class LevelAssignment:
 
     level_of: dict[str, int]
     levels: tuple[tuple[str, ...], ...] = field(default=())
-
-    def __post_init__(self):
-        for i, names in enumerate(self.levels):
-            for n in names:
-                if self.level_of.get(n) != i:
-                    raise InvalidInput(f"{n} listed at level {i} but level_of says {self.level_of.get(n)}")
-        if sum(len(names) for names in self.levels) != len(self.level_of):
-            raise InvalidInput("levels do not partition the node set")
 
 
 def build_graph(index: CorpusIndex) -> DepGraph:

@@ -28,8 +28,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Mapping, Protocol
 
-from .datastore import KeyedLog, check_shape
-from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted
+from .datastore import KeyedLog, check_shape, parse_json
+from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted, SchemaError
 
 if TYPE_CHECKING:  # config imports this module
     from .config import PipelineConfig
@@ -86,14 +86,6 @@ class CompletionRequest:
     max_output_tokens: int = 2048
     model_id: str = "mock"
     sample_index: int = 0
-
-    def __post_init__(self):
-        if self.sample_index < 0:
-            raise InvalidInput(f"sample_index must be >= 0, got {self.sample_index}")
-        if self.temperature < 0:
-            raise InvalidInput(f"temperature must be >= 0, got {self.temperature}")
-        if self.max_output_tokens < 1:
-            raise InvalidInput("max_output_tokens must be >= 1")
 
 
 class CompletionProvider(Protocol):
@@ -380,6 +372,10 @@ class MockAugmenter:
         return Completion(text=f"Variant of: {text}")
 
 
+# What herald reads of a chat completion body; other keys are not checked.
+_CHAT_REPLY = {"choices": [{"message": {"content": (str, type(None))}}]}
+
+
 class HttpChatProvider:
     """OpenAI-compatible chat endpoint; auth from HERALD_API_KEY_<ROLE>; a
     request that takes more than ``TIMEOUT_S`` seconds is a transient error."""
@@ -427,10 +423,15 @@ class HttpChatProvider:
         if resp.status_code >= 400:
             raise ProviderError(self.name, f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            choice = resp.json()["choices"][0]
-            text = choice["message"]["content"]
-            reason = choice.get("finish_reason", "stop")
-        except (KeyError, IndexError, ValueError) as exc:
+            body = parse_json(resp.content)
+            check_shape(body, _CHAT_REPLY)
+            if not body["choices"]:
+                raise SchemaError("must hold at least one choice, got []", "$.choices")
+        except SchemaError as exc:
             raise ProviderError(self.name, f"malformed response: {exc}") from exc
+        choice = body["choices"][0]
+        reason = choice.get("finish_reason")
         finish = FinishReason.LENGTH if reason == "length" else FinishReason.STOP
-        return Completion(text=text, finish_reason=finish, provider_meta={"http_status": str(resp.status_code)})
+        # A null content (a refusal) is a blank answer, which is never cached.
+        return Completion(text=choice["message"]["content"] or "", finish_reason=finish,
+                          provider_meta={"http_status": str(resp.status_code)})

@@ -123,6 +123,8 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
             raise SchemaError("proof for undeclared name" if decl is None
                               else f"proof attached to kind '{decl.kind.value}'",
                               f"{where}.proofs[{name!r}]")
+        if not steps:
+            raise SchemaError("must list at least one step", f"{where}.proofs[{name!r}]")
         built = []
         for j, step in enumerate(steps):
             try:

@@ -684,7 +684,6 @@ def run_mix(
     total: int,
 ) -> ds.MixManifest:
     config.check()
-    out_dir.mkdir(parents=True, exist_ok=True)
     records, manifest = ds.mix(
         original,
         tactic_aug,
@@ -695,6 +694,7 @@ def run_mix(
         dirmix=config.dirmix,
         seed=config.mix_seed,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     ds.write_pairs_atomic(records, out_dir / "dataset.jsonl")
     (out_dir / "mix_manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     write_manifest(out_dir, "mix", config, {"total": manifest.total})

@@ -47,16 +47,6 @@ class StatementContext:
     neighbors: NeighborSet = NeighborSet()
     retrieved: tuple[ScoredExample, ...] = ()
 
-    def __post_init__(self):
-        for name, text in self.dependent_translations:
-            if name not in self.subject.dependencies:
-                raise InvalidInput(
-                    f"translation supplied for {name}, which {self.subject.full_name} "
-                    "does not depend on"
-                )
-            if not text:
-                raise InvalidInput(f"empty dependent translation for {name}")
-
 
 @dataclass(frozen=True)
 class ProofContext:
@@ -66,12 +56,6 @@ class ProofContext:
     informal_statement: str
     steps: tuple[ProofStep, ...]
     tactic_notes: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.informal_statement:
-            raise InvalidInput("informal_statement must be non-empty")
-        if not self.steps:
-            raise InvalidInput("steps must be non-empty")
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from .datastore import KeyedLog, check_shape, read_jsonl
-from .errors import BackendUnavailable, InvalidInput, MixedK
+from .datastore import KeyedLog, check_shape, parse_json, read_jsonl
+from .errors import BackendUnavailable, InvalidInput, MixedK, SchemaError
 from .gateway import (
     BACK_TRANSLATE_MARKER,
     NLI_CANDIDATE_MARKER,
@@ -78,13 +78,18 @@ class MockCompilerBackend:
         pass
 
 
+_REPLY = {"id": int, "ok": bool, "diagnostics": list}
+
+
 class ReplBackend:
     """Line-delimited JSON driver for an external proof-checker REPL.
 
     Protocol: one request object per line, ``{"cmd": "check", "id": n,
     "source": ...}``; one response per line, ``{"id": n, "ok": bool,
-    "diagnostics": [...]}``.  A request that exceeds its timeout is reported
-    as ``fail("timeout")`` and the subprocess is restarted, since the stream
+    "diagnostics": [...]}``, ``diagnostics`` optional, in UTF-8.  Any other
+    response is a :class:`BackendUnavailable`.  A request that exceeds its
+    timeout, or whose process exits before it answers, is reported as
+    ``fail("timeout")`` and the subprocess is restarted, since the stream
     is no longer in sync.
     """
 
@@ -102,8 +107,6 @@ class ReplBackend:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise BackendUnavailable(f"cannot start {self.command[0]}: {exc}") from exc
@@ -113,10 +116,12 @@ class ReplBackend:
         threading.Thread(target=self._reader, args=(self._proc, responses), daemon=True).start()
 
     def _reader(self, proc: subprocess.Popen, responses: queue.Queue) -> None:
+        """Queue each line ``proc`` writes, then None once its output closes."""
         assert proc.stdout is not None
         with proc.stdout:
             for line in proc.stdout:
                 responses.put(line)
+        responses.put(None)
 
     def close(self) -> None:
         if self._proc is not None:
@@ -137,7 +142,7 @@ class ReplBackend:
             req_id = self._next_id
             try:
                 self._proc.stdin.write(
-                    json.dumps({"cmd": "check", "id": req_id, "source": source}) + "\n"
+                    json.dumps({"cmd": "check", "id": req_id, "source": source}).encode() + b"\n"
                 )
                 self._proc.stdin.flush()
             except (OSError, ValueError) as exc:
@@ -146,21 +151,22 @@ class ReplBackend:
             try:
                 line = self._responses.get(timeout=timeout_ms / 1000.0)
             except queue.Empty:
+                line = None
+            if line is None:
                 self.close()
                 return CompileOutcome(False, TIMEOUT)
             try:
-                resp = json.loads(line)
-            except json.JSONDecodeError as exc:
+                reply = parse_json(line)
+                check_shape(reply, dict)
+                reply = {"diagnostics": [], **reply}
+                check_shape(reply, _REPLY)
+            except SchemaError as exc:
                 self.close()
                 raise BackendUnavailable(f"malformed backend response: {exc}") from exc
-            if resp.get("id") != req_id:
+            if reply["id"] != req_id:
                 self.close()
-                raise BackendUnavailable(
-                    f"backend answered id {resp.get('id')}, expected {req_id}"
-                )
-            return CompileOutcome(
-                bool(resp.get("ok")), tuple(str(d) for d in resp.get("diagnostics", []))
-            )
+                raise BackendUnavailable(f"backend answered id {reply['id']}, expected {req_id}")
+            return CompileOutcome(reply["ok"], tuple(map(str, reply["diagnostics"])))
 
 
 _OUTCOME = {"key": str, "ok": bool, "diagnostics": list}

@@ -8,6 +8,7 @@ import random
 import shutil
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from conftest import (
 from herald import cli, depgraph
 from herald import config as config_module
 from herald.datastore import read_pairs
-from herald.gateway import Completion, MockAugmenter, MockInformalizer
+from herald.gateway import Completion, MockAugmenter, MockInformalizer, digest
 from herald.ingest import serialize_index
 
 DATA = Path(__file__).parent / "data"
@@ -674,6 +675,38 @@ def test_malformed_check_log_line_exits_2_naming_it(tmp_path, capsys):
     assert f"{log}: line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token, code", [
+    ("REPLY_LIST", 4), ("REPLY_OK_STRING", 4), ("REPLY_DIAGNOSTICS_STRING", 4), ("NOT_UTF8", 4),
+    ("EXIT", 0),
+])
+def test_a_faulty_repl_reply_exits_with_its_code_and_caches_nothing_from_it(
+    tmp_path, capsys, token, code
+):
+    # A process that exits mid-check is a timeout, seen at once, not after
+    # the check's 30 s; a reply of the wrong shape is a backend failure.
+    log = tmp_path / "sent.jsonl"
+    config = repl_config(tmp_path / "config.json", log, compile_timeout_ms=30000)
+    bench = tmp_path / "bench.jsonl"
+    bench.write_text(json.dumps({"id": "b0", "informal_text": "OK first"}) + "\n"
+                     + json.dumps({"id": "b1", "informal_text": f"{token} second"}) + "\n",
+                     encoding="utf-8")
+    out = tmp_path / "val"
+    start = time.monotonic()
+    assert run("--config", str(config), "--out", str(out),
+               "validate", "--bench", str(bench), "--k", "2") == code
+    assert time.monotonic() - start < 15
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 4:
+        assert "malformed backend response" in err
+    sent = drain(log)
+    assert any(token in source for source in sent)
+    checks = out / "cache" / "checks.jsonl"
+    cached = [json.loads(line)["key"] for line in checks.read_text().splitlines()] \
+        if checks.exists() else []
+    assert cached == sorted(digest(source) for source in set(sent) if token not in source)
+
+
 class TestBadInputExits2:
     @pytest.fixture
     def pairs_file(self, tmp_path) -> Path:
@@ -724,6 +757,11 @@ class TestBadInputExits2:
     def test_bad_ratio_flag(self, tmp_path, pairs_file, capsys, flag, value):
         assert self.mix(tmp_path, pairs_file, flag, value) == 2
         assert repr(value) in capsys.readouterr().err
+        assert not (tmp_path / "mix").exists()
+
+    def test_negative_total_leaves_out_untouched(self, tmp_path, pairs_file, capsys):
+        assert self.mix(tmp_path, pairs_file, "--total", "-3") == 2
+        assert "total must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "mix").exists()
 
     @pytest.mark.parametrize("k", ["0", "257"])
@@ -975,6 +1013,7 @@ EXPORT_FAULTS = [
                  id="empty-tactic_text"),
     pytest.param(edit_at(("proofs", "C"), []), "$.proofs['C']", id="proof-on-undeclared"),
     pytest.param(edit_at(("proofs", "B"), []), "$.proofs['B']", id="proof-on-definition"),
+    pytest.param(edit_at(("proofs", "A"), []), "$.proofs['A']", id="proof-without-steps"),
 ]
 
 

@@ -400,13 +400,8 @@ class TestRoleAndBackendBuilding:
 class FakeResponse:
     def __init__(self, status_code: int, payload=None, text=""):
         self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+        self.text = text if payload is None else json.dumps(payload)
+        self.content = self.text.encode("utf-8")
 
 
 class FakeSession:
@@ -468,10 +463,33 @@ class TestHttpChatProvider:
             provider.generate(CompletionRequest(prompt_text="x"), 0)
         assert "HERALD_API_KEY_TRANSLATOR" in str(exc.value)
 
-    def test_malformed_body_is_fatal(self, monkeypatch):
-        provider, _ = self._provider(FakeResponse(200, {"nope": []}), monkeypatch)
-        with pytest.raises(ProviderError):
+    @pytest.mark.parametrize("body, where", [
+        ({"nope": []}, "$.choices"),
+        ([{"choices": []}], "$"),
+        ({"choices": "x"}, "$.choices"),
+        ({"choices": []}, "$.choices"),
+        ({"choices": [{"finish_reason": "stop"}]}, "$.choices[0].message"),
+        ({"choices": [{"message": {"content": 7}}]}, "$.choices[0].message.content"),
+    ], ids=["no_choices", "list", "choices_string", "choices_empty", "no_message",
+            "content_number"])
+    def test_malformed_body_is_fatal(self, monkeypatch, body, where):
+        provider, _ = self._provider(FakeResponse(200, body), monkeypatch)
+        with pytest.raises(ProviderError) as exc:
             provider.generate(CompletionRequest(prompt_text="x"), 0)
+        assert not exc.value.transient
+        assert f"malformed response: {where}: " in str(exc.value)
+
+    def test_body_not_json_is_fatal(self, monkeypatch):
+        provider, _ = self._provider(FakeResponse(200, text="<html>"), monkeypatch)
+        with pytest.raises(ProviderError, match="malformed response: \\$: not UTF-8 JSON"):
+            provider.generate(CompletionRequest(prompt_text="x"), 0)
+
+    def test_null_content_is_a_blank_answer(self, monkeypatch):
+        payload = {"choices": [{"message": {"content": None}, "finish_reason": "stop"}]}
+        provider, _ = self._provider(FakeResponse(200, payload), monkeypatch)
+        completion = provider.generate(CompletionRequest(prompt_text="x"), 0)
+        assert completion.text == ""
+        assert completion.finish_reason == FinishReason.STOP
 
     def test_length_finish_reason(self, monkeypatch):
         payload = {"choices": [{"message": {"content": "trunc"}, "finish_reason": "length"}]}

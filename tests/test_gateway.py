@@ -120,8 +120,6 @@ class TestComplete:
             completion = gw.complete(CompletionRequest(prompt_text="x", sample_index=i),
                                      MockChatProvider())
             assert completion == MockChatProvider().generate(CompletionRequest(prompt_text="x"), i)
-        with pytest.raises(InvalidInput):
-            CompletionRequest(prompt_text="x", sample_index=-1)
 
     def test_retry_then_success(self, tmp_path):
         gw = Gateway(PipelineConfig(retry_limit=3, backoff_base_ms=1), tmp_path)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herald.depgraph import build_graph, stratify
-from herald.errors import InvalidInput, LengthMismatch, MissingField, NoTemplate
+from herald.errors import LengthMismatch, MissingField, NoTemplate
 from herald.prompts import (
     NO_NOTE_MARKER,
     ProofContext,
@@ -204,13 +204,6 @@ class TestStatementPrompt:
         b = assemble_statement_prompt(ctx, default_registry())
         assert a.text == b.text
 
-    def test_context_rejects_non_dependency_translation(self):
-        with pytest.raises(InvalidInput):
-            StatementContext(
-                subject=theorem(deps=["A.b"]),
-                dependent_translations=(("C.d", "text"),),
-            )
-
     def test_truncation_drops_neighbors_then_heads_never_deps(self):
         ctx = StatementContext(
             subject=theorem(deps=["D.l"]),
@@ -322,12 +315,6 @@ class TestProofPrompt:
             steps=(step(0, "trivial", goals_after=()),),
         )
         assert "(no goals remaining)" in assemble_proof_prompt(ctx, default_registry()).text
-
-    def test_proof_context_invariants(self):
-        with pytest.raises(InvalidInput):
-            ProofContext(formal_statement="f", informal_statement="", steps=(step(0, "rfl"),))
-        with pytest.raises(InvalidInput):
-            ProofContext(formal_statement="f", informal_statement="i", steps=())
 
 
 PADIC_TACTICS = ("rw [padicNorm_p hp, inv_lt_one_iff]", "exact mod_cast Or.inr hp")

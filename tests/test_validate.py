@@ -7,6 +7,7 @@ import os
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,16 @@ class TestBackends:
         finally:
             backend.close()
 
+    def test_repl_exit_mid_check_is_a_timeout_seen_at_once(self):
+        backend = ReplBackend(FAKE_REPL)
+        try:
+            start = time.monotonic()
+            assert backend.check("EXIT now", timeout_ms=30000) == CompileOutcome(False, TIMEOUT)
+            assert time.monotonic() - start < 15
+            assert backend.check("OK again", 5000).ok
+        finally:
+            backend.close()
+
     def test_repl_late_line_of_a_replaced_process_stays_in_its_queue(self):
         # The stub writes its line only when told to, so the old process
         # answers after the backend has started its replacement.
@@ -96,10 +107,10 @@ class TestBackends:
         old, old_responses = backend._proc, backend._responses
         try:
             backend._start()  # as a restart after a timeout or an exit does
-            old.stdin.write("go\n")
+            old.stdin.write(b"go\n")
             old.stdin.close()
             assert old.wait(timeout=10) == 0
-            assert old_responses.get(timeout=5) == "late\n"
+            assert old_responses.get(timeout=5) == b"late\n"
             assert backend._responses.empty()
         finally:
             backend.close()
