@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import datastore as ds
-from .errors import InvalidInput
 from .gateway import STRATEGY_MARKER, STRATEGY_TEXT_MARKER, normalize_text
 from .records import CorpusIndex, DeclarationRecord, DeclKind, ProofState
 from .validate import DEFAULT_TIMEOUT_MS
@@ -84,8 +83,6 @@ def synthesize_from_state(
     state: ProofState, origin: str, step: int, context_preamble: str = ""
 ) -> list[SynthesizedStatement]:
     """One statement per goal of ``state``; a closed state yields nothing."""
-    if step < 0:
-        raise InvalidInput(f"negative step index {step}")
     statements = []
     binders = _render_binders(state.hypotheses)
     binder_text = " ".join(binders)
@@ -187,8 +184,6 @@ def dedup_sample(augmented: list, n_original: int, seed: int) -> list:
     seed range covers the pool evenly (replicated runs with nearby seeds
     do not pile onto the same items).
     """
-    if n_original < 0:
-        raise InvalidInput(f"n_original must be >= 0, got {n_original}")
     size = min(n_original, len(augmented))
     if size == len(augmented):
         return list(augmented)

@@ -21,7 +21,6 @@ from .config import PipelineConfig, load_config, parse_ratio
 from .validate import summary_table
 from .errors import (
     BudgetExceeded,
-    DuplicateDeclaration,
     HeraldError,
     InvalidInput,
     ProviderExhausted,
@@ -188,8 +187,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return EXIT_OK
 
-    except (SchemaError, DuplicateDeclaration, InvalidInput, FileNotFoundError,
-            IsADirectoryError) as exc:
+    except (SchemaError, InvalidInput, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:

@@ -19,14 +19,6 @@ class SchemaError(HeraldError):
         self.path = path
 
 
-class DuplicateDeclaration(HeraldError):
-    """The same fully qualified name appears twice in one export."""
-
-
-class UnknownDeclaration(HeraldError):
-    """A referenced declaration does not exist in the index."""
-
-
 class CycleError(HeraldError):
     """The dependency graph contains a directed cycle.
 
@@ -81,10 +73,6 @@ class NoTemplate(HeraldError):
 
 class MissingField(HeraldError):
     """A template placeholder marked required has no content to render."""
-
-
-class LengthMismatch(HeraldError):
-    """Parallel sequences disagree in length."""
 
 
 class BackendUnavailable(HeraldError):

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, Mapping, Protocol
 
 from .datastore import KeyedLog, check_shape, parse_json
-from .errors import BudgetExceeded, InvalidInput, ProviderError, ProviderExhausted, SchemaError
+from .errors import BudgetExceeded, ProviderError, ProviderExhausted, SchemaError
 
 if TYPE_CHECKING:  # config imports this module
     from .config import PipelineConfig
@@ -59,7 +59,6 @@ def normalize_text(text: str) -> str:
 class FinishReason(str, Enum):
     STOP = "stop"
     LENGTH = "length"
-    ERROR = "error"
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +66,6 @@ class Completion:
     text: str
     finish_reason: FinishReason = FinishReason.STOP
     provider_meta: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.finish_reason == FinishReason.ERROR and self.text:
-            raise InvalidInput("error completions must carry empty text")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,8 +138,7 @@ class Gateway:
     It reads its knobs from ``config``, a checked :class:`PipelineConfig`,
     and keeps its log in ``cache_dir``, always ``out_dir/cache``.  ``stats``
     counts provider calls (retries included), retries, cache hits, and the
-    truncated (``length``) and failed (``error``) completions the provider
-    returned.
+    truncated (``length``) completions the provider returned.
     """
 
     def __init__(self, config: PipelineConfig, out_dir: Path):
@@ -164,7 +158,6 @@ class Gateway:
             "retries": 0,
             "cache_hits": 0,
             "truncated": 0,
-            "failed": 0,
         }
 
     def append_paid(self) -> None:
@@ -242,14 +235,12 @@ class Gateway:
                     raise
                 time.sleep(self.config.backoff_base_ms * (2**attempt) / 1000.0)
 
-        # A truncated, failed or blank completion is not cached: a rerun asks again.
-        reason = completion.finish_reason
-        if reason == FinishReason.STOP:
-            if completion.text.strip():
-                self._paid.put((key, completion))
-        else:
+        # A truncated or blank completion is not cached: a rerun asks again.
+        if completion.finish_reason == FinishReason.LENGTH:
             with self._lock:
-                self.stats["truncated" if reason == FinishReason.LENGTH else "failed"] += 1
+                self.stats["truncated"] += 1
+        elif completion.text.strip():
+            self._paid.put((key, completion))
         return completion
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .datastore import check_shape, parse_json
-from .errors import DuplicateDeclaration, InvalidInput, SchemaError, UnknownDeclaration
+from .errors import InvalidInput, SchemaError
 from .records import (
     PROVABLE_KINDS,
     CorpusIndex,
@@ -99,6 +99,9 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
         if kind is None:
             raise SchemaError(f"unknown declaration kind {obj['kind']!r}",
                               f"{where}.declarations[{i}].kind")
+        if not obj["signature"]:
+            raise SchemaError('must be a non-empty string, got ""',
+                              f"{where}.declarations[{i}].signature")
         docstring = obj["docstring"]
         try:
             rec = DeclarationRecord(
@@ -112,7 +115,10 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
         except InvalidInput as exc:
             raise SchemaError(str(exc), f"{where}.declarations[{i}]") from exc
         if rec.full_name in declarations:
-            raise DuplicateDeclaration(rec.full_name)
+            # Each earlier declaration added one entry, in order.
+            first = list(declarations).index(rec.full_name)
+            raise SchemaError(f"{rec.full_name!r} repeats declarations[{first}]",
+                              f"{where}.declarations[{i}].full_name")
         declarations[rec.full_name] = rec
 
     proofs: dict[str, tuple[ProofStep, ...]] = {}
@@ -440,21 +446,18 @@ def _by_distance(entries: list[tuple[int, str]], line: int) -> Iterator[str]:
 
 
 def resolve_neighbors(subject: str, index: CorpusIndex, limit: int) -> NeighborSet:
-    """Find declarations related to ``subject`` by namespace, file, and name.
+    """Find declarations related to ``subject``, a declaration of ``index``,
+    by namespace, file, and name.
 
-    Each list is truncated to ``limit`` entries; entries in the subject's
-    file sort by line distance first, everything ties broken by name.  The
-    name-prefix list holds the declarations sharing the most leading name
-    components with ``subject`` (at least one).  Each list reads only the
-    subject's pre-ranked group in ``index.neighbor_groups``: a bisect on
-    line in its same-file members, then names in order, so a lookup costs
-    O(log G + limit) for a group of G names.
+    Each list is truncated to ``limit`` (at least 1) entries; entries in the
+    subject's file sort by line distance first, everything ties broken by
+    name.  The name-prefix list holds the declarations sharing the most
+    leading name components with ``subject`` (at least one).  Each list
+    reads only the subject's pre-ranked group in ``index.neighbor_groups``:
+    a bisect on line in its same-file members, then names in order, so a
+    lookup costs O(log G + limit) for a group of G names.
     """
-    if limit < 1:
-        raise InvalidInput(f"limit must be >= 1, got {limit}")
-    rec = index.declarations.get(subject)
-    if rec is None:
-        raise UnknownDeclaration(subject)
+    rec = index.declarations[subject]
     groups = index.neighbor_groups
 
     def nearest(group: NeighborGroup | None) -> tuple[str, ...]:

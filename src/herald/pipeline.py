@@ -17,13 +17,13 @@ from concurrent import futures
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Container, Hashable, Sequence, TextIO
+from typing import Callable, Container, Hashable, Iterable, Sequence, TextIO
 
 from . import augment as aug
 from . import datastore as ds
 from . import depgraph, ingest, prompts, retrieval, validate
 from .config import PipelineConfig
-from .errors import BlankAnswer, InvalidInput, SchemaError
+from .errors import BlankAnswer, InvalidInput, NoTemplate, SchemaError
 from .gateway import Completion, Gateway
 from .records import CorpusIndex
 
@@ -299,10 +299,18 @@ def _existing_pair_ids(out_dir: Path) -> dict[str, ds.NLFLPair]:
     return {pair.id: pair for pair in load_statement_pairs(out_dir)}
 
 
-def _load_registry(config: PipelineConfig) -> prompts.TemplateRegistry:
-    if config.template_registry is not None:
-        return prompts.TemplateRegistry.from_path(config.template_registry)
-    return prompts.default_registry()
+def _load_registry(config: PipelineConfig, kinds: Iterable[str]) -> prompts.TemplateRegistry:
+    """The configured template registry, or the bundled one; one with no
+    template for a kind in ``kinds`` is a :class:`SchemaError` naming it."""
+    path = config.template_registry
+    registry = (prompts.default_registry() if path is None
+                else prompts.TemplateRegistry.from_path(path))
+    try:
+        for kind in sorted(kinds):
+            registry.select(kind)
+    except NoTemplate as exc:
+        raise SchemaError(str(exc), f"{path}: $.templates") from exc
+    return registry
 
 
 def _retrieval_context(config: PipelineConfig):
@@ -344,7 +352,11 @@ def run_informalize(
     sending it; later prompts read model answers, so it cannot write them.
     """
     config.check()
-    registry = _load_registry(config)
+    proof_names = index.tactic_proof_names()
+    kinds = {rec.kind.value for rec in index.declarations.values()}
+    if proof_names:
+        kinds |= {"proof", "summary"}
+    registry = _load_registry(config, kinds)
     notes = prompts.load_tactic_notes(config.tactic_notes)
     store, embed_provider = _retrieval_context(config)
     graph = depgraph.build_graph(index)
@@ -353,7 +365,6 @@ def run_informalize(
     # leaves no claim; a dry run claims nothing, so the config may change after.
     _claim(out_dir, config, write=not dry_run)
     statement_order = [name for level in assignment.levels for name in level]
-    proof_names = index.tactic_proof_names()
 
     existing = _existing_pair_ids(out_dir)
     translations: dict[str, str] = {
@@ -580,7 +591,7 @@ def run_augment(
                 compile_rejected=len(rejected),
             )
             informalizer = config.role("informalizer")
-            registry = _load_registry(config)
+            registry = _load_registry(config, ("theorem",))
         augmenter = config.role("augmenter") if informal else None
 
         def ask_variant(position: int) -> None:

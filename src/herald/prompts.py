@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from .datastore import check_shape, parse_json
-from .errors import InvalidInput, LengthMismatch, MissingField, NoTemplate, SchemaError
+from .errors import InvalidInput, MissingField, NoTemplate, SchemaError
 from .records import DeclarationRecord, DeclKind, NeighborSet, ProofStep
 from .retrieval import ScoredExample
 
@@ -303,11 +303,8 @@ def assemble_step_prompt(
 def summarize_steps_prompt(
     stepwise_translations: list[str], ctx: ProofContext, registry: TemplateRegistry
 ) -> RenderedPrompt:
-    """Prompt asking for one coherent proof from the ordered stepwise texts."""
-    if len(stepwise_translations) != len(ctx.steps):
-        raise LengthMismatch(
-            f"{len(stepwise_translations)} translations for {len(ctx.steps)} steps"
-        )
+    """Prompt asking for one coherent proof from the ordered stepwise texts,
+    one per step of ``ctx``."""
     template = registry.select("summary")
     contents = {
         "formal_statement": ctx.formal_statement,

@@ -26,14 +26,13 @@ import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .datastore import check_shape, parse_json, read_jsonl
 from .errors import (
     DimensionMismatch,
     DuplicateId,
     InvalidInput,
-    ProviderError,
     SchemaError,
     ZeroVector,
 )
@@ -283,7 +282,8 @@ class ExampleStore:
 
 
 def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[ScoredExample]:
-    """Exactly min(k, count) results by descending score, ties by ascending id.
+    """Exactly min(k, count) results for k >= 1, by descending score, ties by
+    ascending id.
 
     Every example is first screened with an exact integer dot product over
     the query's m nonzero components; the others add exact zeros to
@@ -339,8 +339,6 @@ def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[Score
     U_i >= F; one bigint add-and-mask flags them all, read off with
     ``bytes.find``.
     """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
     if store.count == 0:
         return []
     if query.dim != store.dim:
@@ -399,13 +397,6 @@ def load_store(directory: str | Path) -> ExampleStore:
     return store
 
 
-class EmbeddingProvider(Protocol):
-    name: str
-    dim: int
-
-    def embed_text(self, text: str) -> EmbeddingVector: ...
-
-
 class HashEmbeddingProvider:
     """Deterministic offline embedder: token 1- to 3-grams hashed into
     buckets, with the hash seeded by 0 (the ``s0`` of its name).
@@ -415,8 +406,6 @@ class HashEmbeddingProvider:
     """
 
     def __init__(self, dim: int = 64):
-        if dim < 1:
-            raise InvalidInput(f"dim must be >= 1, got {dim}")
         self.name = f"hash-{dim}-s0"
         self.dim = dim
 
@@ -438,18 +427,6 @@ class HashEmbeddingProvider:
         return EmbeddingVector(tuple(x / norm for x in buckets))
 
 
-def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
-    """Embed ``text`` with the provider; failures surface as ProviderError."""
-    if not text:
-        raise InvalidInput("cannot embed empty text")
-    try:
-        vec = provider.embed_text(text)
-    except (InvalidInput, ProviderError):
-        raise
-    except Exception as exc:
-        raise ProviderError(getattr(provider, "name", "?"), str(exc)) from exc
-    if vec.dim != provider.dim:
-        raise ProviderError(
-            provider.name, f"declared dim {provider.dim} but returned {vec.dim}"
-        )
-    return vec
+def embed(text: str, provider: HashEmbeddingProvider) -> EmbeddingVector:
+    """The query vector of ``text``."""
+    return provider.embed_text(text)

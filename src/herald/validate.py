@@ -32,7 +32,6 @@ from .gateway import (
     NLI_ORIGINAL_MARKER,
     TRANSLATE_MARKER,
     Completion,
-    FinishReason,
     Gateway,
     Role,
     digest,
@@ -90,7 +89,9 @@ class ReplBackend:
     response is a :class:`BackendUnavailable`.  A request that exceeds its
     timeout, or whose process exits before it answers, is reported as
     ``fail("timeout")`` and the subprocess is restarted, since the stream
-    is no longer in sync.
+    is no longer in sync.  Until one well-formed response has come back, a
+    process that exits before it answers is a :class:`BackendUnavailable`:
+    a command that cannot check anything fails no candidate.
     """
 
     def __init__(self, command: Sequence[str]):
@@ -98,6 +99,7 @@ class ReplBackend:
         self._proc: subprocess.Popen | None = None
         self._responses: queue.Queue = queue.Queue()
         self._next_id = 0
+        self._answered = False  # a well-formed response has come back
         self._lock = threading.Lock()
 
     def _start(self) -> None:
@@ -151,9 +153,12 @@ class ReplBackend:
             try:
                 line = self._responses.get(timeout=timeout_ms / 1000.0)
             except queue.Empty:
-                line = None
-            if line is None:
+                line = b""  # out of time, told apart from the end marker None
+            if not line:
                 self.close()
+                if line is None and not self._answered:
+                    raise BackendUnavailable(
+                        f"{self.command[0]} exited before answering its first check")
                 return CompileOutcome(False, TIMEOUT)
             try:
                 reply = parse_json(line)
@@ -166,6 +171,7 @@ class ReplBackend:
             if reply["id"] != req_id:
                 self.close()
                 raise BackendUnavailable(f"backend answered id {reply['id']}, expected {req_id}")
+            self._answered = True
             return CompileOutcome(reply["ok"], tuple(map(str, reply["diagnostics"])))
 
 
@@ -353,18 +359,14 @@ class Roles:
 
 
 def _evaluate_candidate(
-    text: str,
-    finish_reason: FinishReason,
-    backend: CompilerBackend,
-    header: str,
-    timeout_ms: int,
+    text: str, backend: CompilerBackend, header: str, timeout_ms: int
 ) -> CandidateResult:
-    """First look at a candidate: skip it, or compile-check it.
+    """First look at a candidate: skip a blank one, or compile-check it.
 
     A compiling candidate comes back with its verdict still ``SKIPPED``;
     :class:`ItemRun` fills in the back-translation and the judge's verdict.
     """
-    if finish_reason == FinishReason.ERROR or not text:
+    if not text:
         return CandidateResult(
             candidate_text=text,
             compile=CompileStatus.SKIPPED,
@@ -455,8 +457,6 @@ class ItemRun:
         elif kind == "back":
             back_nl = completion.text.strip()
             if back_nl:
-                if not self.informal:
-                    raise InvalidInput("cannot judge against an empty informal statement")
                 self._results[i] = replace(self._results[i], back_translation=back_nl)
                 self._send(self.roles.nli_judge, nli_prompt(self.informal, back_nl), ("judge", i))
             else:
@@ -496,8 +496,7 @@ class ItemRun:
             if sample is None:
                 return
             result = _evaluate_candidate(
-                sample.text.strip(), sample.finish_reason, self.backend, self.header,
-                self.timeout_ms,
+                sample.text.strip(), self.backend, self.header, self.timeout_ms
             )
             self._results.append(result)
             if result.compile == CompileStatus.PASS:
@@ -553,12 +552,6 @@ class BenchmarkSummary:
     succeeded: int
     accuracy: float
     k: int
-
-    def __post_init__(self):
-        if self.total <= 0:
-            raise InvalidInput("summary needs at least one report")
-        if self.accuracy != self.succeeded / self.total:
-            raise InvalidInput("accuracy must equal succeeded / total")
 
 
 def summarize(reports: Iterable[ValidationReport], dataset_name: str) -> BenchmarkSummary:

@@ -33,7 +33,6 @@ from herald.augment import (
 )
 from herald.config import PipelineConfig, RoleConfig
 from herald.datastore import Direction, NLFLPair, Provenance, read_pairs
-from herald.errors import InvalidInput
 from herald.gateway import (
     STRATEGY_MARKER,
     STRATEGY_TEXT_MARKER,
@@ -193,10 +192,6 @@ class TestDedupSample:
                 hits[item] += 1
         for count in hits:
             assert abs(count / runs - 0.25) <= 0.05
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidInput):
-            dedup_sample([1], -1, seed=0)
 
     @settings(max_examples=50, deadline=None)
     @given(

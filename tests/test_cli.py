@@ -684,8 +684,11 @@ def test_a_faulty_repl_reply_exits_with_its_code_and_caches_nothing_from_it(
 ):
     # A process that exits mid-check is a timeout, seen at once, not after
     # the check's 30 s; a reply of the wrong shape is a backend failure.
+    # One pool thread answers in the order sent, so b0's check, which the
+    # process answers, comes first.
     log = tmp_path / "sent.jsonl"
-    config = repl_config(tmp_path / "config.json", log, compile_timeout_ms=30000)
+    config = repl_config(tmp_path / "config.json", log, compile_timeout_ms=30000,
+                         max_in_flight=1)
     bench = tmp_path / "bench.jsonl"
     bench.write_text(json.dumps({"id": "b0", "informal_text": "OK first"}) + "\n"
                      + json.dumps({"id": "b1", "informal_text": f"{token} second"}) + "\n",
@@ -705,6 +708,21 @@ def test_a_faulty_repl_reply_exits_with_its_code_and_caches_nothing_from_it(
     cached = [json.loads(line)["key"] for line in checks.read_text().splitlines()] \
         if checks.exists() else []
     assert cached == sorted(digest(source) for source in set(sent) if token not in source)
+
+
+def test_a_repl_command_that_never_answers_exits_4_and_writes_no_report(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    backend = {"kind": "repl", "command": [sys.executable, "-c", "pass"]}
+    config.write_text(json.dumps({"knobs": {"backend": backend}}), encoding="utf-8")
+    out = tmp_path / "val"
+    assert run("--config", str(config), "--out", str(out), "validate",
+               "--bench", str(repl_bench(tmp_path / "bench.jsonl")), "--k", "2") == 4
+    # The process may be gone before the first check is written, or after.
+    err = capsys.readouterr().err
+    assert "backend pipe broken" in err or "before answering its first check" in err, err
+    assert "Traceback" not in err
+    assert not (out / "reports.jsonl").exists()
+    assert not (out / "cache" / "checks.jsonl").exists()
 
 
 class TestBadInputExits2:
@@ -1003,6 +1021,10 @@ EXPORT_FAULTS = [
                  id="unknown-field"),
     pytest.param(edit_at(("declarations", 0, "kind"), "axiom"), "$.declarations[0].kind",
                  id="bad-kind"),
+    pytest.param(edit_at(("declarations", 0, "signature"), ""), "$.declarations[0].signature",
+                 id="empty-signature"),
+    pytest.param(edit_at(("declarations", 0, "full_name"), "B"),
+                 "$.declarations[1].full_name", id="repeated-full_name"),
     pytest.param(edit_at(("declarations", 0, "line_span"), [1, 2, 3]),
                  "$.declarations[0].line_span", id="three-item-line_span"),
     pytest.param(edit_at((*STEP, "state_before", "hypotheses", 1), ["q", "Prop", "extra"]),
@@ -1054,8 +1076,19 @@ SEGMENT = {"kind": "placeholder", "name": "subject_signature", "required": True}
      {"schema_version": "1", "templates": [{"id": "t", "applies_to": ["proof"],
                                             "segments": [5]}]},
      "$.templates[0].segments"),
+    # Templates for theorems and proofs, none for the corpus's definitions.
+    ("template_registry",
+     {"schema_version": "1", "templates": [
+         {"id": "stmt-theorem", "applies_to": ["theorem"], "principles": ["Be faithful."],
+          "segments": [SEGMENT]},
+         {"id": "proof-steps", "applies_to": ["proof"],
+          "segments": [{"kind": "placeholder", "name": "steps"}]},
+         {"id": "proof-summary", "applies_to": ["summary"],
+          "segments": [{"kind": "placeholder", "name": "stepwise_translations"}]}]},
+     "$.templates"),
     ("tactic_notes", {"intro": "Introduces a hypothesis.", "simp": 5}, "$['simp']"),
-], ids=["registry_list", "literal_text", "segment_not_object", "notes_value"])
+], ids=["registry_list", "literal_text", "segment_not_object", "kind_without_template",
+        "notes_value"])
 def test_a_malformed_registry_or_notes_exits_2_naming_the_file_before_the_claim(
     tmp_path, export_file, capsys, key, doc, where
 ):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from herald.config import load_config
 from herald.datastore import check_shape
-from herald.errors import DuplicateDeclaration, InvalidInput, SchemaError
+from herald.errors import InvalidInput, SchemaError
 from herald.ingest import parse_jixia_export
 from herald.prompts import TemplateRegistry
 
@@ -58,7 +58,7 @@ def test_check_shape_prefixes_its_where():
 # --- no malformed document escapes exit 2 ----------------------------------------
 
 # The exceptions cli.main maps to exit 2.
-EXIT_2 = (SchemaError, InvalidInput, DuplicateDeclaration)
+EXIT_2 = (SchemaError, InvalidInput)
 
 VALID_CONFIG = {
     "paths": {"output_dir": "out", "source_dir": ""},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import threading
@@ -12,7 +13,6 @@ from conftest import cache_keys
 from herald.config import PipelineConfig
 from herald.errors import (
     BudgetExceeded,
-    InvalidInput,
     ProviderError,
     ProviderExhausted,
     SchemaError,
@@ -297,19 +297,17 @@ class TestCache:
         gw.close()
         assert not (tmp_path / "cache").exists()
 
-    @pytest.mark.parametrize("reason", [FinishReason.LENGTH, FinishReason.ERROR])
-    def test_truncated_or_failed_completion_is_not_cached(self, tmp_path, reason):
+    def test_truncated_completion_is_not_cached(self, tmp_path):
         class Cut:
             name = "cut"
 
             def generate(self, request, sample_index):
-                text = "" if reason == FinishReason.ERROR else "theorem t : 1 ="
-                return Completion(text=text, finish_reason=reason)
+                return Completion(text="theorem t : 1 =", finish_reason=FinishReason.LENGTH)
 
         gw = Gateway(PipelineConfig(), tmp_path)
         req = CompletionRequest(prompt_text="p")
         for _ in range(2):
-            assert gw.complete(req, Cut()).finish_reason == reason
+            assert gw.complete(req, Cut()).finish_reason == FinishReason.LENGTH
         gw.close()
         assert gw.stats["provider_calls"] == 2
         assert gw.stats["cache_hits"] == 0
@@ -332,21 +330,19 @@ class TestCache:
         assert gw.stats["cache_hits"] == 0
         assert not (tmp_path / "cache").exists()
 
-    def test_truncated_and_failed_completions_are_counted(self, tmp_path):
+    def test_truncated_completions_are_counted(self, tmp_path):
         class Mixed:
             name = "mixed"
 
             def generate(self, request, sample_index):
                 if sample_index % 3 == 1:
                     return Completion(text="theorem t :", finish_reason=FinishReason.LENGTH)
-                if sample_index % 3 == 2:
-                    return Completion(text="", finish_reason=FinishReason.ERROR)
                 return Completion(text="ok")
 
         with Gateway(PipelineConfig(), tmp_path) as gw:
             samples(gw, chat_role(Mixed()), "p", 7)
         assert gw.stats == {"provider_calls": 7, "retries": 0, "cache_hits": 0,
-                            "truncated": 2, "failed": 2}
+                            "truncated": 2}
 
     def test_submitted_sample_shares_the_key_of_its_index(self, tmp_path):
         config = PipelineConfig()
@@ -402,6 +398,15 @@ class TestCache:
         with pytest.raises(SchemaError, match="line 1"):
             Gateway(PipelineConfig(), tmp_path)
 
+    def test_cache_entry_of_an_unknown_finish_reason_fails_before_any_call(self, tmp_path):
+        # No provider finishes with "error", so no cache holds one.
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = {"key": "k", "text": "", "finish_reason": "error", "provider_meta": {}}
+        (cache / "completions.jsonl").write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 1: bad cache entry: 'error'"):
+            Gateway(PipelineConfig(), tmp_path)
+
 
 class TestMockProviders:
     def test_back_translator_echoes_normal_form(self):
@@ -422,10 +427,6 @@ class TestMockProviders:
         assert (
             MockNliJudge().generate(CompletionRequest(prompt_text=prompt), 0).text == "REJECT"
         )
-
-    def test_error_completion_must_be_empty(self):
-        with pytest.raises(InvalidInput):
-            Completion(text="oops", finish_reason=FinishReason.ERROR)
 
     def test_normalize(self):
         assert normalize_text("  A \t B\nc ") == "a b c"

@@ -10,12 +10,7 @@ from conftest import make_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herald.errors import (
-    DuplicateDeclaration,
-    InvalidInput,
-    SchemaError,
-    UnknownDeclaration,
-)
+from herald.errors import SchemaError
 from herald.ingest import (
     parse_jixia_export,
     resolve_neighbors,
@@ -82,8 +77,10 @@ class TestParseExport:
         assert steps[1].state_after.goals == ()
 
     def test_duplicate_declaration(self):
-        with pytest.raises(DuplicateDeclaration):
-            parse_jixia_export(minimal_export([decl_obj("A"), decl_obj("A")]))
+        with pytest.raises(SchemaError) as exc:
+            parse_jixia_export(minimal_export([decl_obj("A"), decl_obj("B"), decl_obj("A")]))
+        assert exc.value.path == "$.declarations[2].full_name"
+        assert "'A' repeats declarations[0]" in str(exc.value)
 
     def test_missing_field_names_json_path(self):
         broken = decl_obj("A")
@@ -91,6 +88,11 @@ class TestParseExport:
         with pytest.raises(SchemaError) as exc:
             parse_jixia_export(minimal_export([broken]))
         assert "$.declarations[0]" in exc.value.path
+
+    def test_empty_signature_rejected(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_jixia_export(minimal_export([decl_obj("A"), decl_obj("B", signature="")]))
+        assert exc.value.path == "$.declarations[1].signature"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError):
@@ -427,13 +429,3 @@ class TestResolveNeighbors:
         neighbors = resolve_neighbors("A.b.c", index, limit=5)
         # A.b.d shares two components, A.e only one: keep the longest only
         assert neighbors.name_prefix_shared == ("A.b.d",)
-
-    def test_unknown_subject(self):
-        index = parse_jixia_export(minimal_export([decl_obj("A")]))
-        with pytest.raises(UnknownDeclaration):
-            resolve_neighbors("Nope", index, limit=1)
-
-    def test_bad_limit(self):
-        index = parse_jixia_export(minimal_export([decl_obj("A")]))
-        with pytest.raises(InvalidInput):
-            resolve_neighbors("A", index, limit=0)

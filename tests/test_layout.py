@@ -61,3 +61,25 @@ def test_every_src_name_has_a_caller():
         and name not in ALLOWED
     ]
     assert uncalled == []
+
+
+def test_every_error_type_is_raised():
+    # An error type that is only caught, or only tested, is a failure path
+    # nothing reaches; a base of a raised type is kept with it.
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    bases = {node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+             for node in errors.body if isinstance(node, ast.ClassDef)}
+    reached = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in bases:
+                    reached.add(exc.id)
+    pending = list(reached)
+    while pending:
+        for base in bases[pending.pop()]:
+            if base in bases and base not in reached:
+                reached.add(base)
+                pending.append(base)
+    assert sorted(bases.keys() - reached) == []

@@ -415,7 +415,7 @@ def test_each_stage_logs_its_gateway_counters_at_close(tmp_path, caplog):
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert [line.split(":")[0] for line in lines] == ["informalize", "augment", "validate"]
     for line in lines:
-        for counter in ("provider_calls", "retries", "cache_hits", "truncated", "failed"):
+        for counter in ("provider_calls", "retries", "cache_hits", "truncated"):
             assert f"{counter} " in line
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herald.depgraph import build_graph, stratify
-from herald.errors import LengthMismatch, MissingField, NoTemplate
+from herald.errors import MissingField, NoTemplate
 from herald.prompts import (
     NO_NOTE_MARKER,
     ProofContext,
@@ -329,15 +329,6 @@ class TestSummarizePrompt:
         )
         prompt = summarize_steps_prompt(["By reflexivity."], ctx, default_registry())
         assert "By reflexivity." in prompt.text
-
-    def test_length_mismatch(self):
-        ctx = ProofContext(
-            formal_statement="t",
-            informal_statement="i",
-            steps=tuple(step(i, "rfl") for i in range(3)),
-        )
-        with pytest.raises(LengthMismatch):
-            summarize_steps_prompt(["a", "b"], ctx, default_registry())
 
     def test_two_step_fixture_orders_translations(self):
         ctx = ProofContext(

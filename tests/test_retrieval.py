@@ -27,7 +27,6 @@ from herald.errors import (
     DimensionMismatch,
     DuplicateId,
     InvalidInput,
-    ProviderError,
     SchemaError,
     ZeroVector,
 )
@@ -786,26 +785,3 @@ class TestEmbed:
         assert [x.hex() for x in provider.embed_text(text).values] == [
             (x / norm).hex() for x in buckets
         ]
-
-    def test_provider_failure_surfaces_without_partial_writes(self, tmp_path):
-        class OutageProvider:
-            name = "remote-down"
-            dim = 8
-            calls = 0
-
-            def embed_text(self, text):
-                OutageProvider.calls += 1
-                if OutageProvider.calls >= 3:
-                    raise ConnectionError("upstream 503")
-                return HashEmbeddingProvider(dim=8).embed_text(text)
-
-        provider = OutageProvider()
-        store_dir = tmp_path / "store"
-        texts = [f"text {i}" for i in range(5)]
-        examples = []
-        with pytest.raises(ProviderError) as exc:
-            for i, text in enumerate(texts):
-                examples.append(example(i, embed(text, provider).values))
-            save_store(ExampleStore(examples), store_dir)
-        assert "remote-down" in str(exc.value)
-        assert not store_dir.exists()

@@ -91,10 +91,23 @@ class TestBackends:
     def test_repl_exit_mid_check_is_a_timeout_seen_at_once(self):
         backend = ReplBackend(FAKE_REPL)
         try:
+            assert backend.check("OK first", 5000).ok
             start = time.monotonic()
             assert backend.check("EXIT now", timeout_ms=30000) == CompileOutcome(False, TIMEOUT)
             assert time.monotonic() - start < 15
             assert backend.check("OK again", 5000).ok
+        finally:
+            backend.close()
+
+    def test_repl_exit_before_any_answer_is_unavailable(self):
+        # A process that has never answered is more likely a bad command
+        # than a bad source: no candidate is failed for it.
+        backend = ReplBackend(FAKE_REPL)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BackendUnavailable, match="before answering its first check"):
+                backend.check("EXIT now", timeout_ms=30000)
+            assert time.monotonic() - start < 15
         finally:
             backend.close()
 
