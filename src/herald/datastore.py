@@ -4,10 +4,11 @@ Every record file herald reads, resumes or rewrites is JSONL, one record per
 line.  This module holds the one reader (:func:`read_jsonl`), the torn-line
 rule for resumable files (:func:`drop_torn_tail`), the one atomic replace
 (:func:`replace_atomic`) and the one keyed cache log (:class:`KeyedLog`);
-pairs are written with fields in fixed order.  Every JSON document herald
-reads (the corpus export, the config, the template registry, the tactic
-notes, each provider and REPL reply) is decoded by :func:`parse_json` and
-type-checked by :func:`check_shape`, as is each record row by its reader.
+a pair row holds its fields in the order of its shape, ``_PAIR``.  Every
+JSON document herald reads (the corpus export, the config, the template
+registry, the tactic notes, each provider and REPL reply) is decoded by
+:func:`parse_json` and type-checked by :func:`check_shape`, as is each
+record row by its reader.
 Mixtures realize the configured provenance ratio (default 1:2:1 over
 original, tactic-augmented, informal-augmented pairs) and direction ratio
 (default 2:2:1 over NL->FL, FL->NL, general instruction data) with
@@ -21,6 +22,7 @@ import json
 import logging
 import os
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -73,19 +75,6 @@ class NLFLPair:
             raise InvalidInput(f"pair {self.id}: unknown record_type {self.record_type!r}")
 
 
-def pair_to_dict(pair: NLFLPair) -> dict:
-    return {
-        "id": pair.id,
-        "formal_text": pair.formal_text,
-        "informal_text": pair.informal_text,
-        "direction": pair.direction.value if pair.direction else None,
-        "provenance": pair.provenance.value,
-        "source_name": pair.source_name,
-        "level": pair.level,
-        "record_type": pair.record_type,
-    }
-
-
 _PAIR = {"id": str, "formal_text": str, "informal_text": str, "direction": (str, type(None)),
          "provenance": str, "source_name": (str, type(None)), "level": (int, type(None)),
          "record_type": str}
@@ -94,24 +83,28 @@ _PAIR_DEFAULTS = {"formal_text": "", "direction": None, "source_name": None, "le
                   "record_type": "statement"}
 
 
+def pair_to_dict(pair: NLFLPair) -> dict:
+    """The pair's fields in ``_PAIR``'s order; ``json`` writes a ``str`` enum
+    as its value."""
+    return {key: getattr(pair, key) for key in _PAIR}
+
+
 def pair_from_dict(obj: dict) -> NLFLPair:
     obj = {**_PAIR_DEFAULTS, **obj}
     check_shape(obj, _PAIR)
-    return NLFLPair(
-        id=obj["id"],
-        formal_text=obj["formal_text"],
-        informal_text=obj["informal_text"],
-        direction=Direction(obj["direction"]) if obj["direction"] else None,
-        provenance=Provenance(obj["provenance"]),
-        source_name=obj["source_name"],
-        level=obj["level"],
-        record_type=obj["record_type"],
-    )
+    row = {key: obj[key] for key in _PAIR}
+    row["direction"] = Direction(obj["direction"]) if obj["direction"] else None
+    row["provenance"] = Provenance(obj["provenance"])
+    return NLFLPair(**row)
+
+
+# ``json.dumps(..., ensure_ascii=False)`` builds an encoder per call.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def pair_line(pair: NLFLPair) -> str:
-    """One record-file line, newline included: fields in fixed order, UTF-8."""
-    return json.dumps(pair_to_dict(pair), ensure_ascii=False) + "\n"
+    """One record-file line, newline included: fields in ``_PAIR``'s order, UTF-8."""
+    return _encode(pair_to_dict(pair)) + "\n"
 
 
 def _write_synced(path: str | Path, lines: Iterable[str]) -> None:
@@ -468,39 +461,20 @@ class DatasetStats:
 
 def stats(dataset_path: str | Path) -> DatasetStats:
     """Counts by provenance, direction, record type, and a level histogram."""
-    by_provenance: dict[str, int] = {}
-    by_direction: dict[str, int] = {}
-    by_record_type: dict[str, int] = {}
-    level_histogram: dict[int, int] = {}
-    total = 0
-    for pair in read_pairs(dataset_path):
-        total += 1
-        by_provenance[pair.provenance.value] = by_provenance.get(pair.provenance.value, 0) + 1
-        dkey = pair.direction.value if pair.direction else "general"
-        by_direction[dkey] = by_direction.get(dkey, 0) + 1
-        by_record_type[pair.record_type] = by_record_type.get(pair.record_type, 0) + 1
-        if pair.level is not None:
-            level_histogram[pair.level] = level_histogram.get(pair.level, 0) + 1
+    pairs = read_pairs(dataset_path)
+    # Plain dicts: ``asdict`` would rebuild a ``Counter`` by counting its items.
     return DatasetStats(
-        total=total,
-        by_provenance=by_provenance,
-        by_direction=by_direction,
-        by_record_type=by_record_type,
-        level_histogram=level_histogram,
+        total=len(pairs),
+        by_provenance=dict(Counter(p.provenance.value for p in pairs)),
+        by_direction=dict(Counter(p.direction.value if p.direction else "general" for p in pairs)),
+        by_record_type=dict(Counter(p.record_type for p in pairs)),
+        level_histogram=dict(Counter(p.level for p in pairs if p.level is not None)),
     )
 
 
 def stats_to_json(s: DatasetStats) -> str:
-    return json.dumps(
-        {
-            "total": s.total,
-            "by_provenance": s.by_provenance,
-            "by_direction": s.by_direction,
-            "by_record_type": s.by_record_type,
-            "level_histogram": {str(k): v for k, v in sorted(s.level_histogram.items())},
-        },
-        sort_keys=True,
-    )
+    histogram = {str(level): n for level, n in s.level_histogram.items()}
+    return json.dumps({**asdict(s), "level_histogram": histogram}, sort_keys=True)
 
 
 def stats_table(s: DatasetStats) -> str:

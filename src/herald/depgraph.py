@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CycleError, CyclicInput
+from .errors import CycleError
 from .records import CorpusIndex
 
 
@@ -102,7 +102,8 @@ def stratify(graph: DepGraph) -> LevelAssignment:
 
     Roots (no prerequisites) get level 0; every other node gets one more
     than the maximum level among its prerequisites.  Raises
-    :class:`CyclicInput` when the graph is not a DAG.
+    :class:`CycleError`, with :func:`check_acyclic`'s witness, when the graph
+    is not a DAG.
     """
     preds = graph.prerequisites()
     succs = graph.dependents()
@@ -121,11 +122,7 @@ def stratify(graph: DepGraph) -> LevelAssignment:
             if indegree[dep] == 0:
                 queue.append(dep)
     if processed != len(graph.nodes):
-        try:
-            check_acyclic(graph)
-        except CycleError as exc:
-            raise CyclicInput(exc.cycle) from None
-        raise CyclicInput([])  # unreachable: leftover nodes imply a cycle
+        check_acyclic(graph)  # leftover nodes lie on or after a cycle, so this raises
 
     if level_of:
         depth = max(level_of.values()) + 1

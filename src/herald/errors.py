@@ -30,10 +30,6 @@ class CycleError(HeraldError):
         self.cycle = cycle
 
 
-class CyclicInput(CycleError):
-    """Stratification was handed a graph that is not acyclic."""
-
-
 class DimensionMismatch(HeraldError):
     """Embedding dimensions disagree."""
 

@@ -47,8 +47,10 @@ _DECLARATION = {"full_name": str, "kind": str, "signature": str, "docstring": (s
 _EXPORT = {"declarations": [_DECLARATION], "proofs": {str: [_STEP]}, "head_statements": {str: str}}
 _KINDS = {kind.value: kind for kind in DeclKind}
 _NO_DEPENDENCIES: frozenset[str] = frozenset()  # shared by every record that has none
-# ``json.dumps(..., ensure_ascii=False)`` builds an encoder per call.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# ``json.dumps(..., ensure_ascii=False)`` builds an encoder per call.  The
+# encoder writes a proof state as its ``_STATE`` fields, and a tuple as a list.
+_ENCODER = json.JSONEncoder(ensure_ascii=False,
+                            default=lambda state: {key: getattr(state, key) for key in _STATE})
 
 
 def strip_docstring_markup(text: str) -> str:
@@ -182,35 +184,14 @@ def index_pieces(index: CorpusIndex) -> Iterator[str]:
     yield f'{{"schema_version": {encode(SCHEMA_VERSION)}, "declarations": ['
     for i, name in enumerate(sorted(index.declarations)):
         rec = index.declarations[name]
+        row = {key: getattr(rec, key) for key in _DECLARATION}
+        row["dependencies"] = sorted(rec.dependencies)
         yield ", " if i else ""
-        yield encode({
-            "full_name": rec.full_name,
-            "kind": rec.kind.value,
-            "signature": rec.signature,
-            "docstring": rec.docstring,
-            "namespace_path": list(rec.namespace_path),
-            "file_path": rec.file_path,
-            "line_span": list(rec.line_span),
-            "dependencies": sorted(rec.dependencies),
-            "is_tactic_proof": rec.is_tactic_proof,
-        })
+        yield encode(row)
     yield '], "proofs": {'
     for i, name in enumerate(sorted(index.proofs)):
         yield f"{', ' if i else ''}{encode(name)}: "
-        yield encode([
-            {
-                "tactic_text": step.tactic_text,
-                "state_before": {
-                    "hypotheses": [list(h) for h in step.state_before.hypotheses],
-                    "goals": list(step.state_before.goals),
-                },
-                "state_after": {
-                    "hypotheses": [list(h) for h in step.state_after.hypotheses],
-                    "goals": list(step.state_after.goals),
-                },
-            }
-            for step in index.proofs[name]
-        ])
+        yield encode([{key: getattr(step, key) for key in _STEP} for step in index.proofs[name]])
     heads = {k: index.head_statements[k] for k in sorted(index.head_statements)}
     yield f'}}, "head_statements": {encode(heads)}}}\n'
 

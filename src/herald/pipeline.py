@@ -579,11 +579,7 @@ def run_augment(
 
             ds.replace_atomic(
                 out_dir / "synthesized.jsonl",
-                (json.dumps({"name": stmt.name, "formal_text": stmt.formal_text,
-                             "origin": stmt.origin, "origin_step": stmt.origin_step,
-                             "goal_index": stmt.goal_index,
-                             "context_preamble": stmt.context_preamble},
-                            ensure_ascii=False) + "\n" for stmt in valid),
+                (json.dumps(vars(stmt), ensure_ascii=False) + "\n" for stmt in valid),
             )
             counts.update(
                 synthesized=len(synthesized),

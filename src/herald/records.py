@@ -60,8 +60,6 @@ class ProofStep:
     step_index: int
 
     def __post_init__(self):
-        if self.step_index < 0:
-            raise InvalidInput(f"negative step_index: {self.step_index}")
         if not self.tactic_text:
             raise InvalidInput("empty tactic_text")
 
@@ -132,26 +130,16 @@ class NeighborGroups:
 class CorpusIndex:
     """The parsed corpus: declarations, tactic proofs, and file preambles.
 
-    ``warnings`` records dangling dependency references found at parse time.
+    ``proofs`` holds proofs of theorems and instances only, each step's
+    ``step_index`` its position; :func:`herald.ingest.parse_jixia_export`
+    refuses any other.  ``warnings`` records dangling dependency references
+    found at parse time.
     """
 
     declarations: dict[str, DeclarationRecord]
     proofs: dict[str, tuple[ProofStep, ...]] = field(default_factory=dict)
     head_statements: dict[str, str] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for name, steps in self.proofs.items():
-            decl = self.declarations.get(name)
-            if decl is None:
-                raise InvalidInput(f"proof attached to unknown declaration {name}")
-            if decl.kind not in PROVABLE_KINDS:
-                raise InvalidInput(
-                    f"proof attached to {name} of kind {decl.kind.value}; "
-                    "only theorem/instance may carry proofs"
-                )
-            if [s.step_index for s in steps] != list(range(len(steps))):
-                raise InvalidInput(f"proof of {name}: step_index not contiguous from 0")
 
     @cached_property
     def neighbor_groups(self) -> NeighborGroups:

@@ -576,16 +576,7 @@ def summarize(reports: Iterable[ValidationReport], dataset_name: str) -> Benchma
 
 
 def summary_to_json(summary: BenchmarkSummary) -> str:
-    return json.dumps(
-        {
-            "dataset_name": summary.dataset_name,
-            "total": summary.total,
-            "succeeded": summary.succeeded,
-            "accuracy": summary.accuracy,
-            "k": summary.k,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(asdict(summary), sort_keys=True)
 
 
 def summary_table(summary: BenchmarkSummary) -> str:
@@ -611,24 +602,15 @@ _REPORT = {"item_id": str, "k": int, "success": bool, "short_circuit": bool,
 
 def report_from_dict(obj: dict) -> ValidationReport:
     check_shape(obj, _REPORT)
-    return ValidationReport(
-        item_id=obj["item_id"],
-        k=obj["k"],
-        success=obj["success"],
-        short_circuit=obj["short_circuit"],
-        candidates=tuple(
-            CandidateResult(
-                candidate_text=c["candidate_text"],
-                compile=CompileStatus(c["compile"]),
-                compile_diagnostic=c["compile_diagnostic"],
-                back_translation=c["back_translation"],
-                nli=NliStatus(c["nli"]),
-                final=c["final"],
-                nli_parse_failure=c["nli_parse_failure"],
-            )
-            for c in obj["candidates"]
-        ),
-    )
+    candidates = []
+    for c in obj["candidates"]:
+        row = {key: c[key] for key in _CANDIDATE}
+        row["compile"] = CompileStatus(c["compile"])
+        row["nli"] = NliStatus(c["nli"])
+        candidates.append(CandidateResult(**row))
+    row = {key: obj[key] for key in _REPORT}
+    row["candidates"] = tuple(candidates)
+    return ValidationReport(**row)
 
 
 def read_reports(path: str | Path) -> Iterator[ValidationReport]:

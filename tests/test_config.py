@@ -14,7 +14,6 @@ from herald import config as config_module
 from herald.config import BackendConfig, PipelineConfig, RoleConfig, load_config
 from herald.errors import InvalidInput, ProviderError, SchemaError
 from herald.gateway import SAMPLE_CAP, CompletionRequest, FinishReason, HttpChatProvider
-from herald.records import CorpusIndex, ProofState, ProofStep
 from herald.validate import MockCompilerBackend, ReplBackend
 
 
@@ -496,26 +495,3 @@ class TestHttpChatProvider:
         provider, _ = self._provider(FakeResponse(200, payload), monkeypatch)
         completion = provider.generate(CompletionRequest(prompt_text="x"), 0)
         assert completion.finish_reason == FinishReason.LENGTH
-
-
-def test_proof_steps_must_be_contiguous():
-    from herald.records import DeclarationRecord, DeclKind
-
-    decl = DeclarationRecord(
-        full_name="T.t",
-        kind=DeclKind.THEOREM,
-        signature="theorem t : True",
-        docstring=None,
-        namespace_path=("T",),
-        file_path="T.lean",
-        line_span=(1, 1),
-        dependencies=frozenset(),
-        is_tactic_proof=True,
-    )
-    closed = ProofState()
-    open_state = ProofState(goals=("True",))
-    with pytest.raises(InvalidInput):
-        CorpusIndex(
-            declarations={"T.t": decl},
-            proofs={"T.t": (ProofStep("trivial", open_state, closed, 1),)},
-        )

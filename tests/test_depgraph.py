@@ -16,7 +16,7 @@ from herald.depgraph import (
     stratify,
     to_dot,
 )
-from herald.errors import CycleError, CyclicInput, InvalidInput
+from herald.errors import CycleError, InvalidInput
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind
 
 
@@ -155,9 +155,10 @@ class TestStratify:
             random.Random(seed).shuffle(shuffled_edges)
             assert stratify(graph_of(shuffled_nodes, shuffled_edges)).level_of == baseline
 
-    def test_cycle_raises_cyclic_input(self):
-        with pytest.raises(CyclicInput):
+    def test_cycle_raises_cycle_error_with_witness(self):
+        with pytest.raises(CycleError) as exc:
             stratify(graph_of("AB", [("A", "B"), ("B", "A")]))
+        assert exc.value.cycle == ["A", "B", "A"]
 
 
 class TestSchedule:
