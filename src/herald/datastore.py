@@ -255,29 +255,28 @@ def _describe(shape, many: bool = False) -> str:
 class KeyedLog(Generic[T]):
     """An append-only JSONL file of ``{"key": ..., **fields}`` entries: a stage's
     cache of something paid for (``cache/completions.jsonl``,
-    ``cache/checks.jsonl``).
+    ``cache/checks.jsonl``).  ``fields`` is the shape of an entry's other
+    keys, each the name of an attribute of the value kept.
 
     Read once, on construction, into a dict of each entry's line, so a hit
     never touches the disk; every entry is parsed then, so a malformed line
     is a :class:`SchemaError` naming it before anything is paid for, and a
     torn final line is dropped as for every resumable record file.  ``parse``
-    turns an entry's object into its value, on each hit of :meth:`get`, and
-    ``fields`` a value back into the entry's other keys, once, at
-    :meth:`add`.  Each new entry is appended as one flushed line, the
-    directory and the append handle made on the first.  :meth:`close`
-    rewrites the file with the lines in key order with
-    :func:`replace_atomic`, so a finished run leaves one sorted file whatever
-    order the entries were added in.  One writing process per output
+    turns a checked entry's object into its value, on each hit of
+    :meth:`get`; :meth:`add` writes the value's ``fields``.  Each new entry
+    is appended as one flushed line, the directory and the append handle
+    made on the first.  :meth:`close` rewrites the file with the lines in key
+    order with :func:`replace_atomic`, so a finished run leaves one sorted
+    file whatever order the entries were added in.  One writing process per output
     directory is assumed, and one thread in it adds; other threads may only
     :meth:`get`, a dict lookup and the parse of one line.
     """
 
-    def __init__(
-        self, path: Path, parse: Callable[[dict], T], fields: Callable[[T], dict], what: str
-    ):
+    def __init__(self, path: Path, fields: dict, parse: Callable[[dict], T], what: str):
         self._path = path
-        self._parse = parse
         self._fields = fields
+        self._shape = {"key": str, **fields}
+        self._parse = parse
         self._lines: dict[str, str] = {}
         self._handle: TextIO | None = None
         if path.exists():
@@ -285,8 +284,10 @@ class KeyedLog(Generic[T]):
             self._lines = dict(_read_lines(path, self._entry, what))
 
     def _entry(self, line: str) -> tuple[str, str]:
-        """The key of the entry on ``line``, and the line; parsing checks it."""
+        """The key of the entry on ``line``, and the line, once the entry is
+        checked against the shape and parsed."""
         obj = json.loads(line)
+        check_shape(obj, self._shape)
         self._parse(obj)
         return obj["key"], line
 
@@ -295,8 +296,8 @@ class KeyedLog(Generic[T]):
         return None if line is None else self._parse(json.loads(line))
 
     def add(self, key: str, value: T) -> None:
-        line = json.dumps({"key": key, **self._fields(value)}, ensure_ascii=False,
-                          sort_keys=True) + "\n"
+        row = {"key": key, **{name: getattr(value, name) for name in self._fields}}
+        line = json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
         self._lines[key] = line
         if self._handle is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)

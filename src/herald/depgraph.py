@@ -3,9 +3,9 @@
 Levels follow the longest prerequisite chain: a declaration sits one level
 above the highest of its prerequisites, so every level depends only on
 strictly lower levels.  Levels fix the order in which translations are
-written.  Translation itself does not wait for a whole level: a declaration
-is ready as soon as its own prerequisites are translated, and the
-pipeline's one dispatch window sends it.
+sent and written: each level's statements by name, then its proofs.  The
+pipeline's one send cursor walks that order; it waits at a statement until
+its own prerequisites are translated, not for the whole level below.
 """
 
 from __future__ import annotations

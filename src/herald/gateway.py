@@ -26,7 +26,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Mapping, Protocol
+from typing import TYPE_CHECKING, ClassVar, Protocol
 
 from .datastore import KeyedLog, check_shape, parse_json
 from .errors import BudgetExceeded, ProviderError, ProviderExhausted, SchemaError
@@ -65,7 +65,7 @@ class FinishReason(str, Enum):
 class Completion:
     text: str
     finish_reason: FinishReason = FinishReason.STOP
-    provider_meta: Mapping[str, str] = field(default_factory=dict)
+    provider_meta: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,24 +99,15 @@ class Role:
     max_output_tokens: int = 2048
 
 
-_COMPLETION = {"key": str, "text": str, "finish_reason": str, "provider_meta": dict}
+# A completion-log entry's fields after its key; ``json`` writes a ``str``
+# enum as its value.
+_COMPLETION = {"text": str, "finish_reason": str, "provider_meta": dict}
 
 
 def _completion(obj: dict) -> Completion:
-    check_shape(obj, _COMPLETION)
-    return Completion(
-        text=obj["text"],
-        finish_reason=FinishReason(obj["finish_reason"]),
-        provider_meta=obj["provider_meta"],
-    )
-
-
-def _completion_fields(completion: Completion) -> dict:
-    return {
-        "text": completion.text,
-        "finish_reason": completion.finish_reason.value,
-        "provider_meta": dict(completion.provider_meta),
-    }
+    row = {key: obj[key] for key in _COMPLETION}
+    row["finish_reason"] = FinishReason(obj["finish_reason"])
+    return Completion(**row)
 
 
 def _cache_key(request: CompletionRequest, provider: CompletionProvider) -> str:
@@ -150,7 +141,7 @@ class Gateway:
         # ``cache/completions.jsonl``, one entry per sample paid for, read
         # now, so a malformed cache fails before any call is paid for.
         self._log = KeyedLog(self.cache_dir / "completions.jsonl",
-                             _completion, _completion_fields, "cache entry")
+                             _COMPLETION, _completion, "cache entry")
         # (key, completion) of each cacheable answer not yet in the log.
         self._paid: queue.SimpleQueue = queue.SimpleQueue()
         self.stats = {

@@ -12,10 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import queue
-from collections import deque
 from concurrent import futures
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Container, Hashable, Iterable, Sequence, TextIO
 
@@ -199,50 +197,56 @@ def run_stratify(
 
 # --- informalize -------------------------------------------------------------
 
-# Futures pending per ``max_in_flight`` slot.  At 8, validate's last serial
-# judge chains opened late and ran nearly alone; 24 to 64 time the same.
+# Futures pending, plus records waiting to be written, per ``max_in_flight``
+# slot.  At 8, validate's last serial judge chains opened late and ran nearly
+# alone; 24 to 64 time the same.
 # Under a request budget it stays 8: the pool answers in the order sent, so a
 # deeper window spends the budget opening units, and a cut keeps no record.
 DISPATCH_WINDOW, BUDGET_WINDOW = 32, 8
 
 
 class _OrderedDispatch:
-    """Deferred units in; records appended to their JSONL files in canonical order.
+    """One canonical order of keys, walked by one send cursor; records
+    appended to their JSONL files in that order.
 
-    A *unit*, handed to ``defer``, builds its prompts and sends their
-    futures with :meth:`submit`.  :meth:`run` calls the units in the order
-    deferred, each only while fewer than ``DISPATCH_WINDOW * max_in_flight``
-    futures (``BUDGET_WINDOW * max_in_flight`` under a request budget) are
-    pending, and feeds each completion to ``settle(tag, completion)`` on the
-    calling thread once ``gateway`` has logged what it paid for.  A
-    follow-up request that ``settle`` makes replaces the future it settles
-    and is submitted directly; work that settling makes ready is deferred.
-    So pending futures and built prompts stay within the window plus the
-    largest unit, not the corpus.  ``order`` lists every record key in
-    canonical order and ``on_disk`` the keys an earlier run wrote; a record
-    handed to :meth:`finish` is appended, and flushed, once every earlier
-    one is on disk, so the files do not depend on ``max_in_flight`` and an
-    interrupted run leaves a canonical prefix.
+    :meth:`run` calls ``send(key)`` for each key of ``order`` that is not
+    ``on_disk``, in order, while the pending futures and the finished but
+    unwritten records together number fewer than ``DISPATCH_WINDOW *
+    max_in_flight`` (``BUDGET_WINDOW * max_in_flight`` under a request
+    budget).  ``send`` builds the key's prompts and sends their futures with
+    :meth:`submit`, or returns False while the key waits on an answer still
+    to come; the cursor then stays on it until a completion is settled.  A
+    False ``send`` always has a pending future ahead of it: the order is
+    topological, each key waits only on answers for earlier keys, and every
+    earlier key is on disk, settled or pending.  Records are written before
+    the cursor looks, so a cursor that stops with nothing pending is a key
+    left waiting on no answer, and :meth:`run` raises ``RuntimeError``
+    rather than return on a partial tree.  Each completion goes to
+    ``settle(tag, completion)`` on the calling thread once ``gateway`` has
+    logged what it paid for; a follow-up request that ``settle`` makes
+    replaces the future it settles.  A record handed to :meth:`finish` is
+    appended, and flushed, once every earlier key's record is on disk.  So
+    pending futures and unwritten records stay within the window plus the
+    largest key's requests, the files do not depend on ``max_in_flight``,
+    and an interrupted run leaves a canonical prefix.
 
-    On the first error, queued requests are cancelled, deferred units are
-    dropped, the prefix is flushed and the error is re-raised.  A request
+    On the first error, queued requests are cancelled, no further key is
+    sent, the prefix is flushed and the error is re-raised.  A request
     already running still lands in the completion log, since the gateway's
     close waits for its pool, so a rerun takes it from the cache.
     """
 
     def __init__(
-        self, gateway: Gateway, order: Sequence[Hashable] = (), on_disk: Container[Hashable] = ()
+        self, gateway: Gateway, order: Sequence[Hashable], on_disk: Container[Hashable] = ()
     ):
         self._gateway = gateway
         self._order = order
         self._on_disk = on_disk
-        self._cursor = 0
+        self._sent = self._written = 0  # the send and write cursors into ``order``
         self._finished: dict[Hashable, tuple[Path, str]] = {}
         self._handles: dict[Path, TextIO] = {}
         self._pending: dict[futures.Future, object] = {}
         self._completed: queue.SimpleQueue = queue.SimpleQueue()
-        self._deferred: deque[Callable[[], None]] = deque()
-        self.defer = self._deferred.append
         depth = DISPATCH_WINDOW if gateway.config.request_budget is None else BUDGET_WINDOW
         self._window = depth * gateway.config.max_in_flight
 
@@ -254,8 +258,8 @@ class _OrderedDispatch:
         self._finished[key] = (path, line)
 
     def _flush(self) -> None:
-        while self._cursor < len(self._order):
-            key = self._order[self._cursor]
+        while self._written < self._sent:
+            key = self._order[self._written]
             if key in self._finished:
                 path, line = self._finished.pop(key)
                 handle = self._handles.get(path)
@@ -265,20 +269,32 @@ class _OrderedDispatch:
                 handle.flush()
             elif key not in self._on_disk:
                 return
-            self._cursor += 1
+            self._written += 1
 
-    def run(self, settle: Callable[[object, Completion], None]) -> None:
-        """Returns once no unit is deferred and no future is pending."""
+    def run(
+        self, send: Callable[[Hashable], bool], settle: Callable[[object, Completion], None]
+    ) -> None:
+        """Returns once every key is sent and no future is pending."""
         try:
             while True:
-                while self._deferred and len(self._pending) < self._window:
-                    self._deferred.popleft()()
+                # Records are written first, so the room they free is used
+                # before the cursor looks.
                 self._flush()
+                while (self._sent < len(self._order)
+                       and len(self._pending) + len(self._finished) < self._window):
+                    key = self._order[self._sent]
+                    if key not in self._on_disk and not send(key):
+                        break
+                    self._sent += 1
                 if not self._pending:
-                    return
+                    break
                 future = self._completed.get()
                 self._gateway.append_paid()
                 settle(self._pending.pop(future), future.result())
+            if self._sent < len(self._order):
+                raise RuntimeError(
+                    f"dispatch stopped at {self._order[self._sent]!r} with no request pending"
+                )
         except BaseException:
             # Keep every finished record that extends the canonical prefix,
             # then let the caller see the first error.
@@ -331,14 +347,13 @@ def run_informalize(
 ) -> dict[str, int]:
     """Statement and stepwise proof translation in dependency order.
 
-    Dispatch (:class:`_OrderedDispatch`): a statement is deferred as one unit
-    as soon as each of its prerequisites has a translation (Kahn's ready set
-    over the dependency graph).  Its prompt reads only those translations,
-    so every prompt is the one a level-by-level pass would build, whenever
-    the window sends it.  A proof's steps are one unit, deferred once its
-    statement translation lands, and its summary is sent once every step is
-    back.  Records are written in canonical order (statements level by
-    level, then proofs by name), so the output tree does not depend on
+    Dispatch (:class:`_OrderedDispatch`): the canonical order is each
+    level's statements by name, then that level's proofs by name, and one
+    cursor sends and writes in it.  A statement is sent once each of its
+    prerequisites, all at lower levels, has a translation; its prompt reads
+    only those, so it is the one a level-by-level pass would build.  A
+    proof's steps are sent once its statement's translation is back, and its
+    summary once every step is back.  So the output tree does not depend on
     ``max_in_flight`` and an interrupted run leaves a canonical prefix.
 
     Resume: the directory is claimed (:func:`_claim`); the level files and
@@ -347,9 +362,10 @@ def run_informalize(
     behind a gap, or was still running at the first error, is lost from the
     outputs but kept in the cache, so a rerun does not pay for it again.  The
     manifest counts the finished tree, so a resumed tree is a clean one.
-    ``dry_run`` makes the same first wave of requests but writes each prompt
-    to ``prompts/<name>.txt`` or ``prompts/<name>.step<i>.txt`` instead of
-    sending it; later prompts read model answers, so it cannot write them.
+    ``dry_run`` walks the same order and writes the prompt of every statement
+    and proof step that is ready to ``prompts/<name>.txt`` or
+    ``prompts/<name>.step<i>.txt`` instead of sending it; later prompts read
+    model answers, so it cannot write them.
     """
     config.check()
     proof_names = index.tactic_proof_names()
@@ -364,7 +380,10 @@ def run_informalize(
     # Inputs are read and stratified first, so a malformed one or a cycle
     # leaves no claim; a dry run claims nothing, so the config may change after.
     _claim(out_dir, config, write=not dry_run)
-    statement_order = [name for level in assignment.levels for name in level]
+    proof_of = {f"{name}::proof": name for name in proof_names}
+    # The canonical order: each level's statements by name, then its proofs by name.
+    order = [key for level in assignment.levels
+             for key in (*level, *(f"{n}::proof" for n in level if f"{n}::proof" in proof_of))]
 
     existing = _existing_pair_ids(out_dir)
     translations: dict[str, str] = {
@@ -405,16 +424,8 @@ def run_informalize(
             tactic_notes=notes,
         )
 
-    # Dispatch state, touched only by this thread.  waiting[name] counts the
-    # prerequisites of a statement that have no translation yet.
     prerequisites = graph.prerequisites()
-    dependents = graph.dependents()
-    waiting = {
-        name: sum(dep not in translations for dep in prerequisites[name])
-        for name in statement_order
-    }
-    has_proof = set(proof_names)
-    step_texts: dict[str, list[str | None]] = {}
+    step_texts: dict[str, list[str | None]] = {}  # a proof's step answers, by its name
 
     def submit(prompt_text: str, *tag) -> None:
         if dry_run:
@@ -424,40 +435,39 @@ def run_informalize(
         else:
             dispatch.submit(gateway.submit_role(informalizer, prompt_text), tag)
 
-    def send_statement(name: str) -> None:
-        submit(statement_prompt(name), "statement", name)
-
-    def send_proof(name: str) -> None:
-        if f"{name}::proof" in existing:
-            return
+    def send(key: str) -> bool:
+        """Send the statement or proof steps of ``key`` if its answers are in."""
+        name = proof_of.get(key)
+        if name is None:
+            if not all(dep in translations for dep in prerequisites[key]):
+                return False
+            submit(statement_prompt(key), "statement", key)
+            return True
+        if name not in translations:
+            return False
         ctx = proof_context(name)
         step_texts[name] = [None] * len(ctx.steps)
         for step_index in range(len(ctx.steps)):
             step_prompt = prompts.assemble_step_prompt(ctx, step_index, registry)
             submit(step_prompt.text, "step", name, step_index)
+        return True
 
     counts = {
-        "statements": len(statement_order),
+        "statements": len(index.declarations),
         "proofs": len(proof_names),
         "levels": len(assignment.levels),
         "dry_run": dry_run,
     }
-    first_wave = [partial(send_statement, name) for name in statement_order
-                  if waiting[name] == 0 and name not in translations]
-    first_wave += [partial(send_proof, name) for name in proof_names if name in translations]
     if dry_run:
         (out_dir / "prompts").mkdir(exist_ok=True)
-        for unit in first_wave:
-            unit()
+        for key in order:
+            if key not in existing:
+                send(key)
         return counts
 
     informalizer = config.role("informalizer")
     gateway = Gateway(config, out_dir)
-    dispatch = _OrderedDispatch(
-        gateway, statement_order + [f"{name}::proof" for name in proof_names], existing
-    )
-    for unit in first_wave:
-        dispatch.defer(unit)
+    dispatch = _OrderedDispatch(gateway, order, existing)
 
     def finish(pair: ds.NLFLPair) -> None:
         is_statement = pair.record_type == "statement"
@@ -467,7 +477,7 @@ def run_informalize(
         dispatch.finish(pair.id, path, ds.pair_line(pair))
 
     def settle(tag: tuple, completion: Completion) -> None:
-        """Record one completion; send its follow-up, defer the work it unblocks."""
+        """Record one completion, or send its proof's summary once the steps are in."""
         kind, name, *rest = tag
         text = _answer_text(completion, f"{kind} {name}")
         subject = index.declarations[name]
@@ -484,12 +494,6 @@ def run_informalize(
                 )
             )
             translations[name] = text
-            for dependent in sorted(dependents[name]):
-                waiting[dependent] -= 1
-                if waiting[dependent] == 0 and dependent not in translations:
-                    dispatch.defer(partial(send_statement, dependent))
-            if name in has_proof:
-                dispatch.defer(partial(send_proof, name))
         elif kind == "step":
             texts = step_texts[name]
             texts[rest[0]] = text
@@ -509,13 +513,13 @@ def run_informalize(
                     direction=ds.Direction.NL_TO_FL,
                     provenance=ds.Provenance.ORIGINAL,
                     source_name=name,
-                    level=assignment.level_of.get(name),
+                    level=assignment.level_of[name],
                     record_type="proof",
                 )
             )
 
     try:
-        dispatch.run(settle)
+        dispatch.run(send, settle)
     finally:
         _close_stage("informalize", gateway)
 
@@ -548,10 +552,11 @@ def run_augment(
     """Tactic-aug statements, dedup-sampled, and informal variants: one seeded
     strategy per statement (:func:`augment.strategy_order`), the next on a drop,
     written in source order as ``{id}__var{j}``, ``j`` the kept strategy's
-    index in :data:`augment.STRATEGIES`.  Each sampled statement and each first
-    variant is a unit of one :class:`_OrderedDispatch`.  Record files are
-    written whole after the run with ``replace_atomic``, so a kill can tear
-    only the completion log, which a rerun reads back."""
+    index in :data:`augment.STRATEGIES`.  One :class:`_OrderedDispatch` sends
+    the sampled statements, then each statement's first variant, in order; a
+    dropped variant's next strategy is sent from ``settle``.  Record files
+    are written whole after the run with ``replace_atomic``, so a kill can
+    tear only the completion log, which a rerun reads back."""
     config.check()
     if informal and original_pairs is None:
         raise InvalidInput("informal augmentation needs the original pairs")
@@ -566,7 +571,6 @@ def run_augment(
     answers: list[list[str]] = [[] for _ in source_pairs]  # per strategy asked, in order
     gateway = Gateway(config, out_dir)
     backend = validate.cache_checks(config.backend.build(), gateway.cache_dir) if tactic else None
-    dispatch = _OrderedDispatch(gateway)
     try:
         if tactic:
             synthesized = aug.synthesize_for_index(index)
@@ -590,20 +594,19 @@ def run_augment(
             registry = _load_registry(config, ("theorem",))
         augmenter = config.role("augmenter") if informal else None
 
-        def ask_variant(position: int) -> None:
-            strategy = orders[position][len(answers[position])]
-            prompt_text = aug.strategy_prompt(strategy, source_pairs[position].informal_text)
-            dispatch.submit(gateway.submit_role(augmenter, prompt_text), ("variant", position))
-
-        def ask_statement(position: int) -> None:
-            ctx = prompts.StatementContext(subject=sampled[position].record())
-            prompt = prompts.assemble_statement_prompt(ctx, registry)
-            dispatch.submit(gateway.submit_role(informalizer, prompt.text), ("statement", position))
-
-        for position in range(len(sampled)):
-            dispatch.defer(partial(ask_statement, position))
-        for position in range(len(source_pairs)):
-            dispatch.defer(partial(ask_variant, position))
+        def send(key: tuple) -> bool:
+            """Send the statement's prompt, or the variant's next strategy."""
+            kind, position = key
+            if kind == "statement":
+                role = informalizer
+                ctx = prompts.StatementContext(subject=sampled[position].record())
+                prompt_text = prompts.assemble_statement_prompt(ctx, registry).text
+            else:
+                role = augmenter
+                strategy = orders[position][len(answers[position])]
+                prompt_text = aug.strategy_prompt(strategy, source_pairs[position].informal_text)
+            dispatch.submit(gateway.submit_role(role, prompt_text), key)
+            return True
 
         def settle(tag: tuple, completion: Completion) -> None:
             """Keep the answer; ask the next strategy when a variant is dropped."""
@@ -615,9 +618,12 @@ def run_augment(
             subject = f"variant {aug.STRATEGIES[order[len(tried)]][0]} of {pair.id}"
             tried.append(_answer_text(completion, subject))
             if not aug.differs(pair, tried[-1]) and len(tried) < len(order):
-                ask_variant(position)
+                send(tag)
 
-        dispatch.run(settle)
+        keys = [("statement", position) for position in range(len(sampled))]
+        keys += [("variant", position) for position in range(len(source_pairs))]
+        dispatch = _OrderedDispatch(gateway, keys)
+        dispatch.run(send, settle)
     finally:
         _close_stage("augment", gateway, backend)
 
@@ -761,10 +767,10 @@ def run_validate(
 ) -> validate.BenchmarkSummary:
     """pass@k over a benchmark, streamed to ``reports.jsonl`` in benchmark order.
 
-    Dispatch: each item is a unit of :class:`_OrderedDispatch`, opened in
-    benchmark order when its window has room, as a :class:`validate.ItemRun`
-    whose requests all go through the gateway pool; compile checks run on
-    this thread as candidates come up.  An open item holds at most k
+    Dispatch: :class:`_OrderedDispatch` opens each item in benchmark order
+    when its window has room, as a :class:`validate.ItemRun` whose requests
+    all go through the gateway pool; compile checks run on this thread as
+    candidates come up.  An open item holds at most k
     futures, so at most the window plus k - 1 are pending (without
     ``short_circuit``, a late sample can send several back-translations past
     that).  Items run concurrently; a report is appended once every earlier
@@ -799,7 +805,7 @@ def run_validate(
     dispatch = _OrderedDispatch(gateway, range(len(items)), range(written))
     runs: dict[int, validate.ItemRun] = {}  # the unfinished items, by position
 
-    def open_item(position: int) -> None:
+    def open_item(position: int) -> bool:
         item = items[position]
         run = runs[position] = validate.ItemRun(
             item["informal_text"], k, roles, backend, gateway,
@@ -810,6 +816,7 @@ def run_validate(
             short_circuit=config.short_circuit,
         )
         run.start()
+        return True
 
     def settle(tag: tuple, completion: Completion) -> None:
         position, step = tag
@@ -818,10 +825,8 @@ def run_validate(
             del runs[position]
             dispatch.finish(position, reports_path, validate.report_line(report))
 
-    for position in range(written, len(items)):
-        dispatch.defer(partial(open_item, position))
     try:
-        dispatch.run(settle)
+        dispatch.run(open_item, settle)
     finally:
         _close_stage("validate", gateway, backend)
     summary = validate.summarize(

@@ -175,16 +175,14 @@ class ReplBackend:
             return CompileOutcome(reply["ok"], tuple(map(str, reply["diagnostics"])))
 
 
-_OUTCOME = {"key": str, "ok": bool, "diagnostics": list}
+# A check-log entry's fields after its key.
+_OUTCOME = {"ok": bool, "diagnostics": list}
 
 
 def _outcome(obj: dict) -> CompileOutcome:
-    check_shape(obj, _OUTCOME)
-    return CompileOutcome(obj["ok"], tuple(str(d) for d in obj["diagnostics"]))
-
-
-def _outcome_fields(outcome: CompileOutcome) -> dict:
-    return {"ok": outcome.ok, "diagnostics": list(outcome.diagnostics)}
+    row = {key: obj[key] for key in _OUTCOME}
+    row["diagnostics"] = tuple(map(str, obj["diagnostics"]))
+    return CompileOutcome(**row)
 
 
 class CachedChecks:
@@ -204,7 +202,7 @@ class CachedChecks:
     def __init__(self, backend: CompilerBackend, cache_dir: Path):
         self.backend = backend
         self.stats = {"compile_checks": 0, "check_cache_hits": 0}
-        self._log = KeyedLog(cache_dir / "checks.jsonl", _outcome, _outcome_fields, "check entry")
+        self._log = KeyedLog(cache_dir / "checks.jsonl", _OUTCOME, _outcome, "check entry")
 
     def check(self, source: str, timeout_ms: int) -> CompileOutcome:
         key = digest(source)
@@ -421,8 +419,6 @@ class ItemRun:
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
         short_circuit: bool = True,
     ):
-        if k < 1:
-            raise InvalidInput(f"k must be >= 1, got {k}")
         self.informal = informal
         self.k = k
         self.roles = roles

@@ -20,14 +20,17 @@ from herald.datastore import (
     stats_to_json,
     write_pairs_atomic,
 )
+from herald.gateway import _COMPLETION, Completion
 from herald.ingest import _DECLARATION, _STATE, parse_jixia_export, serialize_index
 from herald.pipeline import run_augment
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind, ProofState, ProofStep
 from herald.validate import (
     _CANDIDATE,
+    _OUTCOME,
     _REPORT,
     BenchmarkSummary,
     CandidateResult,
+    CompileOutcome,
     CompileStatus,
     NliStatus,
     ValidationReport,
@@ -138,7 +141,8 @@ def test_synthesized_row(tmp_path):
 
 def test_shape_tables_list_their_dataclass_fields_in_order():
     for shape, cls in ((_PAIR, NLFLPair), (_DECLARATION, DeclarationRecord),
-                       (_STATE, ProofState)):
+                       (_STATE, ProofState), (_COMPLETION, Completion),
+                       (_OUTCOME, CompileOutcome)):
         assert list(shape) == [f.name for f in fields(cls)]
 
 

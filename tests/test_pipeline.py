@@ -102,6 +102,13 @@ def records(out: Path) -> list[str]:
     return [line for p in paths if p.exists() for line in p.read_text("utf-8").splitlines()]
 
 
+def canonical_position(line: str) -> tuple:
+    """A record line's place in canonical order: each level's statements by
+    name, then that level's proofs by name."""
+    row = json.loads(line)
+    return row["level"], row["record_type"] != "statement", row["source_name"]
+
+
 def prompt_key(informal_text: str) -> str:
     """The prompt-digest prefix the mock informalizer writes into its answer."""
     return re.search(r"Informal rendering (\w{16})", informal_text).group(1)
@@ -147,7 +154,7 @@ def test_budget_cut_leaves_canonical_prefix_and_rerun_repeats_no_call(tmp_path):
     index = make_wide_corpus()
     reference = RecordingInformalizer()
     informalize(index, tmp_path / "ref", reference, max_in_flight=8)
-    expected = records(tmp_path / "ref")
+    expected = sorted(records(tmp_path / "ref"), key=canonical_position)
 
     out = tmp_path / "cut"
     first = RecordingInformalizer(jitter_s=0.002)
@@ -155,7 +162,10 @@ def test_budget_cut_leaves_canonical_prefix_and_rerun_repeats_no_call(tmp_path):
         informalize(index, out, first, max_in_flight=8, request_budget=30)
     written = records(out)
     assert 0 < len(written) < len(expected)
-    assert written == expected[: len(written)]
+    assert sorted(written, key=canonical_position) == expected[: len(written)]
+    for path in level_files(out) + [out / "proofs.jsonl"]:
+        lines = path.read_text("utf-8").splitlines() if path.exists() else []
+        assert lines == sorted(lines, key=canonical_position), path.name
 
     second = RecordingInformalizer(jitter_s=0.002)
     informalize(index, out, second, max_in_flight=8)
@@ -676,6 +686,78 @@ def test_pending_futures_stay_within_the_window_plus_one_unit(tmp_path, monkeypa
     assert 0 < pending[0] <= window + largest_unit - 1  # W, plus one unit
 
 
+def test_unwritten_records_stay_within_the_window_plus_one_unit(tmp_path, monkeypatch):
+    # Records are sent in the order they are written, so what waits for an
+    # earlier record is bounded by the window, not by the corpus.
+    peak = [0]
+    finish = _OrderedDispatch.finish
+
+    def counting_finish(dispatch, key, path, line):
+        finish(dispatch, key, path, line)
+        peak[0] = max(peak[0], len(dispatch._finished))
+
+    monkeypatch.setattr(_OrderedDispatch, "finish", counting_finish)
+    largest_unit = run_stage_of_5000_units("informalize", tmp_path / "informalize")
+    window = DISPATCH_WINDOW * 2  # W = DISPATCH_WINDOW * max_in_flight
+    assert 0 < peak[0] <= window + largest_unit, peak[0]
+
+
+class SlowFirstCallProvider:
+    """A stock mock whose first call answers only after ``delay_s``."""
+
+    def __init__(self, inner, delay_s: float):
+        self.name = inner.name
+        self._inner = inner
+        self._delay_s = delay_s
+        self._first = threading.Lock()  # taken by the first call, never released
+
+    def generate(self, request, sample_index):
+        if self._first.acquire(blocking=False):
+            time.sleep(self._delay_s)
+        return self._inner.generate(request, sample_index)
+
+
+@dataclass(frozen=True)
+class SlowFirstCallRole(RoleConfig):
+    delay_s: float = 0.3
+
+    def build(self, role_name):
+        role = super().build(role_name)
+        return replace(role, provider=SlowFirstCallProvider(role.provider, self.delay_s))
+
+
+def test_every_report_is_written_when_a_window_of_them_waits_on_a_slow_item(tmp_path):
+    # The first back-translation is slow, so later items finish behind its
+    # item until unwritten reports fill the window; that item's last request
+    # is then the only one pending, and settling it leaves nothing pending.
+    n = DISPATCH_WINDOW * 2 * 3  # three windows at max_in_flight 2
+    config = PipelineConfig(roles={"translator": RoleConfig(),
+                                   "back_translator": SlowFirstCallRole(),
+                                   "nli_judge": RoleConfig()},
+                            backend=OddSampleBackendConfig(), max_in_flight=2)
+    summary = run_validate(write_bench(tmp_path / "bench.jsonl", n), config, tmp_path / "val",
+                           k=6)
+    assert (summary.total, summary.succeeded) == (n, n // 2)
+    assert len((tmp_path / "val" / "reports.jsonl").read_text("utf-8").splitlines()) == n
+
+
+def test_every_record_is_written_when_a_window_of_them_waits_on_a_proof(tmp_path):
+    # One pool thread answers in the order sent: the level-1 statements sent
+    # after the proof's steps finish before its summary, filling the window.
+    state = ProofState(hypotheses=(), goals=("G",))
+    declarations = {"Root.a": DeclarationRecord(
+        "Root.a", DeclKind.THEOREM, "theorem a : P", None, ("Root",), "Root.lean", (1, 1),
+        frozenset(), True)}
+    for i in range(DISPATCH_WINDOW + 1):
+        declarations[f"Root.b{i}"] = DeclarationRecord(
+            f"Root.b{i}", DeclKind.THEOREM, f"theorem b{i} : Q{i}", None, ("Root",),
+            "Root.lean", (i + 2, i + 2), frozenset({"Root.a"}), False)
+    steps = tuple(ProofStep(f"tac{j}", state, state, j) for j in range(3))
+    index = CorpusIndex(declarations, proofs={"Root.a": steps})
+    run_informalize(index, PipelineConfig(max_in_flight=1), tmp_path / "inf")
+    assert len(records(tmp_path / "inf")) == len(declarations) + 1
+
+
 @pytest.mark.parametrize("max_in_flight", [2, 8])
 def test_validate_budget_cut_then_rerun_pays_the_rest_once(tmp_path, max_in_flight):
     """At 2 the budget's shallow window lets the cut keep a prefix of the
@@ -902,7 +984,7 @@ def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkey
     run = _OrderedDispatch.run
     settled: Counter = Counter()
 
-    def checking_run(dispatch, settle):
+    def checking_run(dispatch, send, settle):
         log = dispatch._gateway.cache_dir / "completions.jsonl"
 
         def checked_settle(tag, completion):
@@ -912,7 +994,7 @@ def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkey
             assert on_disk[completion.text] >= settled[completion.text], tag
             settle(tag, completion)
 
-        run(dispatch, checked_settle)
+        run(dispatch, send, checked_settle)
 
     monkeypatch.setattr(_OrderedDispatch, "run", checking_run)
     run_stages(tmp_path, max_in_flight=8)

@@ -398,12 +398,6 @@ class TestValidateItem:
             with pytest.raises(BackendUnavailable):
                 validate_item("statement 0 asserts.", 1, roles, DownBackend(), gw)
 
-    def test_bad_k(self, tmp_path):
-        roles, _ = mock_roles()
-        with Gateway(PipelineConfig(), tmp_path) as gw:
-            with pytest.raises(InvalidInput):
-                validate_item("x", 0, roles, MockCompilerBackend(), gw)
-
     def test_per_item_header_reaches_the_backend(self, tmp_path):
         informal = "statement 0 asserts the property."
         custom = "import Std\nset_option maxHeartbeats 400000\n"
