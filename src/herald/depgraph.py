@@ -2,7 +2,8 @@
 
 Levels follow the longest prerequisite chain: a declaration sits one level
 above the highest of its prerequisites, so every level depends only on
-strictly lower levels.  Levels fix the order in which translations are
+strictly lower levels.  One walk, Kahn's, levels the graph and finds the
+witness cycle when there is one.  Levels fix the order in which translations are
 sent and written: each level's statements by name, then its proofs.  The
 pipeline's one send cursor walks that order; it waits at a statement until
 its own prerequisites are translated, not for the whole level below.
@@ -65,74 +66,47 @@ def build_graph(index: CorpusIndex) -> DepGraph:
 
 
 def check_acyclic(graph: DepGraph) -> None:
-    """Raise :class:`CycleError` with a witness cycle if the graph has one.
-
-    The witness lists nodes in edge order with the first node repeated last.
-    """
-    succs = {n: sorted(vs) for n, vs in graph.dependents().items()}
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
-
-    for start in sorted(graph.nodes):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path = [start]
-        color[start] = GREY
-        while stack:
-            node, child_i = stack[-1]
-            if child_i < len(succs[node]):
-                stack[-1] = (node, child_i + 1)
-                child = succs[node][child_i]
-                if color[child] == GREY:
-                    cycle = path[path.index(child) :] + [child]
-                    raise CycleError(cycle)
-                if color[child] == WHITE:
-                    color[child] = GREY
-                    stack.append((child, 0))
-                    path.append(child)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
+    """Raise :func:`stratify`'s :class:`CycleError` if the graph has a cycle."""
+    stratify(graph)
 
 
 def stratify(graph: DepGraph) -> LevelAssignment:
     """Assign each node the length of its longest prerequisite chain.
 
     Roots (no prerequisites) get level 0; every other node gets one more
-    than the maximum level among its prerequisites.  Raises
-    :class:`CycleError`, with :func:`check_acyclic`'s witness, when the graph
-    is not a DAG.
+    than the maximum level among its prerequisites.  Nodes that Kahn's pass
+    leaves over each keep a leftover prerequisite, so when the graph is not
+    a DAG, stepping from the least leftover node to its least leftover
+    prerequisite, and on from there, repeats a node; :class:`CycleError`
+    carries that cycle in edge order, first node repeated last.
     """
     preds = graph.prerequisites()
     succs = graph.dependents()
     indegree = {n: len(ps) for n, ps in preds.items()}
     level_of = {n: 0 for n in graph.nodes}
 
-    ready = sorted(n for n, d in indegree.items() if d == 0)
-    processed = 0
-    queue = list(ready)
+    queue = sorted(n for n, d in indegree.items() if d == 0)
     while queue:
         node = queue.pop()
-        processed += 1
         for dep in succs[node]:
             level_of[dep] = max(level_of[dep], level_of[node] + 1)
             indegree[dep] -= 1
             if indegree[dep] == 0:
                 queue.append(dep)
-    if processed != len(graph.nodes):
-        check_acyclic(graph)  # leftover nodes lie on or after a cycle, so this raises
+    left = {n for n, d in indegree.items() if d}
+    if left:
+        walk: dict[str, None] = {}
+        node = min(left)
+        while node not in walk:
+            walk[node] = None
+            node = min(p for p in preds[node] if p in left)
+        path = list(walk)
+        raise CycleError([node, *reversed(path[path.index(node):])])
 
-    if level_of:
-        depth = max(level_of.values()) + 1
-        buckets: list[list[str]] = [[] for _ in range(depth)]
-        for n, lvl in level_of.items():
-            buckets[lvl].append(n)
-        levels = tuple(tuple(sorted(b)) for b in buckets)
-    else:
-        levels = ()
-    return LevelAssignment(level_of=level_of, levels=levels)
+    buckets: list[list[str]] = [[] for _ in range(max(level_of.values(), default=-1) + 1)]
+    for n, lvl in level_of.items():
+        buckets[lvl].append(n)
+    return LevelAssignment(level_of=level_of, levels=tuple(tuple(sorted(b)) for b in buckets))
 
 
 def to_dot(graph: DepGraph) -> str:

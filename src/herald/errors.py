@@ -67,10 +67,6 @@ class NoTemplate(HeraldError):
     """The template registry has no applicable template and no default."""
 
 
-class MissingField(HeraldError):
-    """A template placeholder marked required has no content to render."""
-
-
 class BackendUnavailable(HeraldError):
     """The compiler backend cannot be reached; distinct from a candidate failing."""
 

@@ -166,12 +166,6 @@ class Gateway:
         self.append_paid()
         self._log.close()
 
-    def __enter__(self) -> "Gateway":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def submit_role(self, role: Role, prompt_text: str, sample_index: int = 0) -> Future:
         """Sample ``sample_index`` of ``prompt_text`` on the pool, without
         waiting: a ``Future[Completion]`` that runs :meth:`complete`, which

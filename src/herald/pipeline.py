@@ -315,17 +315,26 @@ def _existing_pair_ids(out_dir: Path) -> dict[str, ds.NLFLPair]:
     return {pair.id: pair for pair in load_statement_pairs(out_dir)}
 
 
-def _load_registry(config: PipelineConfig, kinds: Iterable[str]) -> prompts.TemplateRegistry:
-    """The configured template registry, or the bundled one; one with no
-    template for a kind in ``kinds`` is a :class:`SchemaError` naming it."""
+def _load_registry(config: PipelineConfig, kinds: Iterable[str],
+                   retrieved: bool = False) -> prompts.TemplateRegistry:
+    """The configured template registry, or the bundled one.  It is a
+    :class:`SchemaError` naming the registry if it has no template for a kind
+    in ``kinds``, or if that template marks ``required`` a placeholder that a
+    prompt for the kind can leave empty (:func:`prompts.filled_placeholders`;
+    ``retrieved``: every statement prompt holds retrieved examples)."""
     path = config.template_registry
     registry = (prompts.default_registry() if path is None
                 else prompts.TemplateRegistry.from_path(path))
-    try:
-        for kind in sorted(kinds):
-            registry.select(kind)
-    except NoTemplate as exc:
-        raise SchemaError(str(exc), f"{path}: $.templates") from exc
+    for kind in sorted(kinds):
+        try:
+            template = registry.select(kind)
+        except NoTemplate as exc:
+            raise SchemaError(str(exc), f"{path}: $.templates") from exc
+        filled = prompts.filled_placeholders(template, kind, retrieved)
+        for seg in template.segments:
+            if seg.kind == "placeholder" and seg.required and seg.name not in filled:
+                raise SchemaError(f"template {template.id} requires '{seg.name}', which a "
+                                  f"'{kind}' prompt can leave empty", f"{path}: $.templates")
     return registry
 
 
@@ -372,9 +381,9 @@ def run_informalize(
     kinds = {rec.kind.value for rec in index.declarations.values()}
     if proof_names:
         kinds |= {"proof", "summary"}
-    registry = _load_registry(config, kinds)
-    notes = prompts.load_tactic_notes(config.tactic_notes)
     store, embed_provider = _retrieval_context(config)
+    registry = _load_registry(config, kinds, retrieved=store is not None)
+    notes = prompts.load_tactic_notes(config.tactic_notes)
     graph = depgraph.build_graph(index)
     assignment = depgraph.stratify(graph)
     # Inputs are read and stratified first, so a malformed one or a cycle
@@ -560,6 +569,7 @@ def run_augment(
     config.check()
     if informal and original_pairs is None:
         raise InvalidInput("informal augmentation needs the original pairs")
+    registry = _load_registry(config, ("theorem",)) if tactic else None
     out_dir.mkdir(parents=True, exist_ok=True)
     counts: dict[str, int] = {}
     sampled: list[aug.SynthesizedStatement] = []
@@ -591,7 +601,6 @@ def run_augment(
                 compile_rejected=len(rejected),
             )
             informalizer = config.role("informalizer")
-            registry = _load_registry(config, ("theorem",))
         augmenter = config.role("augmenter") if informal else None
 
         def send(key: tuple) -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from .datastore import check_shape, parse_json
-from .errors import InvalidInput, MissingField, NoTemplate, SchemaError
+from .errors import InvalidInput, NoTemplate, SchemaError
 from .records import DeclarationRecord, DeclKind, NeighborSet, ProofStep
 from .retrieval import ScoredExample
 
@@ -153,6 +153,20 @@ def default_registry() -> TemplateRegistry:
     return TemplateRegistry.from_json(text)
 
 
+def filled_placeholders(template: PromptTemplate, kind: str, retrieved: bool) -> set[str]:
+    """The placeholders that every prompt for ``kind`` rendered with
+    ``template`` fills: all three of a proof's or a summary's; a statement's
+    signature, its principles when ``template`` carries some, and its
+    retrieved examples when ``retrieved``.  Only these may be ``required``
+    (``pipeline._load_registry`` refuses the rest before any write)."""
+    if kind == "proof":
+        return _PROOF_PLACEHOLDERS
+    if kind == "summary":
+        return _SUMMARY_PLACEHOLDERS
+    return ({"subject_signature"} | ({"principles"} if template.principles else set())
+            | ({"retrieved_examples"} if retrieved else set()))
+
+
 def load_tactic_notes(path: str | Path | None = None) -> dict[str, str]:
     """Tactic-name -> explanation map; bundled seed file when no path given.
     A file that is not a JSON object of strings is a :class:`SchemaError`
@@ -235,8 +249,6 @@ def _render(template: PromptTemplate, contents: dict[str, str]) -> RenderedPromp
             continue
         content = contents.get(seg.name, "")
         if not content:
-            if seg.required:
-                raise MissingField(f"template {template.id} requires '{seg.name}'")
             continue
         if seg.label:
             parts.append(f"{seg.label}\n{content}\n")

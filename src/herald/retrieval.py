@@ -177,11 +177,11 @@ class ExampleStore:
         """Example ``i``'s embedding components."""
         return tuple(self._components[i * self._dim:(i + 1) * self._dim])
 
-    def _example(self, i: int, values: tuple[float, ...] | None = None) -> AnnotatedExample:
-        """Example ``i``, given its :meth:`_row` as ``values`` or not.  Construction
-        checked the row, so its vector is made without checking it again."""
+    def _example(self, i: int, values: tuple[float, ...]) -> AnnotatedExample:
+        """Example ``i`` with its :meth:`_row` ``values``.  Construction checked
+        the row, so its vector is made without checking it again."""
         vector = object.__new__(EmbeddingVector)
-        object.__setattr__(vector, "values", self._row(i) if values is None else values)
+        object.__setattr__(vector, "values", values)
         return AnnotatedExample(self._ids[i], self._formal[i], self._informal[i], vector)
 
     def _pack_columns(self) -> None:
@@ -269,16 +269,6 @@ class ExampleStore:
     @property
     def dim(self) -> int | None:
         return self._dim
-
-    @property
-    def examples(self) -> list[AnnotatedExample]:
-        return [self._example(i) for i in range(self.count)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExampleStore):
-            return NotImplemented
-        return (self._ids, self._formal, self._informal, self._components) == (
-            other._ids, other._formal, other._informal, other._components)
 
 
 def query_knn(store: ExampleStore, query: EmbeddingVector, k: int) -> list[ScoredExample]:

@@ -41,6 +41,15 @@ _SPECIAL_KINDS = {
 }
 
 
+def store_rows(store: ExampleStore) -> list[AnnotatedExample]:
+    """The store's examples in row order, rebuilt from its columns."""
+    return [
+        AnnotatedExample(store._ids[i], store._formal[i], store._informal[i],
+                         EmbeddingVector(store._row(i)))
+        for i in range(store.count)
+    ]
+
+
 def save_store(store: ExampleStore, directory: str | Path) -> None:
     """Persist as meta.json + examples.jsonl under ``directory``, the layout
     ``retrieval.load_store`` reads."""
@@ -49,7 +58,7 @@ def save_store(store: ExampleStore, directory: str | Path) -> None:
     meta = {"schema_version": STORE_SCHEMA_VERSION, "dim": store.dim, "count": store.count}
     (directory / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     with open(directory / "examples.jsonl", "w", encoding="utf-8") as fh:
-        for ex in store.examples:
+        for ex in store_rows(store):
             row = {"id": ex.id, "formal_text": ex.formal_text, "informal_text": ex.informal_text,
                    "embedding": list(ex.embedding.values)}
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")

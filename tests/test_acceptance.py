@@ -8,6 +8,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import closing
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -201,7 +202,7 @@ def test_pass_at_k_semantics(tmp_path):
     backend = MockCompilerBackend(default_ok=False)
     script_benchmark_backend(backend, items, translator, header="import Mathlib\n")
     reports = []
-    with Gateway(PipelineConfig(max_in_flight=16), tmp_path) as gw:
+    with closing(Gateway(PipelineConfig(max_in_flight=16), tmp_path)) as gw:
         for item in items:
             reports.append(
                 validate_item(

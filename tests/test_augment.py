@@ -10,6 +10,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -232,7 +233,7 @@ class TestInformalVariants:
         answers = []
         # A fresh cache per call, so a second call asks the role again.
         with (tempfile.TemporaryDirectory() as out,
-              Gateway(PipelineConfig(max_in_flight=2), out) as gw):
+              closing(Gateway(PipelineConfig(max_in_flight=2), out)) as gw):
             for strategy in order:
                 prompt_text = strategy_prompt(strategy, source.informal_text)
                 answers.append(gw.submit_role(role, prompt_text).result().text.strip())

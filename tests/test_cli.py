@@ -1099,6 +1099,69 @@ def test_a_malformed_registry_or_notes_exits_2_naming_the_file_before_the_claim(
                                     f"error: {path}: {where}: ")
 
 
+def bundled_registry() -> dict:
+    return json.loads((Path(cli.__file__).parent / "data" / "templates.json").read_text("utf-8"))
+
+
+def require(name: str):
+    """An edit of a registry that marks ``required`` every segment rendering ``name``."""
+    def edit(doc: dict) -> None:
+        for template in doc["templates"]:
+            for seg in template["segments"]:
+                if seg.get("name") == name:
+                    seg["required"] = True
+    return edit
+
+
+def require_principles_in_proofs(doc: dict) -> None:
+    """A proof prompt never fills ``principles``."""
+    [steps] = [t for t in doc["templates"] if t["id"] == "proof-steps"]
+    steps["segments"].append({"kind": "placeholder", "name": "principles", "required": True})
+
+
+# The corpus holds definitions with and without a docstring, and no run here
+# is given an exemplar store.
+@pytest.mark.parametrize("edit, stage, refused", [
+    (require("docstring"), "informalize",
+     "template stmt-structure requires 'docstring', which a 'class' prompt"),
+    (require("docstring"), "augment",
+     "template stmt-theorem requires 'docstring', which a 'theorem' prompt"),
+    (require("retrieved_examples"), "informalize",
+     "template stmt-structure requires 'retrieved_examples', which a 'class' prompt"),
+    (require_principles_in_proofs, "informalize",
+     "template proof-steps requires 'principles', which a 'proof' prompt"),
+], ids=["docstring", "docstring-augment", "retrieved-without-store", "principles-in-proof"])
+def test_a_required_placeholder_a_prompt_can_leave_empty_exits_2_before_the_claim(
+    tmp_path, export_file, capsys, edit, stage, refused
+):
+    registry = bundled_registry()
+    edit(registry)
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps(registry), encoding="utf-8")
+    if stage == "informalize":
+        code = informalize_with(tmp_path, export_file, template_registry=path)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"template_registry": str(path)}}),
+                          encoding="utf-8")
+        code = run("--config", str(config), "--out", str(tmp_path / "out"), "augment",
+                   "--index", str(export_file), "--tactic")
+    assert_refused_before_any_write(code, capsys.readouterr().err, tmp_path / "out",
+                                    f"error: {path}: $.templates: {refused}")
+
+
+def test_retrieved_examples_may_be_required_when_a_store_fills_every_prompt(
+    tmp_path, export_file
+):
+    registry = bundled_registry()
+    require("retrieved_examples")(registry)
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps(registry), encoding="utf-8")
+    write_shared_fixtures(tmp_path / "fixtures")
+    assert informalize_with(tmp_path, export_file, template_registry=path,
+                            example_store=tmp_path / "fixtures" / "store") == 0
+
+
 @pytest.mark.parametrize("command", ["ingest", "source", "config", "validate", "stats",
                                      "template_registry", "tactic_notes"])
 def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, export_file, capsys, command):

@@ -117,6 +117,13 @@ class TestCheckAcyclic:
             assert cycle[0] == cycle[-1] and len(cycle) >= 3
             for a, b in zip(cycle, cycle[1:]):
                 assert (a, b) in broken
+            # The witness does not depend on the order the graph was built in.
+            shuffled_nodes, shuffled_edges = list(nodes), list(broken)
+            rng.shuffle(shuffled_nodes)
+            rng.shuffle(shuffled_edges)
+            with pytest.raises(CycleError) as shuffled:
+                check_acyclic(graph_of(shuffled_nodes, shuffled_edges))
+            assert shuffled.value.cycle == cycle
 
 
 class TestStratify:

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import threading
+from contextlib import closing
 
 import pytest
 from conftest import cache_keys
@@ -339,14 +340,14 @@ class TestCache:
                     return Completion(text="theorem t :", finish_reason=FinishReason.LENGTH)
                 return Completion(text="ok")
 
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             samples(gw, chat_role(Mixed()), "p", 7)
         assert gw.stats == {"provider_calls": 7, "retries": 0, "cache_hits": 0,
                             "truncated": 2}
 
     def test_submitted_sample_shares_the_key_of_its_index(self, tmp_path):
         config = PipelineConfig()
-        with Gateway(config, tmp_path) as gw:
+        with closing(Gateway(config, tmp_path)) as gw:
             batch = [gw.complete(CompletionRequest(prompt_text="p", sample_index=i),
                                  MockChatProvider()) for i in range(3)]
 
@@ -358,7 +359,7 @@ class TestCache:
 
         role = Role(provider=Exploding(), model_id="mock", temperature=1.0,
                     max_output_tokens=2048)
-        with Gateway(config, tmp_path) as gw:
+        with closing(Gateway(config, tmp_path)) as gw:
             single = [gw.submit_role(role, "p", sample_index=i).result() for i in range(3)]
         assert single == batch
         assert gw.stats["cache_hits"] == 3
@@ -367,7 +368,7 @@ class TestCache:
         # Completion logs written by earlier versions must keep answering.
         role = Role(provider=MockChatProvider(), model_id="m", temperature=0.5,
                     max_output_tokens=64)
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             gw.submit_role(role, "pinned prompt", sample_index=3).result(timeout=10)
         assert cache_keys(tmp_path / "cache") == [
             "75f83d4c37049d29f269921ebdcbc2e5c67b47252dc916ba426087233420bbf2"
@@ -384,7 +385,7 @@ class TestCache:
         assert gw.stats["cache_hits"] == 1
 
         # A budget of 0 is valid: the run is answered from the cache alone.
-        with Gateway(PipelineConfig(request_budget=0), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(request_budget=0), tmp_path)) as gw:
             gw.complete(req, MockChatProvider())
             with pytest.raises(BudgetExceeded):
                 gw.complete(CompletionRequest(prompt_text="never asked"), MockChatProvider())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herald.depgraph import build_graph, stratify
-from herald.errors import MissingField, NoTemplate
+from herald.errors import NoTemplate
 from herald.prompts import (
     NO_NOTE_MARKER,
     ProofContext,
@@ -221,32 +221,6 @@ class TestStatementPrompt:
         for rendered in (full, no_neighbors, tight):
             assert "THE-DEP-TEXT" in rendered.text
             assert ctx.subject.signature in rendered.text
-
-    def test_missing_required_field(self):
-        registry = TemplateRegistry.from_json(minimal_registry_json())
-        # the 'only' template requires a signature; empty one cannot happen,
-        # so require a docstring instead via a custom template
-        import json
-
-        custom = json.dumps(
-            {
-                "schema_version": "1",
-                "default": "d",
-                "templates": [
-                    {
-                        "id": "d",
-                        "applies_to": ["theorem"],
-                        "principles": ["p"],
-                        "segments": [
-                            {"kind": "placeholder", "name": "docstring", "required": True}
-                        ],
-                    }
-                ],
-            }
-        )
-        registry = TemplateRegistry.from_json(custom)
-        with pytest.raises(MissingField):
-            assemble_statement_prompt(StatementContext(subject=theorem()), registry)
 
 
 def step(i: int, tactic: str, goals_before=("G",), goals_after=("G'",)) -> ProofStep:

@@ -8,6 +8,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -251,24 +252,24 @@ class TestCachedChecks:
 
 class TestSteps:
     def test_back_translate_normal_form(self, tmp_path):
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             role = Role(provider=MockBackTranslator(), model_id="bt")
             assert back_translate("Theorem T :  A = B", gw, role) == "theorem t : a = b"
 
     def test_back_translate_empty_rejected(self, tmp_path):
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             with pytest.raises(InvalidInput):
                 back_translate("", gw, Role(provider=MockBackTranslator(), model_id="bt"))
 
     def test_nli_identical_accepts(self, tmp_path):
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             role = Role(provider=MockNliJudge(), model_id="nli")
             outcome = nli_check("p holds", "p holds", gw, role)
         assert outcome.verdict == NliStatus.ACCEPT
         assert not outcome.parse_failure
 
     def test_nli_disjoint_rejects(self, tmp_path):
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             role = Role(provider=MockNliJudge(), model_id="nli")
             assert nli_check("alpha", "omega", gw, role).verdict == NliStatus.REJECT
 
@@ -281,7 +282,7 @@ class TestSteps:
 
                 return Completion(text="Well, the statements look fairly similar to me.")
 
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             outcome = nli_check("a", "b", gw, Role(provider=ProseJudge(), model_id="p"))
         assert outcome.verdict == NliStatus.REJECT
         assert outcome.parse_failure
@@ -321,7 +322,8 @@ def _validate(items, k, *, short_circuit=True, n_passing=13):
     script_benchmark_backend(backend, items, translator, header="import Mathlib\n")
     reports = []
     # A fresh cache per call, so a second call pays for its answers again.
-    with tempfile.TemporaryDirectory() as out, Gateway(PipelineConfig(max_in_flight=8), out) as gw:
+    with (tempfile.TemporaryDirectory() as out,
+          closing(Gateway(PipelineConfig(max_in_flight=8), out)) as gw):
         for item in items:
             reports.append(
                 validate_item(
@@ -394,7 +396,7 @@ class TestValidateItem:
                 raise BackendUnavailable("lost")
 
         roles, _ = mock_roles()
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             with pytest.raises(BackendUnavailable):
                 validate_item("statement 0 asserts.", 1, roles, DownBackend(), gw)
 
@@ -404,7 +406,7 @@ class TestValidateItem:
         roles, _ = mock_roles()
         backend = MockCompilerBackend(default_ok=False)
         backend.script(compose_source(informal, custom), True)
-        with Gateway(PipelineConfig(), tmp_path) as gw:
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             with_custom = validate_item(
                 informal, 1, roles, backend, gw, item_id="h", header=custom
             )
