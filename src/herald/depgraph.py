@@ -1,5 +1,10 @@
 """Dependency DAG construction and stratification.
 
+This module alone decides what resolves: a dependency resolves iff it names a
+declaration of the index.  :func:`build_graph` keeps the resolved ones as each
+declaration's prerequisites and counts the rest; :func:`outside_dependencies`
+lists the rest for ingest to report.
+
 Levels follow the longest prerequisite chain: a declaration sits one level
 above the highest of its prerequisites, so every level depends only on
 strictly lower levels.  One walk, Kahn's, levels the graph and finds the
@@ -12,6 +17,7 @@ its own prerequisites are translated, not for the whole level below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import CycleError
 from .records import CorpusIndex
@@ -19,23 +25,11 @@ from .records import CorpusIndex
 
 @dataclass(frozen=True)
 class DepGraph:
-    """Directed graph with edges (prerequisite, dependent)."""
+    """Each declaration's prerequisites, its dependencies inside the index,
+    in no set order; ``unresolved_count`` counts the dependencies outside it."""
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    prerequisites: dict[str, tuple[str, ...]]
     unresolved_count: int = 0
-
-    def prerequisites(self) -> dict[str, list[str]]:
-        preds: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for u, v in self.edges:
-            preds[v].append(u)
-        return preds
-
-    def dependents(self) -> dict[str, list[str]]:
-        succs: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for u, v in self.edges:
-            succs[u].append(v)
-        return succs
 
 
 @dataclass(frozen=True)
@@ -47,22 +41,29 @@ class LevelAssignment:
 
 
 def build_graph(index: CorpusIndex) -> DepGraph:
-    """One edge per dependency that resolves inside the index.
+    """The prerequisites of every declaration of ``index``.
 
-    Dependencies on names outside the index are dropped from the graph (they
-    were already flagged at parse time) and counted in ``unresolved_count``;
-    such nodes act as roots for leveling.
+    A dependency outside the index is no prerequisite: it is counted in
+    ``unresolved_count``, and a declaration whose dependencies all lie outside
+    is a root for leveling.
     """
-    nodes = frozenset(index.declarations)
-    edges = set()
+    names = index.declarations.keys()
+    prerequisites = {}
     unresolved = 0
     for name, rec in index.declarations.items():
-        for dep in rec.dependencies:
-            if dep in nodes:
-                edges.add((dep, name))
-            else:
-                unresolved += 1
-    return DepGraph(nodes=nodes, edges=frozenset(edges), unresolved_count=unresolved)
+        inside = prerequisites[name] = tuple(rec.dependencies & names)
+        unresolved += len(rec.dependencies) - len(inside)
+    return DepGraph(prerequisites, unresolved)
+
+
+def outside_dependencies(index: CorpusIndex) -> Iterator[tuple[str, str]]:
+    """(name, dependency) for each dependency of ``index`` that names no
+    declaration of it: names sorted, then each name's dependencies sorted."""
+    declarations = index.declarations
+    for name in sorted(declarations):
+        for dep in sorted(declarations[name].dependencies):
+            if dep not in declarations:
+                yield name, dep
 
 
 def check_acyclic(graph: DepGraph) -> None:
@@ -78,12 +79,16 @@ def stratify(graph: DepGraph) -> LevelAssignment:
     leaves over each keep a leftover prerequisite, so when the graph is not
     a DAG, stepping from the least leftover node to its least leftover
     prerequisite, and on from there, repeats a node; :class:`CycleError`
-    carries that cycle in edge order, first node repeated last.
+    carries that cycle in edge order, first node repeated last.  Neither the
+    levels nor that cycle depend on the order of the prerequisites.
     """
-    preds = graph.prerequisites()
-    succs = graph.dependents()
+    preds = graph.prerequisites
+    succs: dict[str, list[str]] = {n: [] for n in preds}
+    for n, ps in preds.items():
+        for p in ps:
+            succs[p].append(n)
     indegree = {n: len(ps) for n, ps in preds.items()}
-    level_of = {n: 0 for n in graph.nodes}
+    level_of = dict.fromkeys(preds, 0)
 
     queue = sorted(n for n, d in indegree.items() if d == 0)
     while queue:
@@ -110,11 +115,10 @@ def stratify(graph: DepGraph) -> LevelAssignment:
 
 
 def to_dot(graph: DepGraph) -> str:
-    """DOT rendering for inspection; deterministic node/edge order."""
-    lines = ["digraph dependencies {"]
-    for n in sorted(graph.nodes):
-        lines.append(f'  "{n}";')
-    for u, v in sorted(graph.edges):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
+    """DOT rendering for inspection: the sorted names, then the sorted
+    (prerequisite, dependent) edges."""
+    preds = graph.prerequisites
+    edges = sorted((p, n) for n, ps in preds.items() for p in ps)
+    lines = ["digraph dependencies {", *(f'  "{n}";' for n in sorted(preds)),
+             *(f'  "{u}" -> "{v}";' for u, v in edges), "}"]
     return "\n".join(lines) + "\n"

@@ -70,8 +70,9 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
 
     A malformed export is a :class:`SchemaError` at the JSON path (below
     ``where``) of the node at fault.  Dependencies pointing outside the
-    export are kept on the record and reported in ``index.warnings`` rather
-    than rejected: partial exports are the common case at fixture scale.
+    export are kept on the record rather than rejected: partial exports are
+    the common case at fixture scale.  What resolves is
+    :mod:`herald.depgraph`'s to decide, and ingest reports the rest.
     Each decoded declaration and proof is dropped as soon as its records are
     built, so the records and the decoded document are never both held
     whole, and a value the export repeats (a file path, a namespace, a name
@@ -142,13 +143,7 @@ def parse_jixia_export(raw: bytes | str, where: str = "$") -> CorpusIndex:
                 raise _step_error(step, f"{where}.proofs[{name!r}][{j}]", exc) from exc
         proofs[name] = tuple(built)
 
-    warnings = []
-    for name in sorted(declarations):
-        for dep in sorted(declarations[name].dependencies):
-            if dep not in declarations:
-                warnings.append(f"unresolved dependency '{dep}' of '{name}'")
-
-    return CorpusIndex(declarations, proofs, doc["head_statements"], tuple(warnings))
+    return CorpusIndex(declarations, proofs, doc["head_statements"])
 
 
 def _state(obj: dict) -> ProofState:

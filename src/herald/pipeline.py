@@ -130,18 +130,12 @@ def run_ingest(config: PipelineConfig, out_dir: Path) -> CorpusIndex:
         raise InvalidInput("ingest needs either a corpus export or a source directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     ds.replace_atomic(out_dir / "index.json", ingest.index_pieces(index))
-    for warning in index.warnings:
-        logger.warning("%s", warning)
-    write_manifest(
-        out_dir,
-        "ingest",
-        config,
-        {
-            "declarations": len(index.declarations),
-            "proofs": len(index.proofs),
-            "warnings": len(index.warnings),
-        },
-    )
+    outside = 0
+    for name, dep in depgraph.outside_dependencies(index):
+        logger.warning("unresolved dependency '%s' of '%s'", dep, name)
+        outside += 1
+    write_manifest(out_dir, "ingest", config, {
+        "declarations": len(index.declarations), "proofs": len(index.proofs), "warnings": outside})
     return index
 
 
@@ -186,12 +180,9 @@ def run_stratify(
     )
     if emit_dot is not None:
         emit_dot.write_text(depgraph.to_dot(graph), encoding="utf-8")
-    write_manifest(
-        out_dir,
-        "stratify",
-        config,
-        {"nodes": len(graph.nodes), "edges": len(graph.edges), "levels": len(assignment.levels)},
-    )
+    edges = sum(map(len, graph.prerequisites.values()))
+    write_manifest(out_dir, "stratify", config, {
+        "nodes": len(graph.prerequisites), "edges": edges, "levels": len(assignment.levels)})
     return assignment
 
 
@@ -373,8 +364,9 @@ def run_informalize(
     manifest counts the finished tree, so a resumed tree is a clean one.
     ``dry_run`` walks the same order and writes the prompt of every statement
     and proof step that is ready to ``prompts/<name>.txt`` or
-    ``prompts/<name>.step<i>.txt`` instead of sending it; later prompts read
-    model answers, so it cannot write them.
+    ``prompts/<name>.step<i>.txt`` instead of sending it, with ``%``, ``/``
+    and NUL in the name written ``%25``, ``%2F`` and ``%00``; later prompts
+    read model answers, so it cannot write them.
     """
     config.check()
     proof_names = index.tactic_proof_names()
@@ -395,10 +387,12 @@ def run_informalize(
              for key in (*level, *(f"{n}::proof" for n in level if f"{n}::proof" in proof_of))]
 
     existing = _existing_pair_ids(out_dir)
+    # A tree begun under another index may hold statements this one lacks;
+    # they resolve no dependency here, so no prompt reads them.
     translations: dict[str, str] = {
         pid: pair.informal_text
         for pid, pair in existing.items()
-        if pair.record_type == "statement"
+        if pair.record_type == "statement" and pid in index.declarations
     }
 
     def resolve_signature(name: str) -> str:
@@ -433,14 +427,14 @@ def run_informalize(
             tactic_notes=notes,
         )
 
-    prerequisites = graph.prerequisites()
     step_texts: dict[str, list[str | None]] = {}  # a proof's step answers, by its name
 
     def submit(prompt_text: str, *tag) -> None:
         if dry_run:
             kind, name, *rest = tag
+            stem = name.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
             step = f".step{rest[0]}" if kind == "step" else ""
-            (out_dir / "prompts" / f"{name}{step}.txt").write_text(prompt_text, encoding="utf-8")
+            (out_dir / "prompts" / f"{stem}{step}.txt").write_text(prompt_text, encoding="utf-8")
         else:
             dispatch.submit(gateway.submit_role(informalizer, prompt_text), tag)
 
@@ -448,7 +442,7 @@ def run_informalize(
         """Send the statement or proof steps of ``key`` if its answers are in."""
         name = proof_of.get(key)
         if name is None:
-            if not all(dep in translations for dep in prerequisites[key]):
+            if not all(dep in translations for dep in graph.prerequisites[key]):
                 return False
             submit(statement_prompt(key), "statement", key)
             return True

@@ -338,21 +338,14 @@ def build_statement_context(
 ) -> StatementContext:
     """Gather the five context components for ``subject`` from the corpus.
 
-    Dependent translations are taken from ``translations`` for resolvable
-    dependencies at strictly lower levels, ordered by (level, name).
+    Dependent translations are those of ``translations`` (declarations of
+    the index only) that ``subject`` depends on, ordered by (level, name);
+    each sits at a level below the subject's.
     """
     from .ingest import resolve_neighbors
 
-    subject_level = assignment.level_of.get(subject.full_name, 0)
-    deps = []
-    for dep in sorted(subject.dependencies):
-        if not translations.get(dep):
-            continue
-        dep_level = assignment.level_of.get(dep)
-        if dep_level is None or dep_level >= subject_level:
-            continue
-        deps.append((dep_level, dep))
-    deps.sort()
+    deps = sorted((assignment.level_of[dep], dep)
+                  for dep in subject.dependencies if translations.get(dep))
     return StatementContext(
         subject=subject,
         head_statements=index.head_statements.get(subject.file_path, ""),

@@ -132,14 +132,13 @@ class CorpusIndex:
 
     ``proofs`` holds proofs of theorems and instances only, each step's
     ``step_index`` its position; :func:`herald.ingest.parse_jixia_export`
-    refuses any other.  ``warnings`` records dangling dependency references
-    found at parse time.
+    refuses any other.  A declaration's dependencies may name declarations
+    outside the index; :mod:`herald.depgraph` tells them apart.
     """
 
     declarations: dict[str, DeclarationRecord]
     proofs: dict[str, tuple[ProofStep, ...]] = field(default_factory=dict)
     head_statements: dict[str, str] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
 
     @cached_property
     def neighbor_groups(self) -> NeighborGroups:

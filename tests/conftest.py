@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from herald import cli
-from herald.depgraph import LevelAssignment
+from herald.depgraph import DepGraph, LevelAssignment
 from herald.errors import InvalidInput
 from herald.gateway import TRANSLATE_MARKER, Completion, CompletionRequest
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind, ProofState, ProofStep
@@ -130,18 +130,7 @@ def make_corpus(n: int = 30) -> CorpusIndex:
         _FILES[1]: "import Mathlib\n\nRing-side facts.",
         _FILES[2]: "import Mathlib\nopen Topology\n\nTopology-side facts.",
     }
-    warnings = tuple(
-        f"unresolved dependency '{dep}' of '{name}'"
-        for name in sorted(declarations)
-        for dep in sorted(declarations[name].dependencies)
-        if dep not in declarations
-    )
-    return CorpusIndex(
-        declarations=declarations,
-        proofs=proofs,
-        head_statements=head_statements,
-        warnings=warnings,
-    )
+    return CorpusIndex(declarations=declarations, proofs=proofs, head_statements=head_statements)
 
 
 @pytest.fixture
@@ -199,6 +188,15 @@ def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.15):
             if rng.random() < edge_prob:
                 edges.add((order[i], order[j]))
     return frozenset(names), frozenset(edges)
+
+
+def graph_of(nodes, edges, unresolved=0) -> DepGraph:
+    """The graph of ``nodes`` with (prerequisite, dependent) ``edges``, each
+    node's prerequisites in the order ``edges`` gives them."""
+    prerequisites: dict[str, list[str]] = {n: [] for n in nodes}
+    for u, v in edges:
+        prerequisites[v].append(u)
+    return DepGraph({n: tuple(ps) for n, ps in prerequisites.items()}, unresolved)
 
 
 def oracle_levels(nodes, edges) -> dict[str, int]:

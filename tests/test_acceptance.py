@@ -17,6 +17,7 @@ from conftest import (
     ScriptedTranslator,
     benchmark_items,
     compile_check,
+    graph_of,
     make_corpus,
     oracle_levels,
     random_dag,
@@ -30,7 +31,7 @@ from conftest import (
 from herald.augment import dedup_sample, synthesize_from_state, synthesize_for_index
 from herald.config import PipelineConfig
 from herald.datastore import Provenance, mix, split_by_ratio, write_pairs_atomic
-from herald.depgraph import DepGraph, stratify
+from herald.depgraph import stratify
 from herald.gateway import Gateway, MockBackTranslator, MockNliJudge, Role
 from herald.ingest import scan_declarations
 from herald.records import DeclKind, ProofState
@@ -57,7 +58,7 @@ def test_stratification_correctness():
     for case in range(1000):
         n = rng.randint(1, 200)
         nodes, edges = random_dag(rng, n, edge_prob=rng.uniform(0.01, 0.2))
-        graph = DepGraph(nodes=nodes, edges=edges)
+        graph = graph_of(nodes, edges)
         assignment = stratify(graph)
         for u, v in edges:
             assert assignment.level_of[u] < assignment.level_of[v]

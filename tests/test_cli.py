@@ -155,6 +155,20 @@ class TestInformalize:
         assert not list(inf.glob("statements_level_*.jsonl"))
         assert not (inf / "proofs.jsonl").exists()
 
+    @pytest.mark.parametrize("name, file", [("../../escape", "..%2F..%2Fescape.txt"),
+                                            ("A/B.c", "A%2FB.c.txt"),
+                                            ("bad\0name", "bad%00name.txt")])
+    def test_dry_run_writes_each_prompt_under_prompts(self, tmp_path, name, file):
+        doc = one_proof_export()
+        doc["declarations"] = [{**doc["declarations"][1], "full_name": name, "dependencies": []}]
+        doc["proofs"] = {}
+        export = tmp_path / "export.json"
+        export.write_text(json.dumps(doc), encoding="utf-8")
+        inf = tmp_path / "a" / "b" / "inf"
+        assert run("--out", str(inf), "informalize", "--index", str(export), "--dry-run") == 0
+        written = {path for path in tmp_path.rglob("*") if path.is_file()} - {export}
+        assert written == {inf / "prompts" / file}
+
     def test_dry_run_writes_exactly_the_first_wave(self, tmp_path, export_file, mock_config):
         out = self._setup(tmp_path, export_file, mock_config)
         index = make_corpus(12)

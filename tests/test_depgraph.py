@@ -5,23 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import corpus_name, make_corpus, oracle_levels, random_dag, schedule
+from conftest import corpus_name, graph_of, make_corpus, oracle_levels, random_dag, schedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herald.depgraph import (
-    DepGraph,
     build_graph,
     check_acyclic,
+    outside_dependencies,
     stratify,
     to_dot,
 )
 from herald.errors import CycleError, InvalidInput
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind
-
-
-def graph_of(nodes, edges, unresolved=0) -> DepGraph:
-    return DepGraph(nodes=frozenset(nodes), edges=frozenset(edges), unresolved_count=unresolved)
 
 
 def decl(name: str, deps=()) -> DeclarationRecord:
@@ -42,30 +38,30 @@ class TestBuildGraph:
     def test_single_node_no_edges(self):
         index = CorpusIndex(declarations={"A": decl("A")})
         g = build_graph(index)
-        assert g.nodes == {"A"} and g.edges == frozenset()
+        assert g.prerequisites == {"A": ()}
 
     def test_one_dependency_one_edge(self):
         index = CorpusIndex(declarations={"A": decl("A"), "B": decl("B", ["A"])})
         g = build_graph(index)
-        assert g.edges == {("A", "B")}
+        assert g.prerequisites == {"A": (), "B": ("A",)}
 
     def test_unresolved_dependencies_counted(self):
         index = CorpusIndex(declarations={"A": decl("A", ["Missing.x"])})
         g = build_graph(index)
-        assert g.edges == frozenset()
+        assert g.prerequisites == {"A": ()}
         assert g.unresolved_count == 1
+        assert list(outside_dependencies(index)) == [("A", "Missing.x")]
 
-    def test_fixture_edge_count_matches_enumeration(self):
+    def test_fixture_prerequisites_match_enumeration(self):
         index = make_corpus(50)
         g = build_graph(index)
         # oracle: direct enumeration over the fixture
-        expected = sum(
-            1
-            for rec in index.declarations.values()
-            for dep in rec.dependencies
-            if dep in index.declarations
-        )
-        assert len(g.edges) == expected
+        expected = {
+            name: {dep for dep in rec.dependencies if dep in index.declarations}
+            for name, rec in index.declarations.items()
+        }
+        assert {name: set(ps) for name, ps in g.prerequisites.items()} == expected
+        assert all(len(set(ps)) == len(ps) for ps in g.prerequisites.values())
         unresolved = sum(
             1
             for rec in index.declarations.values()
@@ -73,6 +69,7 @@ class TestBuildGraph:
             if dep not in index.declarations
         )
         assert g.unresolved_count == unresolved
+        assert len(list(outside_dependencies(index))) == unresolved
 
 
 class TestCheckAcyclic:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import make_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from herald.config import PipelineConfig
 from herald.errors import SchemaError
 from herald.ingest import (
     parse_jixia_export,
@@ -17,6 +19,7 @@ from herald.ingest import (
     scan_declarations,
     serialize_index,
 )
+from herald.pipeline import run_ingest, run_stratify
 from herald.records import CorpusIndex, DeclarationRecord, DeclKind, NeighborSet
 
 DATA = Path(__file__).parent / "data"
@@ -56,7 +59,6 @@ class TestParseExport:
         )
         assert len(index.declarations) == 2
         assert index.declarations["B"].dependencies == {"A"}
-        assert index.warnings == ()
 
     def test_out_of_enum_kind_rejected(self):
         with pytest.raises(SchemaError) as exc:
@@ -108,12 +110,28 @@ class TestParseExport:
         with pytest.raises(SchemaError):
             parse_jixia_export(json.dumps(doc))
 
-    def test_dangling_dependency_is_warning_not_error(self):
-        index = parse_jixia_export(
-            minimal_export([decl_obj("A", deps=["Gone.lemma"])])
-        )
-        assert index.declarations["A"].dependencies == {"Gone.lemma"}
-        assert any("Gone.lemma" in w for w in index.warnings)
+    def test_dangling_dependency_is_warning_not_error(self, tmp_path, caplog):
+        export = tmp_path / "export.json"
+        export.write_text(minimal_export([
+            decl_obj("B", deps=["Gone.lemma", "A", "Ext.b"]),
+            decl_obj("A", deps=["Zed.x", "Ext.a"]),
+        ]), encoding="utf-8")
+        config = PipelineConfig(corpus_export=export)
+        with caplog.at_level(logging.WARNING, logger="herald.pipeline"):
+            index = run_ingest(config, tmp_path / "ingest")
+        assert index.declarations["A"].dependencies == {"Zed.x", "Ext.a"}
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "unresolved dependency 'Ext.a' of 'A'",
+            "unresolved dependency 'Zed.x' of 'A'",
+            "unresolved dependency 'Ext.b' of 'B'",
+            "unresolved dependency 'Gone.lemma' of 'B'",
+        ]
+        manifest = json.loads((tmp_path / "ingest" / "ingest_run_manifest.json").read_text())
+        assert manifest["warnings"] == 4
+        run_stratify(index, config, tmp_path / "stratify")
+        levels = json.loads((tmp_path / "stratify" / "levels.json").read_text())
+        assert levels["unresolved_dependencies"] == 4
+        assert levels["levels"] == [["A"], ["B"]]
 
     def test_self_dependency_rejected(self):
         with pytest.raises(SchemaError):

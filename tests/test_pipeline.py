@@ -125,7 +125,7 @@ def test_statement_sent_only_after_its_prerequisites_return(tmp_path):
         for path in level_files(tmp_path / "inf")
         for p in read_pairs(path)
     }
-    prerequisites = depgraph.build_graph(index).prerequisites()
+    prerequisites = depgraph.build_graph(index).prerequisites
     checked = 0
     for name, deps in prerequisites.items():
         for dep in deps:
@@ -213,7 +213,7 @@ def first_wave(index: CorpusIndex, out: Path) -> set[str]:
     step of every missing proof whose statement is translated."""
     paths = level_files(out) + [out / "proofs.jsonl"]
     on_disk = {pair.id for path in paths if path.exists() for pair in read_pairs(path)}
-    prerequisites = depgraph.build_graph(index).prerequisites()
+    prerequisites = depgraph.build_graph(index).prerequisites
     statements = {
         f"{name}.txt"
         for name in index.declarations
@@ -255,6 +255,25 @@ def test_dry_run_writes_the_prompts_a_fresh_run_sends_first(tmp_path, corpus):
     expected = check_dry_run_is_first_wave(index, tmp_path / "inf")
     levels = depgraph.stratify(depgraph.build_graph(index)).levels
     assert expected == {f"{name}.txt" for name in levels[0]}
+
+
+def test_a_statement_kept_from_another_index_reaches_no_prompt(tmp_path):
+    """A tree begun under a larger index holds a statement that this index
+    lacks: to its dependent it is an outside dependency, left out of the prompt."""
+    index = make_corpus(12)
+    out = tmp_path / "inf"
+    informalize(index, out, RecordingInformalizer())
+    first, *later = level_files(out)
+    for path in [*later, out / "proofs.jsonl"]:
+        path.unlink()
+    (kept,) = read_pairs(first)
+    smaller = CorpusIndex({name: rec for name, rec in index.declarations.items()
+                           if name != kept.id}, index.proofs, index.head_statements)
+    dependent = next(name for name, rec in smaller.declarations.items()
+                     if kept.id in rec.dependencies)
+    run_informalize(smaller, PipelineConfig(), out, dry_run=True)
+    prompt = (out / "prompts" / f"{dependent}.txt").read_text("utf-8")
+    assert kept.informal_text not in prompt
 
 
 def test_dry_run_after_a_budget_cut_writes_the_prompts_the_rerun_sends_first(tmp_path):
