@@ -452,14 +452,14 @@ def resolve_neighbors(subject: str, index: CorpusIndex, limit: int) -> NeighborS
             found.extend(itertools.islice(rest, limit - len(found)))
         return tuple(found)
 
-    # The subject is in each of its prefix groups; the longest prefix whose
-    # group holds anyone else is the longest prefix shared with another name.
+    # The subject is in each of its prefix groups that is kept, and each kept
+    # group holds someone else, so the longest kept prefix is the longest
+    # prefix shared with another name.
     parts = tuple(subject.split("."))
     prefix_shared = None
     for end in range(len(parts), 0, -1):
-        group = groups.by_prefix[parts[:end]]
-        if len(group.names) > 1:
-            prefix_shared = group
+        prefix_shared = groups.by_prefix.get(parts[:end])
+        if prefix_shared is not None:
             break
 
     return NeighborSet(

@@ -771,8 +771,10 @@ def run_validate(
     """pass@k over a benchmark, streamed to ``reports.jsonl`` in benchmark order.
 
     Dispatch: :class:`_OrderedDispatch` opens each item in benchmark order
-    when its window has room, as a :class:`validate.ItemRun` whose requests
-    all go through the gateway pool; compile checks run on this thread as
+    when its window has room, through :func:`validate.validate_item`, as a
+    :class:`validate.ItemRun` whose requests all go through the gateway
+    pool; the dispatch settles each completion on this thread, which is
+    the only place a future is waited on, and compile checks run here as
     candidates come up.  An open item holds at most k
     futures, so at most the window plus k - 1 are pending (without
     ``short_circuit``, a late sample can send several back-translations past
@@ -810,7 +812,7 @@ def run_validate(
 
     def open_item(position: int) -> bool:
         item = items[position]
-        run = runs[position] = validate.ItemRun(
+        runs[position] = validate.validate_item(
             item["informal_text"], k, roles, backend, gateway,
             lambda future, tag: dispatch.submit(future, (position, tag)),
             item_id=item["id"],
@@ -818,7 +820,6 @@ def run_validate(
             timeout_ms=config.compile_timeout_ms,
             short_circuit=config.short_circuit,
         )
-        run.start()
         return True
 
     def settle(tag: tuple, completion: Completion) -> None:

@@ -100,7 +100,7 @@ class NeighborSet:
     name_prefix_shared: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeighborGroup:
     """The names in one group, ranked both ways a neighbor lookup reads them.
 
@@ -116,9 +116,12 @@ class NeighborGroup:
 class NeighborGroups:
     """Declaration names grouped by each relation :class:`NeighborSet` uses.
 
-    ``by_prefix`` maps every leading run of a name's dot-separated
-    components (``("A",)``, ``("A", "b")``, ...) to the names that start
-    with it, so each name is in the group of each of its own prefixes.
+    ``by_prefix`` maps each leading run of dot-separated components
+    (``("A",)``, ``("A", "b")``, ...) that two or more names start with to
+    those names, the full name counting as a run of itself: ``A.b`` and
+    ``A.b.sub`` share the group ``("A", "b")``.  A run only one name starts
+    with is left out; that group would hold the name alone, and a neighbor
+    lookup never reads it.
     """
 
     by_namespace: dict[tuple[str, ...], NeighborGroup]
@@ -143,18 +146,20 @@ class CorpusIndex:
     @cached_property
     def neighbor_groups(self) -> NeighborGroups:
         """Built on first use; ``declarations`` is never written after construction."""
-        groups = NeighborGroups({}, {}, {})
+        by_namespace, by_file, by_prefix = {}, {}, {}
         for name, rec in self.declarations.items():
             parts = tuple(name.split("."))
-            memberships = [(groups.by_namespace, rec.namespace_path), (groups.by_file, rec.file_path)]
-            memberships += [(groups.by_prefix, parts[:end]) for end in range(1, len(parts) + 1)]
+            memberships = [(by_namespace, rec.namespace_path), (by_file, rec.file_path)]
+            memberships += [(by_prefix, parts[:end]) for end in range(1, len(parts) + 1)]
             for by, key in memberships:
                 group = by.get(key)
                 if group is None:
                     group = by[key] = NeighborGroup([], {})
                 group.names.append(name)
                 group.lines.setdefault(rec.file_path, []).append((rec.line_span[0], name))
-        for by in (groups.by_namespace, groups.by_file, groups.by_prefix):
+        by_prefix = {key: group for key, group in by_prefix.items() if len(group.names) > 1}
+        groups = NeighborGroups(by_namespace, by_file, by_prefix)
+        for by in (by_namespace, by_file, by_prefix):
             for group in by.values():
                 group.names.sort()
                 for entries in group.lines.values():

@@ -17,7 +17,6 @@ import json
 import queue
 import subprocess
 import threading
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -267,15 +266,6 @@ def nli_prompt(original_nl: str, back_nl: str) -> str:
     )
 
 
-def back_translate(formal_text: str, gateway: Gateway, role: Role) -> str:
-    """The back-translation of ``formal_text``, waited for on one future; the
-    answer reaches the completion log at the gateway's close."""
-    if not formal_text:
-        raise InvalidInput("cannot back-translate empty formal text")
-    completion = gateway.submit_role(role, back_translation_prompt(formal_text)).result()
-    return completion.text.strip()
-
-
 class NliStatus(str, Enum):
     ACCEPT = "accept"
     REJECT = "reject"
@@ -288,26 +278,30 @@ class NliOutcome:
     parse_failure: bool = False
 
 
-def _parse_verdict(text: str) -> NliOutcome:
-    for token in text.split():
+def back_translate(completion: Completion) -> str:
+    """The back-translation a back-translator's completion holds.
+
+    :meth:`ItemRun.settle` reads each one through this name, which stays a
+    function of its own because ``perfbench/spans.py`` wraps it; once the
+    spans read what a run records, it can be inlined.
+    """
+    return completion.text.strip()
+
+
+def nli_check(completion: Completion) -> NliOutcome:
+    """The verdict a judge's completion holds, by the constrained
+    ACCEPT/REJECT token contract: the first of the two tokens decides.
+
+    Free prose without either token counts as a reject and is flagged as a
+    parse failure.  :meth:`ItemRun.settle` reads each verdict through this
+    name, kept for ``perfbench/spans.py`` as :func:`back_translate` is.
+    """
+    for token in completion.text.split():
         if token == "ACCEPT":
             return NliOutcome(NliStatus.ACCEPT)
         if token == "REJECT":
             return NliOutcome(NliStatus.REJECT)
     return NliOutcome(NliStatus.REJECT, parse_failure=True)
-
-
-def nli_check(original_nl: str, back_nl: str, gateway: Gateway, role: Role) -> NliOutcome:
-    """Judge verdict from the constrained ACCEPT/REJECT token contract.
-
-    Free prose without the token counts as a reject and is flagged so
-    callers can track parse failures.  The verdict is waited for on one
-    future, so it reaches the completion log at the gateway's close.
-    """
-    if not original_nl or not back_nl:
-        raise InvalidInput("nli_check requires both texts non-empty")
-    completion = gateway.submit_role(role, nli_prompt(original_nl, back_nl)).result()
-    return _parse_verdict(completion.text)
 
 
 class CompileStatus(str, Enum):
@@ -388,18 +382,22 @@ def _evaluate_candidate(
 class ItemRun:
     """One item's pass@k evaluation, advanced by completions as they return.
 
-    :meth:`start` sends the k translate samples through the gateway pool and
-    hands each future to ``track(future, tag)``; the driver passes every
-    completion back to :meth:`settle` with its tag, in any order, on one
-    thread.  Candidates are looked at strictly in sample order, each compile
-    check on that thread through ``backend``; wrapped by
-    :func:`cache_checks`, it answers a check an earlier run made from
-    ``cache/checks.jsonl``.  A pass sends the back-translation, and its
-    return sends the judge.  With ``short_circuit``, candidate i+1 is looked
-    at only after candidate i's verdict, and none after the first accepted
-    one; otherwise every compiling candidate is judged.  Nothing else is
-    sent, so the provider calls are the same whatever order completions
-    return in.
+    This is herald's one validate path: :func:`validate_item` builds the run
+    and :meth:`start` sends the k translate samples through the gateway
+    pool, handing each future to ``track(future, tag)``; the driver passes
+    every completion back to :meth:`settle` with its tag, in any order, on
+    one thread.  Nothing here waits on a future.  Candidates are looked at
+    strictly in sample order, each compile check on that thread through
+    ``backend``; wrapped by :func:`cache_checks`, it answers a check an
+    earlier run made from ``cache/checks.jsonl``.  A blank candidate is
+    skipped.  A pass sends the back-translation, read by
+    :func:`back_translate`; a blank one is a reject flagged as a parse
+    failure, and any other sends the judge, whose verdict
+    :func:`nli_check` reads.  With ``short_circuit``, candidate i+1 is
+    looked at only after candidate i's verdict, and none after the first
+    accepted one; otherwise every compiling candidate is judged.  Nothing
+    else is sent, so the provider calls are the same whatever order
+    completions return in.
 
     The report is ready once every request sent has returned, so an item
     whose report is written leaves no call unpaid behind it.
@@ -451,14 +449,14 @@ class ItemRun:
         if kind == "sample":
             self._samples[i] = completion
         elif kind == "back":
-            back_nl = completion.text.strip()
+            back_nl = back_translate(completion)
             if back_nl:
                 self._results[i] = replace(self._results[i], back_translation=back_nl)
                 self._send(self.roles.nli_judge, nli_prompt(self.informal, back_nl), ("judge", i))
             else:
                 self._verdict(i, "", NliOutcome(NliStatus.REJECT, parse_failure=True))
         else:
-            self._verdict(i, self._results[i].back_translation, _parse_verdict(completion.text))
+            self._verdict(i, self._results[i].back_translation, nli_check(completion))
         self._advance()
         looked_at_all = len(self._results) == self.k or (self.short_circuit and self._accepted)
         if self._outstanding or self._judging or not looked_at_all:
@@ -504,41 +502,16 @@ class ItemRun:
                 )
 
 
-def validate_item(
-    informal: str,
-    k: int,
-    roles: Roles,
-    backend: CompilerBackend,
-    gateway: Gateway,
-    *,
-    item_id: str = "",
-    header: str = DEFAULT_HEADER,
-    short_circuit: bool = True,
-) -> ValidationReport:
-    """Sample k candidate formalizations and pipeline each through the checks.
+def validate_item(*args, **kwargs) -> ItemRun:
+    """Open one item: the :class:`ItemRun` built from ``args`` and
+    ``kwargs``, its k samples sent.
 
-    With ``short_circuit`` (the default) evaluation stops at the first
-    candidate that passes everything; otherwise all compiling candidates go
-    through back-translation and the judge.  The mode is recorded on the
-    report.  This is :class:`ItemRun` for one item, waiting on its requests
-    in the order they were sent; its answers reach the completion log at the
-    gateway's close.
+    ``run_validate`` opens each item through this name, which stays a
+    function of its own because ``perfbench/spans.py`` wraps it.
     """
-    sent: deque[tuple[Future, tuple]] = deque()
-    run = ItemRun(
-        informal, k, roles, backend, gateway, lambda future, tag: sent.append((future, tag)),
-        item_id=item_id, header=header, short_circuit=short_circuit,
-    )
-    try:
-        run.start()
-        while True:
-            future, tag = sent.popleft()
-            report = run.settle(tag, future.result())
-            if report is not None:
-                return report
-    finally:
-        for future, _ in sent:
-            future.cancel()
+    run = ItemRun(*args, **kwargs)
+    run.start()
+    return run
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 independent level oracles, scripted validation roles, an end-to-end
 pipeline driver used by both the CLI tests and the acceptance suite, and
 helpers that only the tests need (writing an exemplar store, batching
-levels into a topological order, one compile check)."""
+levels into a topological order, one compile check, one validate item run
+to its report)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import hashlib
 import json
 import random
 import re
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from herald.retrieval import (
     ExampleStore,
     HashEmbeddingProvider,
 )
-from herald.validate import DEFAULT_TIMEOUT_MS, CompileOutcome
+from herald.validate import DEFAULT_TIMEOUT_MS, CompileOutcome, ValidationReport, validate_item
 
 _FILES = ("Alg/Group.lean", "Alg/Ring.lean", "Top/Basic.lean")
 _NAMESPACES = (("Alg", "Group"), ("Alg", "Ring"), ("Top",))
@@ -276,6 +278,24 @@ def script_benchmark_backend(backend, items, translator, header: str) -> None:
             backend.script(compose_source(item["informal_text"], header), True)
         if i % 5 == 4:
             backend.script(compose_source(f"plausible_but_wrong_claim_{i}", header), True)
+
+
+def validate_one(informal: str, k: int, roles, backend, gateway, **options) -> ValidationReport:
+    """One item through :func:`herald.validate.validate_item`, each request
+    waited for in the order it was sent; the answers reach the completion
+    log at the gateway's close."""
+    sent = deque()
+    run = validate_item(informal, k, roles, backend, gateway,
+                        lambda future, tag: sent.append((future, tag)), **options)
+    try:
+        while True:
+            future, tag = sent.popleft()
+            report = run.settle(tag, future.result())
+            if report is not None:
+                return report
+    finally:
+        for future, _ in sent:
+            future.cancel()
 
 
 # --- a valid export to break ------------------------------------------------

@@ -25,6 +25,7 @@ from conftest import (
     schedule,
     script_benchmark_backend,
     tree_digest,
+    validate_one,
     write_shared_fixtures,
 )
 
@@ -43,7 +44,6 @@ from herald.validate import (
     Roles,
     compose_source,
     summarize,
-    validate_item,
 )
 
 
@@ -206,7 +206,7 @@ def test_pass_at_k_semantics(tmp_path):
     with closing(Gateway(PipelineConfig(max_in_flight=16), tmp_path)) as gw:
         for item in items:
             reports.append(
-                validate_item(
+                validate_one(
                     item["informal_text"], 128, roles, backend, gw,
                     item_id=item["id"], short_circuit=False,
                 )

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import make_corpus
+from conftest import corpus_name, make_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -374,6 +375,29 @@ def test_indexed_neighbors_equal_the_scan(index, limit):
     for subject in index.declarations:
         assert resolve_neighbors(subject, index, limit) == scan_neighbors(subject, index, limit)
 
+
+
+def test_kept_prefix_groups_resolve_as_the_scan_when_names_prefix_names():
+    # Every seventh name gets one name below it (``X`` and ``X.sub`` alone
+    # share the prefix ``X``), and namespace names are declarations too.
+    base = make_corpus(300).declarations
+    declarations = dict(base)
+    for i, (name, rec) in enumerate(base.items()):
+        if i % 7 == 0:
+            start = rec.line_span[0] + 1
+            declarations[f"{name}.sub"] = replace(rec, full_name=f"{name}.sub",
+                                                  line_span=(start, start + 1))
+    for i, namespace in enumerate(["Alg", "Alg.Group", "Alg.Ring", "Top"]):
+        declarations[namespace] = replace(base[corpus_name(i)], full_name=namespace)
+    index = CorpusIndex(declarations=declarations)
+    groups = index.neighbor_groups.by_prefix
+    assert groups and all(len(group.names) > 1 for group in groups.values())
+    assert groups[("Alg", "Group", "item00")].names == ["Alg.Group.item00", "Alg.Group.item00.sub"]
+    for limit in (1, 3, 8):
+        for subject in declarations:
+            assert resolve_neighbors(subject, index, limit) == scan_neighbors(subject, index, limit)
+    assert resolve_neighbors("Alg.Group.item00.sub", index, 3).name_prefix_shared == (
+        "Alg.Group.item00",)
 
 class TestResolveNeighbors:
     def test_no_namespace_siblings(self):

@@ -1,9 +1,12 @@
 """A stage killed at any instant reruns to the tree a clean run writes.
 
 Each stage runs as its own ``python -m herald.cli`` process with the mock
-roles, on inputs that take about a second.  A clean run is timed; fresh runs
-are then sent SIGKILL at three seeded instants, near a quarter, a half and
-three quarters of that time, and each is rerun to completion.  Every file of the rerun's tree, the completion
+roles, on inputs that take about a second.  Fresh runs are killed at three
+points, near a quarter, a half and three quarters of a clean run, and each
+is rerun to completion.  The points are either seeded instants of the clean
+run's time, or its mock roles' n-th answer: the child process counts the
+answers of the mock role classes and sends itself SIGKILL inside answer n,
+which is free of timing.  Every file of the rerun's tree, the completion
 log included, must equal the clean tree's.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -59,6 +63,33 @@ def inputs(tmp_path_factory) -> Path:
         encoding="utf-8",
     )
     return root
+
+
+# ``python -c`` with the kill point and the CLI arguments: ``herald.cli`` whose
+# mock roles count their answers, print the count at exit and, when the kill
+# point n is not 0, SIGKILL the process inside answer n.
+KILL_AT_ANSWER = """
+import os, signal, sys, threading
+from herald import cli, gateway
+
+kill_at, answers, lock = int(sys.argv[1]), [0], threading.Lock()
+
+def counted(generate):
+    def answer(self, request, sample_index):
+        with lock:
+            answers[0] += 1
+            if answers[0] == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return generate(self, request, sample_index)
+    return answer
+
+for role in (gateway.MockInformalizer, gateway.MockChatProvider, gateway.MockBackTranslator,
+             gateway.MockNliJudge, gateway.MockAugmenter):
+    role.generate = counted(role.generate)
+code = cli.main(sys.argv[2:])
+print(answers[0])
+sys.exit(code)
+"""
 
 
 def stage_argv(inputs: Path, stage: str, out: Path) -> list[str]:
@@ -109,3 +140,26 @@ def test_a_killed_stage_reruns_to_the_clean_tree(inputs, tmp_path, stage):
         run_and_kill(argv, clean_s * (i + 1 + rng.uniform(-0.5, 0.5)) / (KILLS + 1))
         run_to_end(argv)
         assert tree_digest(out) == expected, f"killed at instant {i}"
+
+
+def at_answer(argv: list[str], kill_at: int) -> list[str]:
+    """``argv`` (a ``python -m herald.cli`` command) killed at answer ``kill_at``."""
+    return [sys.executable, "-c", KILL_AT_ANSWER, str(kill_at), *argv[3:]]
+
+
+@pytest.mark.parametrize("stage", ["informalize", "validate"])
+def test_a_stage_killed_at_the_nth_answer_reruns_to_the_clean_tree(inputs, tmp_path, stage):
+    clean = tmp_path / "clean"
+    result = subprocess.run(at_answer(stage_argv(inputs, stage, clean), 0), env=environment(),
+                            capture_output=True, text=True, timeout=TIMEOUT_S)
+    assert result.returncode == 0, result.stderr
+    answers = int(result.stdout.split()[-1])
+    expected = tree_digest(clean)
+    for quarter in range(1, KILLS + 1):
+        out = tmp_path / f"killed{quarter}"
+        argv = stage_argv(inputs, stage, out)
+        killed = subprocess.run(at_answer(argv, answers * quarter // (KILLS + 1)),
+                                env=environment(), capture_output=True, timeout=TIMEOUT_S)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        run_to_end(argv)
+        assert tree_digest(out) == expected, f"killed at answer {quarter}/4 of {answers}"

@@ -87,3 +87,27 @@ def test_every_error_type_is_raised():
                 reached.add(base)
                 pending.append(base)
     assert sorted(bases.keys() - reached) == []
+
+
+def _scopes(module: str, tree: ast.Module):
+    """(dotted name, node) of each module-level statement, a class's members
+    one by one."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{module}.{node.name}" if isinstance(node, ast.ClassDef) else module
+        for member in members:
+            yield f"{prefix}.{getattr(member, 'name', '<statement>')}", member
+
+
+def test_only_the_dispatch_waits_on_a_future():
+    # One concurrency mechanism: a stage hands its futures to the dispatch,
+    # which waits on whichever finishes first; no stage waits on one future.
+    waits = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name, node in _scopes(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "result"
+    ]
+    assert waits == ["pipeline._OrderedDispatch.run"]

@@ -5,8 +5,10 @@ value the export repeats once.
 The bounds sit 25 % or more above what CPython 3.11 measures here: 1329 bytes
 per 64-dim example (3095 when each row was a tuple of floats), 1139 bytes
 per declaration (1748 when every record kept its own copy of each path,
-namespace, dependency name and proof state) and 68 bytes per dependency on a
-name outside the export (192 when the index kept a warning string for each).
+namespace, dependency name and proof state), 68 bytes per dependency on a
+name outside the export (192 when the index kept a warning string for each)
+and 366 bytes of neighbor groups per declaration (1004 when every name kept
+a name-prefix group of its own).
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ def test_a_parsed_export_keeps_under_120_bytes_per_outside_dependency():
     _, kept = kept_bytes(lambda: parse_jixia_export(cited_text))
     per_dependency = (kept - base) / (2 * COUNT * 8)
     assert per_dependency < 120, per_dependency
+
+
+def test_neighbor_groups_keep_under_460_bytes_per_declaration():
+    index = parse_jixia_export(serialize_index(make_corpus(COUNT)))
+    groups, kept = kept_bytes(lambda: index.neighbor_groups)
+    assert all(len(group.names) > 1 for group in groups.by_prefix.values())
+    assert kept / COUNT < 460, kept / COUNT
 
 
 def test_declarations_without_dependencies_share_one_empty_set():

@@ -12,11 +12,18 @@ from contextlib import closing
 from pathlib import Path
 
 import pytest
-from conftest import ScriptedTranslator, benchmark_items, compile_check, script_benchmark_backend
+from conftest import (
+    ScriptedTranslator,
+    benchmark_items,
+    compile_check,
+    script_benchmark_backend,
+    validate_one,
+)
 
 from herald.config import PipelineConfig
 from herald.errors import BackendUnavailable, InvalidInput, MixedK
 from herald.gateway import (
+    Completion,
     Gateway,
     MockBackTranslator,
     MockNliJudge,
@@ -35,15 +42,16 @@ from herald.validate import (
     Roles,
     ValidationReport,
     back_translate,
+    back_translation_prompt,
     cache_checks,
     compose_source,
     nli_check,
+    nli_prompt,
     read_reports,
     report_line,
     summarize,
     summary_table,
     summary_to_json,
-    validate_item,
 )
 
 FAKE_REPL = [sys.executable, str(Path(__file__).parent / "fake_repl.py")]
@@ -251,39 +259,33 @@ class TestCachedChecks:
 
 
 class TestSteps:
-    def test_back_translate_normal_form(self, tmp_path):
-        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
-            role = Role(provider=MockBackTranslator(), model_id="bt")
-            assert back_translate("Theorem T :  A = B", gw, role) == "theorem t : a = b"
+    """The steps read what the roles answered through the gateway."""
 
-    def test_back_translate_empty_rejected(self, tmp_path):
+    def ask(self, tmp_path, provider, prompt_text: str) -> Completion:
         with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
-            with pytest.raises(InvalidInput):
-                back_translate("", gw, Role(provider=MockBackTranslator(), model_id="bt"))
+            return gw.submit_role(Role(provider=provider, model_id="m"), prompt_text).result()
+
+    def test_back_translate_normal_form(self, tmp_path):
+        answer = self.ask(tmp_path, MockBackTranslator(), back_translation_prompt("Theorem T :  A = B"))
+        assert back_translate(answer) == "theorem t : a = b"
 
     def test_nli_identical_accepts(self, tmp_path):
-        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
-            role = Role(provider=MockNliJudge(), model_id="nli")
-            outcome = nli_check("p holds", "p holds", gw, role)
+        outcome = nli_check(self.ask(tmp_path, MockNliJudge(), nli_prompt("p holds", "p holds")))
         assert outcome.verdict == NliStatus.ACCEPT
         assert not outcome.parse_failure
 
     def test_nli_disjoint_rejects(self, tmp_path):
-        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
-            role = Role(provider=MockNliJudge(), model_id="nli")
-            assert nli_check("alpha", "omega", gw, role).verdict == NliStatus.REJECT
+        outcome = nli_check(self.ask(tmp_path, MockNliJudge(), nli_prompt("alpha", "omega")))
+        assert outcome.verdict == NliStatus.REJECT
 
     def test_nli_free_prose_rejects_with_flag(self, tmp_path):
         class ProseJudge:
             name = "prose"
 
             def generate(self, request, sample_index):
-                from herald.gateway import Completion
-
                 return Completion(text="Well, the statements look fairly similar to me.")
 
-        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
-            outcome = nli_check("a", "b", gw, Role(provider=ProseJudge(), model_id="p"))
+        outcome = nli_check(self.ask(tmp_path, ProseJudge(), nli_prompt("a", "b")))
         assert outcome.verdict == NliStatus.REJECT
         assert outcome.parse_failure
 
@@ -326,7 +328,7 @@ def _validate(items, k, *, short_circuit=True, n_passing=13):
           closing(Gateway(PipelineConfig(max_in_flight=8), out)) as gw):
         for item in items:
             reports.append(
-                validate_item(
+                validate_one(
                     item["informal_text"],
                     k,
                     roles,
@@ -398,7 +400,39 @@ class TestValidateItem:
         roles, _ = mock_roles()
         with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
             with pytest.raises(BackendUnavailable):
-                validate_item("statement 0 asserts.", 1, roles, DownBackend(), gw)
+                validate_one("statement 0 asserts.", 1, roles, DownBackend(), gw)
+
+    def test_a_blank_is_never_sent_on(self, tmp_path):
+        # A blank candidate gets no back-translation; a blank back-translation
+        # is a flagged reject that gets no judge.
+        prompts = []
+
+        class Recording:
+            name = "recording"
+
+            def __init__(self, answer):
+                self.answer = answer
+
+            def generate(self, request, sample_index):
+                prompts.append(request.prompt_text)
+                return Completion(text=self.answer(sample_index))
+
+        roles = Roles(
+            translator=Role(provider=Recording(lambda i: "theorem t : OK" if i else " "),
+                            model_id="t"),
+            back_translator=Role(provider=Recording(lambda i: "\n"), model_id="bt"),
+            nli_judge=Role(provider=Recording(lambda i: "ACCEPT"), model_id="nli"),
+        )
+        with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
+            report = validate_one("p holds.", 2, roles, MockCompilerBackend(default_ok=True), gw)
+        blank, compiled = report.candidates
+        assert (blank.compile, blank.nli) == (CompileStatus.SKIPPED, NliStatus.SKIPPED)
+        assert (compiled.compile, compiled.nli) == (CompileStatus.PASS, NliStatus.REJECT)
+        assert compiled.back_translation == "" and compiled.nli_parse_failure
+        assert not report.success
+        assert [p for p in prompts if "theorem t : OK" in p] == [
+            back_translation_prompt("theorem t : OK")]
+        assert not [p for p in prompts if "ACCEPT if they match" in p]
 
     def test_per_item_header_reaches_the_backend(self, tmp_path):
         informal = "statement 0 asserts the property."
@@ -407,10 +441,10 @@ class TestValidateItem:
         backend = MockCompilerBackend(default_ok=False)
         backend.script(compose_source(informal, custom), True)
         with closing(Gateway(PipelineConfig(), tmp_path)) as gw:
-            with_custom = validate_item(
+            with_custom = validate_one(
                 informal, 1, roles, backend, gw, item_id="h", header=custom
             )
-            with_default = validate_item(informal, 1, roles, backend, gw, item_id="h")
+            with_default = validate_one(informal, 1, roles, backend, gw, item_id="h")
         assert with_custom.success
         assert not with_default.success  # default header was never scripted
 
