@@ -57,8 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a corpus export or scan Lean sources")
-    p.add_argument("--export", type=Path, help="corpus export JSON")
-    p.add_argument("--from-source", type=Path, help="directory of .lean files to scan")
+    source = p.add_mutually_exclusive_group()  # one corpus source
+    source.add_argument("--export", type=Path, help="corpus export JSON")
+    source.add_argument("--from-source", type=Path, help="directory of .lean files to scan")
 
     p = sub.add_parser("stratify", help="build the dependency DAG and level schedule")
     p.add_argument("--index", type=Path, required=True, help="index.json from ingest")
@@ -121,12 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or config.output_dir
 
         if args.command == "ingest":
-            if args.export:
-                config.corpus_export = args.export
-                config.source_dir = None
-            if args.from_source:
-                config.source_dir = args.from_source
-                config.corpus_export = None
+            if args.export or args.from_source:  # the flag replaces the config's source
+                config.corpus_export, config.source_dir = args.export, args.from_source
             index = pipeline.run_ingest(config, out_dir)
             print(f"ingested {len(index.declarations)} declarations, "
                   f"{len(index.proofs)} proofs -> {out_dir / 'index.json'}")

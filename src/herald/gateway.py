@@ -1,11 +1,11 @@
 """Provider-agnostic completion client with retries, caching, and mocks.
 
 Every request is one sample, which :meth:`Gateway.complete` answers from the
-cache or the provider.  A stage's ``Gateway(config, out_dir)`` owns its
-provider state: the one pool, of ``max_in_flight`` threads, that callers
-submit requests to, the counters, behind a lock, and the completion log in
-``out_dir/cache``, placed here alone.  Pool threads only read the log; the
-thread that settles answers appends them (:meth:`Gateway.append_paid`).
+cache or the provider.  A stage's ``Gateway(config, out_dir)``, made by its
+session (``pipeline._OrderedDispatch``), owns the one pool of
+``max_in_flight`` threads that takes requests, the counters, behind a lock,
+and the completion log in ``out_dir/cache``, placed here alone.  Pool threads
+only read the log; the settling thread appends to it (:meth:`append_paid`).
 
 Which hosted models back each pipeline role is configuration, not code:
 bind a provider + model id per role.  The mock providers below are test
@@ -168,8 +168,8 @@ class Gateway:
 
     def submit_role(self, role: Role, prompt_text: str, sample_index: int = 0) -> Future:
         """Sample ``sample_index`` of ``prompt_text`` on the pool, without
-        waiting: a ``Future[Completion]`` that runs :meth:`complete`, which
-        every stage hands to its ``pipeline._OrderedDispatch``; the dispatch
+        waiting: a ``Future[Completion]`` that runs :meth:`complete`.  Every
+        stage sends through its session, ``pipeline._OrderedDispatch``, which
         appends the paid answer to the log before it settles the future, and
         its one window bounds how many are pending.  Pool threads never wait
         on other pool futures, so no submission can deadlock the pool.

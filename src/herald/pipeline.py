@@ -22,7 +22,7 @@ from . import datastore as ds
 from . import depgraph, ingest, prompts, retrieval, validate
 from .config import PipelineConfig
 from .errors import BlankAnswer, InvalidInput, NoTemplate, SchemaError
-from .gateway import Completion, Gateway
+from .gateway import Completion, Gateway, Role
 from .records import CorpusIndex
 
 logger = logging.getLogger(__name__)
@@ -73,25 +73,6 @@ def _read_text(path: Path) -> str:
         raise SchemaError(f"not UTF-8: {exc}", str(path)) from None
 
 
-def _close_stage(
-    stage: str, gateway: Gateway, backend: validate.CompilerBackend | None = None
-) -> None:
-    """Close the stage's gateway, then its compiler backend even if that
-    raised; log the gateway's counters, and a cached backend's, at INFO.
-
-    The counters stay out of the manifests: how many samples a resumed run
-    takes from the cache depends on where the earlier run stopped.
-    """
-    try:
-        gateway.close()
-        _log_counters(stage, gateway.stats)
-    finally:
-        if backend is not None:
-            backend.close()
-            if isinstance(backend, validate.CachedChecks):
-                _log_counters(stage, backend.stats)
-
-
 def _answer_text(completion: Completion, subject: str) -> str:
     """The completion's text, stripped; a blank answer raises :class:`BlankAnswer`.
 
@@ -122,6 +103,9 @@ def load_index(path: Path) -> CorpusIndex:
 
 def run_ingest(config: PipelineConfig, out_dir: Path) -> CorpusIndex:
     config.check()
+    if config.corpus_export is not None and config.source_dir is not None:
+        raise InvalidInput(f"ingest takes one corpus source, not both the export "
+                           f"{config.corpus_export} and the source directory {config.source_dir}")
     if config.corpus_export is not None:
         index = load_index(config.corpus_export)
     elif config.source_dir is not None:
@@ -197,51 +181,79 @@ DISPATCH_WINDOW, BUDGET_WINDOW = 32, 8
 
 
 class _OrderedDispatch:
-    """One canonical order of keys, walked by one send cursor; records
-    appended to their JSONL files in that order.
+    """A stage's one session: its gateway, its compile checker, and one
+    canonical order of keys walked by one send cursor, with records appended
+    to their JSONL files in that order.
 
-    :meth:`run` calls ``send(key)`` for each key of ``order`` that is not
-    ``on_disk``, in order, while the pending futures and the finished but
-    unwritten records together number fewer than ``DISPATCH_WINDOW *
-    max_in_flight`` (``BUDGET_WINDOW * max_in_flight`` under a request
-    budget).  ``send`` builds the key's prompts and sends their futures with
-    :meth:`submit`, or returns False while the key waits on an answer still
-    to come; the cursor then stays on it until a completion is settled.  A
-    False ``send`` always has a pending future ahead of it: the order is
-    topological, each key waits only on answers for earlier keys, and every
-    earlier key is on disk, settled or pending.  Records are written before
-    the cursor looks, so a cursor that stops with nothing pending is a key
-    left waiting on no answer, and :meth:`run` raises ``RuntimeError``
-    rather than return on a partial tree.  Each completion goes to
-    ``settle(tag, completion)`` on the calling thread once ``gateway`` has
-    logged what it paid for; a follow-up request that ``settle`` makes
-    replaces the future it settles.  A record handed to :meth:`finish` is
+    It builds the stage's ``Gateway(config, out_dir)`` and, on the first read
+    of :attr:`checker`, the configured checker, cached under the gateway's
+    ``cache_dir`` (:func:`validate.cache_checks`).  Leaving its ``with``
+    block closes the gateway, then the checker even if that raised, and logs
+    their counters (a checker's if cached) at INFO, not in the manifests:
+    what a resumed run takes from the cache depends on where it stopped.
+
+    :meth:`run` calls ``start(key)`` for each key of ``order`` not
+    ``on_disk``, in order, while the pending requests and the finished but
+    unwritten records number fewer than ``DISPATCH_WINDOW * max_in_flight``
+    (``BUDGET_WINDOW`` under a request budget).  ``start`` sends the key's
+    prompts with :meth:`send`, or returns False while the key waits on an
+    answer still to come; the cursor then stays on it until a completion is
+    settled.  A False ``start`` always has a pending request ahead of it: the
+    order is topological, each key waits only on answers for earlier keys,
+    and every earlier key is on disk, settled or pending.  Records are
+    written before the cursor looks, so a cursor that stops with nothing
+    pending is a key left waiting on no answer, and :meth:`run` raises
+    ``RuntimeError`` rather than return on a partial tree.  Each completion
+    goes to ``settle(tag, completion)`` on the calling thread once the
+    gateway has logged what it paid for; a request that ``settle`` sends
+    replaces the one it settles.  A record handed to :meth:`finish` is
     appended, and flushed, once every earlier key's record is on disk.  So
-    pending futures and unwritten records stay within the window plus the
+    pending requests and unwritten records stay within the window plus the
     largest key's requests, the files do not depend on ``max_in_flight``,
     and an interrupted run leaves a canonical prefix.
 
     On the first error, queued requests are cancelled, no further key is
-    sent, the prefix is flushed and the error is re-raised.  A request
+    started, the prefix is flushed and the error is re-raised.  A request
     already running still lands in the completion log, since the gateway's
     close waits for its pool, so a rerun takes it from the cache.
     """
 
-    def __init__(
-        self, gateway: Gateway, order: Sequence[Hashable], on_disk: Container[Hashable] = ()
-    ):
-        self._gateway = gateway
-        self._order = order
-        self._on_disk = on_disk
+    def __init__(self, stage: str, config: PipelineConfig, out_dir: Path):
+        self._stage = stage
+        self._gateway = Gateway(config, out_dir)
+        self._checker: validate.CompilerBackend | None = None
+        self._order, self._on_disk = (), ()  # what :meth:`run` walks
         self._sent = self._written = 0  # the send and write cursors into ``order``
         self._finished: dict[Hashable, tuple[Path, str]] = {}
         self._handles: dict[Path, TextIO] = {}
         self._pending: dict[futures.Future, object] = {}
         self._completed: queue.SimpleQueue = queue.SimpleQueue()
-        depth = DISPATCH_WINDOW if gateway.config.request_budget is None else BUDGET_WINDOW
-        self._window = depth * gateway.config.max_in_flight
+        depth = DISPATCH_WINDOW if config.request_budget is None else BUDGET_WINDOW
+        self._window = depth * config.max_in_flight
 
-    def submit(self, future: futures.Future, tag: object) -> None:
+    def __enter__(self) -> _OrderedDispatch:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._gateway.close()
+            _log_counters(self._stage, self._gateway.stats)
+        finally:
+            if self._checker is not None:
+                self._checker.close()
+                if isinstance(self._checker, validate.CachedChecks):
+                    _log_counters(self._stage, self._checker.stats)
+
+    @property
+    def checker(self) -> validate.CompilerBackend:
+        if self._checker is None:
+            backend = self._gateway.config.backend.build()
+            self._checker = validate.cache_checks(backend, self._gateway.cache_dir)
+        return self._checker
+
+    def send(self, role: Role, prompt_text: str, tag: object, sample_index: int = 0) -> None:
+        """Send one request to the gateway pool; its completion is settled with ``tag``."""
+        future = self._gateway.submit_role(role, prompt_text, sample_index)
         self._pending[future] = tag
         future.add_done_callback(self._completed.put)
 
@@ -263,18 +275,23 @@ class _OrderedDispatch:
             self._written += 1
 
     def run(
-        self, send: Callable[[Hashable], bool], settle: Callable[[object, Completion], None]
+        self,
+        order: Sequence[Hashable],
+        start: Callable[[Hashable], bool],
+        settle: Callable[[object, Completion], None],
+        on_disk: Container[Hashable] = (),
     ) -> None:
-        """Returns once every key is sent and no future is pending."""
+        """Returns once every key is started and no request is pending."""
+        self._order, self._on_disk = order, on_disk
         try:
             while True:
                 # Records are written first, so the room they free is used
                 # before the cursor looks.
                 self._flush()
-                while (self._sent < len(self._order)
+                while (self._sent < len(order)
                        and len(self._pending) + len(self._finished) < self._window):
-                    key = self._order[self._sent]
-                    if key not in self._on_disk and not send(key):
+                    key = order[self._sent]
+                    if key not in on_disk and not start(key):
                         break
                     self._sent += 1
                 if not self._pending:
@@ -282,9 +299,9 @@ class _OrderedDispatch:
                 future = self._completed.get()
                 self._gateway.append_paid()
                 settle(self._pending.pop(future), future.result())
-            if self._sent < len(self._order):
+            if self._sent < len(order):
                 raise RuntimeError(
-                    f"dispatch stopped at {self._order[self._sent]!r} with no request pending"
+                    f"dispatch stopped at {order[self._sent]!r} with no request pending"
                 )
         except BaseException:
             # Keep every finished record that extends the canonical prefix,
@@ -436,7 +453,7 @@ def run_informalize(
             step = f".step{rest[0]}" if kind == "step" else ""
             (out_dir / "prompts" / f"{stem}{step}.txt").write_text(prompt_text, encoding="utf-8")
         else:
-            dispatch.submit(gateway.submit_role(informalizer, prompt_text), tag)
+            dispatch.send(informalizer, prompt_text, tag)
 
     def send(key: str) -> bool:
         """Send the statement or proof steps of ``key`` if its answers are in."""
@@ -469,8 +486,6 @@ def run_informalize(
         return counts
 
     informalizer = config.role("informalizer")
-    gateway = Gateway(config, out_dir)
-    dispatch = _OrderedDispatch(gateway, order, existing)
 
     def finish(pair: ds.NLFLPair) -> None:
         is_statement = pair.record_type == "statement"
@@ -521,10 +536,8 @@ def run_informalize(
                 )
             )
 
-    try:
-        dispatch.run(send, settle)
-    finally:
-        _close_stage("informalize", gateway)
+    with _OrderedDispatch("informalize", config, out_dir) as dispatch:
+        dispatch.run(order, send, settle, existing)
 
     write_manifest(out_dir, "informalize", config, counts)
     return counts
@@ -555,9 +568,11 @@ def run_augment(
     """Tactic-aug statements, dedup-sampled, and informal variants: one seeded
     strategy per statement (:func:`augment.strategy_order`), the next on a drop,
     written in source order as ``{id}__var{j}``, ``j`` the kept strategy's
-    index in :data:`augment.STRATEGIES`.  One :class:`_OrderedDispatch` sends
-    the sampled statements, then each statement's first variant, in order; a
-    dropped variant's next strategy is sent from ``settle``.  Record files
+    index in :data:`augment.STRATEGIES`.  The stage's one session
+    (:class:`_OrderedDispatch`) compile-filters the synthesized statements on
+    its checker, then sends the sampled statements, then each statement's
+    first variant, in order; a dropped variant's next strategy is sent from
+    ``settle``.  Record files
     are written whole after the run with ``replace_atomic``, so a kill can
     tear only the completion log, which a rerun reads back."""
     config.check()
@@ -573,13 +588,11 @@ def run_augment(
     ] if informal else []
     orders = [aug.strategy_order(pair.id, config.dedup_seed) for pair in source_pairs]
     answers: list[list[str]] = [[] for _ in source_pairs]  # per strategy asked, in order
-    gateway = Gateway(config, out_dir)
-    backend = validate.cache_checks(config.backend.build(), gateway.cache_dir) if tactic else None
-    try:
+    with _OrderedDispatch("augment", config, out_dir) as dispatch:
         if tactic:
             synthesized = aug.synthesize_for_index(index)
             valid, rejected = aug.compile_filter(
-                synthesized, backend, config.compile_timeout_ms
+                synthesized, dispatch.checker, config.compile_timeout_ms
             )
             aug.write_rejected_report(rejected, out_dir / "rejected.jsonl")
             n_original = len(index.tactic_proof_names())
@@ -608,7 +621,7 @@ def run_augment(
                 role = augmenter
                 strategy = orders[position][len(answers[position])]
                 prompt_text = aug.strategy_prompt(strategy, source_pairs[position].informal_text)
-            dispatch.submit(gateway.submit_role(role, prompt_text), key)
+            dispatch.send(role, prompt_text, key)
             return True
 
         def settle(tag: tuple, completion: Completion) -> None:
@@ -625,10 +638,7 @@ def run_augment(
 
         keys = [("statement", position) for position in range(len(sampled))]
         keys += [("variant", position) for position in range(len(source_pairs))]
-        dispatch = _OrderedDispatch(gateway, keys)
-        dispatch.run(send, settle)
-    finally:
-        _close_stage("augment", gateway, backend)
+        dispatch.run(keys, send, settle)
 
     if tactic:
         pairs = [
@@ -770,12 +780,13 @@ def run_validate(
 ) -> validate.BenchmarkSummary:
     """pass@k over a benchmark, streamed to ``reports.jsonl`` in benchmark order.
 
-    Dispatch: :class:`_OrderedDispatch` opens each item in benchmark order
-    when its window has room, through :func:`validate.validate_item`, as a
-    :class:`validate.ItemRun` whose requests all go through the gateway
-    pool; the dispatch settles each completion on this thread, which is
-    the only place a future is waited on, and compile checks run here as
-    candidates come up.  An open item holds at most k
+    Dispatch: the stage's session (:class:`_OrderedDispatch`) opens each
+    item in benchmark order when its window has room, through
+    :func:`validate.validate_item`, as a :class:`validate.ItemRun` whose
+    requests all go out through the session with the item's position added
+    to their tags; the session settles each completion on this thread, which
+    is the only place a future is waited on, and compile checks run here on
+    its checker as candidates come up.  An open item holds at most k
     futures, so at most the window plus k - 1 are pending (without
     ``short_circuit``, a late sample can send several back-translations past
     that).  Items run concurrently; a report is appended once every earlier
@@ -797,24 +808,19 @@ def run_validate(
     items = load_benchmark(bench_path)
     if not items:
         raise InvalidInput(f"benchmark {bench_path} is empty")
-    roles = validate.Roles(
-        translator=config.role("translator"),
-        back_translator=config.role("back_translator"),
-        nli_judge=config.role("nli_judge"),
-    )
+    roles = validate.Roles(**{name: config.role(name)
+                              for name in ("translator", "back_translator", "nli_judge")})
     _claim(out_dir, config)
     reports_path = out_dir / "reports.jsonl"
     written = _written_report_count(reports_path, items)
-    gateway = Gateway(config, out_dir)
-    backend = validate.cache_checks(config.backend.build(), gateway.cache_dir)
-    dispatch = _OrderedDispatch(gateway, range(len(items)), range(written))
     runs: dict[int, validate.ItemRun] = {}  # the unfinished items, by position
 
     def open_item(position: int) -> bool:
         item = items[position]
         runs[position] = validate.validate_item(
-            item["informal_text"], k, roles, backend, gateway,
-            lambda future, tag: dispatch.submit(future, (position, tag)),
+            item["informal_text"], k, roles, checker,
+            lambda role, prompt_text, tag, sample_index: dispatch.send(
+                role, prompt_text, (position, tag), sample_index),
             item_id=item["id"],
             header=item["header"] if item["header"] is not None else config.header_prelude,
             timeout_ms=config.compile_timeout_ms,
@@ -829,10 +835,10 @@ def run_validate(
             del runs[position]
             dispatch.finish(position, reports_path, validate.report_line(report))
 
-    try:
-        dispatch.run(open_item, settle)
-    finally:
-        _close_stage("validate", gateway, backend)
+    with _OrderedDispatch("validate", config, out_dir) as dispatch:
+        # Built now: a malformed checks.jsonl fails before a request is sent.
+        checker = dispatch.checker
+        dispatch.run(range(len(items)), open_item, settle, range(written))
     summary = validate.summarize(
         validate.read_reports(reports_path), dataset_name or Path(bench_path).stem
     )

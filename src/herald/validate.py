@@ -17,7 +17,6 @@ import json
 import queue
 import subprocess
 import threading
-from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -31,7 +30,6 @@ from .gateway import (
     NLI_ORIGINAL_MARKER,
     TRANSLATE_MARKER,
     Completion,
-    Gateway,
     Role,
     digest,
 )
@@ -383,10 +381,10 @@ class ItemRun:
     """One item's pass@k evaluation, advanced by completions as they return.
 
     This is herald's one validate path: :func:`validate_item` builds the run
-    and :meth:`start` sends the k translate samples through the gateway
-    pool, handing each future to ``track(future, tag)``; the driver passes
-    every completion back to :meth:`settle` with its tag, in any order, on
-    one thread.  Nothing here waits on a future.  Candidates are looked at
+    and :meth:`start` sends the k translate samples, each request through
+    ``send(role, prompt_text, tag, sample_index)``; the caller passes every
+    completion back to :meth:`settle` with its tag, in any order, on one
+    thread.  Nothing here waits on an answer.  Candidates are looked at
     strictly in sample order, each compile check on that thread through
     ``backend``; wrapped by :func:`cache_checks`, it answers a check an
     earlier run made from ``cache/checks.jsonl``.  A blank candidate is
@@ -409,8 +407,7 @@ class ItemRun:
         k: int,
         roles: Roles,
         backend: CompilerBackend,
-        gateway: Gateway,
-        track: Callable[[Future, tuple], None],
+        send: Callable[[Role, str, tuple, int], None],
         *,
         item_id: str = "",
         header: str = DEFAULT_HEADER,
@@ -421,8 +418,7 @@ class ItemRun:
         self.k = k
         self.roles = roles
         self.backend = backend
-        self.gateway = gateway
-        self.track = track
+        self.send = send
         self.item_id = item_id
         self.header = header
         self.timeout_ms = timeout_ms
@@ -435,7 +431,7 @@ class ItemRun:
 
     def _send(self, role: Role, prompt_text: str, tag: tuple, sample_index: int = 0) -> None:
         self._outstanding += 1
-        self.track(self.gateway.submit_role(role, prompt_text, sample_index), tag)
+        self.send(role, prompt_text, tag, sample_index)
 
     def start(self) -> None:
         prompt = translation_prompt(self.informal)

@@ -285,8 +285,11 @@ def validate_one(informal: str, k: int, roles, backend, gateway, **options) -> V
     waited for in the order it was sent; the answers reach the completion
     log at the gateway's close."""
     sent = deque()
-    run = validate_item(informal, k, roles, backend, gateway,
-                        lambda future, tag: sent.append((future, tag)), **options)
+
+    def send(role, prompt_text, tag, sample_index):
+        sent.append((gateway.submit_role(role, prompt_text, sample_index), tag))
+
+    run = validate_item(informal, k, roles, backend, send, **options)
     try:
         while True:
             future, tag = sent.popleft()

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -93,6 +94,35 @@ class TestIngest:
         assert run("--out", str(out), "ingest", "--from-source", str(src)) == 0
         doc = json.loads((out / "index.json").read_text(encoding="utf-8"))
         assert len(doc["declarations"]) == 8
+
+    def test_both_source_flags_exit_2_before_any_write(self, tmp_path, export_file, capsys):
+        out = tmp_path / "out"
+        code = exit_code("--out", str(out), "ingest", "--export", str(export_file),
+                         "--from-source", str(tmp_path))
+        err = capsys.readouterr().err
+        assert_refused_before_any_write(code, err, out, "--export")
+        assert "--from-source" in err
+
+    def test_a_config_naming_both_sources_exits_2_before_any_write(
+            self, tmp_path, export_file, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "A.lean").write_text(
+            (DATA / "normal_extensions.lean").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"corpus_export": str(export_file),
+                                                "source_dir": str(src)}}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = exit_code("--config", str(config), "--out", str(out), "ingest")
+        err = capsys.readouterr().err
+        assert_refused_before_any_write(code, err, out, str(export_file))
+        assert str(src) in err
+        # A flag names the one source, in place of both of the config's.
+        assert run("--config", str(config), "--out", str(out), "ingest",
+                   "--from-source", str(src)) == 0
+        assert len(json.loads((out / "index.json").read_text(encoding="utf-8"))
+                   ["declarations"]) == 8
 
 
 class TestStratify:
@@ -477,6 +507,36 @@ class TestAugmentMixValidateStats:
         run_full_pipeline(fixtures, tmp_path / "run1")
         run_full_pipeline(fixtures, tmp_path / "run2")
         assert tree_digest(tmp_path / "run1") == tree_digest(tmp_path / "run2")
+
+    def test_trees_do_not_depend_on_the_string_hash_seed(self, tmp_path):
+        # Names reach the graph through sets, so string-hash order must reach
+        # no file; each stage runs as a process of its own under each seed.
+        fixtures = write_shared_fixtures(tmp_path / "fixtures")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        trees = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            index, informal = str(out / "ingest" / "index.json"), str(out / "informalize")
+            for stage, *args in (
+                ("ingest", "--export", str(fixtures["export"])),
+                ("stratify", "--index", index, "--emit-dot", str(out / "stratify" / "graph.dot")),
+                ("informalize", "--index", index),
+                ("augment", "--index", index, "--tactic", "--informal", "--pairs", informal),
+                ("mix", "--original", informal,
+                 "--tactic-aug", str(out / "augment" / "tactic_aug.jsonl"),
+                 "--informal-aug", str(out / "augment" / "informal_aug.jsonl"), "--total", "20"),
+                ("stats", "--data", str(out / "mix" / "dataset.jsonl")),
+            ):
+                result = subprocess.run(
+                    [sys.executable, "-m", "herald.cli", "--config", str(fixtures["config"]),
+                     "--out", str(out / stage), stage, *args],
+                    env=env, capture_output=True, text=True, timeout=120)
+                assert result.returncode == 0, (stage, result.stderr)
+            trees.append(tree_digest(out))
+        assert len(trees[0]) > 10
+        assert trees[0] == trees[1]
 
     def test_mix_empty_general_pool_exits_2(self, tmp_path, export_file, mock_config):
         empty = tmp_path / "empty.jsonl"

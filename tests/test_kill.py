@@ -163,3 +163,57 @@ def test_a_stage_killed_at_the_nth_answer_reruns_to_the_clean_tree(inputs, tmp_p
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         run_to_end(argv)
         assert tree_digest(out) == expected, f"killed at answer {quarter}/4 of {answers}"
+
+
+# ``python -c`` with the kill point and the CLI arguments: ``herald.cli`` whose
+# record files count the lines appended to them, print the count at exit and,
+# when the kill point n is not 0, write and flush half of line n, then SIGKILL
+# the process.
+KILL_AT_LINE = """
+import os, signal, sys
+from herald import cli, pipeline
+
+kill_at, lines = int(sys.argv[1]), [0]
+
+class Tearing:
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, line):
+        lines[0] += 1
+        if lines[0] == kill_at:
+            self._handle.write(line[:len(line) // 2])
+            self._handle.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self._handle.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+pipeline.open = lambda *args, **kwargs: Tearing(open(*args, **kwargs))
+code = cli.main(sys.argv[2:])
+print(lines[0])
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("stage", ["informalize", "validate"])
+def test_a_stage_killed_inside_its_nth_record_line_reruns_to_the_clean_tree(
+        inputs, tmp_path, stage):
+    clean = tmp_path / "clean"
+    script = [sys.executable, "-c", KILL_AT_LINE]
+    result = subprocess.run([*script, "0", *stage_argv(inputs, stage, clean)[3:]],
+                            env=environment(), capture_output=True, text=True, timeout=TIMEOUT_S)
+    assert result.returncode == 0, result.stderr
+    lines = int(result.stdout.split()[-1])
+    expected = tree_digest(clean)
+    for quarter in range(1, KILLS + 1):
+        out = tmp_path / f"killed{quarter}"
+        argv = stage_argv(inputs, stage, out)
+        killed = subprocess.run([*script, str(lines * quarter // (KILLS + 1)), *argv[3:]],
+                                env=environment(), capture_output=True, timeout=TIMEOUT_S)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert any(not path.read_bytes().endswith(b"\n")
+                   for path in out.glob("*.jsonl")), f"no torn line under {out}"
+        run_to_end(argv)
+        assert tree_digest(out) == expected, f"killed in line {quarter}/4 of {lines}"

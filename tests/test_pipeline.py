@@ -620,13 +620,13 @@ def watch_pending(monkeypatch) -> list[int]:
     """Patch the dispatch to keep, in the returned list's one entry, the peak
     number of futures it has pending."""
     peak = [0]
-    submit = _OrderedDispatch.submit
+    send = _OrderedDispatch.send
 
-    def counting_submit(dispatch, future, tag):
-        submit(dispatch, future, tag)
+    def counting_send(dispatch, *args):
+        send(dispatch, *args)
         peak[0] = max(peak[0], len(dispatch._pending))
 
-    monkeypatch.setattr(_OrderedDispatch, "submit", counting_submit)
+    monkeypatch.setattr(_OrderedDispatch, "send", counting_send)
     return peak
 
 
@@ -1003,7 +1003,7 @@ def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkey
     run = _OrderedDispatch.run
     settled: Counter = Counter()
 
-    def checking_run(dispatch, send, settle):
+    def checking_run(dispatch, order, start, settle, *rest):
         log = dispatch._gateway.cache_dir / "completions.jsonl"
 
         def checked_settle(tag, completion):
@@ -1013,7 +1013,7 @@ def test_each_answer_is_in_the_log_on_disk_before_it_is_settled(tmp_path, monkey
             assert on_disk[completion.text] >= settled[completion.text], tag
             settle(tag, completion)
 
-        run(dispatch, send, checked_settle)
+        run(dispatch, order, start, checked_settle, *rest)
 
     monkeypatch.setattr(_OrderedDispatch, "run", checking_run)
     run_stages(tmp_path, max_in_flight=8)
